@@ -11,6 +11,7 @@ from .diagnostics import (
     audit_agent_distance_bound,
     audit_correlation_contraction,
     audit_diameter_bound,
+    audit_series,
     audit_tolerance,
     consensus_status,
     correlation_diameter,
@@ -39,11 +40,10 @@ from .errors import (
 from .integrate import (
     IntegratorConfig,
     Trajectory,
-    dini_derivative,
     integrate,
     integrate_pair,
 )
-from .linalg import expm_skew, frobenius, matmul, polar_factor, qr_thin
+from .linalg import expm_skew, frobenius, polar_factor, qr_thin
 from .manifold import (
     ensemble_diameter,
     ensemble_lp_distance,

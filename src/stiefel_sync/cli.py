@@ -1,9 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands:
-    run <config.json> [...] [--out DIR]   execute scenarios (batch runs in
-                                          parallel, capped by the
-                                          STIEFEL_SYNC_THREADS variable)
+    run <config.json> [...] [--out DIR]   execute scenarios, one after
+                                          another in the order given
     gen <template> --seed K [--set k=v]   write a scenario file
     audit <traj.csv> --config <cfg.json>  re-check the inequality audits on
                                           an emitted series file
@@ -17,9 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from . import __version__, diagnostics
 from .errors import DivergenceError, ScenarioError, StiefelSyncError
@@ -50,19 +46,6 @@ EXIT_SCENARIO = 2
 EXIT_DIVERGENCE = 3
 EXIT_AUDIT = 4
 EXIT_EXPECTATION = 5
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("STIEFEL_SYNC_THREADS", "")
-    if raw.strip():
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ScenarioError(f"STIEFEL_SYNC_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise ScenarioError("STIEFEL_SYNC_THREADS must be >= 1")
-        return cap
-    return os.cpu_count() or 1
 
 
 def _resolve_config(path: str) -> str:
@@ -120,30 +103,21 @@ def _print_report(report: RunReport, out) -> None:
 
 def _cmd_run(args, out, err) -> int:
     paths = [_resolve_config(c) for c in args.configs]
-
-    def one(path: str) -> tuple[int, RunReport | None, Exception | None]:
+    worst = EXIT_OK
+    for path in paths:
         try:
             report = run_scenario(path, out_dir=args.out)
-            return _report_exit_code(report), report, None
         except ScenarioError as exc:
-            return EXIT_SCENARIO, None, exc
+            code, error = EXIT_SCENARIO, exc
         except DivergenceError as exc:
-            return EXIT_DIVERGENCE, None, exc
+            code, error = EXIT_DIVERGENCE, exc
         except StiefelSyncError as exc:
-            return EXIT_ERROR, None, exc
-
-    if len(paths) == 1:
-        results = [one(paths[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(paths))) as pool:
-            results = list(pool.map(one, paths))
-
-    worst = EXIT_OK
-    for path, (code, report, exc) in zip(paths, results):
-        if report is not None:
+            code, error = EXIT_ERROR, exc
+        else:
+            code, error = _report_exit_code(report), None
             _print_report(report, out)
-        if exc is not None:
-            print(f"error in {path}: {exc}", file=err)
+        if error is not None:
+            print(f"error in {path}: {error}", file=err)
         worst = max(worst, code)
     return worst
 
@@ -168,42 +142,8 @@ def _cmd_gen(args, out, err) -> int:
 def _cmd_audit(args, out, err) -> int:
     try:
         scenario = Scenario.from_file(_resolve_config(args.config))
-        series = read_series(args.series)
-    except (ScenarioError, StiefelSyncError, OSError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_SCENARIO
-
-    cfg = scenario.model
-    times = series.get("t")
-    if times is None or "diam_S" not in series:
-        print("error: series lacks the required t and diam_S columns", file=err)
-        return EXIT_SCENARIO
-
-    audits = []
-    try:
-        audits.append(diagnostics.audit_diameter_bound_series(times, series["diam_S"], cfg))
-        if {"corr_sq", "corr_skew_sq", "diam_S_tilde"} <= series.keys():
-            audits.append(
-                diagnostics.audit_correlation_contraction_series(
-                    times,
-                    series["corr_sq"],
-                    series["corr_skew_sq"],
-                    series["diam_S"],
-                    series["diam_S_tilde"],
-                    cfg,
-                )
-            )
-        agent_columns = sorted(
-            (name for name in series if name.startswith("dist_agent_")),
-            key=lambda name: int(name.rsplit("_", 1)[1]),
-        )
-        if agent_columns and "diam_S_tilde" in series:
-            dists = np.column_stack([series[name] for name in agent_columns])
-            z = np.maximum(series["diam_S"], series["diam_S_tilde"])
-            audits.append(
-                diagnostics.audit_agent_distance_bound_series(times, dists, z, cfg)
-            )
-    except StiefelSyncError as exc:
+        audits = diagnostics.audit_series(read_series(args.series), scenario.model)
+    except (StiefelSyncError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_SCENARIO
 

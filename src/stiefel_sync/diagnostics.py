@@ -9,11 +9,18 @@ against the corresponding bound evaluated on the same grid. The audits
 accept a named ``mutation`` that deliberately overstates their bound; a
 healthy implementation must fail under the mutation on an adversarial run,
 which is how the test suite proves the audits can detect violations at all.
+
+The audits run on named series columns through :func:`audit_series`, which
+serves both a scenario run (on the columns it writes to its pair CSV) and
+the re-audit of such a CSV, so the two agree bit for bit. The
+trajectory-level audits are conveniences that build those series from
+trajectories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -56,25 +63,12 @@ def audit_tolerance(spacing: float) -> float:
 def correlations(states) -> np.ndarray:
     """All pairwise products A[j, i] = S_j^T S_i as an (N, N, p, p) array.
 
-    Each product is computed once and mirrored, so A[i, j] equals the
-    transpose of A[j, i] bit for bit.
+    A[i, j] equals the transpose of A[j, i] bit for bit: both entries sum
+    the same products in the same order.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 3:
         raise DimensionError(f"ensemble must be (N, n, p), got shape {states.shape}")
-    count, _, p = states.shape
-    a = np.empty((count, count, p, p))
-    for j in range(count):
-        for i in range(j, count):
-            m = states[j].T @ states[i]
-            a[j, i] = m
-            if i != j:
-                a[i, j] = m.T
-    return a
-
-
-def _correlation_stack(states) -> np.ndarray:
-    # fast unmirrored variant for series work
     return np.einsum("jab,iac->jibc", states, states)
 
 
@@ -85,7 +79,7 @@ def correlation_gap_components(s1, s2) -> tuple[float, float]:
     s2 = np.asarray(s2, dtype=float)
     if s1.shape != s2.shape or s1.ndim != 3:
         raise DimensionError(f"ensemble shapes differ: {s1.shape} vs {s2.shape}")
-    da = _correlation_stack(s1) - _correlation_stack(s2)
+    da = correlations(s1) - correlations(s2)
     plain = float(np.sum(da * da))
     skew = da - np.swapaxes(da, -2, -1)
     return plain, float(np.sum(skew * skew))
@@ -156,7 +150,7 @@ def consensus_status(traj: Trajectory, window: float, tol: float = 1e-6) -> Cons
     count, _, p = traj.states[0].shape
     stack = np.empty((picked.shape[0],) + (count, count, p, p))
     for slot, k in enumerate(picked):
-        stack[slot] = _correlation_stack(traj.states[k])
+        stack[slot] = correlations(traj.states[k])
 
     eye = np.eye(p)
     identity_gap = np.sqrt(np.sum((stack - eye) ** 2, axis=(-2, -1)))
@@ -318,9 +312,7 @@ def correlation_contraction_bound(
         raise ValidationError(f"unknown mutation {mutation!r}")
     plain = np.asarray(plain, dtype=float)
     skewed = np.asarray(skewed, dtype=float)
-    slack = np.array(
-        [contraction_slack(cfg, float(a), float(b)) for a, b in zip(diam1, diam2)]
-    )
+    slack = contraction_slack(cfg, diam1, diam2)
     rate_plain, rate_skew = contraction_rates(cfg, slack)
     if mutation == "overstated_skew_rate":
         stats = cfg.topology.xi_stats()
@@ -438,6 +430,42 @@ def audit_agent_distance_bound(
     dists = np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))  # (K, N)
     z = np.maximum(traj1.diameters, traj2.diameters)
     return audit_agent_distance_bound_series(traj1.times, dists, z, cfg, mutation)
+
+
+def audit_series(columns: Mapping[str, np.ndarray], cfg: ModelConfig) -> list[InequalityAudit]:
+    """Every audit that the named series columns support, in the order
+    diameter bound, correlation contraction, per-agent distance bound.
+
+    ``columns`` uses the names of the emitted CSVs (see
+    :func:`stiefel_sync.series_io.emit_series`): ``t`` and ``diam_S`` are
+    required; ``corr_sq``, ``corr_skew_sq`` and ``diam_S_tilde`` add the
+    correlation audit; ``dist_agent_<i>`` with ``diam_S_tilde`` add the
+    per-agent audit, with Z the elementwise maximum of the two diameters.
+    """
+    if "t" not in columns or "diam_S" not in columns:
+        raise ValidationError("series lacks the required t and diam_S columns")
+    times = columns["t"]
+    audits = [audit_diameter_bound_series(times, columns["diam_S"], cfg)]
+    if {"corr_sq", "corr_skew_sq", "diam_S_tilde"} <= columns.keys():
+        audits.append(
+            audit_correlation_contraction_series(
+                times,
+                columns["corr_sq"],
+                columns["corr_skew_sq"],
+                columns["diam_S"],
+                columns["diam_S_tilde"],
+                cfg,
+            )
+        )
+    agent_columns = sorted(
+        (name for name in columns if name.startswith("dist_agent_")),
+        key=lambda name: int(name.rsplit("_", 1)[1]),
+    )
+    if agent_columns and "diam_S_tilde" in columns:
+        dists = np.column_stack([columns[name] for name in agent_columns])
+        z = np.maximum(columns["diam_S"], columns["diam_S_tilde"])
+        audits.append(audit_agent_distance_bound_series(times, dists, z, cfg))
+    return audits
 
 
 # ---------------------------------------------------------------------------

@@ -172,26 +172,9 @@ def _require_uniform(times: np.ndarray) -> float:
     return h
 
 
-def dini_derivative(series_t, series_y, index: int) -> float:
-    """Finite-difference derivative estimate of a sampled series: central
-    difference at interior points (O(h^2)), forward difference at the left
-    edge. The final point is out of range."""
-    t = np.asarray(series_t, dtype=float)
-    y = np.asarray(series_y, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise DimensionError(f"series shapes differ: {t.shape} vs {y.shape}")
-    h = _require_uniform(t)
-    last = t.shape[0] - 1
-    if index == 0:
-        return float((y[1] - y[0]) / h)
-    if 1 <= index <= last - 1:
-        return float((y[index + 1] - y[index - 1]) / (2.0 * h))
-    raise IndexError(f"index {index} out of differentiable range [0, {last - 1}]")
-
-
 def dini_derivative_series(series_t, series_y) -> np.ndarray:
-    """Central-difference derivative at every interior grid point (vectorized
-    companion of :func:`dini_derivative`; same stencil)."""
+    """Central-difference derivative, O(h^2), at every interior point of a
+    series sampled on a uniform time grid."""
     t = np.asarray(series_t, dtype=float)
     y = np.asarray(series_y, dtype=float)
     h = _require_uniform(t)

@@ -1,4 +1,4 @@
-"""Dense matrix helpers: validated products, Frobenius norm, thin QR with a
+"""Dense matrix helpers: validation, Frobenius norm, thin QR with a
 fixed sign convention, polar decomposition, and the exponential of a
 skew-symmetric matrix.
 
@@ -36,17 +36,6 @@ def require_skew(x, tol: Tolerances = DEFAULT, name: str = "skew matrix") -> np.
     if defect > tol.algebraic * max(1.0, np.linalg.norm(x)):
         raise ValidationError(f"{name} is not skew-symmetric (defect {defect:.3e})")
     return x
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def frobenius(a) -> float:

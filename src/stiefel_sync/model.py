@@ -371,20 +371,25 @@ def diameter_threshold(cfg: ModelConfig) -> float:
     return numer / (10.0 * stats.xi_max ** 2 * math.sqrt(cfg.p))
 
 
-def contraction_slack(cfg: ModelConfig, diam1: float, diam2: float) -> float:
+def contraction_slack(cfg: ModelConfig, diam1, diam2):
     """Perturbation term eating into the contraction rate of the correlation
     gap, evaluated at the two solutions' instantaneous diameters:
 
         5 kappa xi_max^2 sqrt(p) (d1 + d2) + 3 kappa xi_max spread + freq_spread
+
+    Scalar diameters give a float; aligned arrays give the slack elementwise.
     """
     stats = _require_separable(cfg)
-    if diam1 < 0 or diam2 < 0:
+    d1 = np.asarray(diam1, dtype=float)
+    d2 = np.asarray(diam2, dtype=float)
+    if np.any(d1 < 0) or np.any(d2 < 0):
         raise ValidationError("diameters must be nonnegative")
-    return (
-        5.0 * cfg.kappa * stats.xi_max ** 2 * math.sqrt(cfg.p) * (diam1 + diam2)
+    slack = (
+        5.0 * cfg.kappa * stats.xi_max ** 2 * math.sqrt(cfg.p) * (d1 + d2)
         + 3.0 * cfg.kappa * stats.xi_max * stats.spread
         + cfg.freq_spread
     )
+    return float(slack) if np.ndim(slack) == 0 else slack
 
 
 def contraction_rates(cfg: ModelConfig, slack):

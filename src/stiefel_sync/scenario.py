@@ -39,7 +39,7 @@ from .model import (
     random_skew,
     zero_frequencies,
 )
-from .series_io import emit_series
+from .series_io import BASE_COLUMNS, emit_series
 
 ANALYSIS_NAMES = ("framework", "consensus", "decay_fit", "stability", "audits", "cubic")
 SEPARABLE_ONLY = ("framework", "decay_fit", "audits", "cubic")
@@ -488,10 +488,15 @@ def _potential_series(traj: Trajectory, topology: Topology) -> np.ndarray:
 
 
 def _pair_columns(traj: Trajectory, partner: Trajectory) -> dict[str, np.ndarray]:
+    """Every column of the pair CSV, base columns included, from one pass
+    over the correlation gap; the decay fit and the audits read them too."""
     plain, skewed = diagnostics.correlation_gap_series(traj, partner)
     diffs = traj.states - partner.states
     norms = np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))
     columns = {
+        "t": traj.times,
+        "drift": traj.drift,
+        "diam_S": traj.diameters,
         "diam_A": plain + skewed,
         "corr_sq": plain,
         "corr_skew_sq": skewed,
@@ -519,12 +524,13 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
     os.makedirs(out_dir, exist_ok=True)
 
     traj = integrate(sc.initial, sc.model, sc.integrator)
-    partner = None
+    partner = pair = None
     if sc.needs_pair:
         radius = sc.analyses.get("stability", {}).get("perturbation", sc.perturbation["radius"])
         seed = sc.analyses.get("stability", {}).get("seed", sc.perturbation["seed"])
         partner_initial = perturb_ensemble(sc.initial, radius, seed)
         partner = integrate(partner_initial, sc.model, sc.integrator)
+        pair = _pair_columns(traj, partner)
 
     framework_dict = None
     if "framework" in sc.analyses:
@@ -563,14 +569,11 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
     decay_dict = None
     if "decay_fit" in sc.analyses:
         frac = sc.analyses["decay_fit"].get("fit_fraction", 0.5)
-        plain, skewed = diagnostics.correlation_gap_series(traj, partner)
-        gap = plain + skewed
         t_end = float(traj.times[-1])
         window = ((1.0 - frac) * t_end, t_end)
-        rate, r_squared = diagnostics.fit_decay_rate(traj.times, gap, window)
-        slack_sup = max(
-            contraction_slack(sc.model, float(a), float(b))
-            for a, b in zip(traj.diameters, partner.diameters)
+        rate, r_squared = diagnostics.fit_decay_rate(pair["t"], pair["diam_A"], window)
+        slack_sup = float(
+            np.max(contraction_slack(sc.model, pair["diam_S"], pair["diam_S_tilde"]))
         )
         decay_dict = {
             "rate": rate,
@@ -581,11 +584,7 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
 
     audit_dicts = None
     if "audits" in sc.analyses:
-        audit_dicts = [
-            _audit_to_dict(diagnostics.audit_diameter_bound(traj, sc.model)),
-            _audit_to_dict(diagnostics.audit_correlation_contraction(traj, partner, sc.model)),
-            _audit_to_dict(diagnostics.audit_agent_distance_bound(traj, partner, sc.model)),
-        ]
+        audit_dicts = [_audit_to_dict(a) for a in diagnostics.audit_series(pair, sc.model)]
 
     gain_dict = None
     if "stability" in sc.analyses:
@@ -599,9 +598,10 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
     base_csv = os.path.join(out_dir, f"{sc.name}.csv")
     emit_series(traj, {"V": _potential_series(traj, sc.model.topology)}, base_csv)
     artifacts.append(base_csv)
-    if partner is not None:
+    if pair is not None:
         pair_csv = os.path.join(out_dir, f"{sc.name}_pair.csv")
-        emit_series(traj, _pair_columns(traj, partner), pair_csv)
+        extra = {name: values for name, values in pair.items() if name not in BASE_COLUMNS}
+        emit_series(traj, extra, pair_csv)
         artifacts.append(pair_csv)
 
     expectations = []

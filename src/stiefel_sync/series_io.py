@@ -17,6 +17,9 @@ from .integrate import Trajectory
 
 _FORMAT = "%.17g"
 
+# the columns every series file starts with, taken from the trajectory
+BASE_COLUMNS = ("t", "drift", "diam_S")
+
 
 def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
     """Write a trajectory and aligned diagnostic columns as CSV.
@@ -27,11 +30,9 @@ def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
     """
     if len(traj) == 0:
         raise ValidationError("refusing to emit an empty trajectory")
-    columns: dict[str, np.ndarray] = {
-        "t": traj.times,
-        "drift": traj.drift,
-        "diam_S": traj.diameters,
-    }
+    columns: dict[str, np.ndarray] = dict(
+        zip(BASE_COLUMNS, (traj.times, traj.drift, traj.diameters))
+    )
     for name, values in diag.items():
         if name in columns:
             raise ValidationError(f"duplicate column name {name!r}")
@@ -55,15 +56,30 @@ def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
 
 
 def read_series(path) -> dict[str, np.ndarray]:
-    """Parse a CSV written by :func:`emit_series` back into named columns."""
+    """Parse a CSV written by :func:`emit_series` back into named columns.
+
+    Raises :class:`ValidationError` on a file that does not parse as a
+    rectangular table of numbers (a truncated file, say) and on any
+    non-finite value, naming its column and data row.
+    """
     with open(path) as handle:
         header = handle.readline().strip()
         if not header:
             raise ValidationError(f"{path}: empty series file")
         names = header.split(",")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed series data: {exc}") from exc
     if data.shape[1] != len(names):
         raise DimensionError(
             f"{path}: {data.shape[1]} columns of data under {len(names)} headers"
+        )
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValidationError(
+            f"{path}: non-finite value {data[row, col]} in column {names[col]!r}"
+            f" at data row {row + 1}"
         )
     return {name: data[:, k] for k, name in enumerate(names)}

@@ -10,9 +10,6 @@ class Tolerances:
     algebraic: float = 1e-12
     # orthonormality required of a Stiefel point at construction
     orth_construction: float = 1e-10
-    # orthonormality drift allowed to accumulate during integration
-    # before a retraction is forced
-    runtime_drift: float = 1e-8
     # relative cutoff below which a triangular diagonal counts as rank zero
     rank: float = 1e-12
     # match required between separable weights and the outer product of xi

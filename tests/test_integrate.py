@@ -12,7 +12,6 @@ from stiefel_sync.errors import (
 )
 from stiefel_sync.integrate import (
     IntegratorConfig,
-    dini_derivative,
     dini_derivative_series,
     integrate,
     integrate_pair,
@@ -291,40 +290,32 @@ class TestDivergence:
 class TestDiniDerivative:
     def test_constant_series(self):
         t = np.linspace(0, 1, 11)
-        assert dini_derivative(t, np.ones(11), 5) == 0.0
+        assert np.all(dini_derivative_series(t, np.ones(11)) == 0.0)
 
     def test_linear_series_exact(self):
         t = np.arange(0, 1.0, 0.125)
-        assert dini_derivative(t, t.copy(), 3) == 1.0
+        assert np.all(dini_derivative_series(t, t.copy()) == 1.0)
 
     def test_sine_matches_cosine(self):
         h = 1e-3
         t = np.arange(0, 1, h)
-        y = np.sin(t)
+        series = dini_derivative_series(t, np.sin(t))
+        assert series.shape == (t.shape[0] - 2,)
         for k in (1, 200, 500, 900):
-            assert abs(dini_derivative(t, y, k) - np.cos(t[k])) <= 1e-6
-
-    def test_forward_difference_at_left_edge(self):
-        t = np.array([0.0, 0.1, 0.2])
-        y = np.array([1.0, 2.0, 4.0])
-        assert abs(dini_derivative(t, y, 0) - 10.0) <= 1e-12
-
-    def test_out_of_range(self):
-        t = np.linspace(0, 1, 5)
-        with pytest.raises(IndexError):
-            dini_derivative(t, t, 4)
+            assert abs(series[k - 1] - np.cos(t[k])) <= 1e-6
 
     def test_nonuniform_grid_rejected(self):
         t = np.array([0.0, 0.1, 0.3])
         with pytest.raises(ValidationError):
-            dini_derivative(t, t, 1)
+            dini_derivative_series(t, t)
 
     def test_series_variant_matches_pointwise(self):
         t = np.arange(0, 1, 0.01)
         y = np.exp(-2 * t)
         series = dini_derivative_series(t, y)
+        h = t[1] - t[0]
         for k in (1, 50, 98):
-            assert series[k - 1] == dini_derivative(t, y, k)
+            assert series[k - 1] == (y[k + 1] - y[k - 1]) / (2.0 * h)
 
     def test_too_short_series(self):
         with pytest.raises(InsufficientDataError):

@@ -1,4 +1,4 @@
-"""Matrix-core tests: products, norms, factorizations, matrix exponential."""
+"""Matrix-core tests: norms, factorizations, matrix exponential."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from stiefel_sync.errors import (
 from stiefel_sync.linalg import (
     expm_skew,
     frobenius,
-    matmul,
     polar_factor,
     qr_thin,
     require_matrix,
@@ -34,42 +33,6 @@ def skew(dim, seed, scale=1.0):
     g = square(dim, seed)
     s = (g - g.T) / 2.0
     return s * scale / np.linalg.norm(s)
-
-
-class TestMatmul:
-    def test_identity(self):
-        x = square(3, 0)
-        assert np.array_equal(matmul(np.eye(3), x), x)
-
-    def test_annihilator(self):
-        x = square(3, 1)
-        assert np.array_equal(matmul(x, np.zeros((3, 2))), np.zeros((3, 2)))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 2))
-        b = rng.standard_normal((2, 4))
-        expected = np.zeros((3, 4))
-        for i in range(3):
-            for j in range(4):
-                for k in range(2):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.max(np.abs(matmul(a, b) - expected)) <= 1e-14
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    @given(
-        a=arrays(float, (3, 4), elements=finite_entries),
-        b=arrays(float, (4, 2), elements=finite_entries),
-        c=arrays(float, (2, 5), elements=finite_entries),
-    )
-    def test_associativity(self, a, b, c):
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = max(1.0, np.max(np.abs(left)))
-        assert np.max(np.abs(left - right)) <= 1e-12 * scale
 
 
 class TestFrobenius:

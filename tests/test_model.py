@@ -330,6 +330,15 @@ class TestRateQuantities:
                 + cfg.freq_spread
             )
             assert abs(contraction_slack(cfg, d1, d2) - expected) <= 1e-12 * max(1, expected)
+        # aligned arrays give the scalar result element by element, bit for bit
+        cfg, _ = make_framework_config(28)
+        d1, d2 = rng.uniform(0, 0.5, (2, 40))
+        slack = contraction_slack(cfg, d1, d2)
+        assert slack.shape == (40,)
+        expected = [contraction_slack(cfg, float(a), float(b)) for a, b in zip(d1, d2)]
+        assert np.array_equal(slack, expected)
+        with pytest.raises(ValidationError):
+            contraction_slack(cfg, d1, -d2)
 
     def test_rate_bound_at_critical_slack(self):
         cfg = uniform_config(kappa=2.0)

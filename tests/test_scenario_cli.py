@@ -14,6 +14,7 @@ from stiefel_sync.cli import (
     EXIT_SCENARIO,
     main,
 )
+from stiefel_sync import diagnostics
 from stiefel_sync.errors import ScenarioError, ValidationError
 from stiefel_sync.integrate import IntegratorConfig, integrate
 from stiefel_sync.manifold import random_ensemble
@@ -303,8 +304,7 @@ class TestCli:
         csv_b = open(os.path.join(dir_b, "determinism.csv"), "rb").read()
         assert csv_a == csv_b
 
-    def test_batch_run_with_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STIEFEL_SYNC_THREADS", "2")
+    def test_batch_run(self, tmp_path):
         p1 = minimal_scenario(tmp_path, name="batch_one")
         p2 = minimal_scenario(tmp_path, name="batch_two")
         out = io.StringIO()
@@ -352,3 +352,78 @@ class TestCli:
         lines = out.getvalue().splitlines()
         flagged = [line for line in lines if line.startswith("audit correlation_contraction")]
         assert len(flagged) == 1 and flagged[0].endswith("FAIL")
+
+    def _pair_run(self, tmp_path, name="bad_csv"):
+        path = minimal_scenario(
+            tmp_path,
+            name=name,
+            integrator={"h": 0.01, "t_end": 1.0, "record_stride": 1},
+            analyses=[{"stability": {"p_exp": [1.0]}}],
+        )
+        out = io.StringIO()
+        assert main(["run", path, "--out", str(tmp_path)], out=out, err=out) == EXIT_OK
+        return path, tmp_path / f"{name}_pair.csv"
+
+    def test_audit_rejects_non_finite_values(self, tmp_path):
+        path, pair_csv = self._pair_run(tmp_path)
+        lines = pair_csv.read_text().splitlines()
+        names = lines[0].split(",")
+        row = lines[50].split(",")
+        for column in ("diam_A", "corr_sq"):
+            row[names.index(column)] = "nan"
+        lines[50] = ",".join(row)
+        pair_csv.write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["audit", str(pair_csv), "--config", path], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        message = err.getvalue()
+        assert message.startswith("error:")
+        assert "'diam_A'" in message and "row 50" in message
+
+    def test_audit_rejects_truncated_csv(self, tmp_path):
+        path, pair_csv = self._pair_run(tmp_path)
+        data = pair_csv.read_bytes()
+        pair_csv.write_bytes(data[: len(data) // 2])
+        err = io.StringIO()
+        code = main(["audit", str(pair_csv), "--config", path], out=err, err=err)
+        assert code == EXIT_SCENARIO
+        assert err.getvalue().startswith("error:")
+
+    def test_run_and_csv_reaudit_agree_bitwise(self, tmp_path, monkeypatch):
+        # the run audits its in-memory pair columns and the re-audit the
+        # CSV written from them; both go through diagnostics.audit_series
+        audit_series = diagnostics.audit_series
+        in_memory = []
+
+        def recording(columns, cfg):
+            audits = audit_series(columns, cfg)
+            in_memory.extend(audits)
+            return audits
+
+        monkeypatch.setattr(diagnostics, "audit_series", recording)
+        path = minimal_scenario(
+            tmp_path,
+            name="agree",
+            dims={"n": 3, "p": 2, "N": 3},
+            topology={"kind": "separable", "xi": [1.0, 1.2, 0.9]},
+            frequencies={"kind": "random", "spread": 0.3, "seed": 5},
+            initial={"kind": "random", "seed": 6},
+            integrator={"h": 0.01, "t_end": 2.0, "record_stride": 1},
+            analyses=["audits"],
+        )
+        report = run_scenario(path, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        reaudit = diagnostics.audit_series(
+            read_series(tmp_path / "agree_pair.csv"), Scenario.from_file(path).model
+        )
+        assert [a.name for a in reaudit] == [
+            "diameter_bound", "correlation_contraction", "agent_distance_bound"
+        ]
+        assert [a.max_violation for a in reaudit] == [
+            a["max_violation"] for a in report.audits
+        ]
+        assert len(in_memory) == 3
+        for ours, theirs in zip(in_memory, reaudit):
+            for field in ("times", "lhs", "rhs", "audited"):
+                assert np.array_equal(getattr(ours, field), getattr(theirs, field))
