@@ -41,7 +41,6 @@ from .integrate import (
     IntegratorConfig,
     Trajectory,
     integrate,
-    integrate_pair,
 )
 from .linalg import expm_skew, frobenius, polar_factor, qr_thin
 from .manifold import (

@@ -62,6 +62,8 @@ class Trajectory:
 
     times: (K,) strictly increasing; states: (K, N, n, p);
     drift: (K,) orthonormality defects; diameters: (K,) ensemble diameters.
+    A batch of B runs keeps one ``times`` grid and puts the member axis
+    first: states (B, K, N, n, p), drift and diameters (B, K).
     """
 
     times: np.ndarray
@@ -74,11 +76,11 @@ class Trajectory:
 
     @property
     def initial(self) -> np.ndarray:
-        return self.states[0]
+        return self.states[..., 0, :, :, :]
 
     @property
     def final(self) -> np.ndarray:
-        return self.states[-1]
+        return self.states[..., -1, :, :, :]
 
     @property
     def spacing(self) -> float:
@@ -87,37 +89,52 @@ class Trajectory:
             raise InsufficientDataError("trajectory has fewer than two snapshots")
         return float(self.times[1] - self.times[0])
 
+    def members(self) -> list["Trajectory"]:
+        """The runs of a batch as single-run views that share ``times``; a
+        single run is its own only member."""
+        if self.drift.ndim == 1:
+            return [self]
+        runs = zip(self.states, self.drift, self.diameters)
+        return [Trajectory(self.times, *run) for run in runs]
+
 
 def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     """Integrate the system from ``initial`` over [0, t_end].
 
+    ``initial`` is one ensemble (N, n, p) or a batch (B, N, n, p) stepped in
+    one loop; each member's run is bitwise the one it has on its own.
     The horizon is rounded to a whole number of steps. Raises
     :class:`DivergenceError` carrying the last good time when any state
-    entry becomes non-finite.
+    entry becomes non-finite; a batch names its first member to diverge.
     """
-    s = validate_ensemble(initial)
-    s = _check_state_shape(s, cfg)
+    initial = np.asarray(initial, dtype=float)
+    batched = initial.ndim == 4
+    s = initial if batched else initial[None]
+    count = s.shape[0]
+    if count < 1:
+        raise DimensionError("batch needs at least one ensemble")
+    for member in s:
+        _check_state_shape(validate_ensemble(member), cfg)
     h = icfg.h
     n_steps = int(round(icfg.t_end / h))
 
-    record_at = list(range(0, n_steps + 1, icfg.record_stride))
-    if record_at[-1] != n_steps:
-        record_at.append(n_steps)
-    total = len(record_at)
+    # every record_stride-th step and the final one
+    stride = icfg.record_stride
+    total = (n_steps + stride - 1) // stride + 1
     times = np.empty(total)
-    states = np.empty((total,) + s.shape)
-    drift = np.empty(total)
-    diameters = np.empty(total)
+    states = np.empty((count, total) + s.shape[1:])
+    drift = np.empty((count, total))
+    diameters = np.empty((count, total))
 
-    def record(slot: int, step: int, state: np.ndarray) -> None:
+    def record(step: int, state: np.ndarray) -> None:
+        slot = (step + stride - 1) // stride
         times[slot] = step * h
-        states[slot] = state
-        drift[slot] = orthonormality_drift(state)
-        diameters[slot] = ensemble_diameter(state)
+        states[:, slot] = state
+        for b, member in enumerate(state):
+            drift[b, slot] = orthonormality_drift(member)
+            diameters[b, slot] = ensemble_diameter(member)
 
-    record(0, 0, s)
-    slot = 1
-    next_record = record_at[slot] if total > 1 else None
+    record(0, s)
 
     # overflow in a diverging step is reported through DivergenceError, not
     # as a numpy warning
@@ -128,38 +145,24 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
             k3 = rhs(s + (0.5 * h) * k2, cfg)
             k4 = rhs(s + h * k3, cfg)
             s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(s)):
+            if not np.isfinite(s).all():
+                finite = np.isfinite(s).reshape(count, -1).all(axis=1)
+                where = f" in member {int(np.argmin(finite))}" if count > 1 else ""
                 raise DivergenceError(
-                    f"non-finite state at t = {step * h:.6g}",
+                    f"non-finite state{where} at t = {step * h:.6g}",
                     last_good_time=(step - 1) * h,
                 )
             if icfg.retraction == "every_step":
                 s = _polar_unchecked(s)
             elif icfg.retraction == "on_drift":
-                if orthonormality_drift(s) > icfg.drift_threshold:
-                    s = _polar_unchecked(s)
-            if step == next_record:
-                record(slot, step, s)
-                slot += 1
-                next_record = record_at[slot] if slot < total else None
+                for b in range(count):
+                    if orthonormality_drift(s[b]) > icfg.drift_threshold:
+                        s[b] = _polar_unchecked(s[b])
+            if step % stride == 0 or step == n_steps:
+                record(step, s)
 
-    return Trajectory(times=times, states=states, drift=drift, diameters=diameters)
-
-
-def integrate_pair(
-    init1, init2, cfg: ModelConfig, icfg: IntegratorConfig
-) -> tuple[Trajectory, Trajectory]:
-    """Integrate two initial ensembles under one configuration; the returned
-    trajectories share their time grid bitwise."""
-    init1 = np.asarray(init1, dtype=float)
-    init2 = np.asarray(init2, dtype=float)
-    if init1.shape != init2.shape:
-        raise DimensionError(
-            f"paired ensembles must match: {init1.shape} vs {init2.shape}"
-        )
-    traj1 = integrate(init1, cfg, icfg)
-    traj2 = integrate(init2, cfg, icfg)
-    return traj1, traj2
+    traj = Trajectory(times=times, states=states, drift=drift, diameters=diameters)
+    return traj if batched else traj.members()[0]
 
 
 def _require_uniform(times: np.ndarray) -> float:

@@ -7,6 +7,8 @@ is an (N, n, p) stack of such points sharing dimensions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, ValidationError
@@ -54,9 +56,9 @@ def validate_ensemble(states, tol: Tolerances = DEFAULT) -> np.ndarray:
 def orthonormality_drift(states) -> float:
     """max_i ||S_i^T S_i - I||, the distance of an ensemble from the manifold."""
     states = np.asarray(states, dtype=float)
-    gram = np.swapaxes(states, -2, -1) @ states
-    gram = gram - np.eye(states.shape[-1])
-    return float(np.max(np.sqrt(np.sum(gram * gram, axis=(-2, -1)))))
+    gram = states.swapaxes(-2, -1) @ states - np.eye(states.shape[-1])
+    # sqrt is monotone, so the root of the largest square is the largest norm
+    return math.sqrt((gram * gram).sum(axis=(-2, -1)).max())
 
 
 def random_stiefel(n: int, p: int, seed=None) -> np.ndarray:
@@ -150,7 +152,7 @@ def ensemble_diameter(states) -> float:
     if states.shape[0] == 1:
         return 0.0
     diffs = states[:, None] - states[None, :]
-    return float(np.max(np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))))
+    return math.sqrt((diffs * diffs).sum(axis=(-2, -1)).max())
 
 
 def ensemble_lp_distance(e1, e2, p_exp: float) -> float:

@@ -239,7 +239,7 @@ class ModelConfig:
 def _check_state_shape(states: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     states = np.asarray(states, dtype=float)
     expected = (cfg.agent_count, cfg.n, cfg.p)
-    if states.shape != expected:
+    if states.shape[-3:] != expected:
         raise DimensionError(f"state must have shape {expected}, got {states.shape}")
     return states
 
@@ -253,14 +253,13 @@ def rhs(states, cfg: ModelConfig) -> np.ndarray:
     its agent whenever the agent is on the manifold.
 
     The weighted mean C is formed by one fixed-order matrix product, so
-    repeated evaluations are bitwise deterministic.
+    repeated evaluations are bitwise deterministic. Leading axes stack ensembles.
     """
     s = _check_state_shape(states, cfg)
-    count, n, p = s.shape
-    c = (cfg.topology.weights @ s.reshape(count, n * p)).reshape(count, n, p) / count
-    st = s.transpose(0, 2, 1)
-    m1 = st @ c
-    m2 = c.transpose(0, 2, 1) @ s
+    count, n, p = s.shape[-3:]
+    c = (cfg.topology.weights @ s.reshape(-1, count, n * p)).reshape(s.shape) / count
+    m1 = s.swapaxes(-2, -1) @ c
+    m2 = c.swapaxes(-2, -1) @ s
     coupling = c - 0.5 * (s @ m1 + s @ m2)
     return s @ cfg.freqs + cfg.kappa * coupling
 
@@ -545,6 +544,10 @@ def check_framework(
     Raises :class:`UnsupportedTopologyError` for general (non-separable)
     topologies: the conditions are formulated in terms of the separable
     factors and generalizing them would change their meaning.
+
+    ``weight_spread`` implies ``weight_ratio``: under it xi_max^2 /
+    (xi_min xi_mean) stays below (3 + sqrt(21))^2 / 36 ~ 1.597, under both
+    factors 2 and 4. The ratio condition stays because the report lists it.
     """
     stats = _require_separable(cfg)
     if cfg.kappa <= 0:

@@ -435,12 +435,6 @@ class RunReport:
     expectations: list
     ok: bool
 
-    @property
-    def audits_passed(self) -> bool | None:
-        if self.audits is None:
-            return None
-        return all(a["passed"] for a in self.audits)
-
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,
@@ -523,14 +517,16 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
     sc = source if isinstance(source, Scenario) else Scenario.from_file(source)
     os.makedirs(out_dir, exist_ok=True)
 
-    traj = integrate(sc.initial, sc.model, sc.integrator)
-    partner = pair = None
+    initials = [sc.initial]
     if sc.needs_pair:
         radius = sc.analyses.get("stability", {}).get("perturbation", sc.perturbation["radius"])
         seed = sc.analyses.get("stability", {}).get("seed", sc.perturbation["seed"])
-        partner_initial = perturb_ensemble(sc.initial, radius, seed)
-        partner = integrate(partner_initial, sc.model, sc.integrator)
-        pair = _pair_columns(traj, partner)
+        initials.append(perturb_ensemble(sc.initial, radius, seed))
+    # the main run and its perturbed partner, if any, step as one batch
+    members = integrate(np.stack(initials), sc.model, sc.integrator).members()
+    traj = members[0]
+    partner = members[1] if sc.needs_pair else None
+    pair = _pair_columns(traj, partner) if sc.needs_pair else None
 
     framework_dict = None
     if "framework" in sc.analyses:

@@ -43,15 +43,10 @@ def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
             )
         columns[name] = values
 
-    names = list(columns)
-    rows = len(traj)
-    lines = [",".join(names)]
-    for k in range(rows):
-        lines.append(",".join(_FORMAT % columns[name][k] for name in names))
-    text = "\n".join(lines) + "\n"
+    table = np.column_stack(list(columns.values()))
     tmp = f"{path}.tmp"
     with open(tmp, "w") as handle:
-        handle.write(text)
+        np.savetxt(handle, table, fmt=_FORMAT, delimiter=",", header=",".join(columns), comments="")
     os.replace(tmp, path)
 
 

@@ -41,8 +41,8 @@ def run_framework_pair(seed: int, t_end: float = 10.0, h: float = 1e-3):
     a stride-1 grid (the setup used by the reproduction criteria)."""
     cfg, initial = make_framework_config(seed)
     icfg = IntegratorConfig(h=h, t_end=t_end, record_stride=1)
-    traj = integrate(initial, cfg, icfg)
-    partner = integrate(perturb_ensemble(initial, 1e-3, seed + 3), cfg, icfg)
+    pair = np.stack([initial, perturb_ensemble(initial, 1e-3, seed + 3)])
+    traj, partner = integrate(pair, cfg, icfg).members()
     return cfg, traj, partner
 
 
@@ -60,8 +60,8 @@ def homogeneous_pair(p: int, t_end: float = 6.0):
     )
     initial = near_consensus_ensemble(4, p, 5, 0.005, seed=50 + p)
     icfg = IntegratorConfig(h=1e-3, t_end=t_end, record_stride=10)
-    traj = integrate(initial, cfg, icfg)
-    partner = integrate(perturb_ensemble(initial, 1e-3, seed=60 + p), cfg, icfg)
+    pair = np.stack([initial, perturb_ensemble(initial, 1e-3, seed=60 + p)])
+    traj, partner = integrate(pair, cfg, icfg).members()
     return cfg, traj, partner
 
 

@@ -86,8 +86,8 @@ def framework_results():
     for seed in FRAMEWORK_SEEDS:
         cfg, initial = make_framework_config(seed)
         icfg = IntegratorConfig(h=1e-3, t_end=10.0, record_stride=1)
-        traj = integrate(initial, cfg, icfg)
-        partner = integrate(perturb_ensemble(initial, 1e-3, seed + 3), cfg, icfg)
+        pair = np.stack([initial, perturb_ensemble(initial, 1e-3, seed + 3)])
+        traj, partner = integrate(pair, cfg, icfg).members()
 
         framework = check_framework(cfg, initial)
         plain, skewed = dg.correlation_gap_series(traj, partner)
@@ -344,8 +344,8 @@ def test_criterion_06b_agent_audit_with_mutation(framework_results):
         p=2,
     )
     icfg = IntegratorConfig(h=1e-3, t_end=0.5, record_stride=1)
-    t1 = integrate(random_ensemble(3, 2, 5, seed=7001), cfg, icfg)
-    t2 = integrate(random_ensemble(3, 2, 5, seed=7002), cfg, icfg)
+    pair = np.stack([random_ensemble(3, 2, 5, seed=7001), random_ensemble(3, 2, 5, seed=7002)])
+    t1, t2 = integrate(pair, cfg, icfg).members()
     standard = dg.audit_agent_distance_bound(t1, t2, cfg)
     mutated = dg.audit_agent_distance_bound(t1, t2, cfg, mutation="drop_state_term")
     mutation_ok = standard.passed and not mutated.passed
@@ -456,8 +456,7 @@ def test_criterion_08_uniform_stability_gains():
             init[0] + random_tangent(init[0], rng, norm=2e-3)
         )
         icfg = IntegratorConfig(h=4e-3, t_end=100.0, record_stride=5)
-        traj = integrate(init, cfg, icfg)
-        partner = integrate(partner_init, cfg, icfg)
+        traj, partner = integrate(np.stack([init, partner_init]), cfg, icfg).members()
         for p_exp in (1.0, 2.0, 4.0):
             g50 = gain_at_horizon(traj, partner, p_exp, 50.0)
             g100 = gain_at_horizon(traj, partner, p_exp, 100.0)
@@ -469,8 +468,8 @@ def test_criterion_08_uniform_stability_gains():
     cfg_g = ModelConfig(kappa=2.0, topology=topo_g, freqs=zero_frequencies(5, 2), n=4, p=2)
     init_g = near_consensus_ensemble(4, 2, 5, 0.3, 18)
     icfg = IntegratorConfig(h=4e-3, t_end=100.0, record_stride=5)
-    t1 = integrate(init_g, cfg_g, icfg)
-    t2 = integrate(perturb_ensemble(init_g, 1e-3, 19), cfg_g, icfg)
+    pair_g = np.stack([init_g, perturb_ensemble(init_g, 1e-3, 19)])
+    t1, t2 = integrate(pair_g, cfg_g, icfg).members()
     g50 = gain_at_horizon(t1, t2, 1.0, 50.0)
     g100 = gain_at_horizon(t1, t2, 1.0, 100.0)
     general_ok = np.isfinite(g100) and g100 < 100.0 and abs(g100 - g50) / g50 < 0.05

@@ -12,7 +12,7 @@ from stiefel_sync.errors import (
     UndefinedGainError,
     ValidationError,
 )
-from stiefel_sync.integrate import IntegratorConfig, integrate, integrate_pair
+from stiefel_sync.integrate import IntegratorConfig, integrate
 from stiefel_sync.linalg import expm_skew, frobenius
 from stiefel_sync.manifold import (
     near_consensus_ensemble,
@@ -182,7 +182,9 @@ class TestStabilityGain:
     def test_identical_initial_data_rejected(self):
         cfg = uniform_config(3, 4, 2, kappa=1.0)
         init = random_ensemble(4, 2, 3, seed=11)
-        t1, t2 = integrate_pair(init, init.copy(), cfg, IntegratorConfig(h=1e-2, t_end=0.5))
+        t1, t2 = integrate(
+            np.stack([init, init.copy()]), cfg, IntegratorConfig(h=1e-2, t_end=0.5)
+        ).members()
         with pytest.raises(UndefinedGainError):
             dg.stability_gain(t1, t2, 2.0)
 
@@ -192,7 +194,9 @@ class TestStabilityGain:
         init1 = np.stack([s] * 3)
         init2 = np.stack([s @ rot] * 3)
         cfg = uniform_config(3, 4, 2, kappa=2.0)
-        t1, t2 = integrate_pair(init1, init2, cfg, IntegratorConfig(h=1e-2, t_end=2.0))
+        t1, t2 = integrate(
+            np.stack([init1, init2]), cfg, IntegratorConfig(h=1e-2, t_end=2.0)
+        ).members()
         assert abs(dg.stability_gain(t1, t2, 2.0) - 1.0) <= 1e-9
 
     def test_invariant_under_common_rotation(self):
@@ -203,7 +207,7 @@ class TestStabilityGain:
         rot = expm_skew(random_skew(2, seed=16, scale=1.1))
         gains = []
         for a, b in ((init1, init2), (init1 @ rot, init2 @ rot)):
-            t1, t2 = integrate_pair(a, b, cfg, icfg)
+            t1, t2 = integrate(np.stack([a, b]), cfg, icfg).members()
             gains.append(dg.stability_gain(t1, t2, 2.0))
         assert abs(gains[0] - gains[1]) <= 1e-8 * max(gains)
 
@@ -244,7 +248,9 @@ class TestAgentDistanceAudit:
     def test_identical_trajectories_vacuous_pass(self):
         cfg = uniform_config(3, 4, 2, kappa=1.0)
         init = random_ensemble(4, 2, 3, seed=18)
-        t1, t2 = integrate_pair(init, init.copy(), cfg, IntegratorConfig(h=2e-3, t_end=1.0))
+        t1, t2 = integrate(
+            np.stack([init, init.copy()]), cfg, IntegratorConfig(h=2e-3, t_end=1.0)
+        ).members()
         audit = dg.audit_agent_distance_bound(t1, t2, cfg)
         assert audit.passed
         assert not audit.audited.any()
@@ -260,9 +266,10 @@ class TestAgentDistanceAudit:
         topo = Topology.general((w + w.T) / 2)
         cfg = ModelConfig(kappa=2.0, topology=topo, freqs=zero_frequencies(4, 2), n=4, p=2)
         init = random_ensemble(4, 2, 4, seed=20)
-        t1, t2 = integrate_pair(
-            init, perturb_ensemble(init, 0.05, seed=21), cfg, IntegratorConfig(h=1e-3, t_end=2.0, record_stride=2)
-        )
+        pair = np.stack([init, perturb_ensemble(init, 0.05, seed=21)])
+        t1, t2 = integrate(
+            pair, cfg, IntegratorConfig(h=1e-3, t_end=2.0, record_stride=2)
+        ).members()
         assert dg.audit_agent_distance_bound(t1, t2, cfg).passed
 
     def test_heterogeneous_generators_cancel(self):
@@ -271,9 +278,10 @@ class TestAgentDistanceAudit:
         freqs = random_frequencies(4, 2, 2.5, seed=22)
         cfg = uniform_config(4, 5, 2, kappa=5.0, freqs=freqs)
         init = random_ensemble(5, 2, 4, seed=23)
-        t1, t2 = integrate_pair(
-            init, perturb_ensemble(init, 0.02, seed=24), cfg, IntegratorConfig(h=1e-3, t_end=2.0, record_stride=2)
-        )
+        pair = np.stack([init, perturb_ensemble(init, 0.02, seed=24)])
+        t1, t2 = integrate(
+            pair, cfg, IntegratorConfig(h=1e-3, t_end=2.0, record_stride=2)
+        ).members()
         assert dg.audit_agent_distance_bound(t1, t2, cfg).passed
 
     def test_state_term_mutation_detected(self):
@@ -282,7 +290,9 @@ class TestAgentDistanceAudit:
         cfg = uniform_config(5, 3, 2, kappa=3.0)
         init1 = random_ensemble(3, 2, 5, seed=25)
         init2 = random_ensemble(3, 2, 5, seed=26)
-        t1, t2 = integrate_pair(init1, init2, cfg, IntegratorConfig(h=1e-3, t_end=0.5, record_stride=1))
+        t1, t2 = integrate(
+            np.stack([init1, init2]), cfg, IntegratorConfig(h=1e-3, t_end=0.5, record_stride=1)
+        ).members()
         standard = dg.audit_agent_distance_bound(t1, t2, cfg)
         mutated = dg.audit_agent_distance_bound(t1, t2, cfg, mutation="drop_state_term")
         assert standard.passed
@@ -293,7 +303,11 @@ class TestCorrelationContractionAudit:
     def test_identical_trajectories_pass(self):
         cfg = uniform_config(3, 4, 2, kappa=1.0)
         init = random_ensemble(4, 2, 3, seed=27)
-        t1, t2 = integrate_pair(init, init.copy(), cfg, IntegratorConfig(h=2e-3, t_end=1.0, record_stride=1))
+        t1, t2 = integrate(
+            np.stack([init, init.copy()]),
+            cfg,
+            IntegratorConfig(h=2e-3, t_end=1.0, record_stride=1),
+        ).members()
         assert dg.audit_correlation_contraction(t1, t2, cfg).passed
 
     def test_single_column_pair_passes(self):

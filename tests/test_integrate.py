@@ -14,7 +14,6 @@ from stiefel_sync.integrate import (
     IntegratorConfig,
     dini_derivative_series,
     integrate,
-    integrate_pair,
 )
 from stiefel_sync.linalg import expm_skew
 from stiefel_sync.manifold import (
@@ -174,7 +173,9 @@ class TestPairing:
             p=2,
         )
         init = random_ensemble(4, 2, 3, seed=15)
-        t1, t2 = integrate_pair(init, init.copy(), cfg, IntegratorConfig(h=1e-3, t_end=1.0))
+        t1, t2 = integrate(
+            np.stack([init, init.copy()]), cfg, IntegratorConfig(h=1e-3, t_end=1.0)
+        ).members()
         assert np.array_equal(t1.states, t2.states)
         assert np.array_equal(t1.times, t2.times)
 
@@ -188,7 +189,9 @@ class TestPairing:
         )
         a = random_ensemble(4, 2, 3, seed=16)
         b = perturb_ensemble(a, 1e-3, seed=17)
-        t1, t2 = integrate_pair(a, b, cfg, IntegratorConfig(h=2e-3, t_end=1.5, record_stride=7))
+        t1, t2 = integrate(
+            np.stack([a, b]), cfg, IntegratorConfig(h=2e-3, t_end=1.5, record_stride=7)
+        ).members()
         assert np.array_equal(t1.times, t2.times)
 
     def test_short_horizon_growth_bound(self):
@@ -202,7 +205,7 @@ class TestPairing:
         moved = init.copy()
         moved[0] = perturb_ensemble(init[:1], 1e-8, seed=19)[0]
         icfg = IntegratorConfig(h=1e-3, t_end=1.0, record_stride=10)
-        t1, t2 = integrate_pair(init, moved, cfg, icfg)
+        t1, t2 = integrate(np.stack([init, moved]), cfg, icfg).members()
         rate = kappa * float(np.max(topo.weights)) * (1.0 + 2.0 * np.sqrt(p))
         d0 = ensemble_lp_distance(t1.initial, t2.initial, 1.0)
         for k in range(len(t1)):
@@ -217,13 +220,67 @@ class TestPairing:
             n=3,
             p=1,
         )
+        # a batch of three-agent ensembles under a two-agent configuration
         with pytest.raises(DimensionError):
-            integrate_pair(
-                random_ensemble(3, 1, 2, seed=20),
-                random_ensemble(3, 1, 3, seed=21),
+            integrate(
+                np.stack([random_ensemble(3, 1, 3, seed=20), random_ensemble(3, 1, 3, seed=21)]),
                 cfg,
                 IntegratorConfig(h=1e-3, t_end=0.1),
             )
+
+
+class TestBatch:
+    @pytest.mark.parametrize("retraction", ["every_step", "on_drift", "never"])
+    def test_members_equal_single_runs_bitwise(self, retraction):
+        cfg = ModelConfig(
+            kappa=3.0,
+            topology=Topology.separable(np.linspace(0.8, 1.2, 5)),
+            freqs=random_frequencies(5, 2, 0.5, seed=40),
+            n=4,
+            p=2,
+        )
+        a = random_ensemble(4, 2, 5, seed=41)
+        b = near_consensus_ensemble(4, 2, 5, 0.1, seed=42)
+        # 250 steps, recorded every 7 and at the last; the low threshold
+        # makes on_drift retract the members at different steps
+        icfg = IntegratorConfig(
+            h=2e-3, t_end=0.5, retraction=retraction, drift_threshold=1e-14, record_stride=7
+        )
+        batch = integrate(np.stack([a, b]), cfg, icfg)
+        assert batch.times.shape == (len(batch),)
+        assert batch.states.shape == (2, len(batch), 5, 4, 2)
+        assert batch.drift.shape == batch.diameters.shape == (2, len(batch))
+        singles = (integrate(a, cfg, icfg), integrate(b, cfg, icfg))
+        for member, single in zip(batch.members(), singles):
+            assert member.times is batch.times
+            for field in ("times", "states", "drift", "diameters"):
+                assert np.array_equal(getattr(member, field), getattr(single, field)), field
+        assert np.array_equal(batch.initial, np.stack([a, b]))
+
+    def test_single_run_is_its_own_member(self):
+        cfg = ModelConfig(
+            kappa=1.0,
+            topology=Topology.separable(np.ones(3)),
+            freqs=zero_frequencies(3, 2),
+            n=4,
+            p=2,
+        )
+        init = random_ensemble(4, 2, 3, seed=43)
+        traj = integrate(init, cfg, IntegratorConfig(h=1e-2, t_end=0.1))
+        assert traj.drift.shape == (len(traj),)
+        members = traj.members()
+        assert len(members) == 1 and members[0] is traj
+
+    def test_empty_batch_rejected(self):
+        cfg = ModelConfig(
+            kappa=1.0,
+            topology=Topology.separable(np.ones(3)),
+            freqs=zero_frequencies(3, 2),
+            n=4,
+            p=2,
+        )
+        with pytest.raises(DimensionError):
+            integrate(np.empty((0, 3, 4, 2)), cfg, IntegratorConfig(h=1e-2, t_end=0.1))
 
 
 class TestDeterminismAndRecording:
@@ -285,6 +342,31 @@ class TestDivergence:
             integrate(init, cfg, IntegratorConfig(h=1e-3, t_end=1.0, retraction="never"))
         assert err.value.last_good_time >= 0.0
         assert err.value.last_good_time < 1.0
+
+    def test_batch_raises_at_first_member_to_diverge(self):
+        # at this coupling a random ensemble blows up within 7 steps and a
+        # near-consensus one within 16
+        cfg = ModelConfig(
+            kappa=3e3,
+            topology=Topology.separable(np.ones(3)),
+            freqs=zero_frequencies(3, 2),
+            n=4,
+            p=2,
+        )
+        icfg = IntegratorConfig(h=1e-3, t_end=1.0, retraction="never")
+        fast = random_ensemble(4, 2, 3, seed=26)
+        slow = near_consensus_ensemble(4, 2, 3, 1e-6, seed=5)
+        last_good = {}
+        for name, init in (("fast", fast), ("slow", slow)):
+            with pytest.raises(DivergenceError) as err:
+                integrate(init, cfg, icfg)
+            last_good[name] = err.value.last_good_time
+        assert last_good["fast"] < last_good["slow"]
+        for batch, index in (([slow, fast], 1), ([fast, slow], 0)):
+            with pytest.raises(DivergenceError) as err:
+                integrate(np.stack(batch), cfg, icfg)
+            assert err.value.last_good_time == last_good["fast"]
+            assert f"member {index}" in str(err.value)
 
 
 class TestDiniDerivative:

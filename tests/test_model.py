@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from stiefel_sync.diagnostics import correlation_gap_series, fit_decay_rate
 from stiefel_sync.errors import (
@@ -289,6 +291,35 @@ class TestFramework:
             assert report.weight_spread.satisfied == expected
             assert report.weight_ratio.satisfied
             assert report.satisfied == expected or not expected
+
+    # supremum of xi_max^2 / (xi_min xi_mean) under the weight_spread condition
+    RATIO_SUP = (3.0 + math.sqrt(21.0)) ** 2 / 36.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        xi=st.lists(st.floats(min_value=1.0, max_value=1.35), min_size=2, max_size=8),
+        scale=st.floats(min_value=0.1, max_value=10.0),
+        p=st.sampled_from((1, 2, 3)),
+    )
+    # near the supremum: xi_mean close to xi_min, xi_max close to (3 + sqrt(21)) / 6
+    @example(xi=[1.0] * 7 + [1.264], scale=1.0, p=1)
+    @example(xi=[1.0] * 7 + [1.264], scale=1.0, p=2)
+    def test_weight_spread_implies_weight_ratio(self, xi, scale, p):
+        xi = scale * np.array(xi)
+        count = xi.shape[0]
+        cfg = ModelConfig(
+            kappa=1.0,
+            topology=Topology.separable(xi),
+            freqs=zero_frequencies(count, p),
+            n=p + 1,
+            p=p,
+        )
+        report = check_framework(cfg, random_ensemble(p + 1, p, count, seed=0))
+        assume(report.weight_spread.satisfied)
+        assert report.weight_ratio.satisfied
+        stats = cfg.topology.xi_stats()
+        ratio = stats.xi_max ** 2 / (stats.xi_min * stats.xi_mean)
+        assert ratio < self.RATIO_SUP * (1.0 + 1e-12)
 
     def test_framework_satisfied_config(self):
         cfg, initial = make_framework_config(31)

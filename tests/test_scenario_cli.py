@@ -10,6 +10,7 @@ import pytest
 
 from stiefel_sync.cli import (
     EXIT_AUDIT,
+    EXIT_DIVERGENCE,
     EXIT_OK,
     EXIT_SCENARIO,
     main,
@@ -281,6 +282,24 @@ class TestCli:
             ["run", "kuramoto_circle", "--out", str(tmp_path)], out=out, err=out
         )
         assert code == EXIT_OK
+
+    def test_diverging_pair_names_first_member(self, tmp_path):
+        # the partner starts far from consensus and blows up before the
+        # near-consensus main run
+        path = minimal_scenario(
+            tmp_path,
+            name="diverging_pair",
+            dims={"n": 4, "p": 2, "N": 3},
+            kappa=3000.0,
+            initial={"kind": "near_consensus", "radius": 1e-6, "seed": 5},
+            integrator={"h": 0.001, "t_end": 1.0, "retraction": "never"},
+            analyses=["stability"],
+            perturbation={"radius": 0.5, "seed": 1},
+        )
+        err = io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=io.StringIO(), err=err)
+        assert code == EXIT_DIVERGENCE
+        assert "non-finite state in member 1" in err.getvalue()
 
     def test_malformed_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
