@@ -8,6 +8,7 @@ time grid bitwise, which the pairwise diagnostics rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +43,19 @@ class IntegratorConfig:
     record_stride: int = 10
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValidationError(f"step size must be positive, got {self.h}")
-        if self.t_end < 0:
-            raise ValidationError(f"horizon must be nonnegative, got {self.t_end}")
+        # NaN fails every comparison, so finiteness is tested first
+        if not math.isfinite(self.h) or self.h <= 0:
+            raise ValidationError(f"step size h must be finite and positive, got {self.h}")
+        if not math.isfinite(self.t_end) or self.t_end < 0:
+            raise ValidationError(
+                f"horizon t_end must be finite and nonnegative, got {self.t_end}"
+            )
         if self.retraction not in RETRACTION_POLICIES:
             raise ValidationError(
                 f"retraction must be one of {RETRACTION_POLICIES}, got {self.retraction!r}"
             )
+        if not math.isfinite(self.drift_threshold):
+            raise ValidationError(f"drift_threshold must be finite, got {self.drift_threshold}")
         if self.retraction == "on_drift" and self.drift_threshold <= 0:
             raise ValidationError("drift_threshold must be positive for on_drift")
         if self.record_stride < 1:
@@ -63,7 +69,8 @@ class Trajectory:
     times: (K,) strictly increasing; states: (K, N, n, p);
     drift: (K,) orthonormality defects; diameters: (K,) ensemble diameters.
     A batch of B runs keeps one ``times`` grid and puts the member axis
-    first: states (B, K, N, n, p), drift and diameters (B, K).
+    first: states (B, K, N, n, p), drift and diameters (B, K). Drift and
+    diameters are computed from the stored snapshots after the run.
     """
 
     times: np.ndarray
@@ -103,7 +110,9 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
 
     ``initial`` is one ensemble (N, n, p) or a batch (B, N, n, p) stepped in
     one loop; each member's run is bitwise the one it has on its own.
-    The horizon is rounded to a whole number of steps. Raises
+    The loop only stores snapshots; drift and diameters come from one call
+    each over the whole stored stack after it. The horizon is rounded to a
+    whole number of steps. Raises
     :class:`DivergenceError` carrying the last good time when any state
     entry becomes non-finite; a batch names its first member to diverge.
     """
@@ -123,18 +132,8 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     total = (n_steps + stride - 1) // stride + 1
     times = np.empty(total)
     states = np.empty((count, total) + s.shape[1:])
-    drift = np.empty((count, total))
-    diameters = np.empty((count, total))
-
-    def record(step: int, state: np.ndarray) -> None:
-        slot = (step + stride - 1) // stride
-        times[slot] = step * h
-        states[:, slot] = state
-        for b, member in enumerate(state):
-            drift[b, slot] = orthonormality_drift(member)
-            diameters[b, slot] = ensemble_diameter(member)
-
-    record(0, s)
+    times[0] = 0.0
+    states[:, 0] = s
 
     # overflow in a diverging step is reported through DivergenceError, not
     # as a numpy warning
@@ -155,12 +154,15 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
             if icfg.retraction == "every_step":
                 s = _polar_unchecked(s)
             elif icfg.retraction == "on_drift":
-                for b in range(count):
-                    if orthonormality_drift(s[b]) > icfg.drift_threshold:
-                        s[b] = _polar_unchecked(s[b])
+                for b in np.flatnonzero(orthonormality_drift(s) > icfg.drift_threshold):
+                    s[b] = _polar_unchecked(s[b])
             if step % stride == 0 or step == n_steps:
-                record(step, s)
+                slot = (step + stride - 1) // stride
+                times[slot] = step * h
+                states[:, slot] = s
 
+    drift = orthonormality_drift(states)
+    diameters = ensemble_diameter(states)
     traj = Trajectory(times=times, states=states, drift=drift, diameters=diameters)
     return traj if batched else traj.members()[0]
 

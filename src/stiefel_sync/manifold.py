@@ -7,8 +7,6 @@ is an (N, n, p) stack of such points sharing dimensions.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionError, ValidationError
@@ -53,12 +51,28 @@ def validate_ensemble(states, tol: Tolerances = DEFAULT) -> np.ndarray:
     return states
 
 
-def orthonormality_drift(states) -> float:
-    """max_i ||S_i^T S_i - I||, the distance of an ensemble from the manifold."""
+def _per_ensemble(values: np.ndarray):
+    """A float for one ensemble, the array itself for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _check_ensembles(states) -> np.ndarray:
     states = np.asarray(states, dtype=float)
+    if states.ndim < 3:
+        raise DimensionError(f"ensemble must be (..., N, n, p), got shape {states.shape}")
+    return states
+
+
+def orthonormality_drift(states):
+    """max_i ||S_i^T S_i - I||, the distance of an ensemble from the manifold.
+
+    Leading axes stack ensembles: one (N, n, p) ensemble gives a float, a
+    (..., N, n, p) stack an array with one value per ensemble.
+    """
+    states = _check_ensembles(states)
     gram = states.swapaxes(-2, -1) @ states - np.eye(states.shape[-1])
     # sqrt is monotone, so the root of the largest square is the largest norm
-    return math.sqrt((gram * gram).sum(axis=(-2, -1)).max())
+    return _per_ensemble(np.sqrt((gram * gram).sum(axis=(-2, -1)).max(axis=-1)))
 
 
 def random_stiefel(n: int, p: int, seed=None) -> np.ndarray:
@@ -140,19 +154,32 @@ def tangent_residual(point, v) -> float:
     return float(np.linalg.norm(m + m.T))
 
 
-def ensemble_diameter(states) -> float:
+def pair_sq_distances(states) -> np.ndarray:
+    """Table of squared Frobenius distances ||S_i - S_k||^2, shape (..., N, N).
+
+    Built one pair at a time (i < k, mirrored), each pair over every leading
+    axis at once, so no (..., N, N, n, p) difference array is held. Explicit
+    differences (not Gram identities) keep small distances at full relative
+    precision.
+    """
+    states = _check_ensembles(states)
+    count = states.shape[-3]
+    table = np.zeros(states.shape[:-3] + (count, count))
+    for i in range(count - 1):
+        for k in range(i + 1, count):
+            diff = states[..., i, :, :] - states[..., k, :, :]
+            table[..., i, k] = table[..., k, i] = (diff * diff).sum(axis=(-2, -1))
+    return table
+
+
+def ensemble_diameter(states):
     """Largest pairwise Frobenius distance max_{i,j} ||S_i - S_j||.
 
-    Computed from explicit differences (not Gram identities) so small
-    diameters keep full relative precision.
+    Leading axes stack ensembles: one (N, n, p) ensemble gives a float, a
+    (..., N, n, p) stack an array with one value per ensemble.
     """
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 3:
-        raise DimensionError(f"ensemble must be (N, n, p), got shape {states.shape}")
-    if states.shape[0] == 1:
-        return 0.0
-    diffs = states[:, None] - states[None, :]
-    return math.sqrt((diffs * diffs).sum(axis=(-2, -1)).max())
+    squares = pair_sq_distances(states)
+    return _per_ensemble(np.sqrt(squares.max(axis=(-2, -1))))
 
 
 def ensemble_lp_distance(e1, e2, p_exp: float) -> float:

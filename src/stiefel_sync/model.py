@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import expm_skew, require_skew
-from .manifold import ensemble_diameter
+from .manifold import _per_ensemble, ensemble_diameter, pair_sq_distances
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -215,8 +215,8 @@ class ModelConfig:
     freq_spread: float = field(init=False)
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValidationError(f"kappa must be nonnegative, got {self.kappa}")
+        if not math.isfinite(self.kappa) or self.kappa < 0:
+            raise ValidationError(f"kappa must be finite and nonnegative, got {self.kappa}")
         if not 1 <= self.p <= self.n:
             raise DimensionError(f"need 1 <= p <= n, got p={self.p}, n={self.n}")
         freqs = np.asarray(self.freqs, dtype=float)
@@ -264,18 +264,19 @@ def rhs(states, cfg: ModelConfig) -> np.ndarray:
     return s @ cfg.freqs + cfg.kappa * coupling
 
 
-def potential(states, topology: Topology) -> float:
+def potential(states, topology: Topology):
     """Weighted total squared disagreement (1/N) * sum_ik a_ik ||S_i - S_k||^2.
 
     Nonnegative; zero exactly on consensus of every connected component
-    (a single one, by construction)."""
+    (a single one, by construction). Leading axes stack ensembles: one
+    (N, n, p) ensemble gives a float, a stack an array with one value per
+    ensemble."""
     states = np.asarray(states, dtype=float)
     count = topology.agent_count
-    if states.ndim != 3 or states.shape[0] != count:
-        raise DimensionError(f"state must be ({count}, n, p), got {states.shape}")
-    diffs = states[:, None] - states[None, :]
-    sq = np.sum(diffs * diffs, axis=(-2, -1))
-    return float(np.sum(topology.weights * sq) / count)
+    if states.ndim < 3 or states.shape[-3] != count:
+        raise DimensionError(f"state must be (..., {count}, n, p), got {states.shape}")
+    total = np.sum(topology.weights * pair_sq_distances(states), axis=(-2, -1))
+    return _per_ensemble(total / count)
 
 
 def moving_frame(states, common_skew, t: float) -> np.ndarray:

@@ -10,6 +10,7 @@ default. See README for the full schema.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -343,8 +344,8 @@ class Scenario:
         if count < 1 or not 1 <= p <= n:
             raise ScenarioError(f"need N >= 1 and 1 <= p <= n, got N={count}, p={p}, n={n}", field="dims")
         kappa = _need(raw, "kappa", float)
-        if kappa < 0:
-            raise ScenarioError("kappa must be nonnegative", field="kappa")
+        if not math.isfinite(kappa) or kappa < 0:
+            raise ScenarioError("kappa must be finite and nonnegative", field="kappa")
         topology = build_topology(_need(raw, "topology", dict), count)
         freqs = build_frequencies(_need(raw, "frequencies", dict), count, p)
         try:
@@ -477,10 +478,6 @@ def _audit_to_dict(audit) -> dict:
     }
 
 
-def _potential_series(traj: Trajectory, topology: Topology) -> np.ndarray:
-    return np.array([potential(traj.states[k], topology) for k in range(len(traj))])
-
-
 def _pair_columns(traj: Trajectory, partner: Trajectory) -> dict[str, np.ndarray]:
     """Every column of the pair CSV, base columns included, from one pass
     over the correlation gap; the decay fit and the audits read them too."""
@@ -592,7 +589,7 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
 
     artifacts = []
     base_csv = os.path.join(out_dir, f"{sc.name}.csv")
-    emit_series(traj, {"V": _potential_series(traj, sc.model.topology)}, base_csv)
+    emit_series(traj, {"V": potential(traj.states, sc.model.topology)}, base_csv)
     artifacts.append(base_csv)
     if pair is not None:
         pair_csv = os.path.join(out_dir, f"{sc.name}_pair.csv")

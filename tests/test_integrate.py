@@ -1,6 +1,8 @@
 """Integrator tests: accuracy order, manifold preservation, pairing,
 determinism, divergence handling, and the derivative estimator."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,100 @@ class TestDeterminismAndRecording:
         traj = integrate(init, cfg, IntegratorConfig(h=1e-3, t_end=0.0))
         assert len(traj) == 1
         assert np.array_equal(traj.initial, init)
+
+
+def reference_drift_and_diameter(states):
+    """Drift and diameter of one run, one snapshot at a time: ||S_i^T S_i - I||
+    per agent and all-pairs differences."""
+    drift, diameters = [], []
+    for snapshot in states:
+        eye = np.eye(snapshot.shape[-1])
+        drift.append(max(np.sqrt(np.sum((s.T @ s - eye) ** 2)) for s in snapshot))
+        diffs = snapshot[:, None] - snapshot[None, :]
+        diameters.append(np.sqrt(np.max(np.sum(diffs * diffs, axis=(-2, -1)))))
+    return np.array(drift), np.array(diameters)
+
+
+def recording_config(count):
+    return ModelConfig(
+        kappa=2.0,
+        topology=Topology.separable(np.linspace(0.8, 1.2, count)),
+        freqs=(
+            random_frequencies(count, 2, 0.5, seed=60)
+            if count > 1
+            else common_frequencies(random_skew(2, seed=60), 1)
+        ),
+        n=4,
+        p=2,
+    )
+
+
+class TestPostLoopRecording:
+    @pytest.mark.parametrize("retraction", ["every_step", "on_drift", "never"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_matches_per_snapshot_formula(self, retraction, batch, stride):
+        cfg = recording_config(4)
+        initials = [random_ensemble(4, 2, 4, seed=61 + b) for b in range(batch)]
+        # 40 steps; the low threshold makes on_drift retract
+        icfg = IntegratorConfig(
+            h=5e-3, t_end=0.2, retraction=retraction, drift_threshold=1e-14, record_stride=stride
+        )
+        traj = integrate(np.stack(initials) if batch > 1 else initials[0], cfg, icfg)
+        for member in traj.members():
+            drift, diameters = reference_drift_and_diameter(member.states)
+            assert np.array_equal(member.drift, drift)
+            assert np.array_equal(member.diameters, diameters)
+
+    @pytest.mark.parametrize("retraction", ["every_step", "on_drift", "never"])
+    def test_single_agent_has_zero_diameter(self, retraction):
+        icfg = IntegratorConfig(h=5e-3, t_end=0.05, retraction=retraction, drift_threshold=1e-14)
+        traj = integrate(random_ensemble(4, 2, 1, seed=63), recording_config(1), icfg)
+        drift, _ = reference_drift_and_diameter(traj.states)
+        assert np.array_equal(traj.drift, drift)
+        assert np.array_equal(traj.diameters, np.zeros(len(traj)))
+
+
+class TestRecordingCallCounts:
+    @staticmethod
+    def count_calls(monkeypatch):
+        # the package's ``integrate`` attribute is the function, not the module
+        module = importlib.import_module("stiefel_sync.integrate")
+        calls = {"drift": 0, "diameter": 0}
+
+        def counted(name, fn):
+            def wrapper(states):
+                calls[name] += 1
+                return fn(states)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            module, "orthonormality_drift", counted("drift", module.orthonormality_drift)
+        )
+        monkeypatch.setattr(
+            module, "ensemble_diameter", counted("diameter", module.ensemble_diameter)
+        )
+        return calls
+
+    @pytest.mark.parametrize("retraction", ["every_step", "never"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_once_per_run(self, monkeypatch, retraction, batch, stride):
+        calls = self.count_calls(monkeypatch)
+        initial = np.stack([random_ensemble(4, 2, 3, seed=70 + b) for b in range(batch)])
+        icfg = IntegratorConfig(h=1e-2, t_end=0.3, retraction=retraction, record_stride=stride)
+        integrate(initial if batch > 1 else initial[0], recording_config(3), icfg)
+        assert calls == {"drift": 1, "diameter": 1}
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_on_drift_tests_once_per_step(self, monkeypatch, batch):
+        calls = self.count_calls(monkeypatch)
+        initial = np.stack([random_ensemble(4, 2, 3, seed=72 + b) for b in range(batch)])
+        icfg = IntegratorConfig(h=1e-2, t_end=0.3, retraction="on_drift", record_stride=1)
+        integrate(initial if batch > 1 else initial[0], recording_config(3), icfg)
+        n_steps = 30
+        assert calls == {"drift": n_steps + 1, "diameter": 1}
 
 
 class TestDivergence:

@@ -12,6 +12,7 @@ from stiefel_sync.manifold import (
     ensemble_lp_distance,
     near_consensus_ensemble,
     orthonormality_drift,
+    pair_sq_distances,
     perturb_ensemble,
     random_ensemble,
     random_stiefel,
@@ -154,6 +155,44 @@ class TestEnsembleDiameter:
         for p in (1, 2, 3):
             states = random_ensemble(5, p, 8, seed=18 + p)
             assert ensemble_diameter(states) <= 2.0 * np.sqrt(p) + 1e-12
+
+
+def ensemble_stack(batch, snapshots, count, n, p, seed):
+    """(B, K, N, n, p) stack of slightly off-manifold ensembles."""
+    rng = np.random.default_rng(seed)
+    stack = np.stack([
+        np.stack([random_ensemble(n, p, count, rng) for _ in range(snapshots)])
+        for _ in range(batch)
+    ])
+    return stack + 1e-6 * rng.standard_normal(stack.shape)
+
+
+class TestLeadingAxes:
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("fn", [orthonormality_drift, ensemble_diameter])
+    def test_stack_equals_per_ensemble_calls(self, fn, count):
+        stack = ensemble_stack(2, 6, count, 4, 2, seed=80 + count)
+        values = fn(stack)
+        assert values.shape == (2, 6)
+        expected = np.array([[fn(ensemble) for ensemble in run] for run in stack])
+        assert np.array_equal(values, expected)
+        assert np.array_equal(fn(stack[0]), expected[0])
+
+    @pytest.mark.parametrize("fn", [orthonormality_drift, ensemble_diameter])
+    def test_single_ensemble_gives_python_float(self, fn):
+        assert type(fn(random_ensemble(4, 2, 3, seed=84))) is float
+
+    def test_pair_table_matches_brute_force(self):
+        stack = ensemble_stack(2, 3, 4, 5, 3, seed=85)
+        table = pair_sq_distances(stack)
+        assert table.shape == (2, 3, 4, 4)
+        for index in np.ndindex(2, 3):
+            diffs = stack[index][:, None] - stack[index][None, :]
+            assert np.array_equal(table[index], np.sum(diffs * diffs, axis=(-2, -1)))
+
+    def test_rejects_single_point(self):
+        with pytest.raises(DimensionError):
+            ensemble_diameter(random_stiefel(4, 2, seed=86))
 
 
 class TestLpDistance:

@@ -218,6 +218,27 @@ class TestPotential:
         assert abs(potential(states, topo) - expected) <= 1e-12
 
 
+    def test_stack_equals_per_ensemble_calls(self):
+        rng = np.random.default_rng(15)
+        w = rng.uniform(0.1, 2.0, (5, 5))
+        topo = Topology.general((w + w.T) / 2)
+        stack = np.stack([
+            np.stack([random_ensemble(4, 2, 5, rng) for _ in range(6)]) for _ in range(2)
+        ])
+        values = potential(stack, topo)
+        assert values.shape == (2, 6)
+        expected = np.array([[potential(ensemble, topo) for ensemble in run] for run in stack])
+        assert np.array_equal(values, expected)
+        assert type(potential(stack[0, 0], topo)) is float
+
+    def test_wrong_agent_count(self):
+        topo = Topology.separable(np.ones(4))
+        with pytest.raises(DimensionError):
+            potential(random_ensemble(4, 2, 3, seed=16), topo)
+        with pytest.raises(DimensionError):
+            potential(np.stack([random_ensemble(4, 2, 3, seed=17)] * 2), topo)
+
+
 class TestMovingFrame:
     def test_time_zero_identity(self):
         states = random_ensemble(4, 2, 3, seed=15)

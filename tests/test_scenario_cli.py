@@ -308,6 +308,32 @@ class TestCli:
         code = main(["run", str(bad), "--out", str(tmp_path)], out=err, err=err)
         assert code == EXIT_SCENARIO
 
+    @pytest.mark.parametrize(
+        "field, value, extra",
+        [
+            ("h", float("nan"), {}),
+            ("h", float("inf"), {}),
+            ("t_end", float("nan"), {}),
+            ("t_end", float("inf"), {}),
+            ("kappa", float("nan"), {}),
+            ("kappa", float("inf"), {}),
+            ("drift_threshold", float("nan"), {"retraction": "on_drift"}),
+        ],
+        ids=["h-nan", "h-inf", "t_end-nan", "t_end-inf", "kappa-nan", "kappa-inf",
+             "drift_threshold-nan"],
+    )
+    def test_non_finite_setting_exit_code(self, tmp_path, field, value, extra):
+        if field == "kappa":
+            path = minimal_scenario(tmp_path, kappa=value)
+        else:
+            integrator = {"h": 0.002, "t_end": 1.0, "record_stride": 5, **extra, field: value}
+            path = minimal_scenario(tmp_path, integrator=integrator)
+        err = io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=io.StringIO(), err=err)
+        assert code == EXIT_SCENARIO
+        assert "Traceback" not in err.getvalue()
+        assert field in err.getvalue()
+
     def test_missing_scenario_exit_code(self, tmp_path):
         err = io.StringIO()
         code = main(["run", "no_such_scenario", "--out", str(tmp_path)], out=err, err=err)
