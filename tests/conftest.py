@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from golden.regenerate import SCENARIOS, run_bundled
 from stiefel_sync.diagnostics import correlation_contraction_bound
 from stiefel_sync.integrate import IntegratorConfig, integrate
 from stiefel_sync.manifold import near_consensus_ensemble, perturb_ensemble
@@ -107,3 +108,11 @@ def homogeneous_pairs():
 def framework_pair_session():
     """One shared framework pair for tests that only need a representative."""
     return run_framework_pair(404)
+
+
+@pytest.fixture(scope="session")
+def bundled_runs(tmp_path_factory):
+    """Each bundled scenario run once through ``stiefel-sync run <name>``,
+    for the goldens and for the tests that need a bundled run's outputs."""
+    out_dir = str(tmp_path_factory.mktemp("bundled"))
+    return {name: run_bundled(name, out_dir) for name in SCENARIOS}

@@ -191,13 +191,11 @@ class TestSeriesIO:
 
 
 class TestRunScenario:
-    def test_bundled_homogeneous_complete(self, tmp_path):
-        report = run_scenario(
-            os.path.join(BUNDLED, "homogeneous_complete.json"), out_dir=str(tmp_path)
-        )
-        assert report.ok
-        assert report.consensus["kind"] == "complete"
-        for artifact in report.artifacts:
+    def test_bundled_homogeneous_complete(self, bundled_runs):
+        report = bundled_runs["homogeneous_complete"].report
+        assert report["ok"]
+        assert report["consensus"]["kind"] == "complete"
+        for artifact in report["artifacts"]:
             assert os.path.exists(artifact)
 
     def test_pair_csv_columns(self, tmp_path):
@@ -276,12 +274,9 @@ class TestCli:
         text = out.getvalue()
         assert "consensus: complete" in text
 
-    def test_run_resolves_bundled_name(self, tmp_path):
-        out = io.StringIO()
-        code = main(
-            ["run", "kuramoto_circle", "--out", str(tmp_path)], out=out, err=out
-        )
-        assert code == EXIT_OK
+    def test_run_resolves_bundled_name(self, bundled_runs):
+        # the shared runs call `run kuramoto_circle`, a bundled name, not a path
+        assert bundled_runs["kuramoto_circle"].exit_code == EXIT_OK
 
     def test_diverging_pair_names_first_member(self, tmp_path):
         # the partner starts far from consensus and blows up before the
@@ -375,22 +370,19 @@ class TestCli:
         assert "audit correlation_contraction" in out.getvalue()
         assert "audit agent_distance_bound" in out.getvalue()
 
-    def test_audit_subcommand_flags_two_column_deficit(self, tmp_path):
+    def test_audit_subcommand_flags_two_column_deficit(self, tmp_path, bundled_runs):
         # the bundled heterogeneous scenario has two columns and its audits
         # pass; re-auditing its pair CSV against the same scenario with
         # kappa doubled asks for twice the contraction the run shows, which
         # the audit must flag
-        out = io.StringIO()
-        code = main(
-            ["run", "framework_hetero", "--out", str(tmp_path)], out=out, err=out
-        )
-        assert code == EXIT_OK
+        run = bundled_runs["framework_hetero"]
+        assert run.exit_code == EXIT_OK
         with open(os.path.join(BUNDLED, "framework_hetero.json")) as handle:
             raw = json.load(handle)
         raw["kappa"] *= 2.0
         doubled = tmp_path / "doubled_kappa.json"
         doubled.write_text(json.dumps(raw))
-        pair_csv = str(tmp_path / "framework_hetero_pair.csv")
+        pair_csv = run.csvs["framework_hetero_pair.csv"]
         out = io.StringIO()
         code = main(["audit", pair_csv, "--config", str(doubled)], out=out, err=out)
         assert code == EXIT_AUDIT
