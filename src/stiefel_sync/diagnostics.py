@@ -95,14 +95,33 @@ def correlation_diameter(s1, s2) -> float:
     return plain + skew
 
 
+# snapshots per einsum in the chunked passes: few Python-level calls per
+# snapshot, while the temporaries stay a few hundred kB
+_CHUNK = 64
+
+
+def _chunked_correlations(states: np.ndarray):
+    """Yield ``(rows, products)`` over chunks of a (K, N, n, p) stack, where
+    ``products[k]`` equals :func:`correlations` of snapshot ``rows[k]`` bit
+    for bit: the einsum sums the same products in the same order."""
+    for start in range(0, states.shape[0], _CHUNK):
+        part = states[start:start + _CHUNK]
+        yield slice(start, start + part.shape[0]), np.einsum("kjab,kiac->kjibc", part, part)
+
+
 def correlation_gap_series(traj1: Trajectory, traj2: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Per-snapshot gap components between two aligned trajectories."""
+    """Per-snapshot gap components between two aligned trajectories, bitwise
+    those of :func:`correlation_gap_components`."""
     _require_aligned(traj1, traj2)
     total = len(traj1)
     plain = np.empty(total)
     skew = np.empty(total)
-    for k in range(total):
-        plain[k], skew[k] = correlation_gap_components(traj1.states[k], traj2.states[k])
+    chunks = zip(_chunked_correlations(traj1.states), _chunked_correlations(traj2.states))
+    for (rows, a), (_, b) in chunks:
+        da = a - b
+        plain[rows] = np.sum(da * da, axis=(1, 2, 3, 4))
+        dk = da - np.swapaxes(da, -2, -1)
+        skew[rows] = np.sum(dk * dk, axis=(1, 2, 3, 4))
     return plain, skew
 
 
@@ -142,15 +161,15 @@ def consensus_status(traj: Trajectory, window: float, tol: float = 1e-6) -> Cons
         raise InsufficientDataError(
             f"window {window} does not fit inside the trajectory span {span}"
         )
-    mask = times >= times[-1] - window
-    picked = np.nonzero(mask)[0]
-    if picked.shape[0] < 2:
+    # times increase, so the window is a trailing run of snapshots
+    first = int(np.searchsorted(times, times[-1] - window))
+    if times.shape[0] - first < 2:
         raise InsufficientDataError("fewer than two snapshots in the window")
 
     count, _, p = traj.states[0].shape
-    stack = np.empty((picked.shape[0],) + (count, count, p, p))
-    for slot, k in enumerate(picked):
-        stack[slot] = correlations(traj.states[k])
+    stack = np.empty((times.shape[0] - first, count, count, p, p))
+    for rows, products in _chunked_correlations(traj.states[first:]):
+        stack[rows] = products
 
     eye = np.eye(p)
     identity_gap = np.sqrt(np.sum((stack - eye) ** 2, axis=(-2, -1)))

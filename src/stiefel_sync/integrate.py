@@ -2,6 +2,11 @@
 with polar retraction back onto the manifold, plus trajectory recording and
 the finite-difference derivative estimator used by the inequality audits.
 
+The retraction is :func:`~stiefel_sync.linalg._polar_unchecked`: one
+Newton-Schulz step for an ensemble within 1e-8 of orthonormal, which after
+an RK4 step from the manifold is the usual case, and the eigendecomposition
+of a^T a otherwise (under ``on_drift`` with a large threshold, say).
+
 The step size is fixed so that two runs over the same horizon share their
 time grid bitwise, which the pairwise diagnostics rely on.
 """
@@ -24,6 +29,9 @@ from .manifold import ensemble_diameter, orthonormality_drift, validate_ensemble
 from .model import ModelConfig, _check_state_shape, rhs
 
 RETRACTION_POLICIES = ("every_step", "on_drift", "never")
+
+# float64 entries in the largest array numpy can address
+_MAX_SNAPSHOTS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,15 @@ class IntegratorConfig:
             raise ValidationError("drift_threshold must be positive for on_drift")
         if self.record_stride < 1:
             raise ValidationError("record_stride must be a positive integer")
+        # the run stores t_end / h / record_stride + 1 snapshot times; reject a
+        # grid no array can hold before anything is allocated (t_end / h is
+        # inf for a subnormal h, which the comparison rejects too)
+        steps = self.t_end / self.h
+        if not steps / self.record_stride + 1 <= _MAX_SNAPSHOTS:
+            raise ValidationError(
+                f"h = {self.h} with t_end = {self.t_end} gives {steps:.3g} steps,"
+                f" more snapshots than an array can hold (record_stride {self.record_stride})"
+            )
 
 
 @dataclass(frozen=True)

@@ -252,16 +252,21 @@ def rhs(states, cfg: ModelConfig) -> np.ndarray:
     """Velocity of every agent; each output lies in the tangent space at
     its agent whenever the agent is on the manifold.
 
-    The weighted mean C is formed by one fixed-order matrix product, so
-    repeated evaluations are bitwise deterministic. Leading axes stack ensembles.
+    The field is S Omega + kappa (C - S sym(S^T C)) with C = (1/N) W S the
+    weighted mean. With WS = W S and M = S^T WS it is evaluated by three
+    stacked matrix products as
+
+        (kappa/N) WS + S (Omega - (kappa/2N) (M + M^T)),
+
+    each in a fixed order, so repeated evaluations are bitwise deterministic.
+    Leading axes stack ensembles.
     """
     s = _check_state_shape(states, cfg)
     count, n, p = s.shape[-3:]
-    c = (cfg.topology.weights @ s.reshape(-1, count, n * p)).reshape(s.shape) / count
-    m1 = s.swapaxes(-2, -1) @ c
-    m2 = c.swapaxes(-2, -1) @ s
-    coupling = c - 0.5 * (s @ m1 + s @ m2)
-    return s @ cfg.freqs + cfg.kappa * coupling
+    ws = (cfg.topology.weights @ s.reshape(-1, count, n * p)).reshape(s.shape)
+    m = s.swapaxes(-2, -1) @ ws
+    scale = cfg.kappa / count
+    return scale * ws + s @ (cfg.freqs - (0.5 * scale) * (m + m.swapaxes(-2, -1)))
 
 
 def potential(states, topology: Topology):

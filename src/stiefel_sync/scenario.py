@@ -273,6 +273,13 @@ def _validate_analysis_params(analyses: dict[str, dict]) -> None:
         where = f"analyses.{name}"
         if name == "consensus":
             _reject_unknown(params, {"window", "tol"}, where)
+            for key in ("window", "tol"):
+                value = _optional(params, key, float, 1.0, where)
+                # NaN fails every comparison, so finiteness is tested first
+                if not math.isfinite(value) or value <= 0:
+                    raise ScenarioError(
+                        f"expected a finite positive number, got {value!r}", field=f"{where}.{key}"
+                    )
         elif name == "decay_fit":
             _reject_unknown(params, {"fit_fraction"}, where)
             frac = _optional(params, "fit_fraction", float, 0.5, where)

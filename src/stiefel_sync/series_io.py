@@ -54,8 +54,8 @@ def read_series(path) -> dict[str, np.ndarray]:
     """Parse a CSV written by :func:`emit_series` back into named columns.
 
     Raises :class:`ValidationError` on a file that does not parse as a
-    rectangular table of numbers (a truncated file, say) and on any
-    non-finite value, naming its column and data row.
+    rectangular table of numbers or does not end in a newline (a truncated
+    file, say) and on any non-finite value, naming its column and data row.
     """
     with open(path) as handle:
         header = handle.readline().strip()
@@ -66,6 +66,12 @@ def read_series(path) -> dict[str, np.ndarray]:
             data = np.loadtxt(handle, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed series data: {exc}") from exc
+    # every row emit_series writes ends in a newline; a file cut inside the
+    # last field of a row would otherwise parse as a shorter valid one
+    with open(path, "rb") as raw:
+        raw.seek(-1, os.SEEK_END)
+        if raw.read(1) != b"\n":
+            raise ValidationError(f"{path}: truncated series file: no newline after the last row")
     if data.shape[1] != len(names):
         raise DimensionError(
             f"{path}: {data.shape[1]} columns of data under {len(names)} headers"

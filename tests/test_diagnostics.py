@@ -12,7 +12,7 @@ from stiefel_sync.errors import (
     UndefinedGainError,
     ValidationError,
 )
-from stiefel_sync.integrate import IntegratorConfig, integrate
+from stiefel_sync.integrate import IntegratorConfig, Trajectory, integrate
 from stiefel_sync.linalg import expm_skew, frobenius
 from stiefel_sync.manifold import (
     near_consensus_ensemble,
@@ -106,6 +106,54 @@ class TestCorrelationDiameter:
         assert abs(px - plain) <= 1e-12 * max(1, plain)
         assert abs(sx - skewed) <= 1e-12 * max(1, skewed)
         assert abs(dg.correlation_diameter(s1, s2) - (plain + skewed)) <= 1e-12
+
+
+def random_track(count, n, p, total, seed):
+    """A stored stack of `total` random ensembles on a unit time grid (not a
+    solution; the chunked passes only read the stack)."""
+    states = np.stack([random_ensemble(n, p, count, seed=seed + k) for k in range(total)])
+    zeros = np.zeros(total)
+    times = np.arange(total, dtype=float)
+    return Trajectory(times=times, states=states, drift=zeros, diameters=zeros)
+
+
+# lengths around the chunk size of the chunked passes, and shapes up to p = 4
+CHUNK_CASES = [
+    ((3, 2, 1), 1), ((8, 6, 2), 63), ((8, 6, 2), 64), ((5, 4, 3), 65),
+    ((6, 5, 2), 130), ((4, 4, 4), 200),
+]
+
+
+class TestChunkedCorrelationPasses:
+    @pytest.mark.parametrize("shape, total", CHUNK_CASES)
+    def test_gap_series_equals_per_snapshot_components(self, shape, total):
+        track = random_track(*shape, total, seed=100)
+        other = random_track(*shape, total, seed=100 + total)
+        plain, skewed = dg.correlation_gap_series(track, other)
+        expected = np.array(
+            [dg.correlation_gap_components(a, b) for a, b in zip(track.states, other.states)]
+        ).reshape(total, 2)
+        assert np.array_equal(plain, expected[:, 0])
+        assert np.array_equal(skewed, expected[:, 1])
+
+    @pytest.mark.parametrize("shape, total", CHUNK_CASES[1:])
+    def test_consensus_window_equals_per_snapshot_stack(self, shape, total):
+        track = random_track(*shape, total, seed=300)
+        window = 0.8 * (total - 1)
+        # a tolerance above every gap classifies the window, so limits is set
+        status = dg.consensus_status(track, window, tol=10.0)
+        first = int(np.ceil((total - 1) - window))
+        stack = np.stack([dg.correlations(s) for s in track.states[first:]])
+        mean = stack.mean(axis=0)
+        eye = np.eye(shape[2])
+        assert status.kind == "complete"
+        assert np.array_equal(status.limits, mean)
+        assert status.max_identity_gap == float(
+            np.max(np.sqrt(np.sum((stack - eye) ** 2, axis=(-2, -1))))
+        )
+        assert status.max_variation == float(
+            np.max(np.sqrt(np.sum((stack - mean) ** 2, axis=(-2, -1))))
+        )
 
 
 def short_run(cfg, init, t_end=6.0, h=2e-3, stride=5):

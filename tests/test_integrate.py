@@ -67,6 +67,18 @@ class TestIntegratorConfig:
         with pytest.raises(ValidationError):
             IntegratorConfig(record_stride=0)
 
+    @pytest.mark.parametrize("h, t_end", [(1e-300, 50.0), (5e-324, 1.0), (1e-3, 1e300)])
+    def test_rejects_grid_no_array_can_hold(self, h, t_end):
+        # rejected at construction, before integrate allocates anything
+        with pytest.raises(ValidationError, match="more snapshots than an array can hold"):
+            IntegratorConfig(h=h, t_end=t_end)
+
+    def test_stride_counts_toward_the_grid(self):
+        steps = 2.0 ** 62
+        with pytest.raises(ValidationError):
+            IntegratorConfig(h=1.0, t_end=steps, record_stride=1)
+        IntegratorConfig(h=1.0, t_end=steps, record_stride=64)
+
 
 class TestClosedFormAccuracy:
     def test_rotation_flow_error(self):

@@ -13,6 +13,8 @@ from stiefel_sync.errors import (
     ValidationError,
 )
 from stiefel_sync.linalg import (
+    _eigh_polar,
+    _polar_unchecked,
     expm_skew,
     frobenius,
     polar_factor,
@@ -20,7 +22,7 @@ from stiefel_sync.linalg import (
     require_matrix,
     require_skew,
 )
-from stiefel_sync.manifold import random_stiefel, random_tangent, retract
+from stiefel_sync.manifold import random_ensemble, random_stiefel, random_tangent, retract
 
 finite_entries = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -134,6 +136,52 @@ class TestPolarFactor:
         u = polar_factor(stack)
         for k in range(4):
             assert frobenius(u[k] - polar_factor(stack[k])) <= 1e-12
+
+
+def near_manifold(shape, defect, seed):
+    """Random ensembles (..., N, n, p) moved off the manifold so that
+    max|a^T a - I| is about `defect` in every ensemble."""
+    rng = np.random.default_rng(seed)
+    *lead, count, n, p = shape
+    points = np.stack([random_ensemble(n, p, count, rng) for _ in range(int(np.prod(lead)))])
+    points = points.reshape(shape)
+    return points + (defect / (2 * np.sqrt(n))) * rng.standard_normal(shape)
+
+
+def max_defect(a):
+    return np.abs(np.swapaxes(a, -2, -1) @ a - np.eye(a.shape[-1])).max(axis=(-3, -2, -1))
+
+
+def newton_schulz(a):
+    return 1.5 * a - 0.5 * a @ (np.swapaxes(a, -2, -1) @ a)
+
+
+class TestGatedRetraction:
+    SHAPES = [(6, 4, 2), (3, 5, 1), (4, 7, 4), (3, 8, 6, 2), (5, 2, 4, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("defect", [1e-15, 1e-12, 5e-9])
+    def test_newton_schulz_branch_agrees_with_eigh(self, shape, defect):
+        a = near_manifold(shape, defect, seed=len(shape) + int(-np.log10(defect)))
+        assert np.all(max_defect(a) <= 1e-8)
+        u = _polar_unchecked(a)
+        assert np.max(np.abs(u - _eigh_polar(a))) <= 1e-15
+        assert np.max(np.abs(u - newton_schulz(a))) <= 1e-15
+
+    def test_far_member_gets_eigh_bitwise(self):
+        a = near_manifold((4, 5, 6, 2), 1e-10, seed=20)
+        a[2] += 1e-6 * np.random.default_rng(21).standard_normal(a[2].shape)
+        assert max_defect(a)[2] > 1e-8 and np.all(np.delete(max_defect(a), 2) <= 1e-8)
+        u = _polar_unchecked(a)
+        assert np.array_equal(u[2], _eigh_polar(a[2]))
+        for b in (0, 1, 3):
+            d = np.swapaxes(a[b], -2, -1) @ a[b] - np.eye(2)
+            assert np.array_equal(u[b], a[b] - a[b] @ (0.5 * d))
+
+    def test_single_ensemble_off_the_gate_gets_eigh_bitwise(self):
+        a = near_manifold((5, 6, 2), 1e-3, seed=22)
+        assert np.array_equal(_polar_unchecked(a), _eigh_polar(a))
+        assert np.max(np.abs(polar_factor(a) - _polar_unchecked(a))) <= 1e-15
 
 
 class TestExpmSkew:

@@ -192,6 +192,41 @@ class TestRhs:
         with pytest.raises(DimensionError):
             rhs(random_ensemble(4, 2, 3, seed=10), cfg)
 
+    def test_matches_six_product_form(self):
+        # the field S Omega + kappa (C - (S M1 + S M2)/2), M1 = S^T C and
+        # M2 = C^T S, as six separate products. The two evaluations round
+        # differently; the field is a difference of terms of size |S Omega|
+        # and kappa |C| that cancel near consensus, so the error is measured
+        # against the size of those terms
+        rng = np.random.default_rng(15)
+        for trial in range(200):
+            count = int(rng.integers(2, 9))
+            n = int(rng.integers(2, 8))
+            p = int(rng.integers(1, min(n, 4) + 1))
+            freqs = (
+                random_frequencies(count, p, float(rng.uniform(0.1, 1.0)), trial)
+                if p > 1
+                else zero_frequencies(count, p)
+            )
+            cfg = ModelConfig(
+                kappa=float(rng.uniform(0.1, 10.0)),
+                topology=Topology.separable(rng.uniform(0.6, 1.4, count)),
+                freqs=freqs,
+                n=n,
+                p=p,
+            )
+            s = np.stack([
+                random_ensemble(n, p, count, rng),
+                near_consensus_ensemble(n, p, count, 0.05, seed=trial),
+            ])
+            w = cfg.topology.weights
+            c = np.stack([np.einsum("ik,kab->iab", w, member) for member in s]) / count
+            m1 = s.swapaxes(-2, -1) @ c
+            m2 = c.swapaxes(-2, -1) @ s
+            six = s @ freqs + cfg.kappa * (c - 0.5 * (s @ m1 + s @ m2))
+            scale = np.max(np.abs(s @ freqs) + cfg.kappa * np.abs(c))
+            assert np.max(np.abs(rhs(s, cfg) - six)) <= 1e-15 * scale
+
 
 class TestPotential:
     def test_consensus_zero(self):

@@ -329,6 +329,31 @@ class TestCli:
         assert "Traceback" not in err.getvalue()
         assert field in err.getvalue()
 
+    @pytest.mark.parametrize("h", [1e-300, 5e-324])
+    def test_step_count_beyond_any_array_exit_code(self, tmp_path, h):
+        path = minimal_scenario(tmp_path, integrator={"h": h, "t_end": 1.0})
+        err = io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=io.StringIO(), err=err)
+        assert code == EXIT_SCENARIO
+        assert "Traceback" not in err.getvalue()
+        assert "integrator" in err.getvalue() and "h =" in err.getvalue()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("window", "x"), ("window", float("nan")), ("window", -1.0), ("window", 0),
+         ("tol", float("nan")), ("tol", float("inf")), ("tol", "1e-6"), ("tol", 0.0)],
+        ids=["window-str", "window-nan", "window-neg", "window-zero",
+             "tol-nan", "tol-inf", "tol-str", "tol-zero"],
+    )
+    def test_bad_consensus_param_exit_code(self, tmp_path, field, value):
+        path = minimal_scenario(tmp_path, analyses=[{"consensus": {field: value}}])
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert f"analyses.consensus.{field}" in err.getvalue()
+
     def test_missing_scenario_exit_code(self, tmp_path):
         err = io.StringIO()
         code = main(["run", "no_such_scenario", "--out", str(tmp_path)], out=err, err=err)
@@ -426,6 +451,21 @@ class TestCli:
         code = main(["audit", str(pair_csv), "--config", path], out=err, err=err)
         assert code == EXIT_SCENARIO
         assert err.getvalue().startswith("error:")
+
+    def test_audit_rejects_csv_cut_inside_last_field(self, tmp_path):
+        # cut 5 bytes before the end of data row 60: the last field keeps
+        # enough digits to parse, so only the missing newline shows the cut
+        path, pair_csv = self._pair_run(tmp_path)
+        data = pair_csv.read_bytes()
+        row_end = [k for k, byte in enumerate(data) if byte == ord("\n")][60]
+        cut = data[: row_end - 5]
+        float(cut.rsplit(b",", 1)[1])
+        pair_csv.write_bytes(cut)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["audit", str(pair_csv), "--config", path], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and "truncated" in err.getvalue()
 
     def test_run_and_csv_reaudit_agree_bitwise(self, tmp_path, monkeypatch):
         # the run audits its in-memory pair columns and the re-audit the
