@@ -44,9 +44,10 @@ print("all conditions satisfied:", report.satisfied)
 cubic = cubic_analysis(cfg)
 print(f"cubic at threshold: f = {cubic.f_at_bound:+.4f} (invariant region: {cubic.invariant_region_ok})")
 
+# the run and its perturbed copy step as one batch on one time grid
 icfg = IntegratorConfig(h=1e-3, t_end=10.0, record_stride=1)
-traj = integrate(init, cfg, icfg)
-partner = integrate(perturb_ensemble(init, 1e-3, seed=14), cfg, icfg)
+pair = np.stack([init, perturb_ensemble(init, 1e-3, seed=14)])
+traj, partner = integrate(pair, cfg, icfg).members()
 
 plain, skewed = correlation_gap_series(traj, partner)
 gap = plain + skewed

@@ -31,8 +31,7 @@ perturbed[0] = retract(init[0] + random_tangent(init[0], rng, norm=2e-3))
 
 for t_end in (50.0, 100.0):
     icfg = IntegratorConfig(h=4e-3, t_end=t_end, record_stride=5)
-    traj = integrate(init, cfg, icfg)
-    partner = integrate(perturbed, cfg, icfg)
+    traj, partner = integrate(np.stack([init, perturbed]), cfg, icfg).members()
     gains = {p_exp: stability_gain(traj, partner, p_exp) for p_exp in (1.0, 2.0, 4.0)}
     line = "  ".join(f"l{int(k)}: {v:.6f}" for k, v in gains.items())
     print(f"horizon {t_end:5.0f}   gains  {line}")

@@ -45,9 +45,10 @@ kappa = probe.freq_spread / (0.9 * coupling_margin_threshold(probe))
 cfg = ModelConfig(kappa=kappa, topology=topology, freqs=freqs, n=n, p=p)
 
 init = near_consensus_ensemble(n, p, count, 0.35 * diameter_threshold(cfg), seed=23)
+# the run and its perturbed copy step as one batch on one time grid
 icfg = IntegratorConfig(h=1e-3, t_end=8.0, record_stride=1)
-traj = integrate(init, cfg, icfg)
-partner = integrate(perturb_ensemble(init, 1e-3, seed=24), cfg, icfg)
+pair = np.stack([init, perturb_ensemble(init, 1e-3, seed=24)])
+traj, partner = integrate(pair, cfg, icfg).members()
 
 print("standard audits on a condition-satisfying pair:")
 show(audit_diameter_bound(traj, cfg))

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__, diagnostics
-from .errors import DivergenceError, ScenarioError, StiefelSyncError
+from .errors import DivergenceError, ScenarioError, StiefelSyncError, ValidationError
 from .scenario import (
     RunReport,
     Scenario,
@@ -142,7 +142,16 @@ def _cmd_gen(args, out, err) -> int:
 def _cmd_audit(args, out, err) -> int:
     try:
         scenario = Scenario.from_file(_resolve_config(args.config))
-        audits = diagnostics.audit_series(read_series(args.series), scenario.model)
+        series = read_series(args.series)
+        audits = diagnostics.audit_series(series, scenario.model)
+        # a run records its final step, so a file cut at a row boundary
+        # parses but ends before the scenario's horizon
+        end = scenario.integrator.steps * scenario.integrator.h
+        if series["t"][-1] != end:
+            raise ValidationError(
+                f"{args.series}: series ends at t = {series['t'][-1]:.17g}, not at the"
+                f" scenario's horizon t = {end:.17g}: a truncated file or another run"
+            )
     except (StiefelSyncError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_SCENARIO

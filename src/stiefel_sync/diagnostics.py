@@ -60,16 +60,29 @@ def audit_tolerance(spacing: float) -> float:
 # correlations
 
 
+def _gram(states: np.ndarray) -> np.ndarray:
+    """A[..., j, i] = S_j^T S_i for every ensemble of a (..., N, n, p) stack,
+    as a C-contiguous (..., N, N, p, p) array: one x^T x product per
+    ensemble, with x = [S_1 ... S_N] the (n, N p) matrix of its agents."""
+    lead = states.shape[:-3]
+    count, n, p = states.shape[-3:]
+    x = np.swapaxes(states, -3, -2).reshape(lead + (n, count * p))
+    g = (np.swapaxes(x, -1, -2) @ x).reshape(lead + (count, p, count, p))
+    # numpy sums a strided view in another order, so a view would break the
+    # bitwise match between stacked and per-snapshot reductions
+    return np.ascontiguousarray(np.swapaxes(g, -3, -2))
+
+
 def correlations(states) -> np.ndarray:
     """All pairwise products A[j, i] = S_j^T S_i as an (N, N, p, p) array.
 
-    A[i, j] equals the transpose of A[j, i] bit for bit: both entries sum
-    the same products in the same order.
+    A[i, j] equals the transpose of A[j, i] bit for bit: the Gram product
+    sums the same products in the same order for both entries.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 3:
         raise DimensionError(f"ensemble must be (N, n, p), got shape {states.shape}")
-    return np.einsum("jab,iac->jibc", states, states)
+    return _gram(states)
 
 
 def correlation_gap_components(s1, s2) -> tuple[float, float]:
@@ -95,18 +108,18 @@ def correlation_diameter(s1, s2) -> float:
     return plain + skew
 
 
-# snapshots per einsum in the chunked passes: few Python-level calls per
-# snapshot, while the temporaries stay a few hundred kB
+# snapshots per Gram product in the chunked passes: few Python-level calls
+# per snapshot, while the temporaries stay a few hundred kB
 _CHUNK = 64
 
 
 def _chunked_correlations(states: np.ndarray):
     """Yield ``(rows, products)`` over chunks of a (K, N, n, p) stack, where
     ``products[k]`` equals :func:`correlations` of snapshot ``rows[k]`` bit
-    for bit: the einsum sums the same products in the same order."""
+    for bit: the stacked Gram product runs the same per-snapshot product."""
     for start in range(0, states.shape[0], _CHUNK):
         part = states[start:start + _CHUNK]
-        yield slice(start, start + part.shape[0]), np.einsum("kjab,kiac->kjibc", part, part)
+        yield slice(start, start + part.shape[0]), _gram(part)
 
 
 def correlation_gap_series(traj1: Trajectory, traj2: Trajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -78,6 +78,12 @@ class IntegratorConfig:
                 f" more snapshots than an array can hold (record_stride {self.record_stride})"
             )
 
+    @property
+    def steps(self) -> int:
+        """Number of steps: the horizon rounded to a whole number of steps.
+        The final step is always recorded, at ``steps * h``."""
+        return int(round(self.t_end / self.h))
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -142,7 +148,7 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     for member in s:
         _check_state_shape(validate_ensemble(member), cfg)
     h = icfg.h
-    n_steps = int(round(icfg.t_end / h))
+    n_steps = icfg.steps
 
     # every record_stride-th step and the final one
     stride = icfg.record_stride

@@ -10,8 +10,8 @@ default. See README for the full schema.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -62,6 +62,10 @@ def _need(raw: Mapping, key: str, kind, where: str = ""):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"expected a number, got {value!r}", field=path)
+        # JSON admits NaN, Infinity and integers beyond the float range; NaN
+        # fails the comparison
+        if not abs(value) <= sys.float_info.max:
+            raise ScenarioError(f"expected a finite number, got {value!r}", field=path)
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -275,10 +279,9 @@ def _validate_analysis_params(analyses: dict[str, dict]) -> None:
             _reject_unknown(params, {"window", "tol"}, where)
             for key in ("window", "tol"):
                 value = _optional(params, key, float, 1.0, where)
-                # NaN fails every comparison, so finiteness is tested first
-                if not math.isfinite(value) or value <= 0:
+                if value <= 0:
                     raise ScenarioError(
-                        f"expected a finite positive number, got {value!r}", field=f"{where}.{key}"
+                        f"expected a positive number, got {value!r}", field=f"{where}.{key}"
                     )
         elif name == "decay_fit":
             _reject_unknown(params, {"fit_fraction"}, where)
@@ -291,7 +294,8 @@ def _validate_analysis_params(analyses: dict[str, dict]) -> None:
             if not isinstance(exponents, list) or not exponents:
                 raise ScenarioError("p_exp must be a nonempty list", field=f"{where}.p_exp")
             for v in exponents:
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 1:
+                # NaN fails the comparison; infinity is the max norm
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not v >= 1:
                     raise ScenarioError(
                         f"p_exp entries must be numbers >= 1, got {v!r}", field=f"{where}.p_exp"
                     )
@@ -301,6 +305,27 @@ def _validate_analysis_params(analyses: dict[str, dict]) -> None:
                 _need(params, "seed", int, where)
         else:
             _reject_unknown(params, set(), where)
+
+
+def _check_consensus_window(params: dict, integrator: IntegratorConfig) -> None:
+    """Reject a consensus window the recorded grid cannot fill: it must be
+    shorter than the recorded span and hold the last two snapshots. The grid
+    and the default window are computed as :func:`integrate` and
+    :func:`run_scenario` compute them, so this accepts exactly the windows
+    :func:`diagnostics.consensus_status` can classify."""
+    steps = integrator.steps
+    stride = integrator.record_stride
+    span = steps * integrator.h
+    window = params.get("window", 0.2 * span)
+    # recorded time of the snapshot before the final one
+    before_last = (steps - 1) // stride * stride * integrator.h
+    if not (window < span and before_last >= span - window):
+        raise ScenarioError(
+            f"a consensus window of {window:g} needs two snapshots inside a recorded"
+            f" span of {span:g} (t_end {integrator.t_end:g}, h {integrator.h:g},"
+            f" record_stride {stride})",
+            field="analyses.consensus.window" if "window" in params else "integrator.t_end",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +376,8 @@ class Scenario:
         if count < 1 or not 1 <= p <= n:
             raise ScenarioError(f"need N >= 1 and 1 <= p <= n, got N={count}, p={p}, n={n}", field="dims")
         kappa = _need(raw, "kappa", float)
-        if not math.isfinite(kappa) or kappa < 0:
-            raise ScenarioError("kappa must be finite and nonnegative", field="kappa")
+        if kappa < 0:
+            raise ScenarioError("kappa must be nonnegative", field="kappa")
         topology = build_topology(_need(raw, "topology", dict), count)
         freqs = build_frequencies(_need(raw, "frequencies", dict), count, p)
         try:
@@ -362,6 +387,8 @@ class Scenario:
         initial = build_initial(_need(raw, "initial", dict), n, p, count, base_dir)
         integrator = build_integrator(raw.get("integrator"))
         analyses = _normalize_analyses(_optional(raw, "analyses", list, []))
+        if "consensus" in analyses:
+            _check_consensus_window(analyses["consensus"], integrator)
         for analysis in SEPARABLE_ONLY:
             if analysis in analyses and topology.kind != "separable":
                 raise ScenarioError(

@@ -81,6 +81,52 @@ class TestCorrelations:
             assert np.max(norms) <= p + 1e-12
 
 
+class TestGram:
+    # N = 1, p = 1, n = p and p = 4
+    SHAPES = [(1, 3, 2), (4, 5, 1), (3, 3, 3), (5, 6, 4)]
+
+    @pytest.mark.parametrize("count, n, p", SHAPES)
+    def test_matches_written_out_products(self, count, n, p):
+        states = random_ensemble(n, p, count, seed=count + 10 * p)
+        a = dg._gram(states)
+        assert a.shape == (count, count, p, p)
+        assert a.flags.c_contiguous
+        # each entry is an n-term dot product: both sides round within
+        # n eps of the product of absolute values
+        for j in range(count):
+            for i in range(count):
+                written = states[j].T @ states[i]
+                bound = 2 * n * np.finfo(float).eps * (np.abs(states[j]).T @ np.abs(states[i]))
+                assert np.all(np.abs(a[j, i] - written) <= bound)
+
+    @pytest.mark.parametrize("count, n, p", SHAPES)
+    def test_stack_is_contiguous_and_per_ensemble(self, count, n, p):
+        stack = np.stack([random_ensemble(n, p, count, seed=k) for k in range(6)])
+        a = dg._gram(stack.reshape((2, 3, count, n, p)))
+        assert a.flags.c_contiguous
+        expected = np.stack([dg._gram(s) for s in stack]).reshape(a.shape)
+        assert np.array_equal(a, expected)
+
+    def test_chunked_equals_per_snapshot_on_member_view(self):
+        cfg = uniform_config(4, 3, 2, kappa=1.0)
+        init = random_ensemble(3, 2, 4, seed=7)
+        batch = integrate(
+            np.stack([init, perturb_ensemble(init, 1e-2, seed=8)]),
+            cfg,
+            IntegratorConfig(h=1e-2, t_end=1.5, record_stride=1),
+        )
+        member = batch.members()[1]
+        assert member.states.base is not None  # a view into the batch stack
+        total = len(member)
+        assert total > 2 * dg._CHUNK
+        chunked = np.empty((total, 4, 4, 2, 2))
+        for rows, products in dg._chunked_correlations(member.states):
+            assert products.flags.c_contiguous
+            chunked[rows] = products
+        per_snapshot = np.stack([dg.correlations(s) for s in member.states])
+        assert np.array_equal(chunked, per_snapshot)
+
+
 class TestCorrelationDiameter:
     def test_zero_for_equal(self):
         states = random_ensemble(4, 2, 3, seed=2)

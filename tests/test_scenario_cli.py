@@ -16,7 +16,7 @@ from stiefel_sync.cli import (
     main,
 )
 from stiefel_sync import diagnostics
-from stiefel_sync.errors import ScenarioError, ValidationError
+from stiefel_sync.errors import InsufficientDataError, ScenarioError, ValidationError
 from stiefel_sync.integrate import IntegratorConfig, integrate
 from stiefel_sync.manifold import random_ensemble
 from stiefel_sync.model import ModelConfig, Topology, zero_frequencies
@@ -41,6 +41,39 @@ def minimal_scenario(tmp_path, **overrides):
     path = tmp_path / f"{raw.get('name', 'tiny')}.json"
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+NAN, INF = float("nan"), float("inf")
+SEPARABLE = {"kind": "separable", "center": 1.0, "spread": 0.2, "seed": 1}
+GENERAL = {"kind": "general", "low": 0.5, "high": 1.0, "seed": 1}
+PLANES = {"n": 3, "p": 2, "N": 3}  # p = 2, so frequencies are not all zero
+
+# one non-finite number per scenario field read as a float, with the rest of
+# the scenario set up so that the field is read and, if let through, used;
+# JSON writes these as NaN, Infinity and a 401-digit integer
+NON_FINITE_FIELDS = {
+    "initial.radius": {"initial": {"kind": "near_consensus", "radius": NAN, "seed": 1}},
+    "perturbation.radius": {"perturbation": {"radius": NAN}, "analyses": ["stability"]},
+    "topology.center": {"topology": {**SEPARABLE, "center": INF}},
+    "topology.spread": {"topology": {**SEPARABLE, "spread": NAN}},
+    "topology.low": {"topology": {**GENERAL, "low": NAN}},
+    "topology.high": {"topology": {**GENERAL, "high": INF}},
+    "topology.density": {"topology": {**GENERAL, "density": NAN}},
+    "frequencies.scale": {
+        "dims": PLANES, "frequencies": {"kind": "common", "scale": NAN, "seed": 1}
+    },
+    "frequencies.spread": {
+        "dims": PLANES, "frequencies": {"kind": "random", "spread": INF, "seed": 1}
+    },
+    "frequencies.common_scale": {
+        "dims": PLANES,
+        "frequencies": {"kind": "random", "spread": 0.1, "seed": 1, "common_scale": NAN},
+    },
+    "analyses.decay_fit.fit_fraction": {"analyses": [{"decay_fit": {"fit_fraction": NAN}}]},
+    "analyses.stability.perturbation": {"analyses": [{"stability": {"perturbation": NAN}}]},
+    "kappa": {"kappa": 10 ** 400},
+    "integrator.t_end": {"integrator": {"h": 0.002, "t_end": -(10 ** 400)}},
+}
 
 
 class TestScenarioParsing:
@@ -354,6 +387,85 @@ class TestCli:
         assert "Traceback" not in err.getvalue()
         assert f"analyses.consensus.{field}" in err.getvalue()
 
+    @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+    def test_non_finite_scenario_number_exit_code(self, tmp_path, field):
+        path = minimal_scenario(tmp_path, **NON_FINITE_FIELDS[field])
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert f"{field}: expected a finite number" in err.getvalue()
+
+    def test_nan_gain_exponent_exit_code(self, tmp_path):
+        path = minimal_scenario(tmp_path, analyses=[{"stability": {"p_exp": [2.0, NAN]}}])
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "analyses.stability.p_exp: p_exp entries must be numbers >= 1" in err.getvalue()
+
+    @pytest.mark.parametrize(
+        "integrator, consensus, field",
+        [
+            ({"h": 0.002, "t_end": 0.0}, {}, "integrator.t_end"),
+            # one step: a single snapshot after the first
+            ({"h": 0.002, "t_end": 0.002}, {}, "integrator.t_end"),
+            # the default window, a fifth of the span, is shorter than the spacing
+            ({"h": 0.1, "t_end": 1.0, "record_stride": 5}, {}, "integrator.t_end"),
+            ({"h": 0.002, "t_end": 6.0}, {"window": 6.0}, "analyses.consensus.window"),
+            ({"h": 0.002, "t_end": 6.0, "record_stride": 5}, {"window": 0.005},
+             "analyses.consensus.window"),
+        ],
+        ids=["t_end-zero", "one-step", "default-window-below-spacing", "window-span",
+             "window-below-spacing"],
+    )
+    def test_horizon_short_for_consensus_window_exit_code(
+        self, tmp_path, integrator, consensus, field
+    ):
+        path = minimal_scenario(
+            tmp_path, integrator=integrator, analyses=[{"consensus": consensus}]
+        )
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert f"{field}: a consensus window" in err.getvalue()
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_consensus_window_check_matches_consensus_status(self, tmp_path, stride):
+        # the parser accepts a window exactly when consensus_status can
+        # classify it on the run's grid; multiples of h hit the boundaries,
+        # where the grid times and t_end - window round
+        icfg = IntegratorConfig(h=0.1, t_end=1.0, record_stride=stride)
+        cfg = ModelConfig(
+            kappa=1.0, topology=Topology.separable(np.ones(2)),
+            freqs=zero_frequencies(2, 1), n=2, p=1,
+        )
+        traj = integrate(random_ensemble(2, 1, 2, seed=3), cfg, icfg)
+        outcomes = set()
+        for window in [k * 0.1 for k in range(1, 12)] + [k / 10 for k in range(1, 12)]:
+            path = minimal_scenario(
+                tmp_path, dims={"n": 2, "p": 1, "N": 2},
+                topology={"kind": "separable", "xi": [1.0, 1.0]},
+                integrator={"h": 0.1, "t_end": 1.0, "record_stride": stride},
+                analyses=[{"consensus": {"window": window}}],
+            )
+            try:
+                Scenario.from_file(path)
+                parsed = True
+            except ScenarioError:
+                parsed = False
+            try:
+                diagnostics.consensus_status(traj, window)
+                classified = True
+            except (InsufficientDataError, ValidationError):
+                classified = False
+            assert parsed == classified, window
+            outcomes.add(parsed)
+        assert outcomes == {True, False}
+
     def test_missing_scenario_exit_code(self, tmp_path):
         err = io.StringIO()
         code = main(["run", "no_such_scenario", "--out", str(tmp_path)], out=err, err=err)
@@ -466,6 +578,20 @@ class TestCli:
         assert code == EXIT_SCENARIO
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:") and "truncated" in err.getvalue()
+
+    def test_audit_rejects_csv_cut_at_row_boundary(self, tmp_path):
+        # a cut just after the newline of data row 60 leaves a valid shorter
+        # table; only the scenario's horizon shows the cut
+        path, pair_csv = self._pair_run(tmp_path)
+        data = pair_csv.read_bytes()
+        row_end = [k for k, byte in enumerate(data) if byte == ord("\n")][60]
+        pair_csv.write_bytes(data[: row_end + 1])
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["audit", str(pair_csv), "--config", path], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert "not at the scenario's horizon t = 1" in err.getvalue()
 
     def test_run_and_csv_reaudit_agree_bitwise(self, tmp_path, monkeypatch):
         # the run audits its in-memory pair columns and the re-audit the
