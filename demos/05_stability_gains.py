@@ -11,6 +11,7 @@ from stiefel_sync import (
     common_frequencies,
     integrate,
     near_consensus_ensemble,
+    pair_columns,
     random_skew,
     retract,
     stability_gain,
@@ -32,7 +33,8 @@ perturbed[0] = retract(init[0] + random_tangent(init[0], rng, norm=2e-3))
 for t_end in (50.0, 100.0):
     icfg = IntegratorConfig(h=4e-3, t_end=t_end, record_stride=5)
     traj, partner = integrate(np.stack([init, perturbed]), cfg, icfg).members()
-    gains = {p_exp: stability_gain(traj, partner, p_exp) for p_exp in (1.0, 2.0, 4.0)}
+    columns = pair_columns(traj, partner)
+    gains = {p_exp: stability_gain(columns, p_exp) for p_exp in (1.0, 2.0, 4.0)}
     line = "  ".join(f"l{int(k)}: {v:.6f}" for k, v in gains.items())
     print(f"horizon {t_end:5.0f}   gains  {line}")
 

@@ -14,7 +14,6 @@ from .diagnostics import (
     audit_series,
     audit_tolerance,
     consensus_status,
-    correlation_diameter,
     correlation_gap_components,
     correlation_gap_series,
     correlations,
@@ -22,6 +21,7 @@ from .diagnostics import (
     diameter_below_threshold,
     fit_decay_rate,
     holder_gap,
+    pair_columns,
     stability_gain,
 )
 from .errors import (

@@ -10,11 +10,13 @@ accept a named ``mutation`` that deliberately overstates their bound; a
 healthy implementation must fail under the mutation on an adversarial run,
 which is how the test suite proves the audits can detect violations at all.
 
-The audits run on named series columns through :func:`audit_series`, which
-serves both a scenario run (on the columns it writes to its pair CSV) and
-the re-audit of such a CSV, so the two agree bit for bit. The
-trajectory-level audits are conveniences that build those series from
-trajectories.
+A pair of runs is measured once: :func:`pair_columns` forms every series
+of the pair, named as the pair CSV's columns, and is the only place that
+subtracts two trajectories' states. The stability gain, the audit cores and
+:func:`audit_series` read those columns, so a scenario run, the re-audit of
+its CSV and a test's audit of two trajectories go through the same code and
+agree bit for bit. The trajectory-level audits are one-line calls of their
+cores on such columns.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from .errors import (
     UndefinedGainError,
     ValidationError,
 )
-from .integrate import Trajectory, dini_derivative_series
-from .manifold import ensemble_lp_distance
+from .integrate import Trajectory
 from .model import (
     ModelConfig,
     check_framework,
@@ -54,6 +55,28 @@ def audit_tolerance(spacing: float) -> float:
     """Violation allowance for an audit on a grid with the given spacing:
     an absolute floor plus the O(h^2) finite-difference error."""
     return 1e-6 + 10.0 * spacing ** 2
+
+
+def _require_uniform(times: np.ndarray) -> float:
+    if times.shape[0] < 2:
+        raise InsufficientDataError("need at least two samples")
+    h = float(times[1] - times[0])
+    gaps = np.diff(times)
+    if h <= 0 or np.max(np.abs(gaps - h)) > 1e-9 * max(h, 1.0):
+        raise ValidationError("series is not on a uniform time grid")
+    return h
+
+
+def dini_derivative_series(series_t, series_y) -> np.ndarray:
+    """Central-difference derivative, O(h^2), at every interior point of a
+    series sampled on a uniform time grid; a (K, N) table gives the slope of
+    each of its N series along the first axis."""
+    t = np.asarray(series_t, dtype=float)
+    y = np.asarray(series_y, dtype=float)
+    h = _require_uniform(t)
+    if t.shape[0] < 3:
+        raise InsufficientDataError("need at least three samples for interior slopes")
+    return (y[2:] - y[:-2]) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +121,6 @@ def correlation_gap_components(s1, s2) -> tuple[float, float]:
     return plain, float(np.sum(skew * skew))
 
 
-def correlation_diameter(s1, s2) -> float:
-    """Squared correlation gap: plain component plus skew component.
-
-    This is a squared quantity by definition; it is the value whose
-    exponential decay certifies that every pairwise correlation converges.
-    """
-    plain, skew = correlation_gap_components(s1, s2)
-    return plain + skew
-
-
 # snapshots per Gram product in the chunked passes: few Python-level calls
 # per snapshot, while the temporaries stay a few hundred kB
 _CHUNK = 64
@@ -143,6 +156,43 @@ def _require_aligned(traj1: Trajectory, traj2: Trajectory) -> None:
         traj1.times, traj2.times
     ):
         raise DimensionError("trajectories are not on identical time grids")
+
+
+def pair_columns(traj: Trajectory, partner: Trajectory) -> dict[str, np.ndarray]:
+    """Every series of a pair of aligned runs, named as the columns of the
+    pair CSV (base columns included), from one pass over the correlation
+    gap. ``diam_A`` is the squared correlation gap, plain plus skew part;
+    ``dist_agent_<i>`` is x_i = ||S_i - T_i||, and ``dist_l1``/``dist_l2``
+    are its l1 and l2 sums over the agents."""
+    plain, skewed = correlation_gap_series(traj, partner)
+    diffs = traj.states - partner.states
+    norms = np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))
+    columns = {
+        "t": traj.times,
+        "drift": traj.drift,
+        "diam_S": traj.diameters,
+        "diam_A": plain + skewed,
+        "corr_sq": plain,
+        "corr_skew_sq": skewed,
+        "drift_tilde": partner.drift,
+        "diam_S_tilde": partner.diameters,
+        "dist_l1": norms.sum(axis=1),
+        "dist_l2": np.sqrt((norms ** 2).sum(axis=1)),
+    }
+    for i in range(norms.shape[1]):
+        columns[f"dist_agent_{i}"] = norms[:, i]
+    return columns
+
+
+def _agent_distances(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The (K, N) table of the ``dist_agent_<i>`` columns, in agent order."""
+    names = sorted(
+        (name for name in columns if name.startswith("dist_agent_")),
+        key=lambda name: int(name.rsplit("_", 1)[1]),
+    )
+    if not names:
+        raise ValidationError("series lacks the dist_agent_<i> columns")
+    return np.column_stack([columns[name] for name in names])
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +286,24 @@ def fit_decay_rate(times, values, fit_window: tuple[float, float]) -> tuple[floa
     return float(-slope), float(r_squared)
 
 
-def stability_gain(traj1: Trajectory, traj2: Trajectory, p_exp: float) -> float:
-    """Largest ratio over the grid of the lp ensemble distance to its
-    initial value. Raises :class:`UndefinedGainError` when the initial
-    distance is zero."""
-    _require_aligned(traj1, traj2)
-    d0 = ensemble_lp_distance(traj1.initial, traj2.initial, p_exp)
-    if d0 == 0.0:
-        raise UndefinedGainError("identical initial data: gain undefined")
-    diffs = traj1.states - traj2.states
-    norms = np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))  # (K, N)
+def stability_gain(columns: Mapping[str, np.ndarray], p_exp: float) -> float:
+    """Largest ratio over the grid of the lp ensemble distance
+    (sum_i x_i^p)^(1/p), max_i x_i for p = inf, to its value at t = 0, from
+    the ``dist_agent_<i>`` columns of :func:`pair_columns`; at least 1,
+    since both come from one table. Raises :class:`UndefinedGainError` when
+    the initial distance is zero."""
+    if not p_exp >= 1:
+        raise ValidationError(f"p_exp must be >= 1, got {p_exp}")
+    norms = _agent_distances(columns)  # (K, N)
     if p_exp == 1:
         dist = norms.sum(axis=1)
+    elif p_exp == np.inf:
+        dist = norms.max(axis=1)
     else:
         dist = (norms ** p_exp).sum(axis=1) ** (1.0 / p_exp)
-    return float(np.max(dist) / d0)
+    if dist[0] == 0.0:
+        raise UndefinedGainError("identical initial data: gain undefined")
+    return float(np.max(dist) / dist[0])
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +348,15 @@ def _finish_audit(name, times, lhs, rhs, audited, tol) -> InequalityAudit:
 
 
 def audit_diameter_bound_series(
-    times, diameters, cfg: ModelConfig, mutation: str | None = None
+    columns: Mapping[str, np.ndarray], cfg: ModelConfig, mutation: str | None = None
 ) -> InequalityAudit:
-    """Series-level core of :func:`audit_diameter_bound`; takes the recorded
-    time grid and diameter series directly (used by the CSV re-audit)."""
+    """Series-level core of :func:`audit_diameter_bound`: reads the ``t``
+    and ``diam_S`` columns."""
     stats = cfg.topology.xi_stats()
     if mutation not in (None, "drop_cubic_term"):
         raise ValidationError(f"unknown mutation {mutation!r}")
-    times = np.asarray(times, dtype=float)
-    d = np.asarray(diameters, dtype=float)
+    times = np.asarray(columns["t"], dtype=float)
+    d = np.asarray(columns["diam_S"], dtype=float)
     lhs = dini_derivative_series(times, d)
     interior = d[1:-1]
     half = cfg.kappa * stats.xi_min ** 2 / 2.0
@@ -325,7 +378,8 @@ def audit_diameter_bound(
 
     mutation="drop_cubic_term" removes the D^3 term (sensitivity check).
     """
-    return audit_diameter_bound_series(traj.times, traj.diameters, cfg, mutation)
+    columns = {"t": traj.times, "diam_S": traj.diameters}
+    return audit_diameter_bound_series(columns, cfg, mutation)
 
 
 def correlation_contraction_bound(
@@ -353,19 +407,15 @@ def correlation_contraction_bound(
 
 
 def audit_correlation_contraction_series(
-    times,
-    plain,
-    skewed,
-    diam1,
-    diam2,
-    cfg: ModelConfig,
-    mutation: str | None = None,
+    columns: Mapping[str, np.ndarray], cfg: ModelConfig, mutation: str | None = None
 ) -> InequalityAudit:
-    """Series-level core of :func:`audit_correlation_contraction`: takes the
-    plain/skew gap components and both diameter series on one grid."""
-    times = np.asarray(times, dtype=float)
-    plain = np.asarray(plain, dtype=float)
-    skewed = np.asarray(skewed, dtype=float)
+    """Series-level core of :func:`audit_correlation_contraction`: reads the
+    ``t``, ``corr_sq``, ``corr_skew_sq``, ``diam_S`` and ``diam_S_tilde``
+    columns."""
+    times = np.asarray(columns["t"], dtype=float)
+    plain = np.asarray(columns["corr_sq"], dtype=float)
+    skewed = np.asarray(columns["corr_skew_sq"], dtype=float)
+    diam1, diam2 = columns["diam_S"], columns["diam_S_tilde"]
     rhs = correlation_contraction_bound(
         plain[1:-1], skewed[1:-1], diam1[1:-1], diam2[1:-1], cfg, mutation
     )
@@ -396,34 +446,25 @@ def audit_correlation_contraction(
     sector for k (4 xi_min xi_mean - xi_max^2) instead, a rate that the
     field does not reach for p >= 2 (sensitivity check).
     """
-    _require_aligned(traj1, traj2)
-    plain, skewed = correlation_gap_series(traj1, traj2)
-    return audit_correlation_contraction_series(
-        traj1.times, plain, skewed, traj1.diameters, traj2.diameters, cfg, mutation
-    )
+    return audit_correlation_contraction_series(pair_columns(traj1, traj2), cfg, mutation)
 
 
 def audit_agent_distance_bound_series(
-    times, agent_dists, z, cfg: ModelConfig, mutation: str | None = None
+    columns: Mapping[str, np.ndarray], cfg: ModelConfig, mutation: str | None = None
 ) -> InequalityAudit:
-    """Series-level core of :func:`audit_agent_distance_bound`: takes the
-    (K, N) per-agent distance series and the running maximum-diameter
-    series Z."""
+    """Series-level core of :func:`audit_agent_distance_bound`: reads the
+    ``t`` column, the per-agent distances ``dist_agent_<i>``, and Z as the
+    elementwise maximum of ``diam_S`` and ``diam_S_tilde``."""
     if mutation not in (None, "drop_state_term"):
         raise ValidationError(f"unknown mutation {mutation!r}")
-    times = np.asarray(times, dtype=float)
-    dists = np.asarray(agent_dists, dtype=float)
-    if dists.ndim != 2 or dists.shape[0] != times.shape[0]:
-        raise DimensionError(
-            f"agent distances must be (len(times), N), got {dists.shape}"
-        )
+    times = np.asarray(columns["t"], dtype=float)
+    dists = _agent_distances(columns)
     count = dists.shape[1]
     if count != cfg.agent_count:
         raise DimensionError(
             f"distance columns ({count}) do not match agent count ({cfg.agent_count})"
         )
-    spacing = float(times[1] - times[0])
-    lhs = (dists[2:] - dists[:-2]) / (2.0 * spacing)  # (K-2, N)
+    lhs = dini_derivative_series(times, dists)  # (K-2, N)
 
     weights = cfg.topology.weights
     row_sums = weights.sum(axis=1)
@@ -432,9 +473,10 @@ def audit_agent_distance_bound_series(
     self_term = interior * row_sums / count
     rhs = cfg.kappa * (neighbor_term - self_term)
     if mutation != "drop_state_term":
-        z_interior = np.asarray(z, dtype=float)[1:-1]
-        rhs = rhs + cfg.kappa * z_interior[:, None] * self_term
+        z = np.maximum(columns["diam_S"], columns["diam_S_tilde"])
+        rhs = rhs + cfg.kappa * z[1:-1, None] * self_term
     audited = interior >= DISTANCE_FLOOR
+    spacing = float(times[1] - times[0])
     return _finish_audit(
         "agent_distance_bound", times[1:-1], lhs, rhs, audited, audit_tolerance(spacing)
     )
@@ -457,46 +499,26 @@ def audit_agent_distance_bound(
     is not differentiable at zero and the bound is vacuous there).
     mutation="drop_state_term" removes the Z(t) term (sensitivity check).
     """
-    _require_aligned(traj1, traj2)
-    diffs = traj1.states - traj2.states
-    dists = np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))  # (K, N)
-    z = np.maximum(traj1.diameters, traj2.diameters)
-    return audit_agent_distance_bound_series(traj1.times, dists, z, cfg, mutation)
+    return audit_agent_distance_bound_series(pair_columns(traj1, traj2), cfg, mutation)
 
 
 def audit_series(columns: Mapping[str, np.ndarray], cfg: ModelConfig) -> list[InequalityAudit]:
     """Every audit that the named series columns support, in the order
     diameter bound, correlation contraction, per-agent distance bound.
 
-    ``columns`` uses the names of the emitted CSVs (see
-    :func:`stiefel_sync.series_io.emit_series`): ``t`` and ``diam_S`` are
-    required; ``corr_sq``, ``corr_skew_sq`` and ``diam_S_tilde`` add the
-    correlation audit; ``dist_agent_<i>`` with ``diam_S_tilde`` add the
-    per-agent audit, with Z the elementwise maximum of the two diameters.
+    ``columns`` uses the names of :func:`pair_columns` and of the emitted
+    CSVs (see :func:`stiefel_sync.series_io.emit_series`): ``t`` and
+    ``diam_S`` are required; ``corr_sq``, ``corr_skew_sq`` and
+    ``diam_S_tilde`` add the correlation audit; ``dist_agent_<i>`` with
+    ``diam_S_tilde`` add the per-agent audit.
     """
     if "t" not in columns or "diam_S" not in columns:
         raise ValidationError("series lacks the required t and diam_S columns")
-    times = columns["t"]
-    audits = [audit_diameter_bound_series(times, columns["diam_S"], cfg)]
+    audits = [audit_diameter_bound_series(columns, cfg)]
     if {"corr_sq", "corr_skew_sq", "diam_S_tilde"} <= columns.keys():
-        audits.append(
-            audit_correlation_contraction_series(
-                times,
-                columns["corr_sq"],
-                columns["corr_skew_sq"],
-                columns["diam_S"],
-                columns["diam_S_tilde"],
-                cfg,
-            )
-        )
-    agent_columns = sorted(
-        (name for name in columns if name.startswith("dist_agent_")),
-        key=lambda name: int(name.rsplit("_", 1)[1]),
-    )
-    if agent_columns and "diam_S_tilde" in columns:
-        dists = np.column_stack([columns[name] for name in agent_columns])
-        z = np.maximum(columns["diam_S"], columns["diam_S_tilde"])
-        audits.append(audit_agent_distance_bound_series(times, dists, z, cfg))
+        audits.append(audit_correlation_contraction_series(columns, cfg))
+    if "diam_S_tilde" in columns and any(name.startswith("dist_agent_") for name in columns):
+        audits.append(audit_agent_distance_bound_series(columns, cfg))
     return audits
 
 

@@ -1,6 +1,7 @@
 """Fixed-step 4th-order Runge-Kutta integration in the ambient matrix space
-with polar retraction back onto the manifold, plus trajectory recording and
-the finite-difference derivative estimator used by the inequality audits.
+with polar retraction back onto the manifold, and trajectory recording. The
+series measured on recorded trajectories, and the finite-difference slopes
+the inequality audits take of them, are in :mod:`stiefel_sync.diagnostics`.
 
 The retraction is :func:`~stiefel_sync.linalg._polar_unchecked`: one
 Newton-Schulz step for an ensemble within 1e-8 of orthonormal, which after
@@ -188,24 +189,3 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     diameters = ensemble_diameter(states)
     traj = Trajectory(times=times, states=states, drift=drift, diameters=diameters)
     return traj if batched else traj.members()[0]
-
-
-def _require_uniform(times: np.ndarray) -> float:
-    if times.shape[0] < 2:
-        raise InsufficientDataError("need at least two samples")
-    h = float(times[1] - times[0])
-    gaps = np.diff(times)
-    if h <= 0 or np.max(np.abs(gaps - h)) > 1e-9 * max(h, 1.0):
-        raise ValidationError("series is not on a uniform time grid")
-    return h
-
-
-def dini_derivative_series(series_t, series_y) -> np.ndarray:
-    """Central-difference derivative, O(h^2), at every interior point of a
-    series sampled on a uniform time grid."""
-    t = np.asarray(series_t, dtype=float)
-    y = np.asarray(series_y, dtype=float)
-    h = _require_uniform(t)
-    if t.shape[0] < 3:
-        raise InsufficientDataError("need at least three samples for interior slopes")
-    return (y[2:] - y[:-2]) / (2.0 * h)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import ScenarioError, ValidationError
-from .integrate import IntegratorConfig, Trajectory, integrate
+from .integrate import IntegratorConfig, integrate
 from .manifold import (
     near_consensus_ensemble,
     perturb_ensemble,
@@ -54,19 +54,23 @@ TEMPLATES = (
 _DEFAULT_PERTURBATION = {"radius": 1e-3, "seed": 1000003}
 
 
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"expected a number, got {value!r}", field=path)
+    # JSON admits NaN, Infinity and integers beyond the float range; NaN
+    # fails the comparison
+    if not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"expected a finite number, got {value!r}", field=path)
+    return float(value)
+
+
 def _need(raw: Mapping, key: str, kind, where: str = ""):
     path = f"{where}.{key}" if where else key
     if key not in raw:
         raise ScenarioError("required field is missing", field=path)
     value = raw[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"expected a number, got {value!r}", field=path)
-        # JSON admits NaN, Infinity and integers beyond the float range; NaN
-        # fails the comparison
-        if not abs(value) <= sys.float_info.max:
-            raise ScenarioError(f"expected a finite number, got {value!r}", field=path)
-        return float(value)
+        return _number(value, path)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError(f"expected an integer, got {value!r}", field=path)
@@ -80,6 +84,25 @@ def _optional(raw: Mapping, key: str, kind, default, where: str = ""):
     if key not in raw:
         return default
     return _need(raw, key, kind, where)
+
+
+def _number_array(raw: Mapping, key: str, shape: tuple, where: str) -> np.ndarray:
+    """A list field as a float array of the given shape, every entry a
+    finite number."""
+    path = f"{where}.{key}"
+    entries = np.array(_need(raw, key, list, where), dtype=object)
+    if entries.shape != shape:
+        raise ScenarioError(f"expected shape {shape}, got {entries.shape}", field=path)
+    return np.array([_number(entry, path) for entry in entries.flat]).reshape(shape)
+
+
+def _validated(build, *args, field: str):
+    """``build(*args)``, with a library :class:`ValidationError` reported
+    against the scenario field that supplied the input."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ScenarioError(str(exc), field=field) from exc
 
 
 def _reject_unknown(raw: Mapping, allowed, where: str) -> None:
@@ -97,12 +120,8 @@ def build_topology(spec: Mapping, count: int) -> Topology:
     if kind == "separable":
         if "xi" in spec:
             _reject_unknown(spec, {"kind", "xi"}, "topology")
-            xi = np.asarray(_need(spec, "xi", list, "topology"), dtype=float)
-            if xi.shape != (count,):
-                raise ScenarioError(
-                    f"xi must have length N={count}, got {xi.shape[0]}", field="topology.xi"
-                )
-            return Topology.separable(xi)
+            xi = _number_array(spec, "xi", (count,), "topology")
+            return _validated(Topology.separable, xi, field="topology.xi")
         _reject_unknown(spec, {"kind", "center", "spread", "seed"}, "topology")
         center = _need(spec, "center", float, "topology")
         spread = _need(spec, "spread", float, "topology")
@@ -111,13 +130,8 @@ def build_topology(spec: Mapping, count: int) -> Topology:
     if kind == "general":
         if "weights" in spec:
             _reject_unknown(spec, {"kind", "weights"}, "topology")
-            weights = np.asarray(_need(spec, "weights", list, "topology"), dtype=float)
-            if weights.shape != (count, count):
-                raise ScenarioError(
-                    f"weights must be {count} x {count}, got {weights.shape}",
-                    field="topology.weights",
-                )
-            return Topology.general(weights)
+            weights = _number_array(spec, "weights", (count, count), "topology")
+            return _validated(Topology.general, weights, field="topology.weights")
         _reject_unknown(spec, {"kind", "low", "high", "density", "seed"}, "topology")
         low = _need(spec, "low", float, "topology")
         high = _need(spec, "high", float, "topology")
@@ -168,12 +182,8 @@ def build_frequencies(spec: Mapping, count: int, p: int) -> np.ndarray:
     if kind == "common":
         if "skew" in spec:
             _reject_unknown(spec, {"kind", "skew"}, "frequencies")
-            skew = np.asarray(_need(spec, "skew", list, "frequencies"), dtype=float)
-            if skew.shape != (p, p):
-                raise ScenarioError(
-                    f"skew must be {p} x {p}, got {skew.shape}", field="frequencies.skew"
-                )
-            return common_frequencies(skew, count)
+            skew = _number_array(spec, "skew", (p, p), "frequencies")
+            return _validated(common_frequencies, skew, count, field="frequencies.skew")
         _reject_unknown(spec, {"kind", "scale", "seed"}, "frequencies")
         scale = _need(spec, "scale", float, "frequencies")
         seed = _need(spec, "seed", int, "frequencies")
@@ -184,10 +194,9 @@ def build_frequencies(spec: Mapping, count: int, p: int) -> np.ndarray:
         seed = _need(spec, "seed", int, "frequencies")
         common_scale = _optional(spec, "common_scale", float, 0.0, "frequencies")
         common = random_skew(p, seed + 1, common_scale) if common_scale > 0 else None
-        try:
-            return random_frequencies(count, p, spread, seed, common=common)
-        except ValidationError as exc:
-            raise ScenarioError(str(exc), field="frequencies.spread") from exc
+        return _validated(
+            random_frequencies, count, p, spread, seed, common, field="frequencies.spread"
+        )
     raise ScenarioError(f"unknown frequencies kind {kind!r}", field="frequencies.kind")
 
 
@@ -512,29 +521,6 @@ def _audit_to_dict(audit) -> dict:
     }
 
 
-def _pair_columns(traj: Trajectory, partner: Trajectory) -> dict[str, np.ndarray]:
-    """Every column of the pair CSV, base columns included, from one pass
-    over the correlation gap; the decay fit and the audits read them too."""
-    plain, skewed = diagnostics.correlation_gap_series(traj, partner)
-    diffs = traj.states - partner.states
-    norms = np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))
-    columns = {
-        "t": traj.times,
-        "drift": traj.drift,
-        "diam_S": traj.diameters,
-        "diam_A": plain + skewed,
-        "corr_sq": plain,
-        "corr_skew_sq": skewed,
-        "drift_tilde": partner.drift,
-        "diam_S_tilde": partner.diameters,
-        "dist_l1": norms.sum(axis=1),
-        "dist_l2": np.sqrt((norms ** 2).sum(axis=1)),
-    }
-    for i in range(norms.shape[1]):
-        columns[f"dist_agent_{i}"] = norms[:, i]
-    return columns
-
-
 def run_scenario(source, out_dir: str = ".") -> RunReport:
     """Execute a scenario file (or a prebuilt :class:`Scenario`): integrate,
     run every requested analysis, and write the series CSVs and report JSON
@@ -556,8 +542,7 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
     # the main run and its perturbed partner, if any, step as one batch
     members = integrate(np.stack(initials), sc.model, sc.integrator).members()
     traj = members[0]
-    partner = members[1] if sc.needs_pair else None
-    pair = _pair_columns(traj, partner) if sc.needs_pair else None
+    pair = diagnostics.pair_columns(traj, members[1]) if sc.needs_pair else None
 
     framework_dict = None
     if "framework" in sc.analyses:
@@ -617,8 +602,7 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
     if "stability" in sc.analyses:
         exponents = sc.analyses["stability"].get("p_exp", [1.0, 2.0])
         gain_dict = {
-            str(p_exp): diagnostics.stability_gain(traj, partner, float(p_exp))
-            for p_exp in exponents
+            str(p_exp): diagnostics.stability_gain(pair, float(p_exp)) for p_exp in exponents
         }
 
     artifacts = []

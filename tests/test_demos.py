@@ -1,5 +1,5 @@
-"""Smoke test of the demos that exercise the correlation-gap series and the
-trajectory-level audits: each must run to completion."""
+"""Smoke test of the demos and of README's library quick start: each must run
+to completion."""
 
 import os
 import subprocess
@@ -8,21 +8,30 @@ import sys
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
 
 
-@pytest.mark.parametrize(
-    "demo", ["04_sufficient_conditions_and_decay.py", "06_inequality_audits.py"]
-)
-def test_demo_runs(demo, tmp_path):
+def run_python(args, cwd):
     env = dict(os.environ)
     src = os.path.abspath(os.path.join(ROOT, "src"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, os.path.abspath(os.path.join(ROOT, "demos", demo))],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    result = run_python([os.path.abspath(os.path.join(ROOT, "demos", demo))], tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    with open(os.path.join(ROOT, "README.md")) as handle:
+        text = handle.read()
+    start = text.index("```python\n") + len("```python\n")
+    code = text[start:text.index("```", start)]
+    result = run_python(["-c", code], tmp_path)
+    assert result.returncode == 0, result.stderr
+    # the last line is the pair's stability gain, a supremum over its value at t = 0
+    assert float(result.stdout.splitlines()[-1]) >= 1.0

@@ -1,6 +1,6 @@
-"""Diagnostics tests: correlations, consensus detection, rate fits, gains,
-inequality audits (with mutation sensitivity), cubic analysis, and the
-weighted power-mean gap."""
+"""Diagnostics tests: correlations, the pair columns, consensus detection,
+rate fits, gains, inequality audits (with mutation sensitivity), cubic
+analysis, the weighted power-mean gap, and the derivative estimator."""
 
 import math
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stiefel_sync.errors import (
+    DimensionError,
     InsufficientDataError,
     UndefinedGainError,
     ValidationError,
@@ -29,6 +30,7 @@ from stiefel_sync.model import (
     zero_frequencies,
 )
 from stiefel_sync import diagnostics as dg
+from stiefel_sync.series_io import read_series
 
 from conftest import (
     make_framework_config,
@@ -130,12 +132,12 @@ class TestGram:
 class TestCorrelationDiameter:
     def test_zero_for_equal(self):
         states = random_ensemble(4, 2, 3, seed=2)
-        assert dg.correlation_diameter(states, states) == 0.0
+        assert sum(dg.correlation_gap_components(states, states)) == 0.0
 
     def test_single_agent_always_zero(self):
         a = random_ensemble(4, 2, 1, seed=3)
         b = random_ensemble(4, 2, 1, seed=4)
-        assert dg.correlation_diameter(a, b) <= 1e-25
+        assert sum(dg.correlation_gap_components(a, b)) <= 1e-25
 
     def test_matches_double_loop(self):
         s1 = random_ensemble(4, 2, 4, seed=5)
@@ -151,7 +153,7 @@ class TestCorrelationDiameter:
         px, sx = dg.correlation_gap_components(s1, s2)
         assert abs(px - plain) <= 1e-12 * max(1, plain)
         assert abs(sx - skewed) <= 1e-12 * max(1, skewed)
-        assert abs(dg.correlation_diameter(s1, s2) - (plain + skewed)) <= 1e-12
+        assert abs(px + sx - (plain + skewed)) <= 1e-12
 
 
 def random_track(count, n, p, total, seed):
@@ -200,6 +202,39 @@ class TestChunkedCorrelationPasses:
         assert status.max_variation == float(
             np.max(np.sqrt(np.sum((stack - mean) ** 2, axis=(-2, -1))))
         )
+
+
+class TestPairColumns:
+    def test_misaligned_runs_rejected(self):
+        with pytest.raises(DimensionError):
+            dg.pair_columns(random_track(3, 4, 2, 5, seed=1), random_track(3, 4, 2, 6, seed=2))
+
+    def test_distances_match_per_agent_norms(self):
+        track = random_track(4, 5, 2, 7, seed=3)
+        other = random_track(4, 5, 2, 7, seed=4)
+        columns = dg.pair_columns(track, other)
+        for k in range(7):
+            norms = [frobenius(a - b) for a, b in zip(track.states[k], other.states[k])]
+            for i, norm in enumerate(norms):
+                assert abs(columns[f"dist_agent_{i}"][k] - norm) <= 1e-14
+            assert abs(columns["dist_l1"][k] - sum(norms)) <= 1e-13
+            assert abs(columns["dist_l2"][k] - math.hypot(*norms)) <= 1e-13
+        assert np.array_equal(columns["diam_A"], columns["corr_sq"] + columns["corr_skew_sq"])
+
+    def test_trajectory_audits_are_audit_series_of_pair_columns(self, framework_pair_session):
+        cfg, traj, partner = framework_pair_session
+        audits = dg.audit_series(dg.pair_columns(traj, partner), cfg)
+        by_name = {audit.name: audit for audit in audits}
+        for audit in (
+            dg.audit_diameter_bound(traj, cfg),
+            dg.audit_correlation_contraction(traj, partner, cfg),
+            dg.audit_agent_distance_bound(traj, partner, cfg),
+        ):
+            expected = by_name.pop(audit.name)
+            assert np.array_equal(audit.lhs, expected.lhs)
+            assert np.array_equal(audit.rhs, expected.rhs)
+            assert audit.max_violation == expected.max_violation
+        assert not by_name
 
 
 def short_run(cfg, init, t_end=6.0, h=2e-3, stride=5):
@@ -280,7 +315,7 @@ class TestStabilityGain:
             np.stack([init, init.copy()]), cfg, IntegratorConfig(h=1e-2, t_end=0.5)
         ).members()
         with pytest.raises(UndefinedGainError):
-            dg.stability_gain(t1, t2, 2.0)
+            dg.stability_gain(dg.pair_columns(t1, t2), 2.0)
 
     def test_rotated_equilibria_have_unit_gain(self):
         s = random_stiefel(4, 2, seed=12)
@@ -291,7 +326,7 @@ class TestStabilityGain:
         t1, t2 = integrate(
             np.stack([init1, init2]), cfg, IntegratorConfig(h=1e-2, t_end=2.0)
         ).members()
-        assert abs(dg.stability_gain(t1, t2, 2.0) - 1.0) <= 1e-9
+        assert abs(dg.stability_gain(dg.pair_columns(t1, t2), 2.0) - 1.0) <= 1e-9
 
     def test_invariant_under_common_rotation(self):
         cfg = uniform_config(4, 5, 2, kappa=2.0)
@@ -302,8 +337,27 @@ class TestStabilityGain:
         gains = []
         for a, b in ((init1, init2), (init1 @ rot, init2 @ rot)):
             t1, t2 = integrate(np.stack([a, b]), cfg, icfg).members()
-            gains.append(dg.stability_gain(t1, t2, 2.0))
+            gains.append(dg.stability_gain(dg.pair_columns(t1, t2), 2.0))
         assert abs(gains[0] - gains[1]) <= 1e-8 * max(gains)
+
+    @pytest.mark.parametrize(
+        "p_exp, gain", [(1.0, 1.0), (2.0, math.sqrt(0.1 / 0.08)), (math.inf, 1.5)]
+    )
+    def test_gain_from_agent_distance_columns(self, p_exp, gain):
+        # from (0.2, 0.2) to (0.3, 0.1): the l1 distance stays at 0.4, the
+        # squared l2 distance rises from 0.08 to 0.1, and the largest agent
+        # distance from 0.2 to 0.3
+        columns = {"dist_agent_0": np.array([0.2, 0.3]), "dist_agent_1": np.array([0.2, 0.1])}
+        assert dg.stability_gain(columns, p_exp) == pytest.approx(gain, rel=1e-15)
+
+    @pytest.mark.parametrize("p_exp", [1.0, 2.0, 3.5, 4.0])
+    def test_gain_at_least_one_on_bundled_pair(self, bundled_runs, p_exp):
+        # a supremum over t >= 0 divided by its t = 0 value is at least 1; the
+        # pair of the bundled heterogeneous scenario contracts from the start,
+        # so its gain sits on that floor, where one rounding of d0 apart from
+        # the series shows as 1 - 1 ulp
+        columns = read_series(bundled_runs["framework_hetero"].csvs["framework_hetero_pair.csv"])
+        assert dg.stability_gain(columns, p_exp) >= 1.0
 
 
 class TestDiameterBoundAudit:
@@ -535,6 +589,47 @@ class TestHolderGap:
             dg.holder_gap(np.array([1.0, 1.0]), np.array([-1.0, 1.0]), 2.0)
         with pytest.raises(ValidationError):
             dg.holder_gap(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5)
+
+
+class TestDiniDerivative:
+    def test_constant_series(self):
+        t = np.linspace(0, 1, 11)
+        assert np.all(dg.dini_derivative_series(t, np.ones(11)) == 0.0)
+
+    def test_linear_series_exact(self):
+        t = np.arange(0, 1.0, 0.125)
+        assert np.all(dg.dini_derivative_series(t, t.copy()) == 1.0)
+
+    def test_sine_matches_cosine(self):
+        h = 1e-3
+        t = np.arange(0, 1, h)
+        series = dg.dini_derivative_series(t, np.sin(t))
+        assert series.shape == (t.shape[0] - 2,)
+        for k in (1, 200, 500, 900):
+            assert abs(series[k - 1] - np.cos(t[k])) <= 1e-6
+
+    def test_nonuniform_grid_rejected(self):
+        t = np.array([0.0, 0.1, 0.3])
+        with pytest.raises(ValidationError):
+            dg.dini_derivative_series(t, t)
+
+    def test_series_variant_matches_pointwise(self):
+        t = np.arange(0, 1, 0.01)
+        y = np.exp(-2 * t)
+        series = dg.dini_derivative_series(t, y)
+        h = t[1] - t[0]
+        for k in (1, 50, 98):
+            assert series[k - 1] == (y[k + 1] - y[k - 1]) / (2.0 * h)
+
+    def test_too_short_series(self):
+        with pytest.raises(InsufficientDataError):
+            dg.dini_derivative_series(np.array([0.0, 0.1]), np.array([1.0, 2.0]))
+
+    def test_table_differences_each_column(self):
+        t = np.arange(0, 1, 0.01)
+        d = np.column_stack([np.exp(-k * t) for k in range(1, 5)])  # (K, N)
+        h = t[1] - t[0]
+        assert np.array_equal(dg.dini_derivative_series(t, d), (d[2:] - d[:-2]) / (2 * h))
 
 
 class TestAuditTolerance:

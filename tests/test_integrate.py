@@ -1,5 +1,5 @@
 """Integrator tests: accuracy order, manifold preservation, pairing,
-determinism, divergence handling, and the derivative estimator."""
+determinism, and divergence handling."""
 
 import importlib
 
@@ -9,14 +9,9 @@ import pytest
 from stiefel_sync.errors import (
     DimensionError,
     DivergenceError,
-    InsufficientDataError,
     ValidationError,
 )
-from stiefel_sync.integrate import (
-    IntegratorConfig,
-    dini_derivative_series,
-    integrate,
-)
+from stiefel_sync.integrate import IntegratorConfig, integrate
 from stiefel_sync.linalg import expm_skew
 from stiefel_sync.manifold import (
     ensemble_lp_distance,
@@ -475,38 +470,3 @@ class TestDivergence:
                 integrate(np.stack(batch), cfg, icfg)
             assert err.value.last_good_time == last_good["fast"]
             assert f"member {index}" in str(err.value)
-
-
-class TestDiniDerivative:
-    def test_constant_series(self):
-        t = np.linspace(0, 1, 11)
-        assert np.all(dini_derivative_series(t, np.ones(11)) == 0.0)
-
-    def test_linear_series_exact(self):
-        t = np.arange(0, 1.0, 0.125)
-        assert np.all(dini_derivative_series(t, t.copy()) == 1.0)
-
-    def test_sine_matches_cosine(self):
-        h = 1e-3
-        t = np.arange(0, 1, h)
-        series = dini_derivative_series(t, np.sin(t))
-        assert series.shape == (t.shape[0] - 2,)
-        for k in (1, 200, 500, 900):
-            assert abs(series[k - 1] - np.cos(t[k])) <= 1e-6
-
-    def test_nonuniform_grid_rejected(self):
-        t = np.array([0.0, 0.1, 0.3])
-        with pytest.raises(ValidationError):
-            dini_derivative_series(t, t)
-
-    def test_series_variant_matches_pointwise(self):
-        t = np.arange(0, 1, 0.01)
-        y = np.exp(-2 * t)
-        series = dini_derivative_series(t, y)
-        h = t[1] - t[0]
-        for k in (1, 50, 98):
-            assert series[k - 1] == (y[k + 1] - y[k - 1]) / (2.0 * h)
-
-    def test_too_short_series(self):
-        with pytest.raises(InsufficientDataError):
-            dini_derivative_series(np.array([0.0, 0.1]), np.array([1.0, 2.0]))

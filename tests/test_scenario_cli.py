@@ -76,6 +76,35 @@ NON_FINITE_FIELDS = {
 }
 
 
+
+def xi_case(entry):
+    return {"topology": {"kind": "separable", "xi": [1.0, entry, 1.0]}}
+
+
+def weights_case(entry):
+    return {"topology": {"kind": "general", "weights": [[0, 1, entry], [1, 0, 1], [entry, 1, 0]]}}
+
+
+def skew_case(upper, lower):
+    return {"dims": PLANES, "frequencies": {"kind": "common", "skew": [[0, upper], [lower, 0]]}}
+
+
+# one bad entry per list field of a scenario; each field is checked entry by
+# entry in the parser, then by the library object built from it
+BAD_LIST_FIELDS = {
+    "xi-nan": ("topology.xi", xi_case(NAN)),
+    "xi-inf": ("topology.xi", xi_case(INF)),
+    "xi-negative": ("topology.xi", xi_case(-1.0)),
+    "xi-string": ("topology.xi", xi_case("1.0")),
+    "weights-nan": ("topology.weights", weights_case(NAN)),
+    "weights-inf": ("topology.weights", weights_case(INF)),
+    "weights-negative": ("topology.weights", weights_case(-0.5)),
+    "weights-string": ("topology.weights", weights_case("x")),
+    "skew-nan": ("frequencies.skew", skew_case(NAN, -0.3)),
+    "skew-inf": ("frequencies.skew", skew_case(0.3, -INF)),
+    "skew-not-skew": ("frequencies.skew", skew_case(0.3, 0.3)),
+}
+
 class TestScenarioParsing:
     def test_missing_kappa_names_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -396,6 +425,17 @@ class TestCli:
         assert out.getvalue() == ""
         assert "Traceback" not in err.getvalue()
         assert f"{field}: expected a finite number" in err.getvalue()
+
+    @pytest.mark.parametrize("case", BAD_LIST_FIELDS)
+    def test_bad_list_field_entry_exit_code(self, tmp_path, case):
+        field, overrides = BAD_LIST_FIELDS[case]
+        path = minimal_scenario(tmp_path, **overrides)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert f"{field}: " in err.getvalue()
 
     def test_nan_gain_exponent_exit_code(self, tmp_path):
         path = minimal_scenario(tmp_path, analyses=[{"stability": {"p_exp": [2.0, NAN]}}])
