@@ -77,6 +77,5 @@ from .model import (
     rhs,
     zero_frequencies,
 )
-from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"

@@ -67,6 +67,11 @@ def _report_exit_code(report: RunReport) -> int:
     return EXIT_OK
 
 
+def _audit_line(name: str, max_violation: float, tol: float, passed: bool) -> str:
+    verdict = "pass" if passed else "FAIL"
+    return f"audit {name}: max_violation={max_violation:.3e} tol={tol:.3e} {verdict}"
+
+
 def _print_report(report: RunReport, out) -> None:
     print(f"scenario {report.scenario}: {'ok' if report.ok else 'FAILED'}", file=out)
     if report.framework is not None:
@@ -88,12 +93,7 @@ def _print_report(report: RunReport, out) -> None:
         print(f"  gain: {gains}", file=out)
     if report.audits is not None:
         for audit in report.audits:
-            verdict = "pass" if audit["passed"] else "FAIL"
-            print(
-                f"  audit {audit['name']}: max_violation={audit['max_violation']:.3e}"
-                f" tol={audit['tol']:.3e} {verdict}",
-                file=out,
-            )
+            print(f"  {_audit_line(**audit)}", file=out)
     for expectation in report.expectations:
         verdict = "ok" if expectation["ok"] else "UNMET"
         print(f"  expect {expectation['name']}: {verdict} ({expectation['detail']})", file=out)
@@ -156,16 +156,9 @@ def _cmd_audit(args, out, err) -> int:
         print(f"error: {exc}", file=err)
         return EXIT_SCENARIO
 
-    failed = False
     for audit in audits:
-        verdict = "pass" if audit.passed else "FAIL"
-        failed = failed or not audit.passed
-        print(
-            f"audit {audit.name}: max_violation={audit.max_violation:.3e}"
-            f" tol={audit.tol:.3e} {verdict}",
-            file=out,
-        )
-    return EXIT_AUDIT if failed else EXIT_OK
+        print(_audit_line(audit.name, audit.max_violation, audit.tol, audit.passed), file=out)
+    return EXIT_OK if all(audit.passed for audit in audits) else EXIT_AUDIT
 
 
 def build_parser() -> argparse.ArgumentParser:

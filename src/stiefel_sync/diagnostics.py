@@ -50,6 +50,9 @@ DISTANCE_FLOOR = 1e-12
 # values are floored here before taking logs in rate fits
 LOG_FLOOR = 1e-300
 
+# correlation gap and variation below which a window counts as settled
+CONSENSUS_TOL = 1e-6
+
 
 def audit_tolerance(spacing: float) -> float:
     """Violation allowance for an audit on a grid with the given spacing:
@@ -214,7 +217,9 @@ class ConsensusStatus:
     max_variation: float
 
 
-def consensus_status(traj: Trajectory, window: float, tol: float = 1e-6) -> ConsensusStatus:
+def consensus_status(
+    traj: Trajectory, window: float, tol: float = CONSENSUS_TOL
+) -> ConsensusStatus:
     """Classify the trailing ``window`` time units of a trajectory."""
     times = traj.times
     if window <= 0:

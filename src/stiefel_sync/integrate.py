@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    DivergenceError,
-    InsufficientDataError,
-    ValidationError,
-)
+from .errors import DimensionError, DivergenceError, ValidationError
 from .linalg import _polar_unchecked
 from .manifold import ensemble_diameter, orthonormality_drift, validate_ensemble
 from .model import ModelConfig, _check_state_shape, rhs
@@ -112,13 +107,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[..., -1, :, :, :]
-
-    @property
-    def spacing(self) -> float:
-        """Grid spacing of the recorded series (h * record_stride)."""
-        if len(self) < 2:
-            raise InsufficientDataError("trajectory has fewer than two snapshots")
-        return float(self.times[1] - self.times[0])
 
     def members(self) -> list["Trajectory"]:
         """The runs of a batch as single-run views that share ``times``; a

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, ProjectionError, RankDeficiencyError, ValidationError
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import ALGEBRAIC_TOL, RANK_TOL
 
 
 def require_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -30,13 +30,14 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_skew(x, tol: Tolerances = DEFAULT, name: str = "skew matrix") -> np.ndarray:
-    """Validate a square skew-symmetric matrix: ||x + x^T|| <= tol * max(1, ||x||)."""
+def require_skew(x, name: str = "skew matrix") -> np.ndarray:
+    """Validate a square skew-symmetric matrix:
+    ||x + x^T|| <= ALGEBRAIC_TOL * max(1, ||x||)."""
     x = require_matrix(x, name)
     if x.shape[0] != x.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {x.shape}")
     defect = np.linalg.norm(x + x.T)
-    if defect > tol.algebraic * max(1.0, np.linalg.norm(x)):
+    if defect > ALGEBRAIC_TOL * max(1.0, np.linalg.norm(x)):
         raise ValidationError(f"{name} is not skew-symmetric (defect {defect:.3e})")
     return x
 
@@ -46,13 +47,13 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
-def qr_thin(a, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+def qr_thin(a) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization with nonnegative R diagonal.
 
     The sign convention makes the factorization unique for full-rank input,
     so results are reproducible across runs. Raises
     :class:`RankDeficiencyError` when a diagonal entry of R falls below
-    ``tol.rank * ||a||``.
+    ``RANK_TOL * ||a||``.
     """
     a = require_matrix(a)
     rows, cols = a.shape
@@ -64,7 +65,7 @@ def qr_thin(a, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
     q = q * d
     r = d[:, None] * r
     scale = np.linalg.norm(a)
-    if np.any(np.abs(np.diag(r)) <= tol.rank * scale):
+    if np.any(np.abs(np.diag(r)) <= RANK_TOL * scale):
         raise RankDeficiencyError(
             f"rank-deficient input: min |R_ii| = {np.min(np.abs(np.diag(r))):.3e}"
         )
@@ -106,7 +107,7 @@ def _eigh_polar(a: np.ndarray) -> np.ndarray:
     return a @ inv_sqrt
 
 
-def polar_factor(a, tol: Tolerances = DEFAULT) -> np.ndarray:
+def polar_factor(a) -> np.ndarray:
     """Orthonormal polar factor U = a (a^T a)^{-1/2}.
 
     U is the closest matrix with orthonormal columns to ``a`` in the
@@ -127,7 +128,7 @@ def polar_factor(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     gram = np.swapaxes(a, -2, -1) @ a
     w, v = np.linalg.eigh(gram)
     # eigenvalues of a^T a are squared singular values of a
-    if np.any(w[..., 0] <= (tol.rank ** 2) * np.maximum(w[..., -1], 1e-300)):
+    if np.any(w[..., 0] <= (RANK_TOL ** 2) * np.maximum(w[..., -1], 1e-300)):
         raise ProjectionError("a^T a is numerically singular; projection undefined")
     inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1)
     return a @ inv_sqrt
@@ -138,14 +139,14 @@ def polar_factor(a, tol: Tolerances = DEFAULT) -> np.ndarray:
 _TAYLOR_DEGREE = 13
 
 
-def expm_skew(x, tol: Tolerances = DEFAULT) -> np.ndarray:
+def expm_skew(x) -> np.ndarray:
     """Matrix exponential of a skew-symmetric matrix.
 
     Uses scaling-and-squaring with a degree-13 Taylor evaluation of the
     scaled matrix: s = max(0, ceil(log2(||x||)) + 1) halvings bring the norm
     under 1/2. The result is orthogonal with determinant +1.
     """
-    x = require_skew(x, tol)
+    x = require_skew(x)
     p = x.shape[0]
     norm = np.linalg.norm(x)
     if norm == 0.0:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .linalg import polar_factor, qr_thin
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import ORTH_CONSTRUCTION_TOL
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -20,7 +20,7 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def validate_stiefel(x, tol: Tolerances = DEFAULT, name: str = "point") -> np.ndarray:
+def validate_stiefel(x, name: str = "point") -> np.ndarray:
     """Check orthonormal columns: ||x^T x - I|| and ||x|| - sqrt(p) within tolerance."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -31,15 +31,15 @@ def validate_stiefel(x, tol: Tolerances = DEFAULT, name: str = "point") -> np.nd
     if not np.all(np.isfinite(x)):
         raise ValidationError(f"{name} contains NaN or Inf entries")
     defect = np.linalg.norm(x.T @ x - np.eye(p))
-    if defect > tol.orth_construction:
+    if defect > ORTH_CONSTRUCTION_TOL:
         raise ValidationError(f"{name} is off the manifold: ||x^T x - I|| = {defect:.3e}")
     norm_gap = abs(np.linalg.norm(x) - np.sqrt(p))
-    if norm_gap > tol.orth_construction:
+    if norm_gap > ORTH_CONSTRUCTION_TOL:
         raise ValidationError(f"{name} has wrong norm: | ||x|| - sqrt(p) | = {norm_gap:.3e}")
     return x
 
 
-def validate_ensemble(states, tol: Tolerances = DEFAULT) -> np.ndarray:
+def validate_ensemble(states) -> np.ndarray:
     """Validate an (N, n, p) stack of Stiefel points."""
     states = np.asarray(states, dtype=float)
     if states.ndim != 3:
@@ -47,7 +47,7 @@ def validate_ensemble(states, tol: Tolerances = DEFAULT) -> np.ndarray:
     if states.shape[0] < 1:
         raise DimensionError("ensemble needs at least one agent")
     for i in range(states.shape[0]):
-        validate_stiefel(states[i], tol, name=f"agent {i}")
+        validate_stiefel(states[i], name=f"agent {i}")
     return states
 
 
@@ -136,12 +136,12 @@ def perturb_ensemble(states, radius: float, seed=None) -> np.ndarray:
     return np.stack(moved)
 
 
-def retract(x, tol: Tolerances = DEFAULT) -> np.ndarray:
+def retract(x) -> np.ndarray:
     """Closest-point (polar) retraction onto the manifold, validated."""
-    u = polar_factor(x, tol)
+    u = polar_factor(x)
     if u.ndim == 2:
-        return validate_stiefel(u, tol, name="retracted point")
-    return validate_ensemble(u, tol)
+        return validate_stiefel(u, name="retracted point")
+    return validate_ensemble(u)
 
 
 def tangent_residual(point, v) -> float:

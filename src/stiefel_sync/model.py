@@ -28,7 +28,7 @@ from .errors import (
 )
 from .linalg import expm_skew, require_skew
 from .manifold import _per_ensemble, ensemble_diameter, pair_sq_distances
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import ALGEBRAIC_TOL, SEPARABLE_MATCH_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ class Topology:
         if not np.all(np.isfinite(w)):
             raise ValidationError("weights contain NaN or Inf entries")
         asym = np.max(np.abs(w - w.T))
-        if asym > DEFAULT.algebraic * max(1.0, float(np.max(np.abs(w)))):
+        if asym > ALGEBRAIC_TOL * max(1.0, float(np.max(np.abs(w)))):
             raise ValidationError(f"weights are not symmetric (defect {asym:.3e})")
         w = (w + w.T) / 2.0
         if np.any(w < 0.0):
@@ -106,7 +106,7 @@ class Topology:
             if np.any(xi <= 0.0):
                 raise ValidationError("separable factors must be strictly positive")
             mismatch = np.max(np.abs(w - np.outer(xi, xi)))
-            if mismatch > DEFAULT.separable_match * max(1.0, float(np.max(w))):
+            if mismatch > SEPARABLE_MATCH_TOL * max(1.0, float(np.max(w))):
                 raise ValidationError(
                     f"weights do not match outer(xi, xi) (defect {mismatch:.3e})"
                 )
@@ -541,9 +541,7 @@ def cubic_invariant_roots(c: float) -> tuple[float, ...]:
     return (r1, r2)
 
 
-def check_framework(
-    cfg: ModelConfig, initial, tol: Tolerances = DEFAULT
-) -> FrameworkReport:
+def check_framework(cfg: ModelConfig, initial) -> FrameworkReport:
     """Evaluate the four sufficient conditions for the given configuration
     and initial ensemble.
 

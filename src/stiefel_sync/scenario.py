@@ -3,16 +3,19 @@ bundled templates, experiment execution, and machine-readable reports.
 
 A scenario is a single JSON object. Physical parameters (dimensions, kappa,
 topology, frequencies, initial data) carry no defaults and must be explicit;
-only the numerics (integrator settings, analysis windows, tolerances)
-default. See README for the full schema.
+only the numerics (integrator settings, the perturbed partner, analysis
+options) default, and the parser fills every default in, so a run reads
+each value from the parsed :class:`Scenario`. See README for the full
+schema.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -51,7 +54,8 @@ TEMPLATES = (
     "kuramoto-circle",
 )
 
-_DEFAULT_PERTURBATION = {"radius": 1e-3, "seed": 1000003}
+# integer fields must fit an int64, the widest integer numpy takes
+_INT64 = np.iinfo(np.int64)
 
 
 def _number(value, path: str) -> float:
@@ -74,6 +78,12 @@ def _need(raw: Mapping, key: str, kind, where: str = ""):
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError(f"expected an integer, got {value!r}", field=path)
+        # numpy takes only nonnegative seeds
+        low = 0 if key == "seed" else _INT64.min
+        if not low <= value <= _INT64.max:
+            raise ScenarioError(
+                f"expected an integer in [{low}, {_INT64.max}], got {value!r}", field=path
+            )
         return value
     if not isinstance(value, kind):
         raise ScenarioError(f"expected {kind.__name__}, got {value!r}", field=path)
@@ -259,7 +269,7 @@ def build_integrator(spec: Mapping | None) -> IntegratorConfig:
         raise ScenarioError(str(exc), field="integrator") from exc
 
 
-def _normalize_analyses(raw) -> dict[str, dict]:
+def _normalize_analyses(raw, integrator: IntegratorConfig) -> dict[str, dict]:
     analyses: dict[str, dict] = {}
     for k, entry in enumerate(raw):
         if isinstance(entry, str):
@@ -276,56 +286,60 @@ def _normalize_analyses(raw) -> dict[str, dict]:
             raise ScenarioError(f"unknown analysis {name!r}", field=f"analyses[{k}]")
         if name in analyses:
             raise ScenarioError(f"duplicate analysis {name!r}", field=f"analyses[{k}]")
-        analyses[name] = dict(params)
-    _validate_analysis_params(analyses)
+        analyses[name] = _resolve_analysis_params(name, dict(params), integrator)
     return analyses
 
 
-def _validate_analysis_params(analyses: dict[str, dict]) -> None:
-    for name, params in analyses.items():
-        where = f"analyses.{name}"
-        if name == "consensus":
-            _reject_unknown(params, {"window", "tol"}, where)
-            for key in ("window", "tol"):
-                value = _optional(params, key, float, 1.0, where)
-                if value <= 0:
-                    raise ScenarioError(
-                        f"expected a positive number, got {value!r}", field=f"{where}.{key}"
-                    )
-        elif name == "decay_fit":
-            _reject_unknown(params, {"fit_fraction"}, where)
-            frac = _optional(params, "fit_fraction", float, 0.5, where)
-            if not 0 < frac < 1:
-                raise ScenarioError("fit_fraction must be in (0, 1)", field=where)
-        elif name == "stability":
-            _reject_unknown(params, {"p_exp", "perturbation", "seed"}, where)
-            exponents = params.get("p_exp", [1.0, 2.0])
-            if not isinstance(exponents, list) or not exponents:
-                raise ScenarioError("p_exp must be a nonempty list", field=f"{where}.p_exp")
-            for v in exponents:
-                # NaN fails the comparison; infinity is the max norm
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not v >= 1:
-                    raise ScenarioError(
-                        f"p_exp entries must be numbers >= 1, got {v!r}", field=f"{where}.p_exp"
-                    )
-            if "perturbation" in params and _need(params, "perturbation", float, where) <= 0:
-                raise ScenarioError("perturbation must be positive", field=f"{where}.perturbation")
-            if "seed" in params:
-                _need(params, "seed", int, where)
-        else:
-            _reject_unknown(params, set(), where)
+def _resolve_analysis_params(name: str, params: dict, integrator: IntegratorConfig) -> dict:
+    """Check an analysis's options and fill each missing one with its
+    default; given values are kept as given."""
+    where = f"analyses.{name}"
+    if name == "consensus":
+        _reject_unknown(params, {"window", "tol"}, where)
+        for key in ("window", "tol"):
+            if key in params and (value := _need(params, key, float, where)) <= 0:
+                raise ScenarioError(
+                    f"expected a positive number, got {value!r}", field=f"{where}.{key}"
+                )
+        # a horizon too short for the default window is the horizon's fault
+        field = f"{where}.window" if "window" in params else "integrator.t_end"
+        # a fifth of the recorded span, which ends at the final step's time
+        params.setdefault("window", 0.2 * (integrator.steps * integrator.h))
+        params.setdefault("tol", diagnostics.CONSENSUS_TOL)
+        _check_consensus_window(params["window"], integrator, field)
+    elif name == "decay_fit":
+        _reject_unknown(params, {"fit_fraction"}, where)
+        params.setdefault("fit_fraction", 0.5)
+        if not 0 < _need(params, "fit_fraction", float, where) < 1:
+            raise ScenarioError("fit_fraction must be in (0, 1)", field=where)
+    elif name == "stability":
+        _reject_unknown(params, {"p_exp"}, where)
+        exponents = params.setdefault("p_exp", [1.0, 2.0])
+        if not isinstance(exponents, list) or not exponents:
+            raise ScenarioError("p_exp must be a nonempty list", field=f"{where}.p_exp")
+        for v in exponents:
+            # NaN fails the comparison; Infinity is the max norm, while an
+            # integer beyond the float range is no float at all
+            number = isinstance(v, float) or (
+                isinstance(v, int) and not isinstance(v, bool) and v <= sys.float_info.max
+            )
+            if not (number and v >= 1):
+                raise ScenarioError(
+                    f"p_exp entries must be numbers >= 1, got {v!r}", field=f"{where}.p_exp"
+                )
+    else:
+        _reject_unknown(params, set(), where)
+    return params
 
 
-def _check_consensus_window(params: dict, integrator: IntegratorConfig) -> None:
+def _check_consensus_window(window: float, integrator: IntegratorConfig, field: str) -> None:
     """Reject a consensus window the recorded grid cannot fill: it must be
     shorter than the recorded span and hold the last two snapshots. The grid
-    and the default window are computed as :func:`integrate` and
-    :func:`run_scenario` compute them, so this accepts exactly the windows
-    :func:`diagnostics.consensus_status` can classify."""
+    is computed as :func:`integrate` computes it, so this accepts exactly
+    the windows :func:`diagnostics.consensus_status` can classify."""
     steps = integrator.steps
     stride = integrator.record_stride
     span = steps * integrator.h
-    window = params.get("window", 0.2 * span)
     # recorded time of the snapshot before the final one
     before_last = (steps - 1) // stride * stride * integrator.h
     if not (window < span and before_last >= span - window):
@@ -333,7 +347,7 @@ def _check_consensus_window(params: dict, integrator: IntegratorConfig) -> None:
             f"a consensus window of {window:g} needs two snapshots inside a recorded"
             f" span of {span:g} (t_end {integrator.t_end:g}, h {integrator.h:g},"
             f" record_stride {stride})",
-            field="analyses.consensus.window" if "window" in params else "integrator.t_end",
+            field=field,
         )
 
 
@@ -343,7 +357,8 @@ def _check_consensus_window(params: dict, integrator: IntegratorConfig) -> None:
 
 @dataclass
 class Scenario:
-    """Validated scenario: built model objects plus the raw dictionary."""
+    """Validated scenario: built model objects, and every numeric setting
+    and analysis option with its defaults filled in."""
 
     name: str
     model: ModelConfig
@@ -352,7 +367,6 @@ class Scenario:
     analyses: dict[str, dict]
     perturbation: dict
     expect: dict
-    raw: dict = field(repr=False)
 
     @classmethod
     def from_dict(cls, raw: Mapping, base_dir: str = ".") -> "Scenario":
@@ -395,24 +409,18 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
         initial = build_initial(_need(raw, "initial", dict), n, p, count, base_dir)
         integrator = build_integrator(raw.get("integrator"))
-        analyses = _normalize_analyses(_optional(raw, "analyses", list, []))
-        if "consensus" in analyses:
-            _check_consensus_window(analyses["consensus"], integrator)
+        analyses = _normalize_analyses(_optional(raw, "analyses", list, []), integrator)
         for analysis in SEPARABLE_ONLY:
             if analysis in analyses and topology.kind != "separable":
                 raise ScenarioError(
                     f"analysis {analysis!r} needs a separable topology", field="analyses"
                 )
-        perturbation = dict(_DEFAULT_PERTURBATION)
-        if "perturbation" in raw:
-            spec = _need(raw, "perturbation", dict)
-            _reject_unknown(spec, {"radius", "seed"}, "perturbation")
-            perturbation["radius"] = _optional(
-                spec, "radius", float, perturbation["radius"], "perturbation"
-            )
-            perturbation["seed"] = _optional(
-                spec, "seed", int, perturbation["seed"], "perturbation"
-            )
+        spec = _optional(raw, "perturbation", dict, {})
+        _reject_unknown(spec, {"radius", "seed"}, "perturbation")
+        perturbation = {
+            "radius": _optional(spec, "radius", float, 1e-3, "perturbation"),
+            "seed": _optional(spec, "seed", int, 1000003, "perturbation"),
+        }
         if perturbation["radius"] <= 0:
             raise ScenarioError("radius must be positive", field="perturbation.radius")
         expect = _optional(raw, "expect", dict, {})
@@ -439,7 +447,6 @@ class Scenario:
             analyses=analyses,
             perturbation=perturbation,
             expect=dict(expect),
-            raw=dict(raw),
         )
 
     @classmethod
@@ -480,18 +487,7 @@ class RunReport:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "framework": self.framework,
-            "cubic": self.cubic,
-            "consensus": self.consensus,
-            "decay": self.decay,
-            "gain": self.gain,
-            "audits": self.audits,
-            "artifacts": self.artifacts,
-            "expectations": self.expectations,
-            "ok": self.ok,
-        }
+        return dataclasses.asdict(self)
 
 
 def _framework_to_dict(report, diameter_ok: bool | None) -> dict:
@@ -536,9 +532,9 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
 
     initials = [sc.initial]
     if sc.needs_pair:
-        radius = sc.analyses.get("stability", {}).get("perturbation", sc.perturbation["radius"])
-        seed = sc.analyses.get("stability", {}).get("seed", sc.perturbation["seed"])
-        initials.append(perturb_ensemble(sc.initial, radius, seed))
+        initials.append(
+            perturb_ensemble(sc.initial, sc.perturbation["radius"], sc.perturbation["seed"])
+        )
     # the main run and its perturbed partner, if any, step as one batch
     members = integrate(np.stack(initials), sc.model, sc.integrator).members()
     traj = members[0]
@@ -566,21 +562,18 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
     consensus_dict = None
     if "consensus" in sc.analyses:
         params = sc.analyses["consensus"]
-        span = float(traj.times[-1] - traj.times[0])
-        window = params.get("window", 0.2 * span)
-        tol = params.get("tol", 1e-6)
-        status = diagnostics.consensus_status(traj, window, tol)
+        status = diagnostics.consensus_status(traj, params["window"], params["tol"])
         consensus_dict = {
             "kind": status.kind,
             "max_identity_gap": status.max_identity_gap,
             "max_variation": status.max_variation,
-            "window": window,
-            "tol": tol,
+            "window": params["window"],
+            "tol": params["tol"],
         }
 
     decay_dict = None
     if "decay_fit" in sc.analyses:
-        frac = sc.analyses["decay_fit"].get("fit_fraction", 0.5)
+        frac = sc.analyses["decay_fit"]["fit_fraction"]
         t_end = float(traj.times[-1])
         window = ((1.0 - frac) * t_end, t_end)
         rate, r_squared = diagnostics.fit_decay_rate(pair["t"], pair["diam_A"], window)
@@ -600,9 +593,9 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
 
     gain_dict = None
     if "stability" in sc.analyses:
-        exponents = sc.analyses["stability"].get("p_exp", [1.0, 2.0])
         gain_dict = {
-            str(p_exp): diagnostics.stability_gain(pair, float(p_exp)) for p_exp in exponents
+            str(p_exp): diagnostics.stability_gain(pair, float(p_exp))
+            for p_exp in sc.analyses["stability"]["p_exp"]
         }
 
     artifacts = []

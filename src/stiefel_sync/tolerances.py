@@ -1,19 +1,11 @@
-"""Numerical tolerances, collected in one record so there is a single
-tuning point for the whole library."""
+"""Numerical tolerances, one constant each, so there is a single tuning
+point for the whole library."""
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    # algebraic identities (orthogonality of factors, inverses, residuals)
-    algebraic: float = 1e-12
-    # orthonormality required of a Stiefel point at construction
-    orth_construction: float = 1e-10
-    # relative cutoff below which a triangular diagonal counts as rank zero
-    rank: float = 1e-12
-    # match required between separable weights and the outer product of xi
-    separable_match: float = 1e-14
-
-
-DEFAULT = Tolerances()
+# algebraic identities (skew generators, symmetric weights)
+ALGEBRAIC_TOL = 1e-12
+# orthonormality required of a Stiefel point at construction
+ORTH_CONSTRUCTION_TOL = 1e-10
+# relative cutoff below which a triangular diagonal counts as rank zero
+RANK_TOL = 1e-12
+# match required between separable weights and the outer product of xi
+SEPARABLE_MATCH_TOL = 1e-14

@@ -1,6 +1,7 @@
 """Scenario schema, template generation, run orchestration, CSV round-trip,
 and the command-line interface."""
 
+import copy
 import io
 import json
 import os
@@ -70,11 +71,35 @@ NON_FINITE_FIELDS = {
         "frequencies": {"kind": "random", "spread": 0.1, "seed": 1, "common_scale": NAN},
     },
     "analyses.decay_fit.fit_fraction": {"analyses": [{"decay_fit": {"fit_fraction": NAN}}]},
-    "analyses.stability.perturbation": {"analyses": [{"stability": {"perturbation": NAN}}]},
     "kappa": {"kappa": 10 ** 400},
     "integrator.t_end": {"integrator": {"h": 0.002, "t_end": -(10 ** 400)}},
 }
 
+
+
+# one integer per scenario field read as an integer that numpy cannot take:
+# a negative seed, or a value beyond int64; the rest of the scenario is set
+# up so that the field is read
+BAD_INTEGER_FIELDS = {
+    "topology-seed-negative": ("topology.seed", {"topology": {**SEPARABLE, "seed": -1}}),
+    "frequencies-seed-negative": (
+        "frequencies.seed",
+        {"dims": PLANES, "frequencies": {"kind": "common", "scale": 0.5, "seed": -1}},
+    ),
+    "initial-seed-negative": ("initial.seed", {"initial": {"kind": "random", "seed": -1}}),
+    "initial-seed-beyond-int64": (
+        "initial.seed", {"initial": {"kind": "random", "seed": 2 ** 63}}
+    ),
+    "perturbation-seed-negative": (
+        "perturbation.seed", {"perturbation": {"seed": -1}, "analyses": ["stability"]}
+    ),
+    "record_stride-huge": (
+        "integrator.record_stride",
+        {"integrator": {"h": 0.002, "t_end": 6.0, "record_stride": 10 ** 400}},
+    ),
+    "dims-n-huge": ("dims.n", {"dims": {"n": 10 ** 400, "p": 1, "N": 3}}),
+    "dims-N-huge": ("dims.N", {"dims": {"n": 3, "p": 1, "N": 10 ** 400}, "topology": SEPARABLE}),
+}
 
 
 def xi_case(entry):
@@ -166,6 +191,86 @@ class TestScenarioParsing:
         )
         scenario = Scenario.from_file(path)
         assert scenario.model.topology.kind == "general"
+
+
+class TestResolvedDefaults:
+    def test_parser_fills_every_default(self, tmp_path):
+        path = minimal_scenario(tmp_path, analyses=["consensus", "decay_fit", "stability"])
+        scenario = Scenario.from_file(path)
+        assert scenario.analyses == {
+            "consensus": {"window": 0.2 * (3000 * 0.002), "tol": 1e-6},
+            "decay_fit": {"fit_fraction": 0.5},
+            "stability": {"p_exp": [1.0, 2.0]},
+        }
+        assert scenario.perturbation == {"radius": 1e-3, "seed": 1000003}
+
+    @pytest.mark.parametrize("h, t_end, stride", [(0.002, 6.0, 5), (0.003, 1.0, 1), (0.1, 0.7, 3)])
+    def test_default_window_is_a_fifth_of_the_recorded_span(self, tmp_path, h, t_end, stride):
+        path = minimal_scenario(
+            tmp_path, integrator={"h": h, "t_end": t_end, "record_stride": stride}
+        )
+        scenario = Scenario.from_file(path)
+        times = integrate(scenario.initial, scenario.model, scenario.integrator).times
+        span = float(times[-1] - times[0])
+        assert scenario.analyses["consensus"]["window"] == 0.2 * span
+
+    def test_given_options_kept_as_given(self, tmp_path):
+        path = minimal_scenario(
+            tmp_path,
+            analyses=[{"consensus": {"window": 2, "tol": 1e-5}}, {"stability": {"p_exp": [1, 4]}}],
+        )
+        report = run_scenario(path, out_dir=str(tmp_path))
+        assert report.consensus["window"] == 2 and isinstance(report.consensus["window"], int)
+        assert report.consensus["tol"] == 1e-5
+        assert set(report.gain) == {"1", "4"}
+
+
+def scalar_leaves(node, path=()):
+    """Key paths of every scalar in a JSON value, list entries included."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in scalar_leaves(child, path + (key,))]
+
+
+def load_bundled() -> dict:
+    scenarios = {}
+    for entry in sorted(os.listdir(BUNDLED)):
+        with open(os.path.join(BUNDLED, entry)) as handle:
+            scenarios[entry.removesuffix(".json")] = json.load(handle)
+    return scenarios
+
+
+BUNDLED_RAW = load_bundled()
+
+# each scalar leaf of each bundled scenario is set to each of these in turn;
+# a huge integer must be rejected by the parser, before anything is sized by it
+FUZZ_VALUES = {
+    "nan": NAN, "inf": INF, "-inf": -INF, "str": "1.0", "neg": -1, "zero": 0, "huge": 10 ** 400,
+}
+FUZZ_CASES = [
+    pytest.param(name, leaf, value, id=f"{name}:{'.'.join(map(str, leaf))}={label}")
+    for name, raw in BUNDLED_RAW.items()
+    for leaf in scalar_leaves(raw)
+    for label, value in FUZZ_VALUES.items()
+]
+
+
+@pytest.mark.parametrize("name, leaf, value", FUZZ_CASES)
+def test_mutated_bundled_leaf_parses_or_names_its_field(name, leaf, value):
+    raw = copy.deepcopy(BUNDLED_RAW[name])
+    node = raw
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    try:
+        Scenario.from_dict(raw)
+    except ScenarioError as exc:
+        assert exc.field
+    # any other exception fails the test
 
 
 class TestGeneration:
@@ -444,6 +549,35 @@ class TestCli:
         assert code == EXIT_SCENARIO
         assert out.getvalue() == ""
         assert "analyses.stability.p_exp: p_exp entries must be numbers >= 1" in err.getvalue()
+
+    def test_huge_gain_exponent_exit_code(self, tmp_path):
+        path = minimal_scenario(tmp_path, analyses=[{"stability": {"p_exp": [2.0, 10 ** 400]}}])
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "analyses.stability.p_exp: p_exp entries must be numbers >= 1" in err.getvalue()
+
+    @pytest.mark.parametrize("case", BAD_INTEGER_FIELDS)
+    def test_bad_integer_field_exit_code(self, tmp_path, case):
+        field, overrides = BAD_INTEGER_FIELDS[case]
+        path = minimal_scenario(tmp_path, **overrides)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert f"{field}: expected an integer in [" in err.getvalue()
+
+    @pytest.mark.parametrize("key", ["perturbation", "seed"])
+    def test_stability_partner_fields_are_unknown(self, tmp_path, key):
+        # the top-level perturbation block alone sets the partner run
+        path = minimal_scenario(tmp_path, analyses=[{"stability": {key: 1}}])
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert f"analyses.stability.{key}: unknown field" in err.getvalue()
 
     @pytest.mark.parametrize(
         "integrator, consensus, field",
