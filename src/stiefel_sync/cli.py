@@ -146,7 +146,7 @@ def _cmd_audit(args, out, err) -> int:
         audits = diagnostics.audit_series(series, scenario.model)
         # a run records its final step, so a file cut at a row boundary
         # parses but ends before the scenario's horizon
-        end = scenario.integrator.steps * scenario.integrator.h
+        end = float(scenario.integrator.recorded_steps()[-1] * scenario.integrator.h)
         if series["t"][-1] != end:
             raise ValidationError(
                 f"{args.series}: series ends at t = {series['t'][-1]:.17g}, not at the"

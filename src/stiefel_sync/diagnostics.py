@@ -17,6 +17,12 @@ subtracts two trajectories' states. The stability gain, the audit cores and
 its CSV and a test's audit of two trajectories go through the same code and
 agree bit for bit. The trajectory-level audits are one-line calls of their
 cores on such columns.
+
+The window rules of consensus detection (:func:`trailing_window_start`),
+the decay fit (:func:`decay_fit_window`, :func:`fit_window_mask`) and the
+audits' slopes (:func:`slope_spacing`) are functions of a time grid: the
+analyses run them on a trajectory's times, and the scenario parser runs
+them on the recorded grid before anything is integrated.
 """
 
 from __future__ import annotations
@@ -70,15 +76,22 @@ def _require_uniform(times: np.ndarray) -> float:
     return h
 
 
+def slope_spacing(times) -> float:
+    """The spacing of a grid that interior slopes can be taken on: uniform,
+    with at least three samples."""
+    h = _require_uniform(times)
+    if times.shape[0] < 3:
+        raise InsufficientDataError("need at least three samples for interior slopes")
+    return h
+
+
 def dini_derivative_series(series_t, series_y) -> np.ndarray:
     """Central-difference derivative, O(h^2), at every interior point of a
     series sampled on a uniform time grid; a (K, N) table gives the slope of
     each of its N series along the first axis."""
     t = np.asarray(series_t, dtype=float)
     y = np.asarray(series_y, dtype=float)
-    h = _require_uniform(t)
-    if t.shape[0] < 3:
-        raise InsufficientDataError("need at least three samples for interior slopes")
+    h = slope_spacing(t)
     return (y[2:] - y[:-2]) / (2.0 * h)
 
 
@@ -217,11 +230,10 @@ class ConsensusStatus:
     max_variation: float
 
 
-def consensus_status(
-    traj: Trajectory, window: float, tol: float = CONSENSUS_TOL
-) -> ConsensusStatus:
-    """Classify the trailing ``window`` time units of a trajectory."""
-    times = traj.times
+def trailing_window_start(times, window: float) -> int:
+    """First row of the trailing ``window`` time units of an increasing
+    grid. The window must be positive, shorter than the grid's span, and
+    hold at least two samples."""
     if window <= 0:
         raise ValidationError("window must be positive")
     span = float(times[-1] - times[0])
@@ -229,10 +241,19 @@ def consensus_status(
         raise InsufficientDataError(
             f"window {window} does not fit inside the trajectory span {span}"
         )
-    # times increase, so the window is a trailing run of snapshots
+    # times increase, so the window is a trailing run of samples
     first = int(np.searchsorted(times, times[-1] - window))
     if times.shape[0] - first < 2:
         raise InsufficientDataError("fewer than two snapshots in the window")
+    return first
+
+
+def consensus_status(
+    traj: Trajectory, window: float, tol: float = CONSENSUS_TOL
+) -> ConsensusStatus:
+    """Classify the trailing ``window`` time units of a trajectory."""
+    times = traj.times
+    first = trailing_window_start(times, window)
 
     count, _, p = traj.states[0].shape
     stack = np.empty((times.shape[0] - first, count, count, p, p))
@@ -265,6 +286,22 @@ def consensus_status(
 # rate fitting and stability gain
 
 
+def decay_fit_window(times, fit_fraction: float) -> tuple[float, float]:
+    """The trailing ``fit_fraction`` of a grid that starts at t = 0:
+    ((1 - fit_fraction) T, T) with T its last time."""
+    t_end = float(times[-1])
+    return ((1.0 - fit_fraction) * t_end, t_end)
+
+
+def fit_window_mask(times, fit_window: tuple[float, float]) -> np.ndarray:
+    """The samples of a grid inside a closed fit window, at least three."""
+    lo, hi = fit_window
+    mask = (times >= lo) & (times <= hi)
+    if int(np.count_nonzero(mask)) < 3:
+        raise InsufficientDataError("fewer than three points in the fit window")
+    return mask
+
+
 def fit_decay_rate(times, values, fit_window: tuple[float, float]) -> tuple[float, float]:
     """Least-squares slope of log(values) against time over the window,
     negated so decay is positive, together with the fit's r^2."""
@@ -272,10 +309,7 @@ def fit_decay_rate(times, values, fit_window: tuple[float, float]) -> tuple[floa
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise DimensionError(f"series shapes differ: {times.shape} vs {values.shape}")
-    lo, hi = fit_window
-    mask = (times >= lo) & (times <= hi)
-    if int(np.count_nonzero(mask)) < 3:
-        raise InsufficientDataError("fewer than three points in the fit window")
+    mask = fit_window_mask(times, fit_window)
     t = times[mask]
     logs = np.log(np.maximum(values[mask], LOG_FLOOR))
     slope, intercept = np.polyfit(t, logs, 1)

@@ -76,9 +76,19 @@ class IntegratorConfig:
 
     @property
     def steps(self) -> int:
-        """Number of steps: the horizon rounded to a whole number of steps.
-        The final step is always recorded, at ``steps * h``."""
+        """Number of steps: the horizon rounded to a whole number of steps."""
         return int(round(self.t_end / self.h))
+
+    def recorded_steps(self) -> np.ndarray:
+        """The steps whose states a run records: every ``record_stride``-th
+        from step 0, and the final one. A snapshot's time is its step times
+        ``h``, so ``recorded_steps() * h`` is the grid of every run."""
+        return np.append(np.arange(0, self.steps, self.record_stride), self.steps)
+
+    @property
+    def snapshot_count(self) -> int:
+        """Length of :meth:`recorded_steps`, without laying the grid out."""
+        return len(range(0, self.steps, self.record_stride)) + 1
 
 
 @dataclass(frozen=True)
@@ -136,21 +146,19 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
         raise DimensionError("batch needs at least one ensemble")
     for member in s:
         _check_state_shape(validate_ensemble(member), cfg)
-    h = icfg.h
-    n_steps = icfg.steps
-
-    # every record_stride-th step and the final one
-    stride = icfg.record_stride
-    total = (n_steps + stride - 1) // stride + 1
-    times = np.empty(total)
-    states = np.empty((count, total) + s.shape[1:])
-    times[0] = 0.0
+    h = float(icfg.h)
+    recorded = icfg.recorded_steps()
+    times = recorded * h
+    states = np.empty((count, times.shape[0]) + s.shape[1:])
     states[:, 0] = s
+    # one list lookup per step decides whether the step is recorded
+    marks = recorded.tolist()
+    slot = 1
 
     # overflow in a diverging step is reported through DivergenceError, not
     # as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
+        for step in range(1, icfg.steps + 1):
             k1 = rhs(s, cfg)
             k2 = rhs(s + (0.5 * h) * k1, cfg)
             k3 = rhs(s + (0.5 * h) * k2, cfg)
@@ -168,10 +176,9 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
             elif icfg.retraction == "on_drift":
                 for b in np.flatnonzero(orthonormality_drift(s) > icfg.drift_threshold):
                     s[b] = _polar_unchecked(s[b])
-            if step % stride == 0 or step == n_steps:
-                slot = (step + stride - 1) // stride
-                times[slot] = step * h
+            if step == marks[slot]:
                 states[:, slot] = s
+                slot += 1
 
     drift = orthonormality_drift(states)
     diameters = ensemble_diameter(states)

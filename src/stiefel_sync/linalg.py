@@ -125,10 +125,13 @@ def polar_factor(a) -> np.ndarray:
         raise DimensionError(f"polar_factor needs rows >= cols, got {a.shape[-2:]}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("polar_factor input contains NaN or Inf entries")
-    gram = np.swapaxes(a, -2, -1) @ a
-    w, v = np.linalg.eigh(gram)
+    # a^T a overflows for entries beyond ~1e154, which leaves infinite or
+    # NaN eigenvalues: the test below fails on NaN, so it rejects those too
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(a, -2, -1) @ a
+        w, v = np.linalg.eigh(gram)
     # eigenvalues of a^T a are squared singular values of a
-    if np.any(w[..., 0] <= (RANK_TOL ** 2) * np.maximum(w[..., -1], 1e-300)):
+    if not np.all(w[..., 0] > (RANK_TOL ** 2) * np.maximum(w[..., -1], 1e-300)):
         raise ProjectionError("a^T a is numerically singular; projection undefined")
     inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1)
     return a @ inv_sqrt

@@ -120,8 +120,7 @@ def near_consensus_ensemble(
     """
     rng = _as_rng(seed)
     base = random_stiefel(n, p, rng)
-    agents = [retract(base + random_tangent(base, rng, norm=radius)) for _ in range(count)]
-    return np.stack(agents)
+    return perturb_ensemble(np.repeat(base[None], count, 0), radius, rng)
 
 
 def perturb_ensemble(states, radius: float, seed=None) -> np.ndarray:

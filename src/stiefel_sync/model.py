@@ -85,12 +85,15 @@ class Topology:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionError(f"weights must be square, got shape {w.shape}")
+        # a NaN defect passes the symmetry test and w + w.T can overflow, so
+        # finiteness is tested on the symmetrized weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            asym = np.max(np.abs(w - w.T))
+            if asym > ALGEBRAIC_TOL * max(1.0, float(np.max(np.abs(w)))):
+                raise ValidationError(f"weights are not symmetric (defect {asym:.3e})")
+            w = (w + w.T) / 2.0
         if not np.all(np.isfinite(w)):
             raise ValidationError("weights contain NaN or Inf entries")
-        asym = np.max(np.abs(w - w.T))
-        if asym > ALGEBRAIC_TOL * max(1.0, float(np.max(np.abs(w)))):
-            raise ValidationError(f"weights are not symmetric (defect {asym:.3e})")
-        w = (w + w.T) / 2.0
         if np.any(w < 0.0):
             raise ValidationError("weights must be nonnegative")
         if not _connected(w):

@@ -21,7 +21,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import diagnostics
-from .errors import ScenarioError, ValidationError
+from .errors import InsufficientDataError, ProjectionError, ScenarioError, ValidationError
 from .integrate import IntegratorConfig, integrate
 from .manifold import (
     near_consensus_ensemble,
@@ -47,6 +47,8 @@ from .series_io import BASE_COLUMNS, emit_series
 
 ANALYSIS_NAMES = ("framework", "consensus", "decay_fit", "stability", "audits", "cubic")
 SEPARABLE_ONLY = ("framework", "decay_fit", "audits", "cubic")
+# analyses that integrate a perturbed partner run next to the main run
+PAIR_ANALYSES = ("decay_fit", "stability", "audits")
 TEMPLATES = (
     "homogeneous",
     "heterogeneous-framework",
@@ -106,13 +108,13 @@ def _number_array(raw: Mapping, key: str, shape: tuple, where: str) -> np.ndarra
     return np.array([_number(entry, path) for entry in entries.flat]).reshape(shape)
 
 
-def _validated(build, *args, field: str):
-    """``build(*args)``, with a library :class:`ValidationError` reported
-    against the scenario field that supplied the input."""
+def _validated(build, *args, field: str, context: str = ""):
+    """``build(*args)``, with a library error about the input reported
+    against the scenario field that supplied it, after ``context``."""
     try:
         return build(*args)
-    except ValidationError as exc:
-        raise ScenarioError(str(exc), field=field) from exc
+    except (ValidationError, InsufficientDataError, ProjectionError) as exc:
+        raise ScenarioError(f"{context}{exc}", field=field) from exc
 
 
 def _reject_unknown(raw: Mapping, allowed, where: str) -> None:
@@ -147,7 +149,8 @@ def build_topology(spec: Mapping, count: int) -> Topology:
         high = _need(spec, "high", float, "topology")
         density = _optional(spec, "density", float, 1.0, "topology")
         seed = _need(spec, "seed", int, "topology")
-        return Topology.general(generate_weights(count, low, high, density, seed))
+        weights = generate_weights(count, low, high, density, seed)
+        return _validated(Topology.general, weights, field="topology.high")
     raise ScenarioError(f"unknown topology kind {kind!r}", field="topology.kind")
 
 
@@ -220,7 +223,10 @@ def build_initial(spec: Mapping, n: int, p: int, count: int, base_dir: str) -> n
         radius = _need(spec, "radius", float, "initial")
         if radius <= 0:
             raise ScenarioError("radius must be positive", field="initial.radius")
-        return near_consensus_ensemble(n, p, count, radius, _need(spec, "seed", int, "initial"))
+        seed = _need(spec, "seed", int, "initial")
+        return _validated(
+            near_consensus_ensemble, n, p, count, radius, seed, field="initial.radius"
+        )
     if kind == "file":
         _reject_unknown(spec, {"kind", "path"}, "initial")
         path = _need(spec, "path", str, "initial")
@@ -269,7 +275,8 @@ def build_integrator(spec: Mapping | None) -> IntegratorConfig:
         raise ScenarioError(str(exc), field="integrator") from exc
 
 
-def _normalize_analyses(raw, integrator: IntegratorConfig) -> dict[str, dict]:
+def _normalize_analyses(raw) -> dict[str, dict]:
+    """The analyses list as a map from each name to the options given."""
     analyses: dict[str, dict] = {}
     for k, entry in enumerate(raw):
         if isinstance(entry, str):
@@ -286,14 +293,36 @@ def _normalize_analyses(raw, integrator: IntegratorConfig) -> dict[str, dict]:
             raise ScenarioError(f"unknown analysis {name!r}", field=f"analyses[{k}]")
         if name in analyses:
             raise ScenarioError(f"duplicate analysis {name!r}", field=f"analyses[{k}]")
-        analyses[name] = _resolve_analysis_params(name, dict(params), integrator)
+        analyses[name] = dict(params)
     return analyses
 
 
-def _resolve_analysis_params(name: str, params: dict, integrator: IntegratorConfig) -> dict:
+def _check_storage(integrator: IntegratorConfig, count: int, n: int, p: int, pair: bool) -> None:
+    """Reject a run whose arrays cannot fit in physical memory: the float64
+    snapshot stack of the run, and of its partner when it has one, and the
+    N x N weights. Dims that cannot fit one snapshot are named, else ``h``."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    runs = 2 if pair else 1
+    snapshots = integrator.snapshot_count
+    snapshot = runs * count * n * p * 8
+    weights = count * count * 8
+    if snapshots * snapshot + weights <= memory:
+        return
+    raise ScenarioError(
+        f"{runs} run(s) of {snapshots} snapshots of {count} x {n} x {p} float64 and the"
+        f" {count} x {count} weights need {snapshots * snapshot + weights:.3g} bytes,"
+        f" more than the {memory:.3g} bytes of physical memory",
+        field="dims" if snapshot + weights > memory else "integrator.h",
+    )
+
+
+def _resolve_analysis_params(name: str, params: dict, times: np.ndarray) -> dict:
     """Check an analysis's options and fill each missing one with its
-    default; given values are kept as given."""
+    default; given values are kept as given. ``times`` is the recorded grid:
+    an analysis that cannot run on it is rejected with the rule the analysis
+    runs, naming the option when it was given and the horizon when not."""
     where = f"analyses.{name}"
+    grid = f" on the recorded grid of {times.shape[0]} snapshots up to t = {times[-1]:g}: "
     if name == "consensus":
         _reject_unknown(params, {"window", "tol"}, where)
         for key in ("window", "tol"):
@@ -301,17 +330,26 @@ def _resolve_analysis_params(name: str, params: dict, integrator: IntegratorConf
                 raise ScenarioError(
                     f"expected a positive number, got {value!r}", field=f"{where}.{key}"
                 )
-        # a horizon too short for the default window is the horizon's fault
         field = f"{where}.window" if "window" in params else "integrator.t_end"
-        # a fifth of the recorded span, which ends at the final step's time
-        params.setdefault("window", 0.2 * (integrator.steps * integrator.h))
+        # a fifth of the recorded span
+        window = params.setdefault("window", 0.2 * float(times[-1] - times[0]))
         params.setdefault("tol", diagnostics.CONSENSUS_TOL)
-        _check_consensus_window(params["window"], integrator, field)
+        context = f"a consensus window of {window:g}{grid}"
+        _validated(diagnostics.trailing_window_start, times, window, field=field, context=context)
     elif name == "decay_fit":
         _reject_unknown(params, {"fit_fraction"}, where)
+        field = f"{where}.fit_fraction" if "fit_fraction" in params else "integrator.t_end"
         params.setdefault("fit_fraction", 0.5)
-        if not 0 < _need(params, "fit_fraction", float, where) < 1:
+        fraction = _need(params, "fit_fraction", float, where)
+        if not 0 < fraction < 1:
             raise ScenarioError("fit_fraction must be in (0, 1)", field=where)
+        window = diagnostics.decay_fit_window(times, fraction)
+        context = f"a decay fit over the last {fraction:g} of the span{grid}"
+        _validated(diagnostics.fit_window_mask, times, window, field=field, context=context)
+    elif name == "audits":
+        _reject_unknown(params, set(), where)
+        context = f"the audits' slopes{grid}"
+        _validated(diagnostics.slope_spacing, times, field="integrator.t_end", context=context)
     elif name == "stability":
         _reject_unknown(params, {"p_exp"}, where)
         exponents = params.setdefault("p_exp", [1.0, 2.0])
@@ -330,25 +368,6 @@ def _resolve_analysis_params(name: str, params: dict, integrator: IntegratorConf
     else:
         _reject_unknown(params, set(), where)
     return params
-
-
-def _check_consensus_window(window: float, integrator: IntegratorConfig, field: str) -> None:
-    """Reject a consensus window the recorded grid cannot fill: it must be
-    shorter than the recorded span and hold the last two snapshots. The grid
-    is computed as :func:`integrate` computes it, so this accepts exactly
-    the windows :func:`diagnostics.consensus_status` can classify."""
-    steps = integrator.steps
-    stride = integrator.record_stride
-    span = steps * integrator.h
-    # recorded time of the snapshot before the final one
-    before_last = (steps - 1) // stride * stride * integrator.h
-    if not (window < span and before_last >= span - window):
-        raise ScenarioError(
-            f"a consensus window of {window:g} needs two snapshots inside a recorded"
-            f" span of {span:g} (t_end {integrator.t_end:g}, h {integrator.h:g},"
-            f" record_stride {stride})",
-            field=field,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +417,15 @@ class Scenario:
         count = _need(dims, "N", int, "dims")
         if count < 1 or not 1 <= p <= n:
             raise ScenarioError(f"need N >= 1 and 1 <= p <= n, got N={count}, p={p}, n={n}", field="dims")
+        integrator = build_integrator(raw.get("integrator"))
+        requested = _normalize_analyses(_optional(raw, "analyses", list, []))
+        # before anything of the run's size is allocated, the grid included
+        _check_storage(integrator, count, n, p, any(a in PAIR_ANALYSES for a in requested))
+        times = integrator.recorded_steps() * integrator.h
+        analyses = {
+            name: _resolve_analysis_params(name, params, times)
+            for name, params in requested.items()
+        }
         kappa = _need(raw, "kappa", float)
         if kappa < 0:
             raise ScenarioError("kappa must be nonnegative", field="kappa")
@@ -408,8 +436,6 @@ class Scenario:
         except (ValidationError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
         initial = build_initial(_need(raw, "initial", dict), n, p, count, base_dir)
-        integrator = build_integrator(raw.get("integrator"))
-        analyses = _normalize_analyses(_optional(raw, "analyses", list, []), integrator)
         for analysis in SEPARABLE_ONLY:
             if analysis in analyses and topology.kind != "separable":
                 raise ScenarioError(
@@ -464,7 +490,7 @@ class Scenario:
 
     @property
     def needs_pair(self) -> bool:
-        return any(a in self.analyses for a in ("decay_fit", "stability", "audits"))
+        return any(a in self.analyses for a in PAIR_ANALYSES)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +558,9 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
 
     initials = [sc.initial]
     if sc.needs_pair:
+        radius, seed = sc.perturbation["radius"], sc.perturbation["seed"]
         initials.append(
-            perturb_ensemble(sc.initial, sc.perturbation["radius"], sc.perturbation["seed"])
+            _validated(perturb_ensemble, sc.initial, radius, seed, field="perturbation.radius")
         )
     # the main run and its perturbed partner, if any, step as one batch
     members = integrate(np.stack(initials), sc.model, sc.integrator).members()
@@ -573,9 +600,7 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
 
     decay_dict = None
     if "decay_fit" in sc.analyses:
-        frac = sc.analyses["decay_fit"]["fit_fraction"]
-        t_end = float(traj.times[-1])
-        window = ((1.0 - frac) * t_end, t_end)
+        window = diagnostics.decay_fit_window(pair["t"], sc.analyses["decay_fit"]["fit_fraction"])
         rate, r_squared = diagnostics.fit_decay_rate(pair["t"], pair["diam_A"], window)
         slack_sup = float(
             np.max(contraction_slack(sc.model, pair["diam_S"], pair["diam_S_tilde"]))

@@ -68,6 +68,35 @@ class TestIntegratorConfig:
         with pytest.raises(ValidationError, match="more snapshots than an array can hold"):
             IntegratorConfig(h=h, t_end=t_end)
 
+    # (h, t_end, record_stride): zero horizon, one step, a stride beyond the
+    # step count, and step counts that are and are not stride multiples
+    GRIDS = [
+        (1e-3, 0.0, 10),
+        (2e-3, 2e-3, 1),
+        (2e-3, 2e-3, 5),
+        (1e-3, 7e-3, 50),
+        (1e-3, 0.0105, 4),
+        (1e-3, 0.012, 4),
+        (0.1, 1.0, 3),
+        (0.1, 0.7, 3),
+        (3e-3, 1.0, 7),
+    ]
+
+    @pytest.mark.parametrize("h, t_end, stride", GRIDS)
+    def test_recorded_steps_are_the_run_grid(self, h, t_end, stride):
+        icfg = IntegratorConfig(h=h, t_end=t_end, record_stride=stride)
+        cfg = ModelConfig(
+            kappa=1.0, topology=Topology.separable(np.ones(2)),
+            freqs=zero_frequencies(2, 1), n=2, p=1,
+        )
+        times = integrate(random_ensemble(2, 1, 2, seed=5), cfg, icfg).times
+        assert np.array_equal(icfg.recorded_steps() * h, times)
+        assert icfg.snapshot_count == times.shape[0]
+        # every stride-th step and the final one, each at step * h
+        steps = icfg.steps
+        marked = [step for step in range(1, steps + 1) if step % stride == 0 or step == steps]
+        assert times.tolist() == [0.0] + [step * h for step in marked]
+
     def test_stride_counts_toward_the_grid(self):
         steps = 2.0 ** 62
         with pytest.raises(ValidationError):

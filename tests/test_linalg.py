@@ -130,6 +130,14 @@ class TestPolarFactor:
         with pytest.raises(ProjectionError):
             polar_factor(np.hstack([col, col]))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_overflowing_gram_is_singular(self, scale):
+        # a^T a overflows: the eigenvalues are inf or NaN, and either is
+        # reported as an undefined projection
+        a = scale * random_stiefel(4, 2, seed=15) + scale * np.ones((4, 2))
+        with pytest.raises(ProjectionError):
+            polar_factor(a)
+
     def test_stacked_input(self):
         rng = np.random.default_rng(14)
         stack = rng.standard_normal((4, 5, 2))

@@ -255,6 +255,16 @@ class TestEnsembleBuilders:
         assert np.all(gaps <= 2e-4)
         assert np.all(gaps >= 1e-5)
 
+    @pytest.mark.parametrize("n, p, count", [(3, 1, 3), (4, 2, 5), (6, 2, 8), (5, 3, 1)])
+    def test_near_consensus_draws_as_before(self, n, p, count):
+        # the agents are one base point perturbed: the same draws in the
+        # same order as retracting base + tangent agent by agent
+        rng = np.random.default_rng(31)
+        base = random_stiefel(n, p, rng)
+        agents = [retract(base + random_tangent(base, rng, norm=0.3)) for _ in range(count)]
+        states = near_consensus_ensemble(n, p, count, radius=0.3, seed=31)
+        assert np.array_equal(states, np.stack(agents))
+
     def test_deterministic(self):
         a = near_consensus_ensemble(4, 2, 3, radius=0.2, seed=30)
         b = near_consensus_ensemble(4, 2, 3, radius=0.2, seed=30)

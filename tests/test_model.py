@@ -76,6 +76,12 @@ class TestTopology:
         with pytest.raises(ValidationError):
             Topology.general(w)
 
+    def test_rejects_weights_whose_symmetrization_overflows(self):
+        # each entry is finite, but w + w.T is not
+        w = np.full((2, 2), 1.5e308)
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            Topology.general(w)
+
     def test_rejects_disconnected(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0

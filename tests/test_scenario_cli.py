@@ -102,6 +102,25 @@ BAD_INTEGER_FIELDS = {
 }
 
 
+def near_consensus_radius(radius):
+    return {"initial": {"kind": "near_consensus", "radius": radius, "seed": 1}}
+
+
+# finite numbers whose use overflows: retracting agents displaced by the
+# radius, or symmetrizing the generated weights
+OVERFLOWING_FIELDS = {
+    "initial-radius-1e200": ("initial.radius", near_consensus_radius(1e200)),
+    "initial-radius-1e308": ("initial.radius", near_consensus_radius(1e308)),
+    "perturbation-radius-1e200": (
+        "perturbation.radius", {"perturbation": {"radius": 1e200}, "analyses": ["stability"]}
+    ),
+    "perturbation-radius-1e308": (
+        "perturbation.radius", {"perturbation": {"radius": 1e308}, "analyses": ["stability"]}
+    ),
+    "topology-high-1e308": ("topology.high", {"topology": {**GENERAL, "high": 1e308}}),
+}
+
+
 def xi_case(entry):
     return {"topology": {"kind": "separable", "xi": [1.0, entry, 1.0]}}
 
@@ -639,6 +658,112 @@ class TestCli:
             assert parsed == classified, window
             outcomes.add(parsed)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "integrator, analysis, field",
+        [
+            ({"h": 0.002, "t_end": 0.002}, "decay_fit", "integrator.t_end"),
+            ({"h": 0.002, "t_end": 0.0}, "decay_fit", "integrator.t_end"),
+            ({"h": 0.002, "t_end": 6.0, "record_stride": 50},
+             {"decay_fit": {"fit_fraction": 0.01}}, "analyses.decay_fit.fit_fraction"),
+            ({"h": 0.002, "t_end": 0.002}, "audits", "integrator.t_end"),
+            ({"h": 0.002, "t_end": 0.0}, "audits", "integrator.t_end"),
+            # 25 steps recorded every 7th and at the last: not uniform
+            ({"h": 0.002, "t_end": 0.05, "record_stride": 7}, "audits", "integrator.t_end"),
+        ],
+        ids=["decay-one-step", "decay-t_end-zero", "decay-fraction-below-spacing",
+             "audits-one-step", "audits-t_end-zero", "audits-uneven-grid"],
+    )
+    def test_horizon_short_for_decay_fit_or_audits_exit_code(
+        self, tmp_path, integrator, analysis, field
+    ):
+        # rejected by the parser, before anything is integrated
+        path = minimal_scenario(tmp_path, integrator=integrator, analyses=[analysis])
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert f"{field}: " in err.getvalue()
+        assert not os.path.exists(tmp_path / "tiny.csv")
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_decay_fit_check_matches_fit_decay_rate(self, tmp_path, stride):
+        # the parser accepts a fit_fraction exactly when fit_decay_rate can
+        # fit the trailing fraction of the run's grid
+        icfg = IntegratorConfig(h=0.1, t_end=1.0, record_stride=stride)
+        cfg = ModelConfig(
+            kappa=1.0, topology=Topology.separable(np.ones(2)),
+            freqs=zero_frequencies(2, 1), n=2, p=1,
+        )
+        traj = integrate(random_ensemble(2, 1, 2, seed=3), cfg, icfg)
+        t_end = float(traj.times[-1])
+        outcomes = set()
+        for fraction in [k * 0.05 for k in range(1, 20)] + [k / 10 for k in range(1, 10)]:
+            path = minimal_scenario(
+                tmp_path, dims={"n": 2, "p": 1, "N": 2},
+                topology={"kind": "separable", "xi": [1.0, 1.0]},
+                integrator={"h": 0.1, "t_end": 1.0, "record_stride": stride},
+                analyses=[{"decay_fit": {"fit_fraction": fraction}}],
+            )
+            try:
+                Scenario.from_file(path)
+                parsed = True
+            except ScenarioError:
+                parsed = False
+            window = ((1.0 - fraction) * t_end, t_end)
+            try:
+                diagnostics.fit_decay_rate(traj.times, traj.diameters, window)
+                fitted = True
+            except InsufficientDataError:
+                fitted = False
+            assert parsed == fitted, fraction
+            outcomes.add(parsed)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            # five billion snapshots
+            ({"integrator": {"h": 1e-9, "t_end": 50.0}}, "integrator.h"),
+            # one snapshot of one agent is 8 TiB
+            ({"dims": {"n": 2 ** 40, "p": 1, "N": 3}}, "dims"),
+            # the weights alone are 8 EiB
+            ({"dims": {"n": 3, "p": 1, "N": 2 ** 30}, "topology": SEPARABLE}, "dims"),
+        ],
+        ids=["h", "dims-n", "dims-N"],
+    )
+    def test_storage_beyond_memory_exit_code(self, tmp_path, overrides, field):
+        # rejected before the grid, the topology or the initial data exist
+        path = minimal_scenario(tmp_path, **overrides)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert f"{field}: " in err.getvalue() and "physical memory" in err.getvalue()
+
+    def test_storage_bound_counts_the_partner(self, tmp_path, monkeypatch):
+        # 601 snapshots of 3 x 3 x 1 and the 3 x 3 weights: 43344 bytes for
+        # one run, 86616 with the partner
+        memory = 50_000
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        Scenario.from_file(minimal_scenario(tmp_path))
+        with pytest.raises(ScenarioError, match="physical memory") as caught:
+            Scenario.from_file(minimal_scenario(tmp_path, analyses=["consensus", "stability"]))
+        assert caught.value.field == "integrator.h"
+
+    @pytest.mark.parametrize("case", OVERFLOWING_FIELDS)
+    def test_overflowing_number_exit_code(self, tmp_path, case):
+        field, overrides = OVERFLOWING_FIELDS[case]
+        path = minimal_scenario(tmp_path, **overrides)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert f"{field}: " in err.getvalue()
 
     def test_missing_scenario_exit_code(self, tmp_path):
         err = io.StringIO()
