@@ -8,6 +8,15 @@ Newton-Schulz step for an ensemble within 1e-8 of orthonormal, which after
 an RK4 step from the manifold is the usual case, and the eigendecomposition
 of a^T a otherwise (under ``on_drift`` with a large threshold, say).
 
+One step calls ``rhs`` four times, then, by policy:
+
+- ``every_step``: ``_polar_unchecked`` once on the whole batch. Its gate on
+  the Gram defect doubles as the finiteness test, which runs only when the
+  gate fails; a non-finite state raises :class:`DivergenceError` there.
+- ``on_drift``: a finiteness test, then ``orthonormality_drift`` once, and
+  ``_polar_unchecked`` once on the members over the threshold, if any.
+- ``never``: a finiteness test only.
+
 The step size is fixed so that two runs over the same horizon share their
 time grid bitwise, which the pairwise diagnostics rely on.
 """
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, ValidationError
-from .linalg import _polar_unchecked
+from .linalg import _NonFiniteInput, _polar_unchecked
 from .manifold import ensemble_diameter, orthonormality_drift, validate_ensemble
 from .model import ModelConfig, _check_state_shape, rhs
 
@@ -147,6 +156,8 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     for member in s:
         _check_state_shape(validate_ensemble(member), cfg)
     h = float(icfg.h)
+    half, sixth = 0.5 * h, h / 6.0
+    policy, threshold = icfg.retraction, icfg.drift_threshold
     recorded = icfg.recorded_steps()
     times = recorded * h
     states = np.empty((count, times.shape[0]) + s.shape[1:])
@@ -155,27 +166,28 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     marks = recorded.tolist()
     slot = 1
 
-    # overflow in a diverging step is reported through DivergenceError, not
-    # as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow in a diverging step, and a zero eigenvalue in its retraction,
+    # is reported through DivergenceError, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(1, icfg.steps + 1):
             k1 = rhs(s, cfg)
-            k2 = rhs(s + (0.5 * h) * k1, cfg)
-            k3 = rhs(s + (0.5 * h) * k2, cfg)
+            k2 = rhs(s + half * k1, cfg)
+            k3 = rhs(s + half * k2, cfg)
             k4 = rhs(s + h * k3, cfg)
-            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(s).all():
-                finite = np.isfinite(s).reshape(count, -1).all(axis=1)
-                where = f" in member {int(np.argmin(finite))}" if count > 1 else ""
-                raise DivergenceError(
-                    f"non-finite state{where} at t = {step * h:.6g}",
-                    last_good_time=(step - 1) * h,
-                )
-            if icfg.retraction == "every_step":
-                s = _polar_unchecked(s)
-            elif icfg.retraction == "on_drift":
-                for b in np.flatnonzero(orthonormality_drift(s) > icfg.drift_threshold):
-                    s[b] = _polar_unchecked(s[b])
+            s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if policy == "every_step":
+                # the retraction's gate tests finiteness
+                try:
+                    s = _polar_unchecked(s)
+                except _NonFiniteInput:
+                    raise _divergence(s, step, h) from None
+            else:
+                if not np.isfinite(s).all():
+                    raise _divergence(s, step, h)
+                if policy == "on_drift":
+                    over = orthonormality_drift(s) > threshold
+                    if over.any():
+                        s[over] = _polar_unchecked(s[over])
             if step == marks[slot]:
                 states[:, slot] = s
                 slot += 1
@@ -184,3 +196,13 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     diameters = ensemble_diameter(states)
     traj = Trajectory(times=times, states=states, drift=drift, diameters=diameters)
     return traj if batched else traj.members()[0]
+
+
+def _divergence(s: np.ndarray, step: int, h: float) -> DivergenceError:
+    """The error for a batch ``s`` that is non-finite after ``step``; it
+    names the first non-finite member of a batch of several."""
+    finite = np.isfinite(s).reshape(s.shape[0], -1).all(axis=1)
+    where = f" in member {int(np.argmin(finite))}" if s.shape[0] > 1 else ""
+    return DivergenceError(
+        f"non-finite state{where} at t = {step * h:.6g}", last_good_time=(step - 1) * h
+    )

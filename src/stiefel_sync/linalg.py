@@ -12,6 +12,7 @@ which is why the thin wrappers exist at all.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -77,22 +78,42 @@ def qr_thin(a) -> tuple[np.ndarray, np.ndarray]:
 _NEWTON_SCHULZ_DEFECT = 1e-8
 
 
+@functools.cache
+def _identity(p: int) -> np.ndarray:
+    """The read-only p x p identity, built once per size."""
+    eye = np.eye(p)
+    eye.setflags(write=False)
+    return eye
+
+
+class _NonFiniteInput(Exception):
+    """Raised by :func:`_polar_unchecked` for an input with a NaN or Inf
+    entry, which has no polar factor."""
+
+
 def _polar_unchecked(a: np.ndarray) -> np.ndarray:
     """Polar factor of an ensemble (N, n, p) or a batch (..., N, n, p)
-    without input validation (integration hot path; the caller has already
-    established finiteness).
+    without input validation (integration hot path).
 
     With d = a^T a - I, the polar factor is a (I + d)^{-1/2} = a (I - d/2 +
     (3/8) d^2 - ...). Every ensemble whose max|d| is at most 1e-8, as after
     an RK4 step from the manifold, gets the Newton-Schulz step a - a d/2
     (Higham 1986), equal to the polar factor up to rounding. Any other
-    ensemble gets the eigendecomposition of a^T a, where a singular Gram
-    matrix surfaces as NaNs for the caller's divergence check."""
+    ensemble gets the eigendecomposition of a^T a.
+
+    Finiteness is tested only when that gate fails: a NaN or Inf entry of
+    a makes a diagonal entry of d (a sum of squares) NaN or Inf, and NaN
+    fails ``<=``, so a non-finite input never passes the gate. A finite
+    input whose a^T a overflows fails the gate too and raises nothing; its
+    result is non-finite, so a run diverges one step later.
+    Raises :class:`_NonFiniteInput` for a non-finite input."""
     d = np.swapaxes(a, -2, -1) @ a
-    d -= np.eye(a.shape[-1])
+    d -= _identity(a.shape[-1])
     out = a - a @ (0.5 * d)
     # one reduction over the whole batch decides the usual case
-    if np.abs(d).max() > _NEWTON_SCHULZ_DEFECT:
+    if not np.abs(d).max() <= _NEWTON_SCHULZ_DEFECT:
+        if not np.isfinite(a).all():
+            raise _NonFiniteInput
         far = np.abs(d).max(axis=(-3, -2, -1)) > _NEWTON_SCHULZ_DEFECT
         out[far] = _eigh_polar(a[far])
     return out

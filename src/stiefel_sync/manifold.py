@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import polar_factor, qr_thin
+from .linalg import _identity, polar_factor, qr_thin
 from .tolerances import ORTH_CONSTRUCTION_TOL
 
 
@@ -70,7 +70,8 @@ def orthonormality_drift(states):
     (..., N, n, p) stack an array with one value per ensemble.
     """
     states = _check_ensembles(states)
-    gram = states.swapaxes(-2, -1) @ states - np.eye(states.shape[-1])
+    gram = states.swapaxes(-2, -1) @ states
+    gram -= _identity(states.shape[-1])
     # sqrt is monotone, so the root of the largest square is the largest norm
     return _per_ensemble(np.sqrt((gram * gram).sum(axis=(-2, -1)).max(axis=-1)))
 

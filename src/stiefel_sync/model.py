@@ -216,6 +216,7 @@ class ModelConfig:
     n: int
     p: int
     freq_spread: float = field(init=False)
+    state_shape: tuple[int, int, int] = field(init=False)
 
     def __post_init__(self):
         if not math.isfinite(self.kappa) or self.kappa < 0:
@@ -233,6 +234,7 @@ class ModelConfig:
         freqs.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "freq_spread", frequency_spread(freqs))
+        object.__setattr__(self, "state_shape", (count, self.n, self.p))
 
     @property
     def agent_count(self) -> int:
@@ -241,9 +243,8 @@ class ModelConfig:
 
 def _check_state_shape(states: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     states = np.asarray(states, dtype=float)
-    expected = (cfg.agent_count, cfg.n, cfg.p)
-    if states.shape[-3:] != expected:
-        raise DimensionError(f"state must have shape {expected}, got {states.shape}")
+    if states.shape[-3:] != cfg.state_shape:
+        raise DimensionError(f"state must have shape {cfg.state_shape}, got {states.shape}")
     return states
 
 
@@ -265,7 +266,7 @@ def rhs(states, cfg: ModelConfig) -> np.ndarray:
     Leading axes stack ensembles.
     """
     s = _check_state_shape(states, cfg)
-    count, n, p = s.shape[-3:]
+    count, n, p = cfg.state_shape
     ws = (cfg.topology.weights @ s.reshape(-1, count, n * p)).reshape(s.shape)
     m = s.swapaxes(-2, -1) @ ws
     scale = cfg.kappa / count

@@ -11,7 +11,7 @@ from stiefel_sync.errors import (
     DivergenceError,
     ValidationError,
 )
-from stiefel_sync.integrate import IntegratorConfig, integrate
+from stiefel_sync.integrate import RETRACTION_POLICIES, IntegratorConfig, integrate
 from stiefel_sync.linalg import expm_skew
 from stiefel_sync.manifold import (
     ensemble_lp_distance,
@@ -391,6 +391,110 @@ def recording_config(count):
     )
 
 
+def reference_field(s, cfg):
+    """The velocity field, written out in the order ``rhs`` evaluates it."""
+    count, n, p = s.shape[-3:]
+    ws = (cfg.topology.weights @ s.reshape(-1, count, n * p)).reshape(s.shape)
+    m = s.swapaxes(-2, -1) @ ws
+    scale = cfg.kappa / count
+    return scale * ws + s @ (cfg.freqs - (0.5 * scale) * (m + m.swapaxes(-2, -1)))
+
+
+def reference_polar(a):
+    """The gated retraction with a fresh identity: one Newton-Schulz step
+    when every max|a^T a - I| of the stack is at most 1e-8, else the
+    eigendecomposition of a^T a for each ensemble beyond it."""
+    d = np.swapaxes(a, -2, -1) @ a - np.eye(a.shape[-1])
+    out = a - a @ (0.5 * d)
+    if np.abs(d).max() > 1e-8:
+        far = np.abs(d).max(axis=(-3, -2, -1)) > 1e-8
+        w, v = np.linalg.eigh(np.swapaxes(a[far], -2, -1) @ a[far])
+        out[far] = a[far] @ ((v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1))
+    return out
+
+
+def reference_drift(s):
+    """max_i ||S_i^T S_i - I|| of each ensemble of a stack."""
+    gram = s.swapaxes(-2, -1) @ s - np.eye(s.shape[-1])
+    return np.sqrt((gram * gram).sum(axis=(-2, -1)).max(axis=-1))
+
+
+def reference_run(initial, cfg, icfg):
+    """Recorded states (B, K, N, n, p) of a run or batch, stepped by the
+    loop written out: classical RK4, a finiteness test of every state
+    before its retraction, and under ``on_drift`` one retraction per member
+    over the threshold. A non-finite state raises DivergenceError naming
+    the first non-finite member, with the last good time."""
+    s = np.asarray(initial, dtype=float)
+    s = s if s.ndim == 4 else s[None]
+    h, steps = icfg.h, icfg.steps
+    kept = [s]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(1, steps + 1):
+            k1 = reference_field(s, cfg)
+            k2 = reference_field(s + (0.5 * h) * k1, cfg)
+            k3 = reference_field(s + (0.5 * h) * k2, cfg)
+            k4 = reference_field(s + h * k3, cfg)
+            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            finite = [bool(np.isfinite(member).all()) for member in s]
+            if not all(finite):
+                raise DivergenceError(
+                    f"member {finite.index(False)}", last_good_time=(step - 1) * h
+                )
+            if icfg.retraction == "every_step":
+                s = reference_polar(s)
+            elif icfg.retraction == "on_drift":
+                for b in np.flatnonzero(reference_drift(s) > icfg.drift_threshold):
+                    s[b] = reference_polar(s[b])
+            if step % icfg.record_stride == 0 or step == steps:
+                kept.append(s)
+    return np.stack(kept, axis=1)
+
+
+def count_eigh_calls(monkeypatch):
+    """Counts the calls of the retraction's eigendecomposition branch."""
+    module = importlib.import_module("stiefel_sync.linalg")
+    calls = [0]
+    eigh_polar = module._eigh_polar
+
+    def counted(a):
+        calls[0] += 1
+        return eigh_polar(a)
+
+    monkeypatch.setattr(module, "_eigh_polar", counted)
+    return calls
+
+
+class TestReferenceStepper:
+    # (policy, drift threshold, h, whether the eigh branch runs); at h 0.05
+    # and threshold 1e-6 on_drift retracts some members at some steps, each
+    # beyond the Newton-Schulz gate
+    CASES = [
+        ("every_step", 1e-8, 1e-2, False),
+        ("every_step", 1e-8, 5e-2, True),
+        ("never", 1e-8, 1e-2, False),
+        ("on_drift", 1e-14, 1e-2, False),
+        ("on_drift", 1e-6, 5e-2, True),
+    ]
+
+    @pytest.mark.parametrize("retraction, threshold, h, eigh_runs", CASES)
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_states_equal_reference_bitwise(
+        self, monkeypatch, retraction, threshold, h, eigh_runs, batch, stride
+    ):
+        eigh_calls = count_eigh_calls(monkeypatch)
+        cfg = recording_config(3)
+        initial = np.stack([random_ensemble(4, 2, 3, seed=70 + b) for b in range(batch)])
+        icfg = IntegratorConfig(
+            h=h, t_end=1.0, retraction=retraction, drift_threshold=threshold, record_stride=stride
+        )
+        traj = integrate(initial if batch > 1 else initial[0], cfg, icfg)
+        expected = reference_run(initial, cfg, icfg)
+        assert np.array_equal(traj.states, expected if batch > 1 else expected[0])
+        assert (eigh_calls[0] > 0) == eigh_runs
+
+
 class TestPostLoopRecording:
     @pytest.mark.parametrize("retraction", ["every_step", "on_drift", "never"])
     @pytest.mark.parametrize("batch", [1, 2])
@@ -420,43 +524,71 @@ class TestPostLoopRecording:
 class TestRecordingCallCounts:
     @staticmethod
     def count_calls(monkeypatch):
-        # the package's ``integrate`` attribute is the function, not the module
+        """Counts the calls of every name the tracer wraps in the integrate
+        module (the package's ``integrate`` attribute is the function, not
+        the module), and keeps each drift result."""
         module = importlib.import_module("stiefel_sync.integrate")
-        calls = {"drift": 0, "diameter": 0}
+        calls = {"rhs": 0, "polar": 0, "drift": 0, "diameter": 0}
+        drifts = []
 
         def counted(name, fn):
-            def wrapper(states):
+            def wrapper(*args):
                 calls[name] += 1
-                return fn(states)
+                result = fn(*args)
+                if name == "drift":
+                    drifts.append(result)
+                return result
 
             return wrapper
 
-        monkeypatch.setattr(
-            module, "orthonormality_drift", counted("drift", module.orthonormality_drift)
-        )
-        monkeypatch.setattr(
-            module, "ensemble_diameter", counted("diameter", module.ensemble_diameter)
-        )
-        return calls
+        for name, attr in (
+            ("rhs", "rhs"),
+            ("polar", "_polar_unchecked"),
+            ("drift", "orthonormality_drift"),
+            ("diameter", "ensemble_diameter"),
+        ):
+            monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+        return calls, drifts
 
     @pytest.mark.parametrize("retraction", ["every_step", "never"])
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("stride", [1, 7])
     def test_once_per_run(self, monkeypatch, retraction, batch, stride):
-        calls = self.count_calls(monkeypatch)
+        calls, _ = self.count_calls(monkeypatch)
         initial = np.stack([random_ensemble(4, 2, 3, seed=70 + b) for b in range(batch)])
         icfg = IntegratorConfig(h=1e-2, t_end=0.3, retraction=retraction, record_stride=stride)
         integrate(initial if batch > 1 else initial[0], recording_config(3), icfg)
-        assert calls == {"drift": 1, "diameter": 1}
-
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_on_drift_tests_once_per_step(self, monkeypatch, batch):
-        calls = self.count_calls(monkeypatch)
-        initial = np.stack([random_ensemble(4, 2, 3, seed=72 + b) for b in range(batch)])
-        icfg = IntegratorConfig(h=1e-2, t_end=0.3, retraction="on_drift", record_stride=1)
-        integrate(initial if batch > 1 else initial[0], recording_config(3), icfg)
         n_steps = 30
-        assert calls == {"drift": n_steps + 1, "diameter": 1}
+        retractions = n_steps if retraction == "every_step" else 0
+        assert calls == {"rhs": 4 * n_steps, "polar": retractions, "drift": 1, "diameter": 1}
+
+    # at h 0.05 and threshold 1e-6 some steps have a member over the
+    # threshold and some have none; at 1e-14 every step has one
+    @pytest.mark.parametrize(
+        "h, t_end, threshold", [(1e-2, 0.3, 1e-8), (5e-2, 1.0, 1e-6), (1e-2, 0.3, 1e-14)]
+    )
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_on_drift_tests_once_per_step(self, monkeypatch, h, t_end, threshold, batch):
+        calls, drifts = self.count_calls(monkeypatch)
+        initial = np.stack([random_ensemble(4, 2, 3, seed=72 + b) for b in range(batch)])
+        icfg = IntegratorConfig(
+            h=h, t_end=t_end, retraction="on_drift", drift_threshold=threshold, record_stride=1
+        )
+        integrate(initial if batch > 1 else initial[0], recording_config(3), icfg)
+        n_steps = icfg.steps
+        # one retraction call per step with a member over the threshold; the
+        # last drift call is the one over the stored stack
+        over_steps = sum(bool(np.any(d > threshold)) for d in drifts[:n_steps])
+        assert calls == {
+            "rhs": 4 * n_steps,
+            "polar": over_steps,
+            "drift": n_steps + 1,
+            "diameter": 1,
+        }
+        if threshold == 1e-6:
+            assert 0 < over_steps < n_steps
+        if threshold == 1e-14:
+            assert over_steps == n_steps
 
 
 class TestDivergence:
@@ -499,3 +631,88 @@ class TestDivergence:
                 integrate(np.stack(batch), cfg, icfg)
             assert err.value.last_good_time == last_good["fast"]
             assert f"member {index}" in str(err.value)
+
+    # (policy, drift threshold); at kappa 1e4 and h 1e-3 the random ensemble
+    # and the near-consensus one diverge at different steps under each
+    POLICIES = [("never", 1e-8), ("every_step", 1e-8), ("on_drift", 1e-8), ("on_drift", 1e-3)]
+
+    @staticmethod
+    def stiff_case(retraction, threshold):
+        cfg = ModelConfig(
+            kappa=1e4,
+            topology=Topology.separable(np.ones(3)),
+            freqs=zero_frequencies(3, 2),
+            n=4,
+            p=2,
+        )
+        members = [
+            random_ensemble(4, 2, 3, seed=26),
+            near_consensus_ensemble(4, 2, 3, 1e-6, seed=5),
+        ]
+        icfg = IntegratorConfig(
+            h=1e-3, t_end=0.1, retraction=retraction, drift_threshold=threshold
+        )
+        return cfg, members, icfg
+
+    @staticmethod
+    def divergence(initial, cfg, icfg, stepper):
+        with pytest.raises(DivergenceError) as err:
+            stepper(initial, cfg, icfg)
+        return err.value
+
+    @pytest.mark.parametrize("retraction, threshold", POLICIES)
+    def test_single_runs_diverge_where_reference_does(self, retraction, threshold):
+        cfg, members, icfg = self.stiff_case(retraction, threshold)
+        last_good = []
+        for init in members:
+            got = self.divergence(init, cfg, icfg, integrate)
+            expected = self.divergence(init, cfg, icfg, reference_run)
+            assert got.last_good_time == expected.last_good_time
+            assert "member" not in str(got)
+            last_good.append(got.last_good_time)
+        assert last_good[0] != last_good[1]
+
+    @pytest.mark.parametrize("retraction, threshold", POLICIES)
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_batch_names_the_reference_member(self, retraction, threshold, order):
+        cfg, members, icfg = self.stiff_case(retraction, threshold)
+        batch = np.stack([members[i] for i in order])
+        got = self.divergence(batch, cfg, icfg, integrate)
+        expected = self.divergence(batch, cfg, icfg, reference_run)
+        assert got.last_good_time == expected.last_good_time
+        assert f"{expected} at t = " in str(got)
+        first = int(str(expected).removeprefix("member "))
+        assert self.divergence(batch[first], cfg, icfg, integrate).last_good_time == (
+            got.last_good_time
+        )
+
+    @pytest.mark.parametrize("retraction", RETRACTION_POLICIES)
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_finite_state_with_overflowing_gram_is_not_divergence(self, retraction, batch):
+        # kappa 0 and h |Omega| = 1e40: one RK4 step multiplies the state by
+        # about (h Omega)^4 / 24, a finite state with entries near 1e159 whose
+        # a^T a overflows; it fails the retraction's gate, is finite, and the
+        # run diverges only at the next step
+        omega = 1e43 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        cfg = ModelConfig(
+            kappa=0.0,
+            topology=Topology.separable(np.ones(3)),
+            freqs=common_frequencies(omega, 3),
+            n=4,
+            p=2,
+        )
+        initial = np.stack([random_ensemble(4, 2, 3, seed=80 + b) for b in range(batch)])
+        icfg = IntegratorConfig(h=1e-3, t_end=0.01, retraction=retraction)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = initial
+            k1 = reference_field(s, cfg)
+            k2 = reference_field(s + 0.5e-3 * k1, cfg)
+            k3 = reference_field(s + 0.5e-3 * k2, cfg)
+            k4 = reference_field(s + 1e-3 * k3, cfg)
+            first = s + (1e-3 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert np.isfinite(first).all() and np.abs(first).max() > 1e158
+            assert not np.isfinite(np.swapaxes(first, -2, -1) @ first).all()
+        got = self.divergence(initial if batch > 1 else initial[0], cfg, icfg, integrate)
+        expected = self.divergence(initial, cfg, icfg, reference_run)
+        assert got.last_good_time == expected.last_good_time == 1e-3
+        assert ("member 0" in str(got)) == (batch > 1)
