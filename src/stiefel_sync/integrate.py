@@ -8,14 +8,24 @@ Newton-Schulz step for an ensemble within 1e-8 of orthonormal, which after
 an RK4 step from the manifold is the usual case, and the eigendecomposition
 of a^T a otherwise (under ``on_drift`` with a large threshold, say).
 
-One step calls ``rhs`` four times, then, by policy:
+One step calls ``rhs`` four times and combines the stages in place, on one
+argument buffer the loop owns and on the arrays ``rhs`` returned, as
+s + (h/6) (((k1 + 2 k2) + 2 k3) + k4). Then, by policy:
 
 - ``every_step``: ``_polar_unchecked`` once on the whole batch. Its gate on
   the Gram defect doubles as the finiteness test, which runs only when the
   gate fails; a non-finite state raises :class:`DivergenceError` there.
-- ``on_drift``: a finiteness test, then ``orthonormality_drift`` once, and
-  ``_polar_unchecked`` once on the members over the threshold, if any.
+- ``on_drift``: a gate of one Gram product d = S^T S - I and one max|d|.
+  Since ||d||_F <= p max|d|, every member is within the threshold when
+  p max|d| <= threshold / (1 + 1e-12), the margin covering the drift's
+  rounding (:func:`~stiefel_sync.manifold._drift_limit`); NaN and Inf
+  fail it. Only a failed gate runs the exact path: a finiteness test,
+  ``orthonormality_drift`` once, and ``_polar_unchecked`` once on the
+  members over the threshold, if any. So each step retracts exactly the
+  members the exact drift puts over the threshold.
 - ``never``: a finiteness test only.
+
+``initial`` is only read: the first step writes into arrays of its own.
 
 The step size is fixed so that two runs over the same horizon share their
 time grid bitwise, which the pairwise diagnostics rely on.
@@ -30,7 +40,13 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError, ValidationError
 from .linalg import _NonFiniteInput, _polar_unchecked
-from .manifold import ensemble_diameter, orthonormality_drift, validate_ensemble
+from .manifold import (
+    _drift_limit,
+    _drift_within,
+    ensemble_diameter,
+    orthonormality_drift,
+    validate_ensemble,
+)
 from .model import ModelConfig, _check_state_shape, rhs
 
 RETRACTION_POLICIES = ("every_step", "on_drift", "never")
@@ -156,8 +172,11 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     for member in s:
         _check_state_shape(validate_ensemble(member), cfg)
     h = float(icfg.h)
-    half, sixth = 0.5 * h, h / 6.0
+    # 0-d arrays spare each ufunc call the conversion of a Python float
+    half, whole, sixth, two = (np.array(c) for c in (0.5 * h, h, h / 6.0, 2.0))
     policy, threshold = icfg.retraction, icfg.drift_threshold
+    limit = _drift_limit(threshold, s.shape[-1])
+    arg = np.empty(s.shape)
     recorded = icfg.recorded_steps()
     times = recorded * h
     states = np.empty((count, times.shape[0]) + s.shape[1:])
@@ -171,17 +190,22 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(1, icfg.steps + 1):
             k1 = rhs(s, cfg)
-            k2 = rhs(s + half * k1, cfg)
-            k3 = rhs(s + half * k2, cfg)
-            k4 = rhs(s + h * k3, cfg)
-            s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = rhs(np.add(s, np.multiply(half, k1, out=arg), out=arg), cfg)
+            k3 = rhs(np.add(s, np.multiply(half, k2, out=arg), out=arg), cfg)
+            k4 = rhs(np.add(s, np.multiply(whole, k3, out=arg), out=arg), cfg)
+            # s + (h/6) (((k1 + 2 k2) + 2 k3) + k4), summed into k1
+            np.add(k1, np.multiply(two, k2, out=k2), out=k1)
+            np.add(k1, np.multiply(two, k3, out=k3), out=k1)
+            np.add(k1, k4, out=k1)
+            s = np.add(s, np.multiply(sixth, k1, out=k1), out=k1)
             if policy == "every_step":
                 # the retraction's gate tests finiteness
                 try:
                     s = _polar_unchecked(s)
                 except _NonFiniteInput:
                     raise _divergence(s, step, h) from None
-            else:
+            elif policy == "never" or not _drift_within(s, limit):
+                # under on_drift, only a state the gate cannot clear gets here
                 if not np.isfinite(s).all():
                     raise _divergence(s, step, h)
                 if policy == "on_drift":

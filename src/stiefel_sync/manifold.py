@@ -69,11 +69,43 @@ def orthonormality_drift(states):
     Leading axes stack ensembles: one (N, n, p) ensemble gives a float, a
     (..., N, n, p) stack an array with one value per ensemble.
     """
-    states = _check_ensembles(states)
-    gram = states.swapaxes(-2, -1) @ states
-    gram -= _identity(states.shape[-1])
+    gram = _gram_defect(_check_ensembles(states))
     # sqrt is monotone, so the root of the largest square is the largest norm
     return _per_ensemble(np.sqrt((gram * gram).sum(axis=(-2, -1)).max(axis=-1)))
+
+
+def _gram_defect(states: np.ndarray) -> np.ndarray:
+    """S_i^T S_i - I of every agent of a stack, as a new array."""
+    gram = states.swapaxes(-2, -1) @ states
+    gram -= _identity(states.shape[-1])
+    return gram
+
+
+def _drift_limit(threshold: float, p: int) -> float:
+    """The largest max|S_i^T S_i - I| entry of a stack at which
+    :func:`orthonormality_drift` is provably at most ``threshold`` for
+    every ensemble: the bound :func:`_drift_within` tests.
+
+    A p x p matrix d has ||d||_F <= p max|d|. The drift squares the same
+    entries of d (:func:`_gram_defect`), sums p^2 of them and takes a root;
+    with this bound's own division that rounds up by a relative
+    (p^2/2 + 3) eps/2 at most, which the margin max(1e-12, p^2 eps) covers.
+    That holds while the squares stay normal numbers, so the threshold is
+    capped at 1e140, and below 1e-140 only an exactly orthonormal stack
+    (d = 0) passes."""
+    if not threshold >= 1e-140:
+        return 0.0
+    margin = max(1e-12, p * p * np.finfo(float).eps)
+    return min(threshold, 1e140) / ((1.0 + margin) * p)
+
+
+def _drift_within(states: np.ndarray, limit: float) -> bool:
+    """One Gram product and one max: True only if every entry of every
+    S_i^T S_i - I is at most ``limit`` (from :func:`_drift_limit`) in
+    magnitude. A NaN or Inf entry of ``states`` makes a diagonal entry of
+    the defect NaN or Inf, which never passes."""
+    d = _gram_defect(states)
+    return np.abs(d, out=d).max() <= limit
 
 
 def random_stiefel(n: int, p: int, seed=None) -> np.ndarray:

@@ -208,7 +208,11 @@ def random_frequencies(count: int, p: int, spread: float, seed=None, common=None
 @dataclass(frozen=True)
 class ModelConfig:
     """Full system specification: coupling strength, topology, and the
-    per-agent skew generators, with dimensions pinned explicitly."""
+    per-agent skew generators, with dimensions pinned explicitly.
+
+    Derived once, not set: ``freq_spread``, the ``(N, n, p)`` shape of one
+    ensemble, and the field's two scalars kappa/N and (kappa/N)/2 as
+    read-only 0-d float64 arrays, which :func:`rhs` reads on every call."""
 
     kappa: float
     topology: Topology
@@ -217,6 +221,8 @@ class ModelConfig:
     p: int
     freq_spread: float = field(init=False)
     state_shape: tuple[int, int, int] = field(init=False)
+    mean_scale: np.ndarray = field(init=False, repr=False)
+    half_scale: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.kappa) or self.kappa < 0:
@@ -235,6 +241,11 @@ class ModelConfig:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "freq_spread", frequency_spread(freqs))
         object.__setattr__(self, "state_shape", (count, self.n, self.p))
+        scale = self.kappa / count
+        for name, value in (("mean_scale", scale), ("half_scale", 0.5 * scale)):
+            value = np.array(value)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def agent_count(self) -> int:
@@ -263,14 +274,20 @@ def rhs(states, cfg: ModelConfig) -> np.ndarray:
         (kappa/N) WS + S (Omega - (kappa/2N) (M + M^T)),
 
     each in a fixed order, so repeated evaluations are bitwise deterministic.
-    Leading axes stack ensembles.
+    The scalars kappa/N and kappa/2N are the config's, set once; the p x p
+    temporaries and the sum are formed in place, in the same order, so the
+    result is bitwise the expression above. Leading axes stack ensembles;
+    ``states`` is only read, and the result is a new array.
     """
     s = _check_state_shape(states, cfg)
     count, n, p = cfg.state_shape
     ws = (cfg.topology.weights @ s.reshape(-1, count, n * p)).reshape(s.shape)
     m = s.swapaxes(-2, -1) @ ws
-    scale = cfg.kappa / count
-    return scale * ws + s @ (cfg.freqs - (0.5 * scale) * (m + m.swapaxes(-2, -1)))
+    g = m + m.swapaxes(-2, -1)
+    np.multiply(cfg.half_scale, g, out=g)
+    np.subtract(cfg.freqs, g, out=g)
+    np.multiply(cfg.mean_scale, ws, out=ws)
+    return np.add(ws, s @ g, out=ws)
 
 
 def potential(states, topology: Topology):

@@ -27,6 +27,7 @@ from stiefel_sync.model import (
     potential,
     random_frequencies,
     random_skew,
+    rhs,
     zero_frequencies,
 )
 
@@ -419,6 +420,15 @@ def reference_drift(s):
     return np.sqrt((gram * gram).sum(axis=(-2, -1)).max(axis=-1))
 
 
+def reference_rk4_step(s, cfg, h):
+    """One classical RK4 step of the field, before any retraction."""
+    k1 = reference_field(s, cfg)
+    k2 = reference_field(s + (0.5 * h) * k1, cfg)
+    k3 = reference_field(s + (0.5 * h) * k2, cfg)
+    k4 = reference_field(s + h * k3, cfg)
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def reference_run(initial, cfg, icfg):
     """Recorded states (B, K, N, n, p) of a run or batch, stepped by the
     loop written out: classical RK4, a finiteness test of every state
@@ -562,33 +572,84 @@ class TestRecordingCallCounts:
         retractions = n_steps if retraction == "every_step" else 0
         assert calls == {"rhs": 4 * n_steps, "polar": retractions, "drift": 1, "diameter": 1}
 
-    # at h 0.05 and threshold 1e-6 some steps have a member over the
-    # threshold and some have none; at 1e-14 every step has one
+    # (h, t_end, threshold, steps whose gate fails for a single run and for
+    # a batch of 3); only those steps call orthonormality_drift. At 1e-8
+    # and h 0.01 the gate clears every step; at 1e-6 and h 0.05 it fails
+    # on some, and some of those have a member over the threshold; at
+    # 1e-14 it fails on every step, and every step has a member over
     @pytest.mark.parametrize(
-        "h, t_end, threshold", [(1e-2, 0.3, 1e-8), (5e-2, 1.0, 1e-6), (1e-2, 0.3, 1e-14)]
+        "h, t_end, threshold, gate_failures",
+        [
+            (1e-2, 0.3, 1e-8, (0, 0)),
+            (5e-2, 1.0, 1e-6, (11, 17)),
+            (1e-2, 0.3, 1e-14, (30, 30)),
+        ],
     )
     @pytest.mark.parametrize("batch", [1, 3])
-    def test_on_drift_tests_once_per_step(self, monkeypatch, h, t_end, threshold, batch):
+    def test_on_drift_retracts_exactly_the_steps_over_threshold(
+        self, monkeypatch, h, t_end, threshold, gate_failures, batch
+    ):
         calls, drifts = self.count_calls(monkeypatch)
+        cfg = recording_config(3)
         initial = np.stack([random_ensemble(4, 2, 3, seed=72 + b) for b in range(batch)])
         icfg = IntegratorConfig(
             h=h, t_end=t_end, retraction="on_drift", drift_threshold=threshold, record_stride=1
         )
-        integrate(initial if batch > 1 else initial[0], recording_config(3), icfg)
+        traj = integrate(initial if batch > 1 else initial[0], cfg, icfg)
         n_steps = icfg.steps
-        # one retraction call per step with a member over the threshold; the
-        # last drift call is the one over the stored stack
-        over_steps = sum(bool(np.any(d > threshold)) for d in drifts[:n_steps])
+        states = traj.states if batch > 1 else traj.states[None]
+        # every step's state before its retraction, stepped from the one
+        # recorded before it, and the members the exact drift puts over
+        stepped = np.stack(
+            [reference_rk4_step(states[:, k], cfg, h) for k in range(n_steps)], axis=1
+        )
+        over = reference_drift(stepped) > threshold
+        # the members under the threshold were left as stepped, the others
+        # retracted, in one retraction call per step with a member over
+        assert np.array_equal(states[:, 1:][~over], stepped[~over])
+        assert (traj.drift[..., 1:] <= threshold).all()
+        over_steps = int(over.any(axis=0).sum())
         assert calls == {
             "rhs": 4 * n_steps,
             "polar": over_steps,
-            "drift": n_steps + 1,
+            "drift": gate_failures[batch > 1] + 1,
             "diameter": 1,
         }
+        # the last drift call is the one over the stored stack
+        assert sum(bool(np.any(d > threshold)) for d in drifts[:-1]) == over_steps
         if threshold == 1e-6:
-            assert 0 < over_steps < n_steps
+            assert 0 < over_steps < gate_failures[batch > 1] < n_steps
         if threshold == 1e-14:
             assert over_steps == n_steps
+
+
+class TestInputsUnchanged:
+    @pytest.mark.parametrize("retraction", RETRACTION_POLICIES)
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_integrate_leaves_initial_unchanged(self, retraction, batch):
+        initial = np.stack([random_ensemble(4, 2, 3, seed=90 + b) for b in range(batch)])
+        initial = initial if batch > 1 else initial[0]
+        before = initial.copy()
+        # at h 0.05 and threshold 1e-14 on_drift retracts on every step
+        icfg = IntegratorConfig(
+            h=5e-2, t_end=0.5, retraction=retraction, drift_threshold=1e-14, record_stride=1
+        )
+        traj = integrate(initial, recording_config(3), icfg)
+        assert initial.tobytes() == before.tobytes()
+        assert not np.shares_memory(traj.states, initial)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 3)])
+    def test_rhs_leaves_states_unchanged(self, shape):
+        cfg = recording_config(3)
+        rng = np.random.default_rng(93)
+        states = np.stack(
+            [random_ensemble(4, 2, 3, rng) for _ in range(int(np.prod(shape)))]
+        ).reshape(shape + (3, 4, 2))
+        before = states.copy()
+        velocity = rhs(states, cfg)
+        assert states.tobytes() == before.tobytes()
+        assert not np.shares_memory(velocity, states)
+        assert np.array_equal(velocity, reference_field(before, cfg))
 
 
 class TestDivergence:

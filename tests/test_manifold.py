@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from stiefel_sync.errors import DimensionError, ValidationError
 from stiefel_sync.linalg import frobenius
 from stiefel_sync.manifold import (
+    _drift_limit,
+    _drift_within,
     ensemble_diameter,
     ensemble_lp_distance,
     near_consensus_ensemble,
@@ -193,6 +195,87 @@ class TestLeadingAxes:
     def test_rejects_single_point(self):
         with pytest.raises(DimensionError):
             ensemble_diameter(random_stiefel(4, 2, seed=86))
+
+
+# multiples of the threshold at which the drift sits: at, just under and
+# just over it, and well on either side
+DEFECT_RATIOS = [0.0, 0.5, 1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9, 2.0, 4.0]
+
+
+def defect_root(c, v):
+    """(I + beta v v^T), whose square is I + c v v^T for a sign vector v."""
+    return np.eye(len(v)) + c / (np.sqrt(1.0 + len(v) * c) + 1.0) * np.outer(v, v)
+
+
+@st.composite
+def defect_stacks(draw):
+    """A threshold and a (B, N, n, p) stack whose agents have the Gram
+    defect S^T S - I = c v v^T, v a sign vector. Such a defect has
+    ||d||_F = p |c| = p max|d|, the case the gate's bound is tight for, and
+    p |c| is a drawn multiple of the threshold."""
+    p = draw(st.integers(1, 4))
+    n = p + draw(st.integers(0, 2))
+    batch, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    threshold = draw(
+        st.one_of(
+            st.floats(-15.0, -2.0).map(lambda e: 10.0**e),
+            st.sampled_from([1e-150, 1e-100, 1.0, 1e100, 1e150, 1e200, 1e300]),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # exact columns of the identity keep rounding out of S^T S at small c
+    exact = draw(st.booleans())
+    agents = []
+    for _ in range(batch * count):
+        ratio = draw(st.one_of(st.sampled_from(DEFECT_RATIOS), st.floats(0.0, 5.0)))
+        c = ratio * threshold / p
+        if p * c < 0.9 and draw(st.booleans()):
+            c = -c
+        q = np.eye(n)[:, :p] if exact else random_stiefel(n, p, seed=rng)
+        agents.append(q @ defect_root(c, rng.choice([-1.0, 1.0], p)))
+    return threshold, np.reshape(agents, (batch, count, n, p))
+
+
+class TestDriftGate:
+    @settings(max_examples=400, deadline=None)
+    @given(case=defect_stacks())
+    def test_pass_bounds_every_drift(self, case):
+        threshold, states = case
+        if _drift_within(states, _drift_limit(threshold, states.shape[-1])):
+            # the squares of a defect near 1e300 overflow: inf fails the bound
+            with np.errstate(over="ignore"):
+                assert (orthonormality_drift(states) <= threshold).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=defect_stacks(),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        where=st.integers(0, 10**6),
+    )
+    def test_non_finite_entry_never_passes(self, case, bad, where):
+        threshold, states = case
+        states.flat[where % states.size] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert not _drift_within(states, _drift_limit(threshold, states.shape[-1]))
+
+    def test_no_pass_where_the_squares_of_the_defect_round_up(self):
+        # a last row of 1.26e-81 gives off-diagonal defects m = 1.6e-162 and
+        # an exact zero diagonal; m^2 rounds up to the least subnormal, so
+        # the drift is sqrt(12) m, over a threshold of 3.01 m
+        states = np.vstack([np.eye(3), np.full((1, 3), np.sqrt(1.6e-162))])[None]
+        threshold = 3.01 * 1.6e-162
+        assert orthonormality_drift(states) > threshold
+        assert not _drift_within(states, _drift_limit(threshold, 3))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_decides_both_ways_near_the_bound(self, p):
+        threshold = 1e-6
+        v = np.where(np.arange(p) % 2, -1.0, 1.0)
+        for ratio, passes in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            root = defect_root(ratio * threshold / p, v)
+            states = np.stack([np.eye(p + 1)[:, :p] @ root, random_stiefel(p + 1, p, seed=7)])
+            assert _drift_within(states[None], _drift_limit(threshold, p)) == passes
+            assert (orthonormality_drift(states) <= threshold) == passes
 
 
 class TestLpDistance:
