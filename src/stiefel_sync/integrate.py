@@ -8,24 +8,33 @@ Newton-Schulz step for an ensemble within 1e-8 of orthonormal, which after
 an RK4 step from the manifold is the usual case, and the eigendecomposition
 of a^T a otherwise (under ``on_drift`` with a large threshold, say).
 
-One step calls ``rhs`` four times and combines the stages in place, on one
-argument buffer the loop owns and on the arrays ``rhs`` returned, as
-s + (h/6) (((k1 + 2 k2) + 2 k3) + k4). Then, by policy:
+Once per run, ``integrate`` lays out a
+:class:`~stiefel_sync.linalg._Workspace` for its batch shape (B, N, n, p):
+the state buffer, the stage-argument buffer and k1...k4, the views ``rhs``
+and the retraction take of the two input buffers (the (B, N, n p) reshape
+and the transpose), and their temporaries. A step only fills these arrays:
+the state is copied in from ``initial``, which is only read, and each
+recorded state is copied out.
 
-- ``every_step``: ``_polar_unchecked`` once on the whole batch. Its gate on
-  the Gram defect doubles as the finiteness test, which runs only when the
-  gate fails; a non-finite state raises :class:`DivergenceError` there.
-- ``on_drift``: a gate of one Gram product d = S^T S - I and one max|d|.
-  Since ||d||_F <= p max|d|, every member is within the threshold when
-  p max|d| <= threshold / (1 + 1e-12), the margin covering the drift's
-  rounding (:func:`~stiefel_sync.manifold._drift_limit`); NaN and Inf
-  fail it. Only a failed gate runs the exact path: a finiteness test,
+One step calls ``rhs(x, cfg, work, k)`` four times, x the state or the
+stage argument, and combines the stages in place as s + (h/6) (((k1 +
+2 k2) + 2 k3) + k4), into the state buffer. Then, by policy:
+
+- ``every_step``: ``_polar_unchecked(s, s, work)`` once on the whole batch,
+  writing into the state buffer. Its gate on the Gram defect doubles as
+  the finiteness test, which runs only when the gate fails; a non-finite
+  state raises :class:`DivergenceError` there, before anything is written.
+- ``on_drift``: a gate of one Gram product d = S^T S - I, into the
+  workspace, and one max|d|. Since ||d||_F <= p max|d|, every member is
+  within the threshold when p max|d| <= threshold / (1 + 1e-12), the
+  margin covering the drift's rounding
+  (:func:`~stiefel_sync.manifold._drift_limit`); NaN and Inf fail it.
+  Only a failed gate runs the exact path: a finiteness test,
   ``orthonormality_drift`` once, and ``_polar_unchecked`` once on the
-  members over the threshold, if any. So each step retracts exactly the
-  members the exact drift puts over the threshold.
+  members over the threshold, if any, with a one-shot workspace of their
+  shape. So each step retracts exactly the members the exact drift puts
+  over the threshold.
 - ``never``: a finiteness test only.
-
-``initial`` is only read: the first step writes into arrays of its own.
 
 The step size is fixed so that two runs over the same horizon share their
 time grid bitwise, which the pairwise diagnostics rely on.
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, ValidationError
-from .linalg import _NonFiniteInput, _polar_unchecked
+from .linalg import _NonFiniteInput, _polar_unchecked, _Workspace
 from .manifold import (
     _drift_limit,
     _drift_within,
@@ -176,7 +185,9 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     half, whole, sixth, two = (np.array(c) for c in (0.5 * h, h, h / 6.0, 2.0))
     policy, threshold = icfg.retraction, icfg.drift_threshold
     limit = _drift_limit(threshold, s.shape[-1])
-    arg = np.empty(s.shape)
+    work = _Workspace(s.shape, bound=6)
+    state, arg, k1, k2, k3, k4 = work.buffers
+    np.copyto(state, s)
     recorded = icfg.recorded_steps()
     times = recorded * h
     states = np.empty((count, times.shape[0]) + s.shape[1:])
@@ -188,32 +199,34 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     # overflow in a diverging step, and a zero eigenvalue in its retraction,
     # is reported through DivergenceError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # rhs and _polar_unchecked are called positionally through this
+        # module's globals, where call counters can wrap them
         for step in range(1, icfg.steps + 1):
-            k1 = rhs(s, cfg)
-            k2 = rhs(np.add(s, np.multiply(half, k1, out=arg), out=arg), cfg)
-            k3 = rhs(np.add(s, np.multiply(half, k2, out=arg), out=arg), cfg)
-            k4 = rhs(np.add(s, np.multiply(whole, k3, out=arg), out=arg), cfg)
-            # s + (h/6) (((k1 + 2 k2) + 2 k3) + k4), summed into k1
+            rhs(state, cfg, work, k1)
+            rhs(np.add(state, np.multiply(half, k1, out=arg), out=arg), cfg, work, k2)
+            rhs(np.add(state, np.multiply(half, k2, out=arg), out=arg), cfg, work, k3)
+            rhs(np.add(state, np.multiply(whole, k3, out=arg), out=arg), cfg, work, k4)
+            # s + (h/6) (((k1 + 2 k2) + 2 k3) + k4), the sum in k1
             np.add(k1, np.multiply(two, k2, out=k2), out=k1)
             np.add(k1, np.multiply(two, k3, out=k3), out=k1)
             np.add(k1, k4, out=k1)
-            s = np.add(s, np.multiply(sixth, k1, out=k1), out=k1)
+            np.add(state, np.multiply(sixth, k1, out=k1), out=state)
             if policy == "every_step":
                 # the retraction's gate tests finiteness
                 try:
-                    s = _polar_unchecked(s)
+                    _polar_unchecked(state, state, work)
                 except _NonFiniteInput:
-                    raise _divergence(s, step, h) from None
-            elif policy == "never" or not _drift_within(s, limit):
+                    raise _divergence(state, step, h) from None
+            elif policy == "never" or not _drift_within(state, limit, work):
                 # under on_drift, only a state the gate cannot clear gets here
-                if not np.isfinite(s).all():
-                    raise _divergence(s, step, h)
+                if not np.isfinite(state).all():
+                    raise _divergence(state, step, h)
                 if policy == "on_drift":
-                    over = orthonormality_drift(s) > threshold
+                    over = orthonormality_drift(state) > threshold
                     if over.any():
-                        s[over] = _polar_unchecked(s[over])
+                        state[over] = _polar_unchecked(state[over])
             if step == marks[slot]:
-                states[:, slot] = s
+                states[:, slot] = state
                 slot += 1
 
     drift = orthonormality_drift(states)

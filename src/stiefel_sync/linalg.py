@@ -3,7 +3,9 @@ fixed sign convention, polar decomposition, and the exponential of a
 skew-symmetric matrix.
 
 The public :func:`polar_factor` always uses the eigendecomposition; the
-integrator's retraction takes a Newton-Schulz step near the manifold.
+integrator's retraction takes a Newton-Schulz step near the manifold, in
+the arrays of a :class:`_Workspace`, which the integrator lays out once per
+run for the field and the retraction.
 
 Everything is plain float64 ndarrays. Shape-changing bugs surface as
 :class:`~stiefel_sync.errors.DimensionError` instead of broadcast surprises,
@@ -91,7 +93,72 @@ class _NonFiniteInput(Exception):
     entry, which has no polar factor."""
 
 
-def _polar_unchecked(a: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """The arrays that stepping stacks of one shape (..., N, n, p) writes
+    into, laid out once: :func:`~stiefel_sync.integrate.integrate` builds one
+    per run, and ``rhs`` and :func:`_polar_unchecked` build a one-shot one
+    when called without.
+
+    - ``buffers``: ``bound`` arrays of the shape, which the caller owns (the
+      integrator's state, stage argument and k1...k4).
+    - ``views``: per buffer, keyed by its ``id``, the two views the field
+      and the retraction take of an input: its (-1, N, n p) reshape and its
+      transpose. A bound input costs no view per call; ``buffers`` keeps the
+      keys alive. :meth:`views_of` takes them of any other input.
+    - The field's temporaries: ``ws`` = W S with its flat view ``ws_flat``,
+      ``m`` = S^T WS with its transpose ``m_t``, ``g`` and ``sg`` = S g.
+    - The retraction's: ``defect`` d = a^T a - I, ``half_defect`` d/2,
+      ``product`` a (d/2), and the 0-d constant ``half`` that d is scaled by.
+
+    The arrays are private to one caller at a time: two runs, or two
+    threads, each build their own."""
+
+    def __init__(self, shape, bound: int = 0):
+        self.shape = tuple(shape)
+        self.state_shape = count, n, p = self.shape[-3:]
+        self.flat_shape = (-1, count, n * p)
+        gram = self.shape[:-2] + (p, p)
+        self.buffers = [np.empty(self.shape) for _ in range(bound)]
+        self.views = {
+            id(b): (b.reshape(self.flat_shape), b.swapaxes(-2, -1)) for b in self.buffers
+        }
+        self.ws = np.empty(self.shape)
+        self.ws_flat = self.ws.reshape(self.flat_shape)
+        self.m = np.empty(gram)
+        self.m_t = self.m.swapaxes(-2, -1)
+        self.g = np.empty(gram)
+        self.sg = np.empty(self.shape)
+        self.defect = np.empty(gram)
+        self.half_defect = np.empty(gram)
+        self.product = np.empty(self.shape)
+        self.half = np.array(0.5)
+        self.eye = _identity(p)
+
+    def views_of(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The flat and the transposed view of ``x``: the bound ones for a
+        buffer, else new ones of an array of the workspace's shape. Any other
+        shape raises :class:`DimensionError`, so nothing broadcasts."""
+        views = self.views.get(id(x))
+        if views is None:
+            self.check(x)
+            views = (x.reshape(self.flat_shape), x.swapaxes(-2, -1))
+        return views
+
+    def check(self, x: np.ndarray) -> None:
+        """Raise :class:`DimensionError` unless ``x`` has the workspace's
+        shape."""
+        if x.shape != self.shape:
+            raise DimensionError(f"workspace is for shape {self.shape}, got {x.shape}")
+
+    def gram_defect(self, a: np.ndarray) -> np.ndarray:
+        """a_i^T a_i - I of every matrix of ``a``, in ``defect``."""
+        d = np.matmul(self.views_of(a)[1], a, out=self.defect)
+        return np.subtract(d, self.eye, out=d)
+
+
+def _polar_unchecked(
+    a: np.ndarray, out: np.ndarray | None = None, work: _Workspace | None = None
+) -> np.ndarray:
     """Polar factor of an ensemble (N, n, p) or a batch (..., N, n, p)
     without input validation (integration hot path).
 
@@ -101,21 +168,35 @@ def _polar_unchecked(a: np.ndarray) -> np.ndarray:
     (Higham 1986), equal to the polar factor up to rounding. Any other
     ensemble gets the eigendecomposition of a^T a.
 
+    The result goes to ``out``, which may be ``a`` itself, or to a new array
+    when ``out`` is None. d, d/2 (scaled by a 0-d 0.5) and a (d/2) go to
+    the buffers of ``work``, a :class:`_Workspace` for a's shape; without
+    one, a one-shot workspace is built, so both ways run the same code.
+    The eigendecomposition reads ``a`` before ``out`` is written.
+
     Finiteness is tested only when that gate fails: a NaN or Inf entry of
     a makes a diagonal entry of d (a sum of squares) NaN or Inf, and NaN
     fails ``<=``, so a non-finite input never passes the gate. A finite
     input whose a^T a overflows fails the gate too and raises nothing; its
     result is non-finite, so a run diverges one step later.
-    Raises :class:`_NonFiniteInput` for a non-finite input."""
-    d = np.swapaxes(a, -2, -1) @ a
-    d -= _identity(a.shape[-1])
-    out = a - a @ (0.5 * d)
+    Raises :class:`_NonFiniteInput` for a non-finite input, before ``out``
+    is written."""
+    if work is None:
+        work = _Workspace(a.shape)
+    if out is not None:
+        work.check(out)
+    d = work.gram_defect(a)
+    half_d = np.multiply(work.half, d, out=work.half_defect)
     # one reduction over the whole batch decides the usual case
-    if not np.abs(d).max() <= _NEWTON_SCHULZ_DEFECT:
+    far = None
+    if not np.abs(d, out=d).max() <= _NEWTON_SCHULZ_DEFECT:
         if not np.isfinite(a).all():
             raise _NonFiniteInput
-        far = np.abs(d).max(axis=(-3, -2, -1)) > _NEWTON_SCHULZ_DEFECT
-        out[far] = _eigh_polar(a[far])
+        far = d.max(axis=(-3, -2, -1)) > _NEWTON_SCHULZ_DEFECT
+        fixed = _eigh_polar(a[far])
+    out = np.subtract(a, np.matmul(a, half_d, out=work.product), out=out)
+    if far is not None:
+        out[far] = fixed
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import _identity, polar_factor, qr_thin
+from .linalg import _identity, _Workspace, polar_factor, qr_thin
 from .tolerances import ORTH_CONSTRUCTION_TOL
 
 
@@ -99,12 +99,13 @@ def _drift_limit(threshold: float, p: int) -> float:
     return min(threshold, 1e140) / ((1.0 + margin) * p)
 
 
-def _drift_within(states: np.ndarray, limit: float) -> bool:
+def _drift_within(states: np.ndarray, limit: float, work: _Workspace | None = None) -> bool:
     """One Gram product and one max: True only if every entry of every
     S_i^T S_i - I is at most ``limit`` (from :func:`_drift_limit`) in
     magnitude. A NaN or Inf entry of ``states`` makes a diagonal entry of
-    the defect NaN or Inf, which never passes."""
-    d = _gram_defect(states)
+    the defect NaN or Inf, which never passes. The defect goes to the
+    ``defect`` buffer of ``work``, a one-shot workspace when None."""
+    d = (_Workspace(states.shape) if work is None else work).gram_defect(states)
     return np.abs(d, out=d).max() <= limit
 
 

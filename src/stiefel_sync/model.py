@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedTopologyError,
     ValidationError,
 )
-from .linalg import expm_skew, require_skew
+from .linalg import _Workspace, expm_skew, require_skew
 from .manifold import _per_ensemble, ensemble_diameter, pair_sq_distances
 from .tolerances import ALGEBRAIC_TOL, SEPARABLE_MATCH_TOL
 
@@ -263,7 +263,7 @@ def _check_state_shape(states: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 # dynamics
 
 
-def rhs(states, cfg: ModelConfig) -> np.ndarray:
+def rhs(states, cfg: ModelConfig, work: _Workspace | None = None, out=None) -> np.ndarray:
     """Velocity of every agent; each output lies in the tangent space at
     its agent whenever the agent is on the manifold.
 
@@ -274,20 +274,35 @@ def rhs(states, cfg: ModelConfig) -> np.ndarray:
         (kappa/N) WS + S (Omega - (kappa/2N) (M + M^T)),
 
     each in a fixed order, so repeated evaluations are bitwise deterministic.
-    The scalars kappa/N and kappa/2N are the config's, set once; the p x p
-    temporaries and the sum are formed in place, in the same order, so the
-    result is bitwise the expression above. Leading axes stack ensembles;
-    ``states`` is only read, and the result is a new array.
+    The scalars kappa/N and kappa/2N are the config's, set once; WS, M,
+    the p x p sum and S (...) are formed in the temporaries of ``work``, a
+    :class:`~stiefel_sync.linalg._Workspace` for the states' shape, in the
+    same order, so the result is bitwise the expression above. When
+    ``states`` is a buffer bound in ``work``, its flat and transposed views
+    are the workspace's; any other input is shape-checked against ``cfg``
+    and ``work``. Called without ``work``, ``rhs`` builds a one-shot
+    workspace and runs the same code. Leading axes stack ensembles;
+    ``states`` is only read, and the result goes to ``out``, or to a new
+    array when ``out`` is None.
     """
-    s = _check_state_shape(states, cfg)
-    count, n, p = cfg.state_shape
-    ws = (cfg.topology.weights @ s.reshape(-1, count, n * p)).reshape(s.shape)
-    m = s.swapaxes(-2, -1) @ ws
-    g = m + m.swapaxes(-2, -1)
+    views = None if work is None else work.views.get(id(states))
+    if views is None:
+        states = _check_state_shape(states, cfg)
+        work = _Workspace(states.shape) if work is None else work
+        views = work.views_of(states)
+    elif work.state_shape != cfg.state_shape:
+        raise DimensionError(f"state must have shape {cfg.state_shape}, got {work.shape}")
+    if out is not None:
+        work.check(out)
+    s_flat, s_t = views
+    ws, g = work.ws, work.g
+    np.matmul(cfg.topology.weights, s_flat, out=work.ws_flat)
+    np.matmul(s_t, ws, out=work.m)
+    np.add(work.m, work.m_t, out=g)
     np.multiply(cfg.half_scale, g, out=g)
     np.subtract(cfg.freqs, g, out=g)
     np.multiply(cfg.mean_scale, ws, out=ws)
-    return np.add(ws, s @ g, out=ws)
+    return np.add(ws, np.matmul(states, g, out=work.sg), out=out)
 
 
 def potential(states, topology: Topology):

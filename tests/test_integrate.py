@@ -2,6 +2,8 @@
 determinism, and divergence handling."""
 
 import importlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from stiefel_sync.errors import (
     ValidationError,
 )
 from stiefel_sync.integrate import RETRACTION_POLICIES, IntegratorConfig, integrate
-from stiefel_sync.linalg import expm_skew
+from stiefel_sync.linalg import _polar_unchecked, _Workspace, expm_skew
 from stiefel_sync.manifold import (
     ensemble_lp_distance,
     near_consensus_ensemble,
@@ -378,17 +380,20 @@ def reference_drift_and_diameter(states):
     return np.array(drift), np.array(diameters)
 
 
-def recording_config(count):
+def recording_config(count, n=4, p=2):
+    if p == 1:
+        # 1 x 1 skew generators are zero
+        freqs = zero_frequencies(count, 1)
+    elif count > 1:
+        freqs = random_frequencies(count, p, 0.5, seed=60)
+    else:
+        freqs = common_frequencies(random_skew(p, seed=60), 1)
     return ModelConfig(
         kappa=2.0,
         topology=Topology.separable(np.linspace(0.8, 1.2, count)),
-        freqs=(
-            random_frequencies(count, 2, 0.5, seed=60)
-            if count > 1
-            else common_frequencies(random_skew(2, seed=60), 1)
-        ),
-        n=4,
-        p=2,
+        freqs=freqs,
+        n=n,
+        p=p,
     )
 
 
@@ -487,22 +492,47 @@ class TestReferenceStepper:
         ("on_drift", 1e-6, 5e-2, True),
     ]
 
-    @pytest.mark.parametrize("retraction, threshold, h, eigh_runs", CASES)
-    @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("stride", [1, 7])
-    def test_states_equal_reference_bitwise(
-        self, monkeypatch, retraction, threshold, h, eigh_runs, batch, stride
-    ):
-        eigh_calls = count_eigh_calls(monkeypatch)
-        cfg = recording_config(3)
-        initial = np.stack([random_ensemble(4, 2, 3, seed=70 + b) for b in range(batch)])
+    @staticmethod
+    def run_both(shape, retraction, threshold, h, batch, stride):
+        """The states of ``integrate`` and of the reference loop, for
+        ``batch`` ensembles of ``shape`` (N, n, p), one unbatched."""
+        count, n, p = shape
+        cfg = recording_config(count, n, p)
+        initial = np.stack([random_ensemble(n, p, count, seed=70 + b) for b in range(batch)])
         icfg = IntegratorConfig(
             h=h, t_end=1.0, retraction=retraction, drift_threshold=threshold, record_stride=stride
         )
         traj = integrate(initial if batch > 1 else initial[0], cfg, icfg)
         expected = reference_run(initial, cfg, icfg)
-        assert np.array_equal(traj.states, expected if batch > 1 else expected[0])
+        return traj.states, expected if batch > 1 else expected[0]
+
+    @pytest.mark.parametrize("retraction, threshold, h, eigh_runs", CASES)
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_states_equal_reference_bitwise(
+        self, monkeypatch, retraction, threshold, h, eigh_runs, batch, stride
+    ):
+        eigh_calls = count_eigh_calls(monkeypatch)
+        got, expected = self.run_both((3, 4, 2), retraction, threshold, h, batch, stride)
+        assert np.array_equal(got, expected)
         assert (eigh_calls[0] > 0) == eigh_runs
+
+    # the workspace's views of (..., n, 1) stacks, and of one agent: p = 1
+    # as in the kuramoto-circle scenario, and N = 1. Every step at h 0.05
+    # takes the eigh branch under every_step on both; whether on_drift's
+    # retractions do depends on the shape and the batch
+    @pytest.mark.parametrize("retraction, threshold, h, eigh_runs", CASES)
+    @pytest.mark.parametrize("shape", [(3, 2, 1), (1, 4, 2)])
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_other_shapes_equal_reference_bitwise(
+        self, monkeypatch, retraction, threshold, h, eigh_runs, shape, batch, stride
+    ):
+        eigh_calls = count_eigh_calls(monkeypatch)
+        got, expected = self.run_both(shape, retraction, threshold, h, batch, stride)
+        assert np.array_equal(got, expected)
+        if retraction != "on_drift":
+            assert (eigh_calls[0] > 0) == eigh_runs
 
 
 class TestPostLoopRecording:
@@ -650,6 +680,124 @@ class TestInputsUnchanged:
         assert states.tobytes() == before.tobytes()
         assert not np.shares_memory(velocity, states)
         assert np.array_equal(velocity, reference_field(before, cfg))
+
+
+class TestWorkspace:
+    SHAPES = [(3, 4, 2), (3, 2, 1), (1, 4, 2)]
+
+    @staticmethod
+    def states(shape, lead, seed):
+        count, n, p = shape
+        rng = np.random.default_rng(seed)
+        members = [random_ensemble(n, p, count, rng) for _ in range(int(np.prod(lead)))]
+        return np.stack(members).reshape(lead + shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_rhs_into_workspace_equals_one_shot_bitwise(self, shape, lead):
+        cfg = recording_config(*shape)
+        x = self.states(shape, lead, seed=95)
+        before = x.copy()
+        expected = reference_field(x, cfg)
+        assert np.array_equal(rhs(x, cfg), expected)
+        work = _Workspace(x.shape, bound=2)
+        bound, out = work.buffers
+        np.copyto(bound, x)
+        # a bound input and an unbound one, into a bound output and a new
+        # one; each call again over the temporaries the last one left
+        for arg in (bound, x, bound):
+            for target in (out, np.empty(x.shape)):
+                target.fill(np.nan)
+                assert rhs(arg, cfg, work, target) is target
+                assert np.array_equal(target, expected)
+        assert np.array_equal(rhs(x, cfg, work), expected)
+        assert x.tobytes() == before.tobytes()
+        assert np.array_equal(bound, x)
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_retraction_into_workspace_equals_one_shot_bitwise(self, far):
+        rng = np.random.default_rng(97)
+        a = self.states((3, 4, 2), (2,), seed=97) + 1e-10 * rng.standard_normal((2, 3, 4, 2))
+        if far:
+            # member 1 beyond the Newton-Schulz gate: its polar factor is
+            # read from a before the retraction writes over a in place
+            a[1] += 1e-6 * rng.standard_normal(a[1].shape)
+        expected = reference_polar(a)
+        assert np.array_equal(_polar_unchecked(a), expected)
+        work = _Workspace(a.shape, bound=1)
+        (bound,) = work.buffers
+        np.copyto(bound, a)
+        assert np.array_equal(_polar_unchecked(a, None, work), expected)
+        assert _polar_unchecked(bound, bound, work) is bound
+        assert np.array_equal(bound, expected)
+
+    def test_workspace_of_another_shape_raises_and_does_not_broadcast(self):
+        cfg = recording_config(3)
+        x = random_ensemble(4, 2, 3, seed=96)
+        pair = _Workspace((2,) + x.shape, bound=1)
+        (out,) = pair.buffers
+        # both shapes broadcast against (2, 3, 4, 2)
+        for bad in (x, x[None]):
+            with pytest.raises(DimensionError):
+                rhs(bad, cfg, pair, out)
+            with pytest.raises(DimensionError):
+                _polar_unchecked(bad, None, pair)
+        single = _Workspace(x.shape, bound=1)
+        for target in (np.empty((2,) + x.shape), np.empty((1,) + x.shape)):
+            with pytest.raises(DimensionError):
+                rhs(x, cfg, single, target)
+            with pytest.raises(DimensionError):
+                _polar_unchecked(x, target, single)
+        # a bound buffer stepped with the config of another state shape
+        with pytest.raises(DimensionError):
+            rhs(single.buffers[0], recording_config(3, 4, 1), single, None)
+
+    def test_runs_in_a_row_and_in_threads_equal_the_reference(self):
+        # two runs of one shape, and one of another
+        runs = [
+            (self.states((3, 4, 2), (2,), seed=98), recording_config(3)),
+            (self.states((3, 4, 2), (2,), seed=99), recording_config(3)),
+            (self.states((3, 2, 1), (), seed=100), recording_config(3, 2, 1)),
+        ]
+        icfg = IntegratorConfig(h=1e-2, t_end=3.0, record_stride=5)
+        expected = [reference_run(initial, cfg, icfg) for initial, cfg in runs]
+        expected[2] = expected[2][0]
+        in_a_row = [integrate(initial, cfg, icfg).states for initial, cfg in runs]
+        # a short switch interval interleaves the runs' steps
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                threaded = list(
+                    pool.map(lambda run: integrate(*run, icfg).states, runs, timeout=300)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        for got in (in_a_row, threaded):
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    @pytest.mark.parametrize("retraction", RETRACTION_POLICIES)
+    def test_trajectory_shares_no_memory_with_the_workspace(self, monkeypatch, retraction):
+        module = importlib.import_module("stiefel_sync.integrate")
+        built = []
+
+        class Recorded(module._Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(module, "_Workspace", Recorded)
+        initial = self.states((3, 4, 2), (2,), seed=94)
+        # at h 0.05 and threshold 1e-14 on_drift retracts on every step
+        icfg = IntegratorConfig(
+            h=5e-2, t_end=0.5, retraction=retraction, drift_threshold=1e-14, record_stride=1
+        )
+        traj = integrate(initial, recording_config(3), icfg)
+        (work,) = built
+        arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
+        arrays += work.buffers + [view for views in work.views.values() for view in views]
+        for result in (traj.times, traj.states, traj.drift, traj.diameters):
+            assert not any(np.shares_memory(result, a) for a in arrays)
 
 
 class TestDivergence:
