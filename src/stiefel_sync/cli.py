@@ -111,7 +111,7 @@ def _cmd_run(args, out, err) -> int:
             code, error = EXIT_SCENARIO, exc
         except DivergenceError as exc:
             code, error = EXIT_DIVERGENCE, exc
-        except StiefelSyncError as exc:
+        except (StiefelSyncError, OSError) as exc:
             code, error = EXIT_ERROR, exc
         else:
             code, error = _report_exit_code(report), None
@@ -126,15 +126,10 @@ def _cmd_gen(args, out, err) -> int:
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
-            print(f"error: --set needs key=value, got {item!r}", file=err)
-            return EXIT_SCENARIO
+            raise ScenarioError(f"--set needs key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key] = parse_override_value(value)
-    try:
-        path = generate_scenario(args.template, args.seed, overrides, args.out)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_SCENARIO
+    path = generate_scenario(args.template, args.seed, overrides, args.out)
     print(f"wrote {path}", file=out)
     return EXIT_OK
 
@@ -202,10 +197,7 @@ def main(argv=None, out=None, err=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_SCENARIO
-    except DivergenceError as exc:
-        print(f"error: diverged (last good time {exc.last_good_time:.6g}): {exc}", file=err)
-        return EXIT_DIVERGENCE
-    except StiefelSyncError as exc:
+    except (StiefelSyncError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
 

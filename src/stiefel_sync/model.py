@@ -119,7 +119,10 @@ class Topology:
     @classmethod
     def separable(cls, xi) -> "Topology":
         xi = np.asarray(xi, dtype=float)
-        return cls(weights=np.outer(xi, xi), xi=xi)
+        # an overflowing product is rejected as a non-finite weight
+        with np.errstate(over="ignore"):
+            weights = np.outer(xi, xi)
+        return cls(weights=weights, xi=xi)
 
     @classmethod
     def general(cls, weights) -> "Topology":
@@ -503,17 +506,12 @@ def decay_rate_bound(cfg: ModelConfig, slack_sup: float) -> float:
     -r_X X - r_Y Y over F is at Y = 0 or Y = 4 X, so F contracts at least at
     min(r_X, (r_X + 4 r_Y) / 5), where (r_X + 4 r_Y) / 5 =
     2 kappa (2 xi_min xi_mean - xi_max^2) - (4/5) slack_sup. For p = 1 there
-    is no skew sector and the rate is r_X, capped at
-    kappa (4 xi_min xi_mean - xi_max^2). Positive only under the sufficient
-    conditions with positive slack margin.
+    is no skew sector (Y = 0) and the rate is r_X. Positive only under the
+    sufficient conditions with positive slack margin.
     """
-    stats = _require_separable(cfg)
     rate_plain, rate_skew = contraction_rates(cfg, slack_sup)
     if cfg.p == 1:
-        return min(
-            rate_plain,
-            cfg.kappa * (4.0 * stats.xi_min * stats.xi_mean - stats.xi_max ** 2),
-        )
+        return rate_plain
     return min(rate_plain, (rate_plain + 4.0 * rate_skew) / 5.0)
 
 
@@ -594,9 +592,10 @@ def check_framework(cfg: ModelConfig, initial) -> FrameworkReport:
         raise ValidationError("the coupling-margin condition needs kappa > 0")
     initial = _check_state_shape(initial, cfg)
 
-    # keeps the weight part of decay_rate_bound positive: the skew-sector
-    # rate 2 kappa (2 xi_min xi_mean - xi_max^2) for p >= 2, the cap
-    # kappa (4 xi_min xi_mean - xi_max^2) for p = 1
+    # keeps the weight part of decay_rate_bound positive for p >= 2: the
+    # skew-sector rate 2 kappa (2 xi_min xi_mean - xi_max^2). For p = 1 the
+    # bound is r_X, whose weight part 4 kappa xi_min xi_mean is always
+    # positive; the factor 4 there is the condition the reports have listed
     ratio_factor = 4.0 if cfg.p == 1 else 2.0
     weight_ratio = FrameworkCondition(
         "weight_ratio",

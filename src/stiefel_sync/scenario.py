@@ -21,7 +21,9 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import diagnostics
-from .errors import InsufficientDataError, ProjectionError, ScenarioError, ValidationError
+from .errors import (
+    InsufficientDataError, ProjectionError, ScenarioError, UnsupportedTopologyError, ValidationError
+)
 from .integrate import IntegratorConfig, integrate
 from .manifold import (
     near_consensus_ensemble,
@@ -49,12 +51,6 @@ ANALYSIS_NAMES = ("framework", "consensus", "decay_fit", "stability", "audits", 
 SEPARABLE_ONLY = ("framework", "decay_fit", "audits", "cubic")
 # analyses that integrate a perturbed partner run next to the main run
 PAIR_ANALYSES = ("decay_fit", "stability", "audits")
-TEMPLATES = (
-    "homogeneous",
-    "heterogeneous-framework",
-    "stability-pair",
-    "kuramoto-circle",
-)
 
 # integer fields must fit an int64, the widest integer numpy takes
 _INT64 = np.iinfo(np.int64)
@@ -117,6 +113,24 @@ def _validated(build, *args, field: str, context: str = ""):
         raise ScenarioError(f"{context}{exc}", field=field) from exc
 
 
+def _read_file(path, field: str | None = None):
+    """The contents of a file from outside the program: a ``.npy`` file as
+    its one array, anything else as JSON. A file that cannot be read or
+    parsed ends in a :class:`ScenarioError` naming ``field``."""
+    try:
+        if str(path).endswith(".npy"):
+            data = np.load(path)
+            if not isinstance(data, np.ndarray):
+                data.close()  # an .npz archive holds its file open
+                raise ValueError("an .npz archive, not one .npy array")
+            return data
+        with open(path) as handle:
+            return json.load(handle)
+    # a JSONDecodeError names its line; RecursionError is JSON nested too deep
+    except (OSError, EOFError, ValueError, RecursionError) as exc:
+        raise ScenarioError(f"cannot read file: {exc}", field=field) from exc
+
+
 def _reject_unknown(raw: Mapping, allowed, where: str) -> None:
     for key in raw:
         if key not in allowed:
@@ -138,7 +152,8 @@ def build_topology(spec: Mapping, count: int) -> Topology:
         center = _need(spec, "center", float, "topology")
         spread = _need(spec, "spread", float, "topology")
         seed = _need(spec, "seed", int, "topology")
-        return Topology.separable(generate_xi(count, center, spread, seed))
+        xi = generate_xi(count, center, spread, seed)
+        return _validated(Topology.separable, xi, field="topology.center")
     if kind == "general":
         if "weights" in spec:
             _reject_unknown(spec, {"kind", "weights"}, "topology")
@@ -230,31 +245,20 @@ def build_initial(spec: Mapping, n: int, p: int, count: int, base_dir: str) -> n
     if kind == "file":
         _reject_unknown(spec, {"kind", "path"}, "initial")
         path = _need(spec, "path", str, "initial")
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+        states = _read_file(os.path.join(base_dir, path), field="initial.path")
         try:
-            if path.endswith(".npy"):
-                states = np.load(path)
-            else:
-                with open(path) as handle:
-                    states = np.asarray(json.load(handle), dtype=float)
-        except OSError as exc:
-            raise ScenarioError(f"cannot read states: {exc}", field="initial.path") from exc
-        if states.shape != (count, n, p):
-            raise ScenarioError(
-                f"states must have shape ({count}, {n}, {p}), got {states.shape}",
-                field="initial.path",
-            )
-        try:
+            states = np.asarray(states, dtype=float)
+            if states.shape != (count, n, p):
+                raise ValidationError(
+                    f"states must have shape ({count}, {n}, {p}), got {states.shape}"
+                )
             return validate_ensemble(states)
-        except (ValidationError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(str(exc), field="initial.path") from exc
     raise ScenarioError(f"unknown initial kind {kind!r}", field="initial.kind")
 
 
-def build_integrator(spec: Mapping | None) -> IntegratorConfig:
-    if spec is None:
-        return IntegratorConfig()
+def build_integrator(spec: Mapping) -> IntegratorConfig:
     _reject_unknown(
         spec, {"h", "t_end", "retraction", "drift_threshold", "record_stride"}, "integrator"
     )
@@ -417,7 +421,7 @@ class Scenario:
         count = _need(dims, "N", int, "dims")
         if count < 1 or not 1 <= p <= n:
             raise ScenarioError(f"need N >= 1 and 1 <= p <= n, got N={count}, p={p}, n={n}", field="dims")
-        integrator = build_integrator(raw.get("integrator"))
+        integrator = build_integrator(_optional(raw, "integrator", dict, {}))
         requested = _normalize_analyses(_optional(raw, "analyses", list, []))
         # before anything of the run's size is allocated, the grid included
         _check_storage(integrator, count, n, p, any(a in PAIR_ANALYSES for a in requested))
@@ -477,13 +481,7 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
-        try:
-            with open(path) as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raw = _read_file(path)
         if not isinstance(raw, dict):
             raise ScenarioError("scenario file must hold a JSON object")
         return cls.from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -703,36 +701,33 @@ def generate_scenario(
     """Write a scenario file for one of the bundled templates and return its
     path. Overrides use dotted keys (``dims.n``, ``integrator.t_end``, ...).
 
-    The heterogeneous-framework template solves for the coupling strength
-    with a 10% margin in the frequency condition and picks an initial radius
-    well inside the diameter threshold; explicit ``kappa`` or
+    The overridden template is parsed first, so a bad override is reported
+    against its field. The solved templates then solve for the coupling
+    strength with a 10% margin in the frequency condition and pick an
+    initial radius well inside the diameter threshold; explicit ``kappa`` or
     ``initial.radius`` overrides suppress the solving. Generation fails with
     :class:`ScenarioError` when the requested parameters cannot satisfy the
-    template's contract (for framework templates, the sufficient conditions
+    template's contract (for solved templates, the sufficient conditions
     checked on the generated initial data).
     """
     overrides = dict(overrides or {})
-    if template == "homogeneous":
-        params = _template_homogeneous(seed)
-    elif template == "heterogeneous-framework":
-        params = _template_heterogeneous_framework(seed)
-    elif template == "stability-pair":
-        params = _template_stability_pair(seed)
-    elif template == "kuramoto-circle":
-        params = _template_kuramoto_circle(seed)
-    else:
+    if template not in _TEMPLATES:
         raise ScenarioError(f"unknown template {template!r}; choose from {TEMPLATES}")
+    build = _TEMPLATES[template]
+    params = build(seed)
     _apply_overrides(params, overrides)
-
-    if template in ("heterogeneous-framework", "stability-pair"):
-        _solve_framework_parameters(params, overrides)
-
-    try:
-        scenario = Scenario.from_dict(params)
-    except ScenarioError as exc:
-        raise ScenarioError(f"generation produced an invalid scenario: {exc}") from exc
-    if template in ("heterogeneous-framework", "stability-pair"):
-        report = check_framework(scenario.model, scenario.initial)
+    scenario = Scenario.from_dict(params)
+    if build in _SOLVED:
+        # the second parse reads the solved values; a library error on them
+        # is reported against the field the solve wrote
+        try:
+            _solve_framework_parameters(params, overrides, scenario.model)
+            scenario = Scenario.from_dict(params)
+            report = check_framework(scenario.model, scenario.initial)
+        except UnsupportedTopologyError as exc:
+            raise ScenarioError(str(exc), field="topology") from exc
+        except ValidationError as exc:
+            raise ScenarioError(str(exc), field="kappa") from exc
         if not report.satisfied:
             failing = [c.name for c in report.conditions() if not c.satisfied]
             raise ScenarioError(
@@ -741,38 +736,30 @@ def generate_scenario(
             )
 
     if out_path is None:
-        out_path = f"{params['name']}.json"
+        out_path = f"{scenario.name}.json"
     with open(out_path, "w") as handle:
         json.dump(params, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return out_path
 
 
-def _solve_framework_parameters(params: dict, overrides: Mapping[str, Any]) -> None:
+def _solve_framework_parameters(params: dict, overrides: Mapping, model: ModelConfig) -> None:
     """Fill kappa (10% margin in the frequency condition) and the initial
-    radius (35% of the diameter threshold) unless explicitly overridden."""
-    dims = params["dims"]
-    count, p = dims["N"], dims["p"]
-    topology = build_topology(params["topology"], count)
-    freqs = build_frequencies(params["frequencies"], count, p)
+    radius of a near-consensus start (35% of the diameter threshold) unless
+    explicitly overridden. ``model`` is the parsed template's; the margin
+    and the frequency spread do not read its kappa."""
     if "kappa" not in overrides:
-        probe = ModelConfig(kappa=1.0, topology=topology, freqs=freqs, n=dims["n"], p=p)
-        margin = coupling_margin_threshold(probe)
+        margin = coupling_margin_threshold(model)
         if margin <= 0:
-            raise ScenarioError(
-                "weight spread leaves no coupling margin; reduce topology.spread"
-            )
-        if probe.freq_spread == 0.0:
-            params["kappa"] = round(2.0 / margin, 6)
-        else:
-            params["kappa"] = round(probe.freq_spread / (0.9 * margin), 6)
-    if params["initial"].get("kind") == "near_consensus" and "initial.radius" not in overrides:
-        cfg = ModelConfig(
-            kappa=float(params["kappa"]), topology=topology, freqs=freqs, n=dims["n"], p=p
-        )
-        bound = diameter_threshold(cfg)
+            message = "weight spread leaves no coupling margin; reduce topology.spread"
+            raise ScenarioError(message, field="topology")
+        spread = model.freq_spread
+        params["kappa"] = round(2.0 / margin if spread == 0.0 else spread / (0.9 * margin), 6)
+    # of the starts, only a near-consensus one parses with a radius
+    if "radius" in params["initial"] and "initial.radius" not in overrides:
+        bound = diameter_threshold(dataclasses.replace(model, kappa=float(params["kappa"])))
         if bound <= 0:
-            raise ScenarioError("diameter threshold is not positive; increase kappa")
+            raise ScenarioError("diameter threshold is not positive; increase kappa", field="kappa")
         params["initial"]["radius"] = round(0.35 * bound, 9)
 
 
@@ -795,10 +782,10 @@ def _template_heterogeneous_framework(seed: int) -> dict:
     return {
         "name": f"framework_hetero_{seed}",
         "dims": {"n": 6, "p": 2, "N": 8},
-        "kappa": 0.0,  # solved during generation
+        "kappa": 0.0,  # solved during generation, as is the initial radius
         "topology": {"kind": "separable", "center": 1.0, "spread": 0.02, "seed": seed},
         "frequencies": {"kind": "random", "spread": 0.02, "seed": seed + 1},
-        "initial": {"kind": "near_consensus", "radius": 0.0, "seed": seed + 2},
+        "initial": {"kind": "near_consensus", "radius": 0.1, "seed": seed + 2},
         "integrator": {"h": 0.001, "t_end": 10.0, "record_stride": 1},
         "perturbation": {"radius": 0.001, "seed": seed + 3},
         "analyses": ["framework", "cubic", "consensus", "decay_fit", "audits"],
@@ -810,10 +797,10 @@ def _template_stability_pair(seed: int) -> dict:
     return {
         "name": f"stability_pair_{seed}",
         "dims": {"n": 5, "p": 2, "N": 6},
-        "kappa": 0.0,  # solved during generation
+        "kappa": 0.0,  # solved during generation, as is the initial radius
         "topology": {"kind": "separable", "center": 1.0, "spread": 0.02, "seed": seed},
         "frequencies": {"kind": "common", "scale": 0.4, "seed": seed + 1},
-        "initial": {"kind": "near_consensus", "radius": 0.0, "seed": seed + 2},
+        "initial": {"kind": "near_consensus", "radius": 0.1, "seed": seed + 2},
         "integrator": {"h": 0.002, "t_end": 50.0, "record_stride": 10},
         "perturbation": {"radius": 0.002, "seed": seed + 3},
         "analyses": [
@@ -836,3 +823,14 @@ def _template_kuramoto_circle(seed: int) -> dict:
         "integrator": {"h": 0.001, "t_end": 10.0, "record_stride": 10},
         "analyses": ["consensus"],
     }
+
+
+_TEMPLATES = {
+    "homogeneous": _template_homogeneous,
+    "heterogeneous-framework": _template_heterogeneous_framework,
+    "stability-pair": _template_stability_pair,
+    "kuramoto-circle": _template_kuramoto_circle,
+}
+TEMPLATES = tuple(_TEMPLATES)
+# templates whose kappa and initial radius generation solves for
+_SOLVED = {_template_heterogeneous_framework, _template_stability_pair}

@@ -8,6 +8,7 @@ seeds therefore produce byte-identical files.
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Mapping
 
 import numpy as np
@@ -54,8 +55,9 @@ def read_series(path) -> dict[str, np.ndarray]:
     """Parse a CSV written by :func:`emit_series` back into named columns.
 
     Raises :class:`ValidationError` on a file that does not parse as a
-    rectangular table of numbers or does not end in a newline (a truncated
-    file, say) and on any non-finite value, naming its column and data row.
+    rectangular table of numbers, has no data rows or does not end in a
+    newline (a truncated file, say) and on any non-finite value, naming its
+    column and data row.
     """
     with open(path) as handle:
         header = handle.readline().strip()
@@ -63,9 +65,14 @@ def read_series(path) -> dict[str, np.ndarray]:
             raise ValidationError(f"{path}: empty series file")
         names = header.split(",")
         try:
-            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # a header with no rows is rejected below, by name
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(handle, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed series data: {exc}") from exc
+    if not len(data):
+        raise ValidationError(f"{path}: no data rows")
     # every row emit_series writes ends in a newline; a file cut inside the
     # last field of a row would otherwise parse as a shorter valid one
     with open(path, "rb") as raw:

@@ -100,8 +100,8 @@ def worst_relative_bound_excess(cfg, traj1, traj2, floor=1e-20):
 
 @pytest.fixture(scope="session")
 def homogeneous_pairs():
-    """Homogeneous zero-frequency pairs with two and three columns."""
-    return {p: homogeneous_pair(p) for p in (2, 3)}
+    """Homogeneous zero-frequency pairs with one, two and three columns."""
+    return {p: homogeneous_pair(p) for p in (1, 2, 3)}
 
 
 @pytest.fixture(scope="session")

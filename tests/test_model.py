@@ -446,11 +446,12 @@ class TestRateQuantities:
         assert abs(decay_rate_bound(cfg, 0.0) - 2.0 * 1.7) <= 1e-14
 
     def test_rate_bound_single_column_zero_slack(self):
+        # one column: no skew sector, so the bound is r_X = 4 kappa
         cfg = uniform_config(p=1, kappa=1.7)
-        assert abs(decay_rate_bound(cfg, 0.0) - 3.0 * 1.7) <= 1e-14
+        assert abs(decay_rate_bound(cfg, 0.0) - 4.0 * 1.7) <= 1e-14
 
     def test_delta_lower_below_homogeneous_fitted_rate(self, homogeneous_pairs):
-        for p in (2, 3):
+        for p in (1, 2, 3):
             cfg, traj, partner = homogeneous_pairs[p]
             report = check_framework(cfg, traj.initial)
             assert report.satisfied and report.delta_lower is not None

@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from stiefel_sync.cli import (
     EXIT_AUDIT,
     EXIT_DIVERGENCE,
+    EXIT_ERROR,
     EXIT_OK,
     EXIT_SCENARIO,
     main,
@@ -118,6 +121,14 @@ OVERFLOWING_FIELDS = {
         "perturbation.radius", {"perturbation": {"radius": 1e308}, "analyses": ["stability"]}
     ),
     "topology-high-1e308": ("topology.high", {"topology": {**GENERAL, "high": 1e308}}),
+    # the separable weights overflow, or underflow to a disconnected graph
+    "topology-center-1e300": ("topology.center", {"topology": {**SEPARABLE, "center": 1e300}}),
+    "topology-center-1e-300": (
+        "topology.center", {"topology": {**SEPARABLE, "center": 1e-300, "spread": 0.0}}
+    ),
+    "topology-xi-1e300": (
+        "topology.xi", {"topology": {"kind": "separable", "xi": [1.0, 1e300, 1.0]}}
+    ),
 }
 
 
@@ -152,7 +163,7 @@ BAD_LIST_FIELDS = {
 class TestScenarioParsing:
     def test_missing_kappa_names_field(self, tmp_path):
         path = tmp_path / "bad.json"
-        raw = json.loads(open(minimal_scenario(tmp_path)).read())
+        raw = json.loads(Path(minimal_scenario(tmp_path)).read_text())
         del raw["kappa"]
         path.write_text(json.dumps(raw))
         with pytest.raises(ScenarioError) as err:
@@ -161,9 +172,9 @@ class TestScenarioParsing:
 
     def test_unknown_field_rejected(self, tmp_path):
         path = minimal_scenario(tmp_path)
-        raw = json.loads(open(path).read())
+        raw = json.loads(Path(path).read_text())
         raw["kapa"] = 1.0
-        open(path, "w").write(json.dumps(raw))
+        Path(path).write_text(json.dumps(raw))
         with pytest.raises(ScenarioError) as err:
             Scenario.from_file(path)
         assert "kapa" in str(err.value)
@@ -173,6 +184,12 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError) as err:
             Scenario.from_file(path)
         assert err.value.field == "topology.xi"
+
+    def test_json_nested_too_deep_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ScenarioError, match="cannot read file"):
+            Scenario.from_file(path)
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -292,11 +309,80 @@ def test_mutated_bundled_leaf_parses_or_names_its_field(name, leaf, value):
     # any other exception fails the test
 
 
+# the bundled scenarios each template regenerates byte for byte, as
+# (template, seed, scenario name)
+REGENERATED = [
+    ("heterogeneous-framework", 11, "framework_hetero"),
+    ("stability-pair", 5, "stability_pair"),
+    ("homogeneous", 7, "homogeneous_complete"),
+    ("kuramoto-circle", 3, "kuramoto_circle"),
+]
+# the templates that solve kappa and the initial radius, by the bundled
+# scenario each regenerates; the scenario has the template's keys
+SOLVED = {"heterogeneous-framework": "framework_hetero", "stability-pair": "stability_pair"}
+
+
+def object_keys(node, path=()):
+    """Key paths of every object in a JSON value below the top level."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return []
+    paths = [path] if isinstance(node, dict) and path else []
+    return paths + [key for k, child in children for key in object_keys(child, path + (k,))]
+
+
+def mutation_override(raw: dict, path: tuple, value) -> dict:
+    """The ``--set`` override that puts ``value`` at ``path``: a dotted key
+    down to the first list on the path, which is then set whole."""
+    keys = []
+    for key in path:
+        if isinstance(key, int):
+            whole = copy.deepcopy(raw)
+            node = whole
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = value
+            for part in keys:
+                whole = whole[part]
+            return {".".join(keys): whole}
+        keys.append(key)
+    return {".".join(keys): value}
+
+
+GEN_FUZZ_CASES = [
+    pytest.param(template, leaf, value, id=f"{template}:{'.'.join(map(str, leaf))}={label}")
+    for template, name in SOLVED.items()
+    for leaf, label, value in [
+        (leaf, label, value)
+        for leaf in scalar_leaves(BUNDLED_RAW[name])
+        for label, value in FUZZ_VALUES.items()
+    ] + [(key, "3", 3) for key in object_keys(BUNDLED_RAW[name])]
+]
+
+
+@pytest.mark.parametrize("template, leaf, value", GEN_FUZZ_CASES)
+def test_mutated_solved_template_generates_or_raises_scenario_error(
+    tmp_path, template, leaf, value
+):
+    overrides = mutation_override(BUNDLED_RAW[SOLVED[template]], leaf, value)
+    out = str(tmp_path / "gen.json")
+    try:
+        generate_scenario(template, 1, overrides, out)
+    except ScenarioError:
+        assert not os.path.exists(out)
+    else:
+        Scenario.from_file(out)
+    # any other exception fails the test
+
+
 class TestGeneration:
     def test_deterministic_bytes(self, tmp_path):
         a = generate_scenario("homogeneous", 7, {}, str(tmp_path / "a.json"))
         b = generate_scenario("homogeneous", 7, {}, str(tmp_path / "b.json"))
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_framework_template_satisfies_conditions(self, tmp_path):
         from stiefel_sync.model import check_framework
@@ -311,7 +397,7 @@ class TestGeneration:
         path = generate_scenario(
             "homogeneous", 3, {"dims.n": 5, "kappa": 3.5}, str(tmp_path / "o.json")
         )
-        raw = json.load(open(path))
+        raw = json.loads(Path(path).read_text())
         assert raw["dims"]["n"] == 5
         assert raw["kappa"] == 3.5
 
@@ -324,6 +410,48 @@ class TestGeneration:
                 {"topology.spread": 0.9},
                 str(tmp_path / "x.json"),
             )
+
+    @pytest.mark.parametrize("template, seed, name", REGENERATED, ids=[r[2] for r in REGENERATED])
+    def test_regenerates_bundled_scenario_bytes(self, tmp_path, template, seed, name):
+        out = str(tmp_path / f"{name}.json")
+        argv = ["gen", template, "--seed", str(seed), "--set", f"name={name}", "--out", out]
+        assert main(argv, out=io.StringIO(), err=io.StringIO()) == EXIT_OK
+        assert Path(out).read_bytes() == Path(BUNDLED, f"{name}.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "setting, field",
+        [
+            ("dims.N=0", "dims"),
+            ("dims=3", "dims"),
+            ("topology=3", "topology"),
+            ("frequencies=3", "frequencies"),
+            ("initial=3", "initial"),
+            ("kappa=abc", "kappa"),
+            ("kappa=null", "kappa"),
+            ("dims.N=100000000", "dims"),
+            ("kappa=-1", "kappa"),
+            ("kappa=0", "kappa"),
+        ],
+    )
+    @pytest.mark.parametrize("template", SOLVED)
+    def test_bad_override_of_solved_template_exit_code(self, tmp_path, template, setting, field):
+        # the overridden template is parsed before kappa and the radius are
+        # solved on it
+        out, err = io.StringIO(), io.StringIO()
+        target = tmp_path / "x.json"
+        argv = ["gen", template, "--seed", "1", "--set", setting, "--out", str(target)]
+        code = main(argv, out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert f"{field}: " in err.getvalue()
+        assert not target.exists()
+
+    def test_set_without_value_exit_code(self, tmp_path):
+        err = io.StringIO()
+        code = main(["gen", "homogeneous", "--seed", "1", "--set", "kappa"], out=err, err=err)
+        assert code == EXIT_SCENARIO
+        assert err.getvalue() == "error: --set needs key=value, got 'kappa'\n"
 
     def test_unknown_template(self, tmp_path):
         with pytest.raises(ScenarioError):
@@ -403,7 +531,7 @@ class TestRunScenario:
     def test_report_json_schema(self, tmp_path):
         path = minimal_scenario(tmp_path, name="schema", expect={"consensus": "complete"})
         report = run_scenario(path, out_dir=str(tmp_path))
-        on_disk = json.load(open(os.path.join(str(tmp_path), "schema_report.json")))
+        on_disk = json.loads((tmp_path / "schema_report.json").read_text())
         for key in ("scenario", "framework", "cubic", "consensus", "decay", "gain",
                     "audits", "artifacts", "expectations", "ok"):
             assert key in on_disk
@@ -765,6 +893,56 @@ class TestCli:
         assert "Traceback" not in err.getvalue()
         assert f"{field}: " in err.getvalue()
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("init.json", b"{bad json"),
+            ("init.json", b"[1,2"),
+            ("init.json", b"[[[1.0]], [[1.0], [0.0]], [[1.0]]]"),
+            ("init.npy", b"not the bytes of an array"),
+            ("init.npy", "object"),
+            ("init.npy", "npz"),
+            ("init.json", b"[" * 100000 + b"]" * 100000),
+        ],
+        ids=["json-broken-object", "json-cut-list", "json-ragged", "npy-not-npy",
+             "npy-object-dtype", "npy-holding-npz", "json-nested-too-deep"],
+    )
+    def test_unreadable_state_file_exit_code(self, tmp_path, name, content):
+        states = tmp_path / name
+        if content == "object":
+            np.save(states, np.array([None, 1.0, "x"], dtype=object))
+        elif content == "npz":
+            with open(states, "wb") as handle:
+                np.savez(handle, states=random_ensemble(3, 1, 3, seed=2))
+        else:
+            states.write_bytes(content)
+        path = minimal_scenario(tmp_path, initial={"kind": "file", "path": name})
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert "initial.path: " in err.getvalue()
+
+    def test_run_into_existing_file_exit_code(self, tmp_path):
+        # the next scenario named in the call still runs
+        occupied = tmp_path / "occupied"
+        occupied.write_text("")
+        path = minimal_scenario(tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", "kuramoto_circle", path, "--out", str(occupied)], out=out, err=err)
+        assert code == EXIT_ERROR
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("File exists") == 2
+
+    def test_gen_into_missing_directory_exit_code(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["gen", "homogeneous", "--seed", "1", "--out", str(target)], out=out, err=err)
+        assert code == EXIT_ERROR
+        assert "Traceback" not in err.getvalue()
+        assert "No such file or directory" in err.getvalue()
+
     def test_missing_scenario_exit_code(self, tmp_path):
         err = io.StringIO()
         code = main(["run", "no_such_scenario", "--out", str(tmp_path)], out=err, err=err)
@@ -776,8 +954,8 @@ class TestCli:
         dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["run", path, "--out", dir_a], out=out, err=out) == EXIT_OK
         assert main(["run", path, "--out", dir_b], out=out, err=out) == EXIT_OK
-        csv_a = open(os.path.join(dir_a, "determinism.csv"), "rb").read()
-        csv_b = open(os.path.join(dir_b, "determinism.csv"), "rb").read()
+        csv_a = Path(dir_a, "determinism.csv").read_bytes()
+        csv_b = Path(dir_b, "determinism.csv").read_bytes()
         assert csv_a == csv_b
 
     def test_batch_run(self, tmp_path):
@@ -862,6 +1040,17 @@ class TestCli:
         code = main(["audit", str(pair_csv), "--config", path], out=err, err=err)
         assert code == EXIT_SCENARIO
         assert err.getvalue().startswith("error:")
+
+    def test_audit_rejects_csv_without_rows(self, tmp_path):
+        path, pair_csv = self._pair_run(tmp_path)
+        pair_csv.write_text(pair_csv.read_text().splitlines()[0] + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["audit", str(pair_csv), "--config", path], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and "no data rows" in err.getvalue()
 
     def test_audit_rejects_csv_cut_inside_last_field(self, tmp_path):
         # cut 5 bytes before the end of data row 60: the last field keeps
