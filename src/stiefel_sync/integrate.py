@@ -8,33 +8,47 @@ Newton-Schulz step for an ensemble within 1e-8 of orthonormal, which after
 an RK4 step from the manifold is the usual case, and the eigendecomposition
 of a^T a otherwise (under ``on_drift`` with a large threshold, say).
 
-Once per run, ``integrate`` lays out a
+Once per run, ``integrate`` builds the three stage configs
+``cfg.scaled(c)`` for c = h/2, h and h/6. The field is linear in (kappa,
+Omega), so ``rhs`` of the stage config of c is c times the field, and the
+RK4 scalars cost no call a step. It also lays out a
 :class:`~stiefel_sync.linalg._Workspace` for its batch shape (B, N, n, p):
-the state buffer, the stage-argument buffer and k1...k4, the views ``rhs``
+the state buffer, the stage-argument buffer and u1...u4, the views ``rhs``
 and the retraction take of the two input buffers (the (B, N, n p) reshape
 and the transpose), and their temporaries. A step only fills these arrays:
 the state is copied in from ``initial``, which is only read, and each
 recorded state is copied out.
 
-One step calls ``rhs(x, cfg, work, k)`` four times, x the state or the
-stage argument, and combines the stages in place as s + (h/6) (((k1 +
-2 k2) + 2 k3) + k4), into the state buffer. Then, by policy:
+One step calls ``rhs(x, cfg_c, work, u)`` four times, through this
+module's globals:
+
+    u1 = (h/2) k1 = rhs(s,      cfg_h/2)
+    u2 = (h/2) k2 = rhs(s + u1, cfg_h/2)
+    u3 =  h    k3 = rhs(s + u2, cfg_h)
+    u4 = (h/6) k4 = rhs(s + u3, cfg_h/6)
+
+and combines the stages in place, into the state buffer, as s + (((u1 +
+u3) + 2 u2) / 3 + u4), which is s + (h/6) (k1 + 2 k2 + 2 k3 + k4): adds,
+one multiply by a 0-d 1/3, then + s. The stage arithmetic is 9 numpy calls
+and ``rhs`` 7 a call. Then, by policy:
 
 - ``every_step``: ``_polar_unchecked(s, s, work)`` once on the whole batch,
-  writing into the state buffer. Its gate on the Gram defect doubles as
-  the finiteness test, which runs only when the gate fails; a non-finite
-  state raises :class:`DivergenceError` there, before anything is written.
+  writing into the state buffer (6 calls). Its gate on the Gram defect
+  doubles as the finiteness test, which runs only when the gate fails; a
+  non-finite state raises :class:`DivergenceError` there, before anything
+  is written. 43 numpy calls a step.
 - ``on_drift``: a gate of one Gram product d = S^T S - I, into the
-  workspace, and one max|d|. Since ||d||_F <= p max|d|, every member is
-  within the threshold when p max|d| <= threshold / (1 + 1e-12), the
-  margin covering the drift's rounding
-  (:func:`~stiefel_sync.manifold._drift_limit`); NaN and Inf fail it.
-  Only a failed gate runs the exact path: a finiteness test,
-  ``orthonormality_drift`` once, and ``_polar_unchecked`` once on the
-  members over the threshold, if any, with a one-shot workspace of their
-  shape. So each step retracts exactly the members the exact drift puts
-  over the threshold.
-- ``never``: a finiteness test only.
+  workspace, and one dot product of d with itself (3 calls, 40 a step).
+  Every member's ||d||_F^2 is at most that sum of squares, so every member
+  is within the threshold when the sum is at most
+  :func:`~stiefel_sync.manifold._drift_limit` of the threshold and the
+  B N p^2 squares, a bound with a margin for the rounding of both the sum
+  and the drift; NaN and Inf fail it. Only a failed gate runs the exact
+  path: a finiteness test, ``orthonormality_drift`` once, and
+  ``_polar_unchecked`` once on the members over the threshold, if any,
+  with a one-shot workspace of their shape. So each step retracts exactly
+  the members the exact drift puts over the threshold.
+- ``never``: a finiteness test only (38 calls a step).
 
 The step size is fixed so that two runs over the same horizon share their
 time grid bitwise, which the pairwise diagnostics rely on.
@@ -181,12 +195,15 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     for member in s:
         _check_state_shape(validate_ensemble(member), cfg)
     h = float(icfg.h)
-    # 0-d arrays spare each ufunc call the conversion of a Python float
-    half, whole, sixth, two = (np.array(c) for c in (0.5 * h, h, h / 6.0, 2.0))
+    # the stage configs: rhs of each is c k for c = h/2, h, h/6
+    half, whole, sixth = (cfg.scaled(c) for c in (0.5 * h, h, h / 6.0))
+    # a 0-d array spares each ufunc call the conversion of a Python float
+    third = np.array(1.0 / 3.0)
     policy, threshold = icfg.retraction, icfg.drift_threshold
-    limit = _drift_limit(threshold, s.shape[-1])
+    # the gate sums B N p^2 squares
+    limit = _drift_limit(threshold, s.size // s.shape[-2] * s.shape[-1])
     work = _Workspace(s.shape, bound=6)
-    state, arg, k1, k2, k3, k4 = work.buffers
+    state, arg, u1, u2, u3, u4 = work.buffers
     np.copyto(state, s)
     recorded = icfg.recorded_steps()
     times = recorded * h
@@ -202,15 +219,16 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
         # rhs and _polar_unchecked are called positionally through this
         # module's globals, where call counters can wrap them
         for step in range(1, icfg.steps + 1):
-            rhs(state, cfg, work, k1)
-            rhs(np.add(state, np.multiply(half, k1, out=arg), out=arg), cfg, work, k2)
-            rhs(np.add(state, np.multiply(half, k2, out=arg), out=arg), cfg, work, k3)
-            rhs(np.add(state, np.multiply(whole, k3, out=arg), out=arg), cfg, work, k4)
-            # s + (h/6) (((k1 + 2 k2) + 2 k3) + k4), the sum in k1
-            np.add(k1, np.multiply(two, k2, out=k2), out=k1)
-            np.add(k1, np.multiply(two, k3, out=k3), out=k1)
-            np.add(k1, k4, out=k1)
-            np.add(state, np.multiply(sixth, k1, out=k1), out=state)
+            rhs(state, half, work, u1)
+            rhs(np.add(state, u1, out=arg), half, work, u2)
+            rhs(np.add(state, u2, out=arg), whole, work, u3)
+            rhs(np.add(state, u3, out=arg), sixth, work, u4)
+            # s + (((u1 + u3) + 2 u2) / 3 + u4), the sum in u1
+            np.add(u1, u3, out=u1)
+            np.add(u1, np.add(u2, u2, out=u2), out=u1)
+            np.multiply(third, u1, out=u1)
+            np.add(u1, u4, out=u1)
+            np.add(state, u1, out=state)
             if policy == "every_step":
                 # the retraction's gate tests finiteness
                 try:

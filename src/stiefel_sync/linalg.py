@@ -80,6 +80,30 @@ def qr_thin(a) -> tuple[np.ndarray, np.ndarray]:
 _NEWTON_SCHULZ_DEFECT = 1e-8
 
 
+def _drift_limit(threshold: float, terms: int) -> float:
+    """The largest sum of the squares of the entries of every S_i^T S_i - I
+    of a stack, ``terms`` squares in all, at which
+    :func:`~stiefel_sync.manifold.orthonormality_drift` is provably at most
+    ``threshold`` for every ensemble: the bound
+    :func:`~stiefel_sync.manifold._drift_within` and the retraction's gate
+    test. A stack of B ensembles of N agents sums B N p^2 squares.
+
+    Every agent's ||d||_F^2 is at most the sum over the whole stack. With
+    u = eps/2: the gate's sum of ``terms`` rounded squares, in any order,
+    is below the exact sum by a relative terms u / (1 - terms u) at most;
+    the drift squares the same entries of d, sums p^2 <= terms of them and
+    takes a root, which rounds its square up by a relative (p^2 + 2) u at
+    most; and threshold^2 / (1 + margin) rounds by 3u. The margin
+    max(1e-12, 5 terms eps) covers all three while terms eps < 0.01. That
+    holds while the squares near the bound are normal numbers, so the
+    threshold is capped at 1e140, and below 1e-140 only an exactly
+    orthonormal stack (d = 0) passes."""
+    if not threshold >= 1e-140:
+        return 0.0
+    margin = max(1e-12, 5 * terms * np.finfo(float).eps)
+    return min(threshold, 1e140) ** 2 / (1.0 + margin)
+
+
 @functools.cache
 def _identity(p: int) -> np.ndarray:
     """The read-only p x p identity, built once per size."""
@@ -105,10 +129,13 @@ class _Workspace:
       and the retraction take of an input: its (-1, N, n p) reshape and its
       transpose. A bound input costs no view per call; ``buffers`` keeps the
       keys alive. :meth:`views_of` takes them of any other input.
-    - The field's temporaries: ``ws`` = W S with its flat view ``ws_flat``,
-      ``m`` = S^T WS with its transpose ``m_t``, ``g`` and ``sg`` = S g.
+    - The field's temporaries: ``y`` = (kappa/2N) W S with its flat view
+      ``y_flat``, ``m`` = S^T Y with its transpose ``m_t``, ``g`` and
+      ``sg`` = S g.
     - The retraction's: ``defect`` d = a^T a - I, ``half_defect`` d/2,
-      ``product`` a (d/2), and the 0-d constant ``half`` that d is scaled by.
+      ``product`` a (d/2), the 0-d constant ``half`` that d is scaled by,
+      and ``polar_limit``, the bound on the sum of the squares of d at
+      which every matrix of the shape takes the Newton-Schulz step.
 
     The arrays are private to one caller at a time: two runs, or two
     threads, each build their own."""
@@ -122,8 +149,8 @@ class _Workspace:
         self.views = {
             id(b): (b.reshape(self.flat_shape), b.swapaxes(-2, -1)) for b in self.buffers
         }
-        self.ws = np.empty(self.shape)
-        self.ws_flat = self.ws.reshape(self.flat_shape)
+        self.y = np.empty(self.shape)
+        self.y_flat = self.y.reshape(self.flat_shape)
         self.m = np.empty(gram)
         self.m_t = self.m.swapaxes(-2, -1)
         self.g = np.empty(gram)
@@ -132,6 +159,7 @@ class _Workspace:
         self.half_defect = np.empty(gram)
         self.product = np.empty(self.shape)
         self.half = np.array(0.5)
+        self.polar_limit = _drift_limit(_NEWTON_SCHULZ_DEFECT, math.prod(gram))
         self.eye = _identity(p)
 
     def views_of(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +196,13 @@ def _polar_unchecked(
     (Higham 1986), equal to the polar factor up to rounding. Any other
     ensemble gets the eigendecomposition of a^T a.
 
+    One dot product of d with itself decides the usual case: a sum of the
+    squares under ``work.polar_limit`` (:func:`_drift_limit` of 1e-8)
+    bounds every entry of d under 1e-8, so every ensemble takes the step.
+    Otherwise each ensemble's max|d| decides, as it would on its own; the
+    gate only chooses the fast path, so each ensemble's result is the one
+    it gets alone.
+
     The result goes to ``out``, which may be ``a`` itself, or to a new array
     when ``out`` is None. d, d/2 (scaled by a 0-d 0.5) and a (d/2) go to
     the buffers of ``work``, a :class:`_Workspace` for a's shape; without
@@ -175,10 +210,10 @@ def _polar_unchecked(
     The eigendecomposition reads ``a`` before ``out`` is written.
 
     Finiteness is tested only when that gate fails: a NaN or Inf entry of
-    a makes a diagonal entry of d (a sum of squares) NaN or Inf, and NaN
-    fails ``<=``, so a non-finite input never passes the gate. A finite
-    input whose a^T a overflows fails the gate too and raises nothing; its
-    result is non-finite, so a run diverges one step later.
+    a makes a diagonal entry of d (a sum of squares) NaN or Inf, so is the
+    gate's sum, and neither passes ``<=``. A finite input whose a^T a
+    overflows fails the gate too and raises nothing; its result is
+    non-finite, so a run diverges one step later.
     Raises :class:`_NonFiniteInput` for a non-finite input, before ``out``
     is written."""
     if work is None:
@@ -187,15 +222,16 @@ def _polar_unchecked(
         work.check(out)
     d = work.gram_defect(a)
     half_d = np.multiply(work.half, d, out=work.half_defect)
-    # one reduction over the whole batch decides the usual case
-    far = None
-    if not np.abs(d, out=d).max() <= _NEWTON_SCHULZ_DEFECT:
+    # one dot product over the whole batch decides the usual case
+    fixed = None
+    if not np.vdot(d, d) <= work.polar_limit:
         if not np.isfinite(a).all():
             raise _NonFiniteInput
-        far = d.max(axis=(-3, -2, -1)) > _NEWTON_SCHULZ_DEFECT
-        fixed = _eigh_polar(a[far])
+        far = np.abs(d, out=d).max(axis=(-3, -2, -1)) > _NEWTON_SCHULZ_DEFECT
+        if far.any():
+            fixed = _eigh_polar(a[far])
     out = np.subtract(a, np.matmul(a, half_d, out=work.product), out=out)
-    if far is not None:
+    if fixed is not None:
         out[far] = fixed
     return out
 

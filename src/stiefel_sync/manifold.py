@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import _identity, _Workspace, polar_factor, qr_thin
+from .linalg import _drift_limit, _identity, _Workspace, polar_factor, qr_thin
 from .tolerances import ORTH_CONSTRUCTION_TOL
 
 
@@ -81,32 +81,16 @@ def _gram_defect(states: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _drift_limit(threshold: float, p: int) -> float:
-    """The largest max|S_i^T S_i - I| entry of a stack at which
-    :func:`orthonormality_drift` is provably at most ``threshold`` for
-    every ensemble: the bound :func:`_drift_within` tests.
-
-    A p x p matrix d has ||d||_F <= p max|d|. The drift squares the same
-    entries of d (:func:`_gram_defect`), sums p^2 of them and takes a root;
-    with this bound's own division that rounds up by a relative
-    (p^2/2 + 3) eps/2 at most, which the margin max(1e-12, p^2 eps) covers.
-    That holds while the squares stay normal numbers, so the threshold is
-    capped at 1e140, and below 1e-140 only an exactly orthonormal stack
-    (d = 0) passes."""
-    if not threshold >= 1e-140:
-        return 0.0
-    margin = max(1e-12, p * p * np.finfo(float).eps)
-    return min(threshold, 1e140) / ((1.0 + margin) * p)
-
-
 def _drift_within(states: np.ndarray, limit: float, work: _Workspace | None = None) -> bool:
-    """One Gram product and one max: True only if every entry of every
-    S_i^T S_i - I is at most ``limit`` (from :func:`_drift_limit`) in
-    magnitude. A NaN or Inf entry of ``states`` makes a diagonal entry of
-    the defect NaN or Inf, which never passes. The defect goes to the
+    """One Gram product and one dot product: True only if the sum of the
+    squares of every entry of every S_i^T S_i - I of the stack is at most
+    ``limit``, from :func:`_drift_limit` of the threshold and the number of
+    squares; every ensemble's drift is then within the threshold. A NaN or
+    Inf entry of ``states`` makes a diagonal entry of the defect NaN or
+    Inf, and so the sum, which never passes. The defect goes to the
     ``defect`` buffer of ``work``, a one-shot workspace when None."""
     d = (_Workspace(states.shape) if work is None else work).gram_defect(states)
-    return np.abs(d, out=d).max() <= limit
+    return np.vdot(d, d) <= limit
 
 
 def random_stiefel(n: int, p: int, seed=None) -> np.ndarray:

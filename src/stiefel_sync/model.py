@@ -15,6 +15,7 @@ contraction-rate bound.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -186,7 +187,8 @@ def random_frequencies(count: int, p: int, spread: float, seed=None, common=None
 
     Deviations around the (optional) common part are centered and rescaled so
     the realized heterogeneity matches the request. p = 1 admits only zero
-    generators, so any positive spread is rejected there.
+    generators, so any positive spread is rejected there, and so is a spread
+    whose realized value overflows.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     base = np.zeros((p, p)) if common is None else require_skew(common)
@@ -201,7 +203,13 @@ def random_frequencies(count: int, p: int, spread: float, seed=None, common=None
     current = frequency_spread(devs)
     if current == 0.0:
         raise ValidationError("degenerate frequency sample; retry with another seed")
-    return base[None, :, :] + devs * (spread / current)
+    # a huge spread overflows the generators or their distances
+    with np.errstate(over="ignore", invalid="ignore"):
+        freqs = base[None, :, :] + devs * (spread / current)
+        realized = frequency_spread(freqs)
+    if not math.isfinite(realized):
+        raise ValidationError(f"spread {spread} overflows the generators' distances")
+    return freqs
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +222,10 @@ class ModelConfig:
     per-agent skew generators, with dimensions pinned explicitly.
 
     Derived once, not set: ``freq_spread``, the ``(N, n, p)`` shape of one
-    ensemble, and the field's two scalars kappa/N and (kappa/N)/2 as
-    read-only 0-d float64 arrays, which :func:`rhs` reads on every call."""
+    ensemble, and ``half_weights`` = (kappa/2N) W, the read-only weights
+    :func:`rhs` multiplies by on every call. The field is linear in
+    (kappa, Omega), so :meth:`scaled` gives the config of c times the
+    field."""
 
     kappa: float
     topology: Topology
@@ -224,8 +234,7 @@ class ModelConfig:
     p: int
     freq_spread: float = field(init=False)
     state_shape: tuple[int, int, int] = field(init=False)
-    mean_scale: np.ndarray = field(init=False, repr=False)
-    half_scale: np.ndarray = field(init=False, repr=False)
+    half_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.kappa) or self.kappa < 0:
@@ -240,15 +249,31 @@ class ModelConfig:
             )
         for i in range(count):
             require_skew(freqs[i], name=f"frequency generator {i}")
+        self._derive(freqs)
+
+    def _derive(self, freqs: np.ndarray) -> None:
+        """Set ``freqs``, read-only, and the fields derived from it and kappa."""
         freqs.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "freq_spread", frequency_spread(freqs))
+        count = self.topology.agent_count
         object.__setattr__(self, "state_shape", (count, self.n, self.p))
-        scale = self.kappa / count
-        for name, value in (("mean_scale", scale), ("half_scale", 0.5 * scale)):
-            value = np.array(value)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        half_weights = (self.kappa / (2 * count)) * self.topology.weights
+        half_weights.setflags(write=False)
+        object.__setattr__(self, "half_weights", half_weights)
+
+    def scaled(self, c: float) -> "ModelConfig":
+        """The config whose field is c times this one's: kappa and the
+        generators times c, and the rest derived as ``dataclasses.replace``
+        derives it. The checks are not run again. A scaled valid config
+        describes a valid field, but with c > 1 a generator's rounding can
+        exceed the skew test's absolute floor, and c kappa can overflow;
+        a run reports the latter as a divergence."""
+        scaled = copy.copy(self)
+        object.__setattr__(scaled, "kappa", c * self.kappa)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled._derive(c * self.freqs)
+        return scaled
 
     @property
     def agent_count(self) -> int:
@@ -271,22 +296,22 @@ def rhs(states, cfg: ModelConfig, work: _Workspace | None = None, out=None) -> n
     its agent whenever the agent is on the manifold.
 
     The field is S Omega + kappa (C - S sym(S^T C)) with C = (1/N) W S the
-    weighted mean. With WS = W S and M = S^T WS it is evaluated by three
-    stacked matrix products as
+    weighted mean. With Y = (kappa/2N) W S, the config's ``half_weights``
+    times S, and M = S^T Y it is evaluated by three stacked matrix products
+    as
 
-        (kappa/N) WS + S (Omega - (kappa/2N) (M + M^T)),
+        Y + (Y + S (Omega - (M + M^T))),
 
     each in a fixed order, so repeated evaluations are bitwise deterministic.
-    The scalars kappa/N and kappa/2N are the config's, set once; WS, M,
-    the p x p sum and S (...) are formed in the temporaries of ``work``, a
-    :class:`~stiefel_sync.linalg._Workspace` for the states' shape, in the
-    same order, so the result is bitwise the expression above. When
-    ``states`` is a buffer bound in ``work``, its flat and transposed views
-    are the workspace's; any other input is shape-checked against ``cfg``
-    and ``work``. Called without ``work``, ``rhs`` builds a one-shot
-    workspace and runs the same code. Leading axes stack ensembles;
-    ``states`` is only read, and the result goes to ``out``, or to a new
-    array when ``out`` is None.
+    Y, M, the p x p difference and S (...) are formed in the temporaries of
+    ``work``, a :class:`~stiefel_sync.linalg._Workspace` for the states'
+    shape, in the same order, so the result is bitwise the expression
+    above. When ``states`` is a buffer bound in ``work``, its flat and
+    transposed views are the workspace's; any other input is shape-checked
+    against ``cfg`` and ``work``. Called without ``work``, ``rhs`` builds a
+    one-shot workspace and runs the same code. Leading axes stack
+    ensembles; ``states`` is only read, and the result goes to ``out``, or
+    to a new array when ``out`` is None.
     """
     views = None if work is None else work.views.get(id(states))
     if views is None:
@@ -298,14 +323,14 @@ def rhs(states, cfg: ModelConfig, work: _Workspace | None = None, out=None) -> n
     if out is not None:
         work.check(out)
     s_flat, s_t = views
-    ws, g = work.ws, work.g
-    np.matmul(cfg.topology.weights, s_flat, out=work.ws_flat)
-    np.matmul(s_t, ws, out=work.m)
+    y, g, sg = work.y, work.g, work.sg
+    np.matmul(cfg.half_weights, s_flat, out=work.y_flat)
+    np.matmul(s_t, y, out=work.m)
     np.add(work.m, work.m_t, out=g)
-    np.multiply(cfg.half_scale, g, out=g)
     np.subtract(cfg.freqs, g, out=g)
-    np.multiply(cfg.mean_scale, ws, out=ws)
-    return np.add(ws, np.matmul(states, g, out=work.sg), out=out)
+    np.matmul(states, g, out=sg)
+    np.add(y, sg, out=sg)
+    return np.add(y, sg, out=out)
 
 
 def potential(states, topology: Topology):

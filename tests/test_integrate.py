@@ -1,6 +1,7 @@
 """Integrator tests: accuracy order, manifold preservation, pairing,
 determinism, and divergence handling."""
 
+import dataclasses
 import importlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +33,8 @@ from stiefel_sync.model import (
     rhs,
     zero_frequencies,
 )
+
+from test_golden import STATE_ERROR
 
 
 def drift_free_config(count=3, n=4, p=2, skew_scale=1.0, seed=0):
@@ -400,6 +403,15 @@ def recording_config(count, n=4, p=2):
 def reference_field(s, cfg):
     """The velocity field, written out in the order ``rhs`` evaluates it."""
     count, n, p = s.shape[-3:]
+    y = (cfg.half_weights @ s.reshape(-1, count, n * p)).reshape(s.shape)
+    m = s.swapaxes(-2, -1) @ y
+    return y + (y + s @ (cfg.freqs - (m + m.swapaxes(-2, -1))))
+
+
+def classical_field(s, cfg):
+    """The velocity field (kappa/N) W S + S (Omega - (kappa/2N) (M + M^T)),
+    M = S^T W S, with the scalars applied to W S and to the p x p sum."""
+    count, n, p = s.shape[-3:]
     ws = (cfg.topology.weights @ s.reshape(-1, count, n * p)).reshape(s.shape)
     m = s.swapaxes(-2, -1) @ ws
     scale = cfg.kappa / count
@@ -425,45 +437,80 @@ def reference_drift(s):
     return np.sqrt((gram * gram).sum(axis=(-2, -1)).max(axis=-1))
 
 
+def stage_configs(cfg, h):
+    """cfg with kappa and the generators scaled by h/2, h and h/6, whose
+    fields are those multiples of cfg's."""
+    return [
+        dataclasses.replace(cfg, kappa=c * cfg.kappa, freqs=c * cfg.freqs)
+        for c in (0.5 * h, h, h / 6.0)
+    ]
+
+
+def folded_step(s, stages):
+    """One RK4 step before any retraction, with the scalars in the field:
+    u_i = c_i k_i from the stage configs, combined as
+    s + (((u1 + u3) + 2 u2) / 3 + u4)."""
+    half, whole, sixth = stages
+    u1 = reference_field(s, half)
+    u2 = reference_field(s + u1, half)
+    u3 = reference_field(s + u2, whole)
+    u4 = reference_field(s + u3, sixth)
+    return s + (((u1 + u3) + (u2 + u2)) * (1.0 / 3.0) + u4)
+
+
 def reference_rk4_step(s, cfg, h):
+    """One RK4 step as ``integrate`` takes it, before any retraction."""
+    return folded_step(s, stage_configs(cfg, h))
+
+
+def classical_rk4_step(s, cfg, h):
     """One classical RK4 step of the field, before any retraction."""
-    k1 = reference_field(s, cfg)
-    k2 = reference_field(s + (0.5 * h) * k1, cfg)
-    k3 = reference_field(s + (0.5 * h) * k2, cfg)
-    k4 = reference_field(s + h * k3, cfg)
+    k1 = classical_field(s, cfg)
+    k2 = classical_field(s + (0.5 * h) * k1, cfg)
+    k3 = classical_field(s + (0.5 * h) * k2, cfg)
+    k4 = classical_field(s + h * k3, cfg)
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_run(initial, cfg, icfg):
-    """Recorded states (B, K, N, n, p) of a run or batch, stepped by the
-    loop written out: classical RK4, a finiteness test of every state
-    before its retraction, and under ``on_drift`` one retraction per member
-    over the threshold. A non-finite state raises DivergenceError naming
-    the first non-finite member, with the last good time."""
+def stepped_run(initial, icfg, step):
+    """Recorded states (B, K, N, n, p) of a run or batch, stepped by
+    ``step``, the loop written out: a finiteness test of every state before
+    its retraction, and under ``on_drift`` one retraction per member over
+    the threshold. A non-finite state raises DivergenceError naming the
+    first non-finite member, with the last good time."""
     s = np.asarray(initial, dtype=float)
     s = s if s.ndim == 4 else s[None]
     h, steps = icfg.h, icfg.steps
     kept = [s]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(1, steps + 1):
-            k1 = reference_field(s, cfg)
-            k2 = reference_field(s + (0.5 * h) * k1, cfg)
-            k3 = reference_field(s + (0.5 * h) * k2, cfg)
-            k4 = reference_field(s + h * k3, cfg)
-            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for step_index in range(1, steps + 1):
+            s = step(s)
             finite = [bool(np.isfinite(member).all()) for member in s]
             if not all(finite):
                 raise DivergenceError(
-                    f"member {finite.index(False)}", last_good_time=(step - 1) * h
+                    f"member {finite.index(False)}", last_good_time=(step_index - 1) * h
                 )
             if icfg.retraction == "every_step":
                 s = reference_polar(s)
             elif icfg.retraction == "on_drift":
                 for b in np.flatnonzero(reference_drift(s) > icfg.drift_threshold):
                     s[b] = reference_polar(s[b])
-            if step % icfg.record_stride == 0 or step == steps:
+            if step_index % icfg.record_stride == 0 or step_index == steps:
                 kept.append(s)
     return np.stack(kept, axis=1)
+
+
+def reference_run(initial, cfg, icfg):
+    """The states of a run or batch stepped as ``integrate`` steps it."""
+    stages = stage_configs(cfg, icfg.h)
+    return stepped_run(initial, icfg, lambda s: folded_step(s, stages))
+
+
+def classical_reference_run(initial, cfg, icfg):
+    """The states of a run or batch stepped by classical RK4, the scalars
+    h/2, h and h/6 applied to the stages; the folded step agrees with it to
+    rounding."""
+    return stepped_run(initial, icfg, lambda s: classical_rk4_step(s, cfg, icfg.h))
 
 
 def count_eigh_calls(monkeypatch):
@@ -533,6 +580,80 @@ class TestReferenceStepper:
         assert np.array_equal(got, expected)
         if retraction != "on_drift":
             assert (eigh_calls[0] > 0) == eigh_runs
+
+
+class TestClassicalAnchor:
+    # the policies whose states the two loops step alike up to rounding;
+    # under on_drift a rounding difference can move a retraction by a step
+    CASES = [case[:3] for case in TestReferenceStepper.CASES if case[0] != "on_drift"]
+
+    @pytest.mark.parametrize("retraction, threshold, h", CASES)
+    @pytest.mark.parametrize(
+        "shape, batch", [((3, 4, 2), 1), ((3, 4, 2), 3), ((8, 6, 2), 2)],
+        ids=["single", "batch", "pair"],
+    )
+    def test_states_agree_with_classical_rk4(self, retraction, threshold, h, shape, batch):
+        # the scalars moved into the field change only rounding: the folded
+        # step stays within the goldens' state error of classical RK4
+        count, n, p = shape
+        cfg = recording_config(count, n, p)
+        initial = np.stack([random_ensemble(n, p, count, seed=70 + b) for b in range(batch)])
+        icfg = IntegratorConfig(
+            h=h, t_end=1.0, retraction=retraction, drift_threshold=threshold, record_stride=1
+        )
+        got = integrate(initial, cfg, icfg).states
+        expected = classical_reference_run(initial, cfg, icfg)
+        assert np.abs(got - expected).max() <= STATE_ERROR
+
+
+class TestCallBudget:
+    # numpy calls a step: rhs 7 a call, four calls; the stage arithmetic 9;
+    # then the retraction 6 (every_step), the gate 3 (on_drift, passing) or
+    # the finiteness test 1 (never). The stepping loop of the classical
+    # step took 51, 48 and 46
+    BUDGET = {"every_step": 43, "on_drift": 40, "never": 38}
+
+    @staticmethod
+    def count_numpy_calls(monkeypatch):
+        """Counts the calls of numpy functions made by the stepping modules,
+        through a proxy over their ``np``; types pass through, so that
+        ``isinstance`` still sees them."""
+        calls = [0]
+
+        class Counting:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if isinstance(attr, type) or not callable(attr):
+                    return attr
+
+                def counted(*args, **kwargs):
+                    calls[0] += 1
+                    return attr(*args, **kwargs)
+
+                return counted
+
+        for name in ("integrate", "model", "linalg", "manifold"):
+            module = importlib.import_module(f"stiefel_sync.{name}")
+            monkeypatch.setattr(module, "np", Counting())
+        return calls
+
+    @pytest.mark.parametrize("retraction", RETRACTION_POLICIES)
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_calls_per_step_within_budget(self, monkeypatch, retraction, batch):
+        calls = self.count_numpy_calls(monkeypatch)
+        cfg = recording_config(3)
+        initial = np.stack([random_ensemble(4, 2, 3, seed=70 + b) for b in range(batch)])
+        totals = []
+        # the first of the three runs builds the cached constants
+        for steps in (50, 50, 100):
+            # at h 0.01 the on_drift gate passes on every step
+            icfg = IntegratorConfig(
+                h=1e-2, t_end=steps * 1e-2, retraction=retraction, record_stride=1000
+            )
+            calls[0] = 0
+            integrate(initial if batch > 1 else initial[0], cfg, icfg)
+            totals.append(calls[0])
+        assert (totals[2] - totals[1]) / 50 <= self.BUDGET[retraction]
 
 
 class TestPostLoopRecording:
@@ -611,7 +732,7 @@ class TestRecordingCallCounts:
         "h, t_end, threshold, gate_failures",
         [
             (1e-2, 0.3, 1e-8, (0, 0)),
-            (5e-2, 1.0, 1e-6, (11, 17)),
+            (5e-2, 1.0, 1e-6, (5, 18)),
             (1e-2, 0.3, 1e-14, (30, 30)),
         ],
     )
@@ -730,6 +851,27 @@ class TestWorkspace:
         assert np.array_equal(_polar_unchecked(a, None, work), expected)
         assert _polar_unchecked(bound, bound, work) is bound
         assert np.array_equal(bound, expected)
+
+    def test_summed_gate_failing_on_near_members_changes_nothing(self, monkeypatch):
+        # every member's max|a^T a - I| is 0.9e-8, under the Newton-Schulz
+        # bound of 1e-8, but the squares sum over it: the gate fails, each
+        # member's own max decides, and all take the step they take alone
+        eigh_calls = count_eigh_calls(monkeypatch)
+        a = self.states((3, 4, 2), (2,), seed=101) * np.sqrt(1.0 + 0.9e-8)
+        d = np.swapaxes(a, -2, -1) @ a - np.eye(2)
+        assert np.abs(d).max() < 1e-8
+        work = _Workspace(a.shape, bound=1)
+        assert np.vdot(d, d) > work.polar_limit
+        for member, defect in zip(a, d):
+            assert np.vdot(defect, defect) > _Workspace(member.shape).polar_limit
+        expected = reference_polar(a)
+        (bound,) = work.buffers
+        np.copyto(bound, a)
+        assert _polar_unchecked(bound, bound, work) is bound
+        assert np.array_equal(bound, expected)
+        for member, result in zip(a, expected):
+            assert np.array_equal(_polar_unchecked(member), result)
+        assert eigh_calls[0] == 0
 
     def test_workspace_of_another_shape_raises_and_does_not_broadcast(self):
         cfg = recording_config(3)
@@ -895,6 +1037,31 @@ class TestDivergence:
             got.last_good_time
         )
 
+    def test_stage_configs_are_not_checked_again(self):
+        # at h 2 the stage config of c = h doubles the generators, whose skew
+        # defect is 0.6 of the absolute floor of 1e-12, and kappa 1e308; the
+        # first run steps, the second diverges at its first step, as the
+        # classical loop does
+        w = np.array([[0.0, 0.5], [-0.5 + 0.6e-12, 0.0]])
+        initial = random_ensemble(4, 2, 3, seed=27)
+        icfg = IntegratorConfig(h=2.0, t_end=8.0, record_stride=1)
+        for kappa in (0.1, 1e308):
+            cfg = ModelConfig(
+                kappa=kappa,
+                topology=Topology.separable(np.ones(3)),
+                freqs=common_frequencies(w, 3),
+                n=4,
+                p=2,
+            )
+            if kappa == 0.1:
+                got = integrate(initial, cfg, icfg).states
+                expected = classical_reference_run(initial, cfg, icfg)[0]
+                assert np.abs(got - expected).max() <= STATE_ERROR
+            else:
+                got = self.divergence(initial, cfg, icfg, integrate)
+                expected = self.divergence(initial, cfg, icfg, classical_reference_run)
+                assert got.last_good_time == expected.last_good_time == 0.0
+
     @pytest.mark.parametrize("retraction", RETRACTION_POLICIES)
     @pytest.mark.parametrize("batch", [1, 2])
     def test_finite_state_with_overflowing_gram_is_not_divergence(self, retraction, batch):
@@ -913,12 +1080,7 @@ class TestDivergence:
         initial = np.stack([random_ensemble(4, 2, 3, seed=80 + b) for b in range(batch)])
         icfg = IntegratorConfig(h=1e-3, t_end=0.01, retraction=retraction)
         with np.errstate(over="ignore", invalid="ignore"):
-            s = initial
-            k1 = reference_field(s, cfg)
-            k2 = reference_field(s + 0.5e-3 * k1, cfg)
-            k3 = reference_field(s + 0.5e-3 * k2, cfg)
-            k4 = reference_field(s + 1e-3 * k3, cfg)
-            first = s + (1e-3 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            first = reference_rk4_step(initial, cfg, 1e-3)
             assert np.isfinite(first).all() and np.abs(first).max() > 1e158
             assert not np.isfinite(np.swapaxes(first, -2, -1) @ first).all()
         got = self.divergence(initial if batch > 1 else initial[0], cfg, icfg, integrate)

@@ -211,8 +211,9 @@ def defect_root(c, v):
 def defect_stacks(draw):
     """A threshold and a (B, N, n, p) stack whose agents have the Gram
     defect S^T S - I = c v v^T, v a sign vector. Such a defect has
-    ||d||_F = p |c| = p max|d|, the case the gate's bound is tight for, and
-    p |c| is a drawn multiple of the threshold."""
+    ||d||_F = p |c| = p max|d|, and p |c| is a drawn multiple of the
+    threshold: with one agent in the stack, the gate's sum of squares is
+    tight on the drift."""
     p = draw(st.integers(1, 4))
     n = p + draw(st.integers(0, 2))
     batch, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -268,14 +269,22 @@ class TestDriftGate:
         assert not _drift_within(states, _drift_limit(threshold, 3))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_decides_both_ways_near_the_bound(self, p):
-        threshold = 1e-6
+    @pytest.mark.parametrize("batch, count", [(1, 1), (1, 3), (2, 3)])
+    def test_decides_both_ways_near_the_bound(self, p, batch, count):
+        # the gate bounds the sum of the squares of every defect entry of
+        # the stack; agents sharing the sum equally each sit at threshold /
+        # sqrt(agents), and the stack passes just under the bound and fails
+        # just over it, whether or not any one drift is over the threshold
+        threshold, agents = 1e-6, batch * count
         v = np.where(np.arange(p) % 2, -1.0, 1.0)
+        terms = agents * p * p
         for ratio, passes in ((1 - 1e-6, True), (1 + 1e-6, False)):
-            root = defect_root(ratio * threshold / p, v)
-            states = np.stack([np.eye(p + 1)[:, :p] @ root, random_stiefel(p + 1, p, seed=7)])
-            assert _drift_within(states[None], _drift_limit(threshold, p)) == passes
-            assert (orthonormality_drift(states) <= threshold) == passes
+            root = defect_root(ratio * threshold / (p * np.sqrt(agents)), v)
+            agent = np.eye(p + 1)[:, :p] @ root
+            states = np.broadcast_to(agent, (batch, count) + agent.shape)
+            assert _drift_within(states, _drift_limit(threshold, terms)) == passes
+            drift = orthonormality_drift(states)
+            assert (drift <= threshold).all() == (passes or agents > 1)
 
 
 class TestLpDistance:

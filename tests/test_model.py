@@ -1,7 +1,9 @@
 """Model tests: topology validation, dynamics, potential, frame transform,
 sufficient conditions, and the derived rate quantities."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +129,13 @@ class TestFrequencies:
         with pytest.raises(ValidationError):
             random_frequencies(4, 1, 0.1, seed=4)
 
+    @pytest.mark.parametrize("spread", [1e155, 1e300, 1e308])
+    def test_overflowing_spread_rejected_without_warning(self, spread):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows"):
+                random_frequencies(3, 2, spread, seed=1)
+
     def test_config_validates_skewness(self):
         bad = np.zeros((2, 2, 2))
         bad[0, 0, 0] = 1.0
@@ -149,6 +158,33 @@ class TestRhs:
         cfg = uniform_config(count=3, kappa=0.0, freqs=freqs)
         states = random_ensemble(4, 2, 3, seed=8)
         assert np.array_equal(rhs(states, cfg), states @ freqs)
+
+    @pytest.mark.parametrize("c", [0.0, 1e-3 / 6.0, 0.5, 2.0])
+    def test_scaled_config_is_the_replaced_one(self, c):
+        cfg = uniform_config(count=3, kappa=1.3, freqs=random_frequencies(3, 2, 0.5, seed=7))
+        scaled = cfg.scaled(c)
+        replaced = dataclasses.replace(cfg, kappa=c * cfg.kappa, freqs=c * cfg.freqs)
+        for name in ("kappa", "freq_spread", "state_shape", "topology", "n", "p"):
+            assert getattr(scaled, name) == getattr(replaced, name)
+        for name in ("freqs", "half_weights"):
+            assert np.array_equal(getattr(scaled, name), getattr(replaced, name))
+            assert not getattr(scaled, name).flags.writeable
+        assert cfg.kappa == 1.3
+        states = random_ensemble(4, 2, 3, seed=8)
+        assert np.allclose(rhs(states, scaled), c * rhs(states, cfg), rtol=1e-14, atol=1e-15)
+
+    def test_scaled_config_is_not_checked_again(self):
+        # a generator whose skew defect is 0.6 of the absolute floor of 1e-12
+        # passes; doubled, it would fail, and so would kappa 1e308 doubled
+        w = np.array([[0.0, 0.5], [-0.5 + 0.6e-12, 0.0]])
+        cfg = uniform_config(count=3, kappa=1e308, freqs=np.repeat(w[None], 3, 0))
+        with pytest.raises(ValidationError):
+            dataclasses.replace(cfg, kappa=1.0, freqs=2.0 * cfg.freqs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = cfg.scaled(2.0)
+        assert scaled.kappa == math.inf
+        assert np.array_equal(scaled.freqs, 2.0 * cfg.freqs)
 
     def test_matches_scalar_kuramoto_form(self):
         # on St(1,2) the flow reduces to dtheta_i = (k/N) sum a_ik sin(theta_k - theta_i)

@@ -129,6 +129,11 @@ OVERFLOWING_FIELDS = {
     "topology-xi-1e300": (
         "topology.xi", {"topology": {"kind": "separable", "xi": [1.0, 1e300, 1.0]}}
     ),
+    # the generators are finite, their distances overflow
+    "frequencies-spread-1e300": (
+        "frequencies.spread",
+        {"dims": PLANES, "frequencies": {"kind": "random", "spread": 1e300, "seed": 1}},
+    ),
 }
 
 
@@ -431,6 +436,7 @@ class TestGeneration:
             ("dims.N=100000000", "dims"),
             ("kappa=-1", "kappa"),
             ("kappa=0", "kappa"),
+            ("frequencies.spread=1e300", "frequencies.spread"),
         ],
     )
     @pytest.mark.parametrize("template", SOLVED)
