@@ -14,11 +14,9 @@ from .diagnostics import (
     audit_series,
     audit_tolerance,
     consensus_status,
-    correlation_gap_components,
     correlation_gap_series,
     correlations,
     cubic_analysis,
-    diameter_below_threshold,
     fit_decay_rate,
     holder_gap,
     pair_columns,
@@ -45,7 +43,6 @@ from .integrate import (
 from .linalg import expm_skew, frobenius, polar_factor, qr_thin
 from .manifold import (
     ensemble_diameter,
-    ensemble_lp_distance,
     near_consensus_ensemble,
     orthonormality_drift,
     random_ensemble,

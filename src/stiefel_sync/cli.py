@@ -20,7 +20,6 @@ import sys
 from . import __version__, diagnostics
 from .errors import DivergenceError, ScenarioError, StiefelSyncError, ValidationError
 from .scenario import (
-    RunReport,
     Scenario,
     TEMPLATES,
     generate_scenario,
@@ -36,7 +35,6 @@ __all__ = [
     "generate_scenario",
     "emit_series",
     "read_series",
-    "RunReport",
     "Scenario",
 ]
 
@@ -59,10 +57,10 @@ def _resolve_config(path: str) -> str:
     raise ScenarioError(f"scenario not found: {path!r} (no such file or bundled name)")
 
 
-def _report_exit_code(report: RunReport) -> int:
-    if report.audits is not None and not all(a["passed"] for a in report.audits):
+def _report_exit_code(report: dict) -> int:
+    if report["audits"] is not None and not all(a["passed"] for a in report["audits"]):
         return EXIT_AUDIT
-    if any(not e["ok"] for e in report.expectations):
+    if any(not e["ok"] for e in report["expectations"]):
         return EXIT_EXPECTATION
     return EXIT_OK
 
@@ -72,32 +70,33 @@ def _audit_line(name: str, max_violation: float, tol: float, passed: bool) -> st
     return f"audit {name}: max_violation={max_violation:.3e} tol={tol:.3e} {verdict}"
 
 
-def _print_report(report: RunReport, out) -> None:
-    print(f"scenario {report.scenario}: {'ok' if report.ok else 'FAILED'}", file=out)
-    if report.framework is not None:
+def _print_report(report: dict, out) -> None:
+    print(f"scenario {report['scenario']}: {'ok' if report['ok'] else 'FAILED'}", file=out)
+    if report["framework"] is not None:
         flags = ", ".join(
             f"{c['name']}={'ok' if c['satisfied'] else 'FAIL'}"
-            for c in report.framework["conditions"]
+            for c in report["framework"]["conditions"]
         )
         print(f"  framework: {flags}", file=out)
-    if report.consensus is not None:
-        print(f"  consensus: {report.consensus['kind']}", file=out)
-    if report.decay is not None:
+    if report["consensus"] is not None:
+        print(f"  consensus: {report['consensus']['kind']}", file=out)
+    decay = report["decay"]
+    if decay is not None:
         print(
-            f"  decay: rate={report.decay['rate']:.6g} r2={report.decay['r_squared']:.6f}"
-            f" bound={report.decay['delta_lower']:.6g}",
+            f"  decay: rate={decay['rate']:.6g} r2={decay['r_squared']:.6f}"
+            f" bound={decay['delta_lower']:.6g}",
             file=out,
         )
-    if report.gain is not None:
-        gains = ", ".join(f"l{p}={g:.6g}" for p, g in sorted(report.gain.items()))
+    if report["gain"] is not None:
+        gains = ", ".join(f"l{p}={g:.6g}" for p, g in sorted(report["gain"].items()))
         print(f"  gain: {gains}", file=out)
-    if report.audits is not None:
-        for audit in report.audits:
+    if report["audits"] is not None:
+        for audit in report["audits"]:
             print(f"  {_audit_line(**audit)}", file=out)
-    for expectation in report.expectations:
+    for expectation in report["expectations"]:
         verdict = "ok" if expectation["ok"] else "UNMET"
         print(f"  expect {expectation['name']}: {verdict} ({expectation['detail']})", file=out)
-    for artifact in report.artifacts:
+    for artifact in report["artifacts"]:
         print(f"  wrote {artifact}", file=out)
 
 

@@ -41,7 +41,6 @@ from .errors import (
 from .integrate import Trajectory
 from .model import (
     ModelConfig,
-    check_framework,
     contraction_rates,
     contraction_slack,
     cubic_coefficient,
@@ -124,19 +123,6 @@ def correlations(states) -> np.ndarray:
     return _gram(states)
 
 
-def correlation_gap_components(s1, s2) -> tuple[float, float]:
-    """Squared l2 gaps between two ensembles' correlation sets: the plain
-    gap sum_ij ||A_ji - B_ji||^2 and the gap of their skew parts."""
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    if s1.shape != s2.shape or s1.ndim != 3:
-        raise DimensionError(f"ensemble shapes differ: {s1.shape} vs {s2.shape}")
-    da = correlations(s1) - correlations(s2)
-    plain = float(np.sum(da * da))
-    skew = da - np.swapaxes(da, -2, -1)
-    return plain, float(np.sum(skew * skew))
-
-
 # snapshots per Gram product in the chunked passes: few Python-level calls
 # per snapshot, while the temporaries stay a few hundred kB
 _CHUNK = 64
@@ -152,8 +138,10 @@ def _chunked_correlations(states: np.ndarray):
 
 
 def correlation_gap_series(traj1: Trajectory, traj2: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Per-snapshot gap components between two aligned trajectories, bitwise
-    those of :func:`correlation_gap_components`."""
+    """Squared l2 gaps between two aligned trajectories' correlation sets at
+    every snapshot: the plain gap sum_ij ||A_ji - B_ji||^2 and the gap of
+    their skew parts. Bitwise the per-snapshot oracle
+    ``tests/conftest.py::correlation_gap_components``."""
     _require_aligned(traj1, traj2)
     total = len(traj1)
     plain = np.empty(total)
@@ -339,7 +327,11 @@ def stability_gain(columns: Mapping[str, np.ndarray], p_exp: float) -> float:
     elif p_exp == np.inf:
         dist = norms.max(axis=1)
     else:
-        dist = (norms ** p_exp).sum(axis=1) ** (1.0 / p_exp)
+        # m (sum_i (x_i / m)^p)^(1/p) with m = max_i x_i: the largest term
+        # is 1, so a large p cannot underflow a nonzero row to a zero sum
+        top = norms.max(axis=1)
+        scaled = norms / np.where(top > 0.0, top, 1.0)[:, None]
+        dist = top * (scaled ** p_exp).sum(axis=1) ** (1.0 / p_exp)
     if dist[0] == 0.0:
         raise UndefinedGainError("identical initial data: gain undefined")
     return float(np.max(dist) / dist[0])
@@ -596,21 +588,6 @@ def cubic_analysis(cfg: ModelConfig) -> CubicReport:
         f_at_bound=f_at_bound,
         invariant_region_ok=bool(f_at_bound < 0.0),
     )
-
-
-def diameter_below_threshold(traj: Trajectory, cfg: ModelConfig) -> bool:
-    """True when every recorded diameter stays strictly below the threshold.
-
-    Precondition: the sufficient conditions hold at the start of the
-    trajectory (raises :class:`ValidationError` otherwise).
-    """
-    report = check_framework(cfg, traj.initial)
-    if not report.satisfied:
-        failing = [c.name for c in report.conditions() if not c.satisfied]
-        raise ValidationError(
-            f"sufficient conditions violated at t=0: {', '.join(failing)}"
-        )
-    return bool(np.all(traj.diameters < diameter_threshold(cfg)))
 
 
 # ---------------------------------------------------------------------------

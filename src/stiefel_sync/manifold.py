@@ -197,20 +197,3 @@ def ensemble_diameter(states):
     """
     squares = pair_sq_distances(states)
     return _per_ensemble(np.sqrt(squares.max(axis=(-2, -1))))
-
-
-def ensemble_lp_distance(e1, e2, p_exp: float) -> float:
-    """(sum_i ||S_i - T_i||^p)^(1/p) between two aligned ensembles."""
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    if e1.shape != e2.shape or e1.ndim != 3:
-        raise DimensionError(f"ensemble shapes differ: {e1.shape} vs {e2.shape}")
-    if p_exp < 1:
-        raise ValidationError(f"p_exp must be >= 1, got {p_exp}")
-    diffs = e1 - e2
-    norms = np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))
-    if p_exp == 1:
-        return float(np.sum(norms))
-    if p_exp == 2:
-        return float(np.sqrt(np.sum(norms * norms)))
-    return float(np.sum(norms ** p_exp) ** (1.0 / p_exp))

@@ -1,5 +1,6 @@
 """Scenario files: schema validation, deterministic generators for the
 bundled templates, experiment execution, and machine-readable reports.
+:func:`run_scenario` returns the report as the plain dict it writes as JSON.
 
 A scenario is a single JSON object. Physical parameters (dimensions, kappa,
 topology, frequencies, initial data) carry no defaults and must be explicit;
@@ -495,30 +496,17 @@ class Scenario:
 # execution
 
 
-@dataclass
-class RunReport:
-    """Results of one scenario run; ``to_dict`` is the report-JSON schema."""
-
-    scenario: str
-    framework: dict | None
-    cubic: dict | None
-    consensus: dict | None
-    decay: dict | None
-    gain: dict | None
-    audits: list | None
-    artifacts: list
-    expectations: list
-    ok: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def _framework_to_dict(report, diameter_ok: bool | None) -> dict:
+def _framework_to_dict(report, traj) -> dict:
+    """The framework entry: the four conditions at t = 0 and, when they all
+    hold, whether every recorded diameter stays below the threshold they
+    bound it by (``None`` otherwise)."""
+    below = (
+        bool(np.all(traj.diameters < report.initial_diameter.rhs)) if report.satisfied else None
+    )
     return {
         "satisfied": report.satisfied,
         "delta_lower": report.delta_lower,
-        "diameter_stays_below": diameter_ok,
+        "diameter_stays_below": below,
         "conditions": [
             {
                 "name": c.name,
@@ -541,10 +529,11 @@ def _audit_to_dict(audit) -> dict:
     }
 
 
-def run_scenario(source, out_dir: str = ".") -> RunReport:
+def run_scenario(source, out_dir: str = ".") -> dict:
     """Execute a scenario file (or a prebuilt :class:`Scenario`): integrate,
     run every requested analysis, and write the series CSVs and report JSON
-    into ``out_dir``.
+    into ``out_dir``. Returns the report dict as written, with the report
+    file's own path appended to ``artifacts``.
 
     Raises :class:`ScenarioError` on config problems and
     :class:`DivergenceError` when the integration blows up. Analysis
@@ -567,22 +556,13 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
 
     framework_dict = None
     if "framework" in sc.analyses:
-        report = check_framework(sc.model, sc.initial)
-        diameter_ok = (
-            diagnostics.diameter_below_threshold(traj, sc.model) if report.satisfied else None
-        )
-        framework_dict = _framework_to_dict(report, diameter_ok)
+        framework_dict = _framework_to_dict(check_framework(sc.model, sc.initial), traj)
 
     cubic_dict = None
     if "cubic" in sc.analyses:
-        cubic = diagnostics.cubic_analysis(sc.model)
-        cubic_dict = {
-            "coefficient": cubic.coefficient,
-            "roots_in_range": list(cubic.roots_in_range),
-            "threshold": cubic.threshold,
-            "f_at_bound": cubic.f_at_bound,
-            "invariant_region_ok": cubic.invariant_region_ok,
-        }
+        cubic_dict = dataclasses.asdict(diagnostics.cubic_analysis(sc.model))
+        # a list, as the report file reads back
+        cubic_dict["roots_in_range"] = list(cubic_dict["roots_in_range"])
 
     consensus_dict = None
     if "consensus" in sc.analyses:
@@ -648,23 +628,23 @@ def run_scenario(source, out_dir: str = ".") -> RunReport:
     ok = all(e["ok"] for e in expectations) and (
         audit_dicts is None or all(a["passed"] for a in audit_dicts)
     )
-    report = RunReport(
-        scenario=sc.name,
-        framework=framework_dict,
-        cubic=cubic_dict,
-        consensus=consensus_dict,
-        decay=decay_dict,
-        gain=gain_dict,
-        audits=audit_dicts,
-        artifacts=artifacts,
-        expectations=expectations,
-        ok=ok,
-    )
+    report = {
+        "scenario": sc.name,
+        "framework": framework_dict,
+        "cubic": cubic_dict,
+        "consensus": consensus_dict,
+        "decay": decay_dict,
+        "gain": gain_dict,
+        "audits": audit_dicts,
+        "artifacts": artifacts,
+        "expectations": expectations,
+        "ok": ok,
+    }
     report_path = os.path.join(out_dir, f"{sc.name}_report.json")
     with open(report_path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+        json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    report.artifacts.append(report_path)
+    artifacts.append(report_path)
     return report
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from golden.regenerate import SCENARIOS, run_bundled
-from stiefel_sync.diagnostics import correlation_contraction_bound
+from stiefel_sync.diagnostics import correlation_contraction_bound, correlations
+from stiefel_sync.errors import DimensionError, ValidationError
 from stiefel_sync.integrate import IntegratorConfig, integrate
 from stiefel_sync.manifold import near_consensus_ensemble, perturb_ensemble
 from stiefel_sync.model import (
@@ -81,6 +82,40 @@ def correlation_gap_rates(s1, s2, cfg):
     plain = float(np.sum(d * d))
     skew = float(np.sum(k * k))
     return plain, skew, 2.0 * float(np.sum(d * dd) + np.sum(k * dk))
+
+
+def correlation_gap_components(s1, s2) -> tuple[float, float]:
+    """Squared l2 gaps between two ensembles' correlation sets: the plain
+    gap sum_ij ||A_ji - B_ji||^2 and the gap of their skew parts.
+
+    The per-snapshot oracle of ``diagnostics.correlation_gap_series``."""
+    s1 = np.asarray(s1, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
+    if s1.shape != s2.shape or s1.ndim != 3:
+        raise DimensionError(f"ensemble shapes differ: {s1.shape} vs {s2.shape}")
+    da = correlations(s1) - correlations(s2)
+    plain = float(np.sum(da * da))
+    skew = da - np.swapaxes(da, -2, -1)
+    return plain, float(np.sum(skew * skew))
+
+
+def ensemble_lp_distance(e1, e2, p_exp: float) -> float:
+    """(sum_i ||S_i - T_i||^p)^(1/p) between two aligned ensembles.
+
+    An oracle for the norm that ``diagnostics.stability_gain`` takes."""
+    e1 = np.asarray(e1, dtype=float)
+    e2 = np.asarray(e2, dtype=float)
+    if e1.shape != e2.shape or e1.ndim != 3:
+        raise DimensionError(f"ensemble shapes differ: {e1.shape} vs {e2.shape}")
+    if p_exp < 1:
+        raise ValidationError(f"p_exp must be >= 1, got {p_exp}")
+    diffs = e1 - e2
+    norms = np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))
+    if p_exp == 1:
+        return float(np.sum(norms))
+    if p_exp == 2:
+        return float(np.sqrt(np.sum(norms * norms)))
+    return float(np.sum(norms ** p_exp) ** (1.0 / p_exp))
 
 
 def worst_relative_bound_excess(cfg, traj1, traj2, floor=1e-20):

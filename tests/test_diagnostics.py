@@ -33,6 +33,7 @@ from stiefel_sync import diagnostics as dg
 from stiefel_sync.series_io import read_series
 
 from conftest import (
+    correlation_gap_components,
     make_framework_config,
     run_framework_pair,
     worst_relative_bound_excess,
@@ -132,12 +133,12 @@ class TestGram:
 class TestCorrelationDiameter:
     def test_zero_for_equal(self):
         states = random_ensemble(4, 2, 3, seed=2)
-        assert sum(dg.correlation_gap_components(states, states)) == 0.0
+        assert sum(correlation_gap_components(states, states)) == 0.0
 
     def test_single_agent_always_zero(self):
         a = random_ensemble(4, 2, 1, seed=3)
         b = random_ensemble(4, 2, 1, seed=4)
-        assert sum(dg.correlation_gap_components(a, b)) <= 1e-25
+        assert sum(correlation_gap_components(a, b)) <= 1e-25
 
     def test_matches_double_loop(self):
         s1 = random_ensemble(4, 2, 4, seed=5)
@@ -150,7 +151,7 @@ class TestCorrelationDiameter:
                 b = s2[j].T @ s2[i]
                 plain += frobenius(a - b) ** 2
                 skewed += frobenius((a - a.T) - (b - b.T)) ** 2
-        px, sx = dg.correlation_gap_components(s1, s2)
+        px, sx = correlation_gap_components(s1, s2)
         assert abs(px - plain) <= 1e-12 * max(1, plain)
         assert abs(sx - skewed) <= 1e-12 * max(1, skewed)
         assert abs(px + sx - (plain + skewed)) <= 1e-12
@@ -179,7 +180,7 @@ class TestChunkedCorrelationPasses:
         other = random_track(*shape, total, seed=100 + total)
         plain, skewed = dg.correlation_gap_series(track, other)
         expected = np.array(
-            [dg.correlation_gap_components(a, b) for a, b in zip(track.states, other.states)]
+            [correlation_gap_components(a, b) for a, b in zip(track.states, other.states)]
         ).reshape(total, 2)
         assert np.array_equal(plain, expected[:, 0])
         assert np.array_equal(skewed, expected[:, 1])
@@ -341,23 +342,34 @@ class TestStabilityGain:
         assert abs(gains[0] - gains[1]) <= 1e-8 * max(gains)
 
     @pytest.mark.parametrize(
-        "p_exp, gain", [(1.0, 1.0), (2.0, math.sqrt(0.1 / 0.08)), (math.inf, 1.5)]
+        "p_exp, gain",
+        [
+            (1.0, 1.0),
+            (2.0, math.sqrt(0.1 / 0.08)),
+            (2000.0, 1.5 / 2 ** (1 / 2000)),
+            (math.inf, 1.5),
+        ],
     )
     def test_gain_from_agent_distance_columns(self, p_exp, gain):
         # from (0.2, 0.2) to (0.3, 0.1): the l1 distance stays at 0.4, the
-        # squared l2 distance rises from 0.08 to 0.1, and the largest agent
+        # squared l2 distance rises from 0.08 to 0.1, the l2000 distance from
+        # 0.2 * 2^(1/2000) to 0.3 (0.2^2000 underflows, so only a sum scaled
+        # by the row's largest distance sees either), and the largest agent
         # distance from 0.2 to 0.3
         columns = {"dist_agent_0": np.array([0.2, 0.3]), "dist_agent_1": np.array([0.2, 0.1])}
         assert dg.stability_gain(columns, p_exp) == pytest.approx(gain, rel=1e-15)
 
-    @pytest.mark.parametrize("p_exp", [1.0, 2.0, 3.5, 4.0])
-    def test_gain_at_least_one_on_bundled_pair(self, bundled_runs, p_exp):
+    @pytest.mark.parametrize("name", ["framework_hetero", "stability_pair"])
+    @pytest.mark.parametrize("p_exp", [1.0, 2.0, 3.5, 4.0, 2000.0, 1e300])
+    def test_gain_at_least_one_on_bundled_pair(self, bundled_runs, name, p_exp):
         # a supremum over t >= 0 divided by its t = 0 value is at least 1; the
-        # pair of the bundled heterogeneous scenario contracts from the start,
-        # so its gain sits on that floor, where one rounding of d0 apart from
-        # the series shows as 1 - 1 ulp
-        columns = read_series(bundled_runs["framework_hetero"].csvs["framework_hetero_pair.csv"])
-        assert dg.stability_gain(columns, p_exp) >= 1.0
+        # bundled pairs contract from the start, so their gains sit on that
+        # floor, where one rounding of d0 apart from the series shows as
+        # 1 - 1 ulp; their agents start about 1e-3 apart, where x_i^2000
+        # underflows, so a large p_exp needs the scaled sum to stay finite
+        columns = read_series(bundled_runs[name].csvs[f"{name}_pair.csv"])
+        gain = dg.stability_gain(columns, p_exp)
+        assert math.isfinite(gain) and gain >= 1.0
 
 
 class TestDiameterBoundAudit:
@@ -544,14 +556,7 @@ class TestCubicAnalysis:
 class TestDiameterMonitor:
     def test_true_under_framework(self, framework_pair_session):
         cfg, traj, _ = framework_pair_session
-        assert dg.diameter_below_threshold(traj, cfg)
-
-    def test_precondition_enforced(self):
-        cfg = uniform_config(3, 4, 2, kappa=2.0)
-        init = random_ensemble(4, 2, 3, seed=29)  # wide ensemble: conditions fail
-        traj = short_run(cfg, init, t_end=0.5)
-        with pytest.raises(ValidationError):
-            dg.diameter_below_threshold(traj, cfg)
+        assert np.all(traj.diameters < diameter_threshold(cfg))
 
 
 class TestHolderGap:

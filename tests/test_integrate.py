@@ -17,7 +17,6 @@ from stiefel_sync.errors import (
 from stiefel_sync.integrate import RETRACTION_POLICIES, IntegratorConfig, integrate
 from stiefel_sync.linalg import _polar_unchecked, _Workspace, expm_skew
 from stiefel_sync.manifold import (
-    ensemble_lp_distance,
     near_consensus_ensemble,
     perturb_ensemble,
     random_ensemble,
@@ -34,6 +33,7 @@ from stiefel_sync.model import (
     zero_frequencies,
 )
 
+from conftest import ensemble_lp_distance
 from test_golden import STATE_ERROR
 
 

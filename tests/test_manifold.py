@@ -11,7 +11,6 @@ from stiefel_sync.manifold import (
     _drift_limit,
     _drift_within,
     ensemble_diameter,
-    ensemble_lp_distance,
     near_consensus_ensemble,
     orthonormality_drift,
     pair_sq_distances,
@@ -24,6 +23,8 @@ from stiefel_sync.manifold import (
     validate_ensemble,
     validate_stiefel,
 )
+
+from conftest import ensemble_lp_distance
 
 
 def circle_point(theta):

@@ -24,7 +24,7 @@ from stiefel_sync.errors import InsufficientDataError, ScenarioError, Validation
 from stiefel_sync.integrate import IntegratorConfig, integrate
 from stiefel_sync.manifold import random_ensemble
 from stiefel_sync.model import ModelConfig, Topology, zero_frequencies
-from stiefel_sync.scenario import Scenario, generate_scenario, run_scenario
+from stiefel_sync.scenario import ANALYSIS_NAMES, Scenario, generate_scenario, run_scenario
 from stiefel_sync.series_io import emit_series, read_series
 
 BUNDLED = os.path.join(os.path.dirname(__file__), "..", "src", "stiefel_sync", "scenarios")
@@ -261,9 +261,10 @@ class TestResolvedDefaults:
             analyses=[{"consensus": {"window": 2, "tol": 1e-5}}, {"stability": {"p_exp": [1, 4]}}],
         )
         report = run_scenario(path, out_dir=str(tmp_path))
-        assert report.consensus["window"] == 2 and isinstance(report.consensus["window"], int)
-        assert report.consensus["tol"] == 1e-5
-        assert set(report.gain) == {"1", "4"}
+        consensus = report["consensus"]
+        assert consensus["window"] == 2 and isinstance(consensus["window"], int)
+        assert consensus["tol"] == 1e-5
+        assert set(report["gain"]) == {"1", "4"}
 
 
 def scalar_leaves(node, path=()):
@@ -525,25 +526,51 @@ class TestRunScenario:
             analyses=["consensus", {"stability": {"p_exp": [1.0, 2.0]}}],
         )
         report = run_scenario(path, out_dir=str(tmp_path))
-        pair_csv = [a for a in report.artifacts if a.endswith("_pair.csv")]
+        pair_csv = [a for a in report["artifacts"] if a.endswith("_pair.csv")]
         assert pair_csv
         columns = read_series(pair_csv[0])
         for required in ("t", "drift", "diam_S", "diam_A", "corr_sq", "corr_skew_sq",
                          "diam_S_tilde", "dist_l1", "dist_l2", "dist_agent_0"):
             assert required in columns
-        assert report.gain is not None
-        assert set(report.gain) == {"1.0", "2.0"}
+        assert report["gain"] is not None
+        assert set(report["gain"]) == {"1.0", "2.0"}
 
-    def test_report_json_schema(self, tmp_path):
-        path = minimal_scenario(tmp_path, name="schema", expect={"consensus": "complete"})
+    @pytest.mark.parametrize("analyses", [["consensus"], list(ANALYSIS_NAMES)])
+    def test_report_json_schema(self, tmp_path, analyses):
+        path = minimal_scenario(
+            tmp_path, name="schema", analyses=analyses, expect={"consensus": "complete"}
+        )
         report = run_scenario(path, out_dir=str(tmp_path))
-        on_disk = json.loads((tmp_path / "schema_report.json").read_text())
+        report_path = str(tmp_path / "schema_report.json")
+        on_disk = json.loads(Path(report_path).read_text())
         for key in ("scenario", "framework", "cubic", "consensus", "decay", "gain",
                     "audits", "artifacts", "expectations", "ok"):
             assert key in on_disk
         assert on_disk["scenario"] == "schema"
         assert on_disk["consensus"]["kind"] == "complete"
         assert on_disk["ok"] is True
+        # the returned report is the written one, plus the report's own path
+        assert report["artifacts"][-1] == report_path
+        assert on_disk == {**report, "artifacts": report["artifacts"][:-1]}
+
+    @pytest.mark.parametrize("kappa, satisfied, below", [(1.5, True, True), (1e-3, False, None)])
+    def test_diameter_stays_below_only_under_the_conditions(
+        self, tmp_path, kappa, satisfied, below
+    ):
+        # at kappa 1e-3 the coupling condition fails and the diameter is
+        # not judged against a threshold the conditions no longer give
+        path = minimal_scenario(
+            tmp_path,
+            dims=PLANES,
+            kappa=kappa,
+            frequencies={"kind": "random", "spread": 0.01, "seed": 5},
+            initial={"kind": "near_consensus", "radius": 0.05, "seed": 1},
+            integrator={"h": 0.01, "t_end": 1.0},
+            analyses=["framework"],
+        )
+        framework = run_scenario(path, out_dir=str(tmp_path))["framework"]
+        assert framework["satisfied"] is satisfied
+        assert framework["diameter_stays_below"] is below
 
     def test_unmet_expectation_reported(self, tmp_path):
         # a decoupled heterogeneous run cannot reach complete consensus
@@ -557,8 +584,8 @@ class TestRunScenario:
             expect={"consensus": "complete"},
         )
         report = run_scenario(path, out_dir=str(tmp_path))
-        assert not report.ok
-        assert report.expectations[0]["ok"] is False
+        assert not report["ok"]
+        assert report["expectations"][0]["ok"] is False
 
 
 class TestCli:
@@ -710,6 +737,20 @@ class TestCli:
         assert code == EXIT_SCENARIO
         assert out.getvalue() == ""
         assert "analyses.stability.p_exp: p_exp entries must be numbers >= 1" in err.getvalue()
+
+    def test_large_gain_exponent_runs(self, tmp_path):
+        # the bundled pair starts 0.002 apart, where x_i^2000 underflows: a
+        # large but finite exponent is a valid gain, not identical data
+        with open(os.path.join(BUNDLED, "stability_pair.json")) as handle:
+            raw = json.load(handle)
+        raw["integrator"]["t_end"] = 1.0
+        raw["analyses"] = ["framework", {"stability": {"p_exp": [2000.0, 1e300]}}]
+        path = tmp_path / "large_p.json"
+        path.write_text(json.dumps(raw))
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", str(path), "--out", str(tmp_path)], out=out, err=err)
+        assert (code, err.getvalue()) == (EXIT_OK, "")
+        assert "  gain: l1e+300=1, l2000.0=1\n" in out.getvalue()
 
     @pytest.mark.parametrize("case", BAD_INTEGER_FIELDS)
     def test_bad_integer_field_exit_code(self, tmp_path, case):
@@ -1118,7 +1159,7 @@ class TestCli:
             "diameter_bound", "correlation_contraction", "agent_distance_bound"
         ]
         assert [a.max_violation for a in reaudit] == [
-            a["max_violation"] for a in report.audits
+            a["max_violation"] for a in report["audits"]
         ]
         assert len(in_memory) == 3
         for ours, theirs in zip(in_memory, reaudit):
