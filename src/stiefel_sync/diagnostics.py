@@ -189,13 +189,19 @@ def pair_columns(traj: Trajectory, partner: Trajectory) -> dict[str, np.ndarray]
 
 
 def _agent_distances(columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The (K, N) table of the ``dist_agent_<i>`` columns, in agent order."""
-    names = sorted(
-        (name for name in columns if name.startswith("dist_agent_")),
-        key=lambda name: int(name.rsplit("_", 1)[1]),
-    )
-    if not names:
+    """The (K, N) table of the ``dist_agent_<i>`` columns, in agent order.
+
+    The N columns named ``dist_agent_...`` must be exactly ``dist_agent_0``
+    ... ``dist_agent_<N-1>``, so no agent is read twice or skipped."""
+    count = sum(name.startswith("dist_agent_") for name in columns)
+    if not count:
         raise ValidationError("series lacks the dist_agent_<i> columns")
+    names = [f"dist_agent_{i}" for i in range(count)]
+    for name in names:
+        if name not in columns:
+            raise ValidationError(
+                f"series has {count} dist_agent_<i> columns but none named {name!r}"
+            )
     return np.column_stack([columns[name] for name in names])
 
 

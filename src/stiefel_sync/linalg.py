@@ -1,6 +1,6 @@
 """Dense matrix helpers: validation, Frobenius norm, thin QR with a
 fixed sign convention, polar decomposition, and the exponential of a
-skew-symmetric matrix.
+skew-symmetric matrix from one Hermitian eigendecomposition.
 
 The public :func:`polar_factor` always uses the eigendecomposition; the
 integrator's retraction takes a Newton-Schulz step near the manifold, in
@@ -275,30 +275,16 @@ def polar_factor(a) -> np.ndarray:
     return a @ inv_sqrt
 
 
-# order-13 Taylor polynomial is accurate to ~1e-16 once the argument is
-# scaled to norm <= 1/2
-_TAYLOR_DEGREE = 13
-
-
 def expm_skew(x) -> np.ndarray:
     """Matrix exponential of a skew-symmetric matrix.
 
-    Uses scaling-and-squaring with a degree-13 Taylor evaluation of the
-    scaled matrix: s = max(0, ceil(log2(||x||)) + 1) halvings bring the norm
-    under 1/2. The result is orthogonal with determinant +1.
+    i x is Hermitian, so one eigendecomposition i x = V diag(w) V^H gives
+    exp(x) = exp(-i (i x)) = V diag(e^{-i w}) V^H, whose real part is the
+    result (its imaginary part is rounding). The result is orthogonal with
+    determinant +1; x = 0 gives the identity exactly.
     """
     x = require_skew(x)
-    p = x.shape[0]
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        return np.eye(p)
-    s = max(0, math.ceil(math.log2(norm)) + 1)
-    a = x / (2.0 ** s)
-    result = np.eye(p)
-    term = np.eye(p)
-    for k in range(1, _TAYLOR_DEGREE + 1):
-        term = term @ a / k
-        result = result + term
-    for _ in range(s):
-        result = result @ result
-    return result
+    if not x.any():
+        return np.eye(x.shape[0])
+    w, v = np.linalg.eigh(1j * x)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real

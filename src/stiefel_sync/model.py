@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import _Workspace, expm_skew, require_skew
-from .manifold import _per_ensemble, ensemble_diameter, pair_sq_distances
+from .manifold import _as_rng, _per_ensemble, ensemble_diameter, pair_sq_distances
 from .tolerances import ALGEBRAIC_TOL, SEPARABLE_MATCH_TOL
 
 
@@ -37,24 +37,17 @@ from .tolerances import ALGEBRAIC_TOL, SEPARABLE_MATCH_TOL
 
 
 def _connected(weights: np.ndarray) -> bool:
-    """Union-find connectivity over strictly positive off-diagonal weights."""
-    n = weights.shape[0]
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if weights[i, j] > 0.0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    root = find(0)
-    return all(find(i) == root for i in range(n))
+    """Whether the strictly positive weights connect every agent: the set of
+    agents reached from agent 0 grows by their neighbours until a pass adds
+    none."""
+    linked = weights > 0.0
+    reached = np.zeros(len(weights), dtype=bool)
+    reached[0] = True
+    while True:
+        grown = reached | linked[reached].any(axis=0)
+        if np.array_equal(grown, reached):
+            return bool(reached.all())
+        reached = grown
 
 
 @dataclass(frozen=True)
@@ -175,8 +168,7 @@ def random_skew(p: int, seed=None, scale: float = 1.0) -> np.ndarray:
     """Random skew generator with Frobenius norm ``scale`` (zero when p = 1)."""
     if p == 1:
         return np.zeros((1, 1))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = rng.standard_normal((p, p))
+    g = _as_rng(seed).standard_normal((p, p))
     s = (g - g.T) / 2.0
     norm = np.linalg.norm(s)
     return s * (scale / norm) if norm > 0 else s
@@ -190,7 +182,7 @@ def random_frequencies(count: int, p: int, spread: float, seed=None, common=None
     generators, so any positive spread is rejected there, and so is a spread
     whose realized value overflows.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     base = np.zeros((p, p)) if common is None else require_skew(common)
     if spread < 0:
         raise ValidationError("spread must be nonnegative")
@@ -198,7 +190,8 @@ def random_frequencies(count: int, p: int, spread: float, seed=None, common=None
         return np.repeat(base[None, :, :], count, axis=0)
     if p == 1:
         raise ValidationError("1 x 1 skew generators are zero; positive spread impossible")
-    devs = np.stack([(lambda g: (g - g.T) / 2.0)(rng.standard_normal((p, p))) for _ in range(count)])
+    g = rng.standard_normal((count, p, p))
+    devs = (g - g.swapaxes(1, 2)) / 2.0
     devs -= devs.mean(axis=0)
     current = frequency_spread(devs)
     if current == 0.0:
@@ -553,51 +546,30 @@ def cubic_coefficient(cfg: ModelConfig) -> float:
     return 8.0 * math.sqrt(cfg.p) * cfg.freq_spread / (cfg.kappa * stats.xi_min ** 2)
 
 
-def _bisect_newton(f, fprime, lo: float, hi: float) -> float:
-    """Root of f in [lo, hi] with f(lo), f(hi) of opposite sign: bisection to
-    width 1e-8, then safeguarded Newton polish."""
-    flo = f(lo)
-    for _ in range(200):
-        if hi - lo <= 1e-8:
-            break
-        mid = (lo + hi) / 2.0
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    r = (lo + hi) / 2.0
-    for _ in range(8):
-        fr = f(r)
-        if abs(fr) <= 1e-14:
-            break
-        step = fr / fprime(r)
-        candidate = r - step
-        if not lo <= candidate <= hi:
-            candidate = (lo + hi) / 2.0
-        r = candidate
-    return r
-
-
 def cubic_invariant_roots(c: float) -> tuple[float, ...]:
     """Interior roots of r^3 - 2r + c on (0, sqrt(2)), ascending.
 
     Two roots exist for 0 < c < CUBIC_COEFF_LIMIT; the open interval holds
-    none at c = 0 (they sit on the boundary) or past the limit."""
+    none at c = 0 (they sit on the boundary) or past the limit.
+
+    Viete's trigonometric form: with a = 2 sqrt(2/3) and cos(phi) =
+    -c / CUBIC_COEFF_LIMIT, which is -(3c/4) sqrt(3/2), the roots are
+    a cos((phi - 2 pi k) / 3) for k = 0, 1, 2. k = 0 is the larger interior
+    root and k = 2, a cos((phi + 2 pi) / 3), the negative one. The three
+    roots multiply to -c, so the smaller interior root is -c / (larger *
+    negative): a quotient keeps its full relative precision as c -> 0, where
+    it tends to c/2 and a cosine near pi/2 would cancel. The quotient
+    -c / CUBIC_COEFF_LIMIT rounds into [-1, 0) for every c below the limit,
+    so the guard against the limit also keeps the arccosine in its domain."""
     if c < 0:
         raise ValidationError("cubic coefficient must be nonnegative")
     if c == 0.0 or c >= CUBIC_COEFF_LIMIT:
         return ()
-    crit = math.sqrt(2.0 / 3.0)
-    f = lambda r: r ** 3 - 2.0 * r + c
-    fprime = lambda r: 3.0 * r ** 2 - 2.0
-    if f(crit) >= 0.0:
-        return ()
-    r1 = _bisect_newton(f, fprime, 0.0, crit)
-    r2 = _bisect_newton(f, fprime, crit, math.sqrt(2.0))
-    return (r1, r2)
+    a = 2.0 * math.sqrt(2.0 / 3.0)
+    phi = math.acos(-c / CUBIC_COEFF_LIMIT)
+    larger = a * math.cos(phi / 3.0)
+    negative = a * math.cos((phi + 2.0 * math.pi) / 3.0)
+    return (-c / (larger * negative), larger)
 
 
 def check_framework(cfg: ModelConfig, initial) -> FrameworkReport:

@@ -54,23 +54,27 @@ def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
 def read_series(path) -> dict[str, np.ndarray]:
     """Parse a CSV written by :func:`emit_series` back into named columns.
 
-    Raises :class:`ValidationError` on a file that does not parse as a
-    rectangular table of numbers, has no data rows or does not end in a
-    newline (a truncated file, say) and on any non-finite value, naming its
-    column and data row.
+    Raises :class:`ValidationError` on a file that is not text, names a
+    column twice, does not parse as a rectangular table of numbers, has no
+    data rows or does not end in a newline (a truncated file, say) and on
+    any non-finite value, naming its column and data row.
     """
     with open(path) as handle:
-        header = handle.readline().strip()
-        if not header:
-            raise ValidationError(f"{path}: empty series file")
-        names = header.split(",")
         try:
+            # bytes that do not decode raise UnicodeDecodeError, a ValueError
+            header = handle.readline().strip()
             with warnings.catch_warnings():
                 # a header with no rows is rejected below, by name
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(handle, delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise ValidationError(f"{path}: malformed series data: {exc}") from exc
+            raise ValidationError(f"{path}: malformed series file: {exc}") from exc
+    if not header:
+        raise ValidationError(f"{path}: empty series file")
+    names = header.split(",")
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValidationError(f"{path}: column {name!r} is named twice")
     if not len(data):
         raise ValidationError(f"{path}: no data rows")
     # every row emit_series writes ends in a newline; a file cut inside the

@@ -12,11 +12,18 @@ DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.
 
 
 def run_python(args, cwd):
+    """Run a Python child under tier-1's warning gate: dev mode with numpy's
+    RuntimeWarnings as errors, which a child does not inherit."""
     env = dict(os.environ)
     src = os.path.abspath(os.path.join(ROOT, "src"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
 
 

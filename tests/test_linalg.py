@@ -204,6 +204,20 @@ class TestExpmSkew:
         )
         assert frobenius(expm_skew(x) - expected) <= 1e-14
 
+    def test_block_rotation(self):
+        # p = 4: two planar blocks, one at an angle past pi/2
+        angles = (0.3, 2.9)
+        x = np.zeros((4, 4))
+        expected = np.zeros((4, 4))
+        for k, theta in enumerate(angles):
+            block = slice(2 * k, 2 * k + 2)
+            x[block, block] = [[0.0, -theta], [theta, 0.0]]
+            expected[block, block] = [
+                [np.cos(theta), -np.sin(theta)],
+                [np.sin(theta), np.cos(theta)],
+            ]
+        assert frobenius(expm_skew(x) - expected) <= 1e-14
+
     def test_against_long_taylor_series(self):
         x = skew(4, 15, scale=3.0)
         expected = np.zeros((4, 4))

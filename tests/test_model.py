@@ -25,8 +25,10 @@ from stiefel_sync.manifold import (
     tangent_residual,
 )
 from stiefel_sync.model import (
+    CUBIC_COEFF_LIMIT,
     ModelConfig,
     Topology,
+    _connected,
     check_framework,
     common_frequencies,
     contraction_slack,
@@ -106,6 +108,26 @@ class TestTopology:
         topo = Topology.general(np.ones((3, 3)))
         with pytest.raises(UnsupportedTopologyError):
             topo.xi_stats()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pattern=st.integers(min_value=1, max_value=8).flatmap(
+            lambda n: st.lists(
+                st.booleans(), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
+            ).map(lambda bits: (n, bits))
+        )
+    )
+    def test_connected_matches_transitive_closure(self, pattern):
+        # symmetric 0/1 weights, diagonal included; Warshall's closure of
+        # the positive off-diagonal links is the oracle
+        n, bits = pattern
+        weights = np.zeros((n, n))
+        weights[np.triu_indices(n)] = bits
+        weights = np.maximum(weights, weights.T)
+        reach = (weights > 0.0) | np.eye(n, dtype=bool)
+        for k in range(n):
+            reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+        assert _connected(weights) == bool(reach.all())
 
 
 class TestFrequencies:
@@ -531,6 +553,23 @@ class TestCubicRoots:
             assert 0 < r1 < math.sqrt(2.0 / 3.0) < r2 < math.sqrt(2.0)
             for r in roots:
                 assert abs(r ** 3 - 2 * r + c) <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-30, 1e-20, 1e-9])
+    def test_small_root_keeps_relative_precision(self, c):
+        # the smaller root is c/2 + c^3/16 + ..., so c/2 to within c^2/8
+        roots = cubic_invariant_roots(c)
+        assert len(roots) == 2
+        assert abs(roots[0] - c / 2.0) <= 1e-15 * (c / 2.0)
+
+    def test_floats_just_below_limit(self):
+        # the two roots merge at sqrt(2/3) as c reaches the limit
+        below = math.nextafter(CUBIC_COEFF_LIMIT, 0.0)
+        for c in (below, math.nextafter(below, 0.0)):
+            roots = cubic_invariant_roots(c)
+            assert len(roots) == 2
+            assert roots[0] <= roots[1]
+            for r in roots:
+                assert abs(r - math.sqrt(2.0 / 3.0)) <= 1e-7
 
     def test_coefficient_formula(self):
         # exact arithmetic instance: 8 sqrt(4) * 1 / (16 * 1) = 1

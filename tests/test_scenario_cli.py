@@ -1079,6 +1079,36 @@ class TestCli:
         assert message.startswith("error:")
         assert "'diam_A'" in message and "row 50" in message
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"drift", b"dr\xffift"),
+            (b"dist_agent_7", b"dist_agent_x"),
+            (b"dist_agent_7", b"dist_agent_"),
+            (b"diam_S_tilde", b"diam_S"),
+            (b"dist_agent_7", b"dist_agent_06"),
+        ],
+        ids=[
+            "not_utf8", "agent_not_a_number", "agent_unnumbered", "column_twice", "agent_skipped"
+        ],
+    )
+    def test_audit_rejects_malformed_header(self, tmp_path, bundled_runs, old, new):
+        # each edit to the header of a bundled pair CSV either fails to
+        # decode, names a column twice, or leaves dist_agent_0 ... dist_agent_7
+        # without one of its names
+        source = bundled_runs["framework_hetero"].csvs["framework_hetero_pair.csv"]
+        data = Path(source).read_bytes()
+        header, rest = data.split(b"\n", 1)
+        assert old in header
+        pair_csv = tmp_path / "framework_hetero_pair.csv"
+        pair_csv.write_bytes(header.replace(old, new, 1) + b"\n" + rest)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["audit", str(pair_csv), "--config", "framework_hetero"], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert "Traceback" not in err.getvalue()
+
     def test_audit_rejects_truncated_csv(self, tmp_path):
         path, pair_csv = self._pair_run(tmp_path)
         data = pair_csv.read_bytes()
