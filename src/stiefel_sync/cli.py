@@ -14,6 +14,7 @@ divergence; 4 audit violation; 5 declared expectation unmet; 1 anything else.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -181,10 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call: parsing
+    leaves nothing in it, so one serves every call of a process."""
+    return build_parser()
+
+
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args, out, err)

@@ -50,28 +50,56 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
+def _frobenius_norms(x) -> np.ndarray:
+    """The Frobenius norm of every matrix of a stack (..., rows, cols) from
+    one ``np.vecdot``: per matrix of a C-ordered stack, bit for bit the
+    value of ``np.linalg.norm``, which takes the same dot product of the
+    matrix's flattened entries."""
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _first_failure(*checks) -> None:
+    """Raise, for the first matrix of a stack that fails any of ``checks``,
+    the error of the first check it fails: the error it raises when checked
+    alone. Each check is a pair of a boolean mask over the stack, True
+    where a matrix fails, and a function from a failing matrix's flat index
+    to its error."""
+    failing = np.any([mask for mask, _ in checks], axis=0).ravel()
+    if failing.any():
+        k = int(failing.argmax())
+        for mask, error in checks:
+            if np.ravel(mask)[k]:
+                raise error(k)
+
+
 def qr_thin(a) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization with nonnegative R diagonal.
 
     The sign convention makes the factorization unique for full-rank input,
-    so results are reproducible across runs. Raises
+    so results are reproducible across runs. A stack (..., rows, cols) is
+    factorized in one call, each matrix as it is alone. Raises
     :class:`RankDeficiencyError` when a diagonal entry of R falls below
-    ``RANK_TOL * ||a||``.
+    ``RANK_TOL * ||a||``, for the first matrix where one does.
     """
-    a = require_matrix(a)
-    rows, cols = a.shape
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2:
+        raise DimensionError(f"matrix must be 2-D, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("matrix contains NaN or Inf entries")
+    rows, cols = a.shape[-2:]
     if rows < cols:
-        raise DimensionError(f"qr_thin needs rows >= cols, got {a.shape}")
+        raise DimensionError(f"qr_thin needs rows >= cols, got {a.shape[-2:]}")
     q, r = np.linalg.qr(a, mode="reduced")
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    q = q * d
-    r = d[:, None] * r
-    scale = np.linalg.norm(a)
-    if np.any(np.abs(np.diag(r)) <= RANK_TOL * scale):
-        raise RankDeficiencyError(
-            f"rank-deficient input: min |R_ii| = {np.min(np.abs(np.diag(r))):.3e}"
-        )
+    q = q * d[..., None, :]
+    r = d[..., :, None] * r
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1)).reshape(-1, cols)
+    deficient = (diag <= RANK_TOL * _frobenius_norms(a).reshape(-1, 1)).any(axis=1)
+    if deficient.any():
+        first = diag[deficient.argmax()]
+        raise RankDeficiencyError(f"rank-deficient input: min |R_ii| = {first.min():.3e}")
     return q, r
 
 
@@ -229,20 +257,43 @@ def _polar_unchecked(
             raise _NonFiniteInput
         far = np.abs(d, out=d).max(axis=(-3, -2, -1)) > _NEWTON_SCHULZ_DEFECT
         if far.any():
-            fixed = _eigh_polar(a[far])
+            fixed, _ = _polar_checked(a[far])
     out = np.subtract(a, np.matmul(a, half_d, out=work.product), out=out)
     if fixed is not None:
         out[far] = fixed
     return out
 
 
-def _eigh_polar(a: np.ndarray) -> np.ndarray:
-    """Polar factor a (a^T a)^{-1/2} of a stack from the eigendecomposition
-    of a^T a, without input validation."""
-    gram = np.swapaxes(a, -2, -1) @ a
-    w, v = np.linalg.eigh(gram)
-    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1)
-    return a @ inv_sqrt
+def _polar_checked(a) -> tuple[np.ndarray, list]:
+    """The polar factor of every matrix of a stack (..., n, p), from one
+    eigendecomposition of the stack's a^T a, with the checks of
+    :func:`polar_factor` for :func:`_first_failure`: a NaN or Inf entry,
+    then a numerically singular a^T a. The factor of a failing matrix is
+    not finite or not meaningful, and computing it warns of nothing; the
+    integrator's retraction takes the factors of its far members from here
+    and leaves the checks to its divergence test.
+
+    Raises :class:`DimensionError` for a shape that has no polar factor."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2:
+        raise DimensionError(f"polar_factor expects at least 2-D input, got {a.shape}")
+    if a.shape[-2] < a.shape[-1]:
+        raise DimensionError(f"polar_factor needs rows >= cols, got {a.shape[-2:]}")
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    with np.errstate(all="ignore"):
+        gram = np.swapaxes(a, -2, -1) @ a
+        # eigh cannot take NaN: an a^T a with a NaN or Inf entry, from one
+        # in a or from entries beyond ~1e154 that overflow it, is decomposed
+        # as zero, which fails the rank test
+        gram[~np.isfinite(gram).all(axis=(-2, -1))] = 0.0
+        w, v = np.linalg.eigh(gram)
+        u = a @ ((v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1))
+    # eigenvalues of a^T a are squared singular values of a
+    singular = ~(w[..., 0] > (RANK_TOL ** 2) * np.maximum(w[..., -1], 1e-300))
+    return u, [
+        (~finite, lambda k: ValidationError("polar_factor input contains NaN or Inf entries")),
+        (singular, lambda k: ProjectionError("a^T a is numerically singular; projection undefined")),
+    ]
 
 
 def polar_factor(a) -> np.ndarray:
@@ -253,26 +304,14 @@ def polar_factor(a) -> np.ndarray:
     computed via the symmetric eigendecomposition of a^T a, which is robust
     at the small column counts used here.
 
-    Raises :class:`ProjectionError` when a^T a is numerically singular
-    (closest point not unique).
+    Raises :class:`ValidationError` for an input with a NaN or Inf entry
+    and :class:`ProjectionError` when a^T a is numerically singular (closest
+    point not unique); a stack raises the error of its first matrix that
+    has no polar factor.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2:
-        raise DimensionError(f"polar_factor expects at least 2-D input, got {a.shape}")
-    if a.shape[-2] < a.shape[-1]:
-        raise DimensionError(f"polar_factor needs rows >= cols, got {a.shape[-2:]}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("polar_factor input contains NaN or Inf entries")
-    # a^T a overflows for entries beyond ~1e154, which leaves infinite or
-    # NaN eigenvalues: the test below fails on NaN, so it rejects those too
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.swapaxes(a, -2, -1) @ a
-        w, v = np.linalg.eigh(gram)
-    # eigenvalues of a^T a are squared singular values of a
-    if not np.all(w[..., 0] > (RANK_TOL ** 2) * np.maximum(w[..., -1], 1e-300)):
-        raise ProjectionError("a^T a is numerically singular; projection undefined")
-    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1)
-    return a @ inv_sqrt
+    u, checks = _polar_checked(a)
+    _first_failure(*checks)
+    return u
 
 
 def expm_skew(x) -> np.ndarray:

@@ -10,7 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import _drift_limit, _identity, _Workspace, polar_factor, qr_thin
+from .linalg import (
+    _drift_limit,
+    _first_failure,
+    _frobenius_norms,
+    _identity,
+    _polar_checked,
+    _Workspace,
+    qr_thin,
+)
 from .tolerances import ORTH_CONSTRUCTION_TOL
 
 
@@ -20,35 +28,54 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def validate_stiefel(x, name: str = "point") -> np.ndarray:
-    """Check orthonormal columns: ||x^T x - I|| within tolerance.
+def _point_checks(x: np.ndarray, name) -> list:
+    """The checks of :func:`validate_stiefel` on every matrix of a stack
+    (..., n, p), for :func:`~stiefel_sync.linalg._first_failure`: a NaN or
+    Inf entry, then ||x^T x - I|| over tolerance. ``name`` maps a matrix's
+    flat index to the name its error gives it.
 
     The norm needs no test of its own: | ||x||^2 - p | = |tr(x^T x - I)| <=
     sqrt(p) ||x^T x - I||, so a passing defect bounds | ||x|| - sqrt(p) | =
     | ||x||^2 - p | / (||x|| + sqrt(p)) by about half the tolerance."""
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    # the defect of a matrix that fails the first check is never reported
+    with np.errstate(all="ignore"):
+        defects = _frobenius_norms(_gram_defect(x))
+    return [
+        (~finite, lambda k: ValidationError(f"{name(k)} contains NaN or Inf entries")),
+        (
+            defects > ORTH_CONSTRUCTION_TOL,
+            lambda k: ValidationError(
+                f"{name(k)} is off the manifold: ||x^T x - I|| = {defects.flat[k]:.3e}"
+            ),
+        ),
+    ]
+
+
+def validate_stiefel(x, name: str = "point") -> np.ndarray:
+    """Check orthonormal columns: ||x^T x - I|| within tolerance."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {x.shape}")
     n, p = x.shape
     if p > n:
         raise DimensionError(f"{name} needs p <= n, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError(f"{name} contains NaN or Inf entries")
-    defect = np.linalg.norm(x.T @ x - np.eye(p))
-    if defect > ORTH_CONSTRUCTION_TOL:
-        raise ValidationError(f"{name} is off the manifold: ||x^T x - I|| = {defect:.3e}")
+    _first_failure(*_point_checks(x, lambda k: name))
     return x
 
 
 def validate_ensemble(states) -> np.ndarray:
-    """Validate an (N, n, p) stack of Stiefel points."""
+    """Validate an (N, n, p) stack of Stiefel points, all at once; the
+    first agent that fails raises the error :func:`validate_stiefel` raises
+    for it, naming it ``agent i``."""
     states = np.asarray(states, dtype=float)
     if states.ndim != 3:
         raise DimensionError(f"ensemble must be (N, n, p), got shape {states.shape}")
     if states.shape[0] < 1:
         raise DimensionError("ensemble needs at least one agent")
-    for i in range(states.shape[0]):
-        validate_stiefel(states[i], name=f"agent {i}")
+    if states.shape[2] > states.shape[1]:
+        raise DimensionError(f"agent 0 needs p <= n, got shape {states.shape[1:]}")
+    _first_failure(*_point_checks(states, lambda k: f"agent {k}"))
     return states
 
 
@@ -96,37 +123,47 @@ def _drift_within(states: np.ndarray, limit: float, work: _Workspace | None = No
 
 def random_stiefel(n: int, p: int, seed=None) -> np.ndarray:
     """Haar-distributed point: sign-fixed thin QR of an n x p standard Gaussian."""
-    if not 1 <= p <= n:
-        raise DimensionError(f"need 1 <= p <= n, got n={n}, p={p}")
-    rng = _as_rng(seed)
-    q, _ = qr_thin(rng.standard_normal((n, p)))
-    return q
+    return random_ensemble(n, p, 1, seed)[0]
 
 
 def random_ensemble(n: int, p: int, count: int, seed=None) -> np.ndarray:
-    """Stack of independent Haar points."""
-    rng = _as_rng(seed)
-    return np.stack([random_stiefel(n, p, rng) for _ in range(count)])
+    """Stack of independent Haar points, from one (count, n, p) Gaussian
+    draw and one batched QR: the same stream, and bit for bit the same
+    points, as ``count`` successive :func:`random_stiefel` draws."""
+    if not 1 <= p <= n:
+        raise DimensionError(f"need 1 <= p <= n, got n={n}, p={p}")
+    if count < 1:
+        raise DimensionError("ensemble needs at least one agent")
+    q, _ = qr_thin(_as_rng(seed).standard_normal((count, n, p)))
+    return q
 
 
 def random_tangent(point, seed=None, norm: float | None = None) -> np.ndarray:
     """Random tangent vector at ``point``: a Gaussian with the symmetric part
-    of the horizontal component removed, optionally rescaled to ``norm``."""
+    of the horizontal component removed, optionally rescaled to ``norm``.
+
+    A stack of points (..., n, p) gets one independent tangent per point
+    from one draw, each rescaled to ``norm``: bit for bit the tangents of
+    successive single-point calls on the same generator. A ``norm`` so
+    large that a rescaling overflows gives that tangent Inf entries, and
+    warns of nothing, so its retraction fails as non-finite."""
     rng = _as_rng(seed)
-    g = rng.standard_normal(point.shape)
-    v = tangent_project(point, g)
+    v = tangent_project(point, rng.standard_normal(np.shape(point)))
     if norm is not None:
-        size = np.linalg.norm(v)
-        if size == 0.0:
+        sizes = _frobenius_norms(v)
+        if not np.all(sizes):
             raise ValidationError("degenerate zero tangent sample")
-        v = v * (norm / size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = v * (norm / sizes)[..., None, None]
     return v
 
 
 def tangent_project(point, v) -> np.ndarray:
-    """Orthogonal projection of v onto the tangent space at ``point``."""
-    m = point.T @ np.asarray(v, dtype=float)
-    return v - point @ ((m + m.T) / 2.0)
+    """Orthogonal projection of v onto the tangent space at ``point``; a
+    stack of points (..., n, p) projects a stack of directions pointwise."""
+    v = np.asarray(v, dtype=float)
+    m = np.swapaxes(point, -2, -1) @ v
+    return v - point @ ((m + np.swapaxes(m, -2, -1)) / 2.0)
 
 
 def near_consensus_ensemble(
@@ -144,22 +181,25 @@ def near_consensus_ensemble(
 
 def perturb_ensemble(states, radius: float, seed=None) -> np.ndarray:
     """Displace every agent along an independent random tangent of norm
-    ``radius`` and retract; yields a nearby ensemble for pairwise runs."""
+    ``radius`` and retract; yields a nearby ensemble for pairwise runs.
+
+    One draw, one projection and one retraction for the whole ensemble,
+    bit for bit the agents of a loop that displaces and retracts one agent
+    at a time on the same generator. An agent that cannot be retracted
+    raises what it raises in that loop, for the first such agent; a zero
+    tangent (every agent's at n = p = 1) is reported before any."""
     states = np.asarray(states, dtype=float)
-    rng = _as_rng(seed)
-    moved = [
-        retract(states[i] + random_tangent(states[i], rng, norm=radius))
-        for i in range(states.shape[0])
-    ]
-    return np.stack(moved)
+    return retract(states + random_tangent(states, seed, norm=radius))
 
 
 def retract(x) -> np.ndarray:
-    """Closest-point (polar) retraction onto the manifold, validated."""
-    u = polar_factor(x)
-    if u.ndim == 2:
-        return validate_stiefel(u, name="retracted point")
-    return validate_ensemble(u)
+    """Closest-point (polar) retraction onto the manifold, validated.
+
+    A stack (..., n, p) is retracted in one pass; its first matrix that
+    cannot be retracted raises the error it raises alone."""
+    u, checks = _polar_checked(x)
+    _first_failure(*checks, *_point_checks(u, lambda k: "retracted point"))
+    return u
 
 
 def tangent_residual(point, v) -> float:

@@ -2,11 +2,14 @@
 
 Values are written with 17 significant digits so a parse of the emitted file
 reproduces every float bit for bit; runs with the same configuration and
-seeds therefore produce byte-identical files.
+seeds therefore produce byte-identical files: the bytes ``np.savetxt`` writes
+with that format. Rows are formatted :data:`_BLOCK_ROWS` at a time, one ``%``
+per block, so only one block's text is held at a time.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import warnings
 from typing import Mapping
@@ -17,6 +20,7 @@ from .errors import DimensionError, ValidationError
 from .integrate import Trajectory
 
 _FORMAT = "%.17g"
+_BLOCK_ROWS = 64
 
 # the columns every series file starts with, taken from the trajectory
 BASE_COLUMNS = ("t", "drift", "diam_S")
@@ -45,9 +49,13 @@ def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
         columns[name] = values
 
     table = np.column_stack(list(columns.values()))
+    row = ",".join([_FORMAT] * len(columns)) + "\n"
     tmp = f"{path}.tmp"
     with open(tmp, "w") as handle:
-        np.savetxt(handle, table, fmt=_FORMAT, delimiter=",", header=",".join(columns), comments="")
+        handle.write(",".join(columns) + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
     os.replace(tmp, path)
 
 
@@ -58,8 +66,13 @@ def read_series(path) -> dict[str, np.ndarray]:
     column twice, does not parse as a rectangular table of numbers, has no
     data rows or does not end in a newline (a truncated file, say) and on
     any non-finite value, naming its column and data row.
+
+    The file is opened and read once; both the parse and the newline test
+    see those bytes, decoded as opening the file as text would.
     """
-    with open(path) as handle:
+    with open(path, "rb") as raw:
+        content = raw.read()
+    with io.TextIOWrapper(io.BytesIO(content)) as handle:
         try:
             # bytes that do not decode raise UnicodeDecodeError, a ValueError
             header = handle.readline().strip()
@@ -79,10 +92,8 @@ def read_series(path) -> dict[str, np.ndarray]:
         raise ValidationError(f"{path}: no data rows")
     # every row emit_series writes ends in a newline; a file cut inside the
     # last field of a row would otherwise parse as a shorter valid one
-    with open(path, "rb") as raw:
-        raw.seek(-1, os.SEEK_END)
-        if raw.read(1) != b"\n":
-            raise ValidationError(f"{path}: truncated series file: no newline after the last row")
+    if not content.endswith(b"\n"):
+        raise ValidationError(f"{path}: truncated series file: no newline after the last row")
     if data.shape[1] != len(names):
         raise DimensionError(
             f"{path}: {data.shape[1]} columns of data under {len(names)} headers"

@@ -5,7 +5,12 @@ import pytest
 
 from golden.regenerate import SCENARIOS, run_bundled
 from stiefel_sync.diagnostics import correlation_contraction_bound, correlations
-from stiefel_sync.errors import DimensionError, ValidationError
+from stiefel_sync.errors import (
+    DimensionError,
+    ProjectionError,
+    RankDeficiencyError,
+    ValidationError,
+)
 from stiefel_sync.integrate import IntegratorConfig, integrate
 from stiefel_sync.manifold import near_consensus_ensemble, perturb_ensemble
 from stiefel_sync.model import (
@@ -18,6 +23,7 @@ from stiefel_sync.model import (
     zero_frequencies,
 )
 from stiefel_sync.scenario import generate_xi
+from stiefel_sync.tolerances import ORTH_CONSTRUCTION_TOL, RANK_TOL
 
 
 def make_framework_config(seed: int, p: int = 2):
@@ -116,6 +122,74 @@ def ensemble_lp_distance(e1, e2, p_exp: float) -> float:
     if p_exp == 2:
         return float(np.sqrt(np.sum(norms * norms)))
     return float(np.sum(norms ** p_exp) ** (1.0 / p_exp))
+
+
+def loop_qr_thin(a):
+    """One matrix's sign-fixed thin QR, as ``qr_thin`` was written before
+    it took stacks."""
+    q, r = np.linalg.qr(a, mode="reduced")
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    q, r = q * d, d[:, None] * r
+    if np.any(np.abs(np.diag(r)) <= RANK_TOL * np.linalg.norm(a)):
+        raise RankDeficiencyError(
+            f"rank-deficient input: min |R_ii| = {np.min(np.abs(np.diag(r))):.3e}"
+        )
+    return q, r
+
+
+def loop_retract(x):
+    """One matrix's validated polar retraction, as ``retract`` did it before
+    it took stacks: the eigendecomposition of x^T x, its checks, and the
+    checks of ``validate_stiefel`` on the factor."""
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("polar_factor input contains NaN or Inf entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, v = np.linalg.eigh(x.T @ x)
+    if not w[0] > (RANK_TOL**2) * np.maximum(w[-1], 1e-300):
+        raise ProjectionError("a^T a is numerically singular; projection undefined")
+    u = x @ ((v / np.sqrt(w)[None, :]) @ v.T)
+    if not np.all(np.isfinite(u)):
+        raise ValidationError("retracted point contains NaN or Inf entries")
+    defect = np.linalg.norm(u.T @ u - np.eye(u.shape[1]))
+    if defect > ORTH_CONSTRUCTION_TOL:
+        raise ValidationError(
+            f"retracted point is off the manifold: ||x^T x - I|| = {defect:.3e}"
+        )
+    return u
+
+
+def loop_random_ensemble(n, p, count, seed=None):
+    """Haar ensemble drawn one agent at a time: the per-agent loop that
+    ``random_ensemble`` replaced."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return np.stack([loop_qr_thin(rng.standard_normal((n, p)))[0] for _ in range(count)])
+
+
+def loop_perturb_ensemble(states, radius, seed=None):
+    """Each agent displaced along its own random tangent of norm ``radius``
+    and retracted, one agent at a time: the per-agent loop that
+    ``perturb_ensemble`` replaced. A rescaling that overflows warns here."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    moved = []
+    for s in np.asarray(states, dtype=float):
+        g = rng.standard_normal(s.shape)
+        m = s.T @ g
+        v = g - s @ ((m + m.T) / 2.0)
+        size = np.linalg.norm(v)
+        if size == 0.0:
+            raise ValidationError("degenerate zero tangent sample")
+        moved.append(loop_retract(s + v * (radius / size)))
+    return np.stack(moved)
+
+
+def savetxt_series(columns: dict, path) -> None:
+    """A series file as ``emit_series`` wrote it with ``np.savetxt``."""
+    table = np.column_stack(list(columns.values()))
+    with open(path, "w") as handle:
+        np.savetxt(
+            handle, table, fmt="%.17g", delimiter=",", header=",".join(columns), comments=""
+        )
 
 
 def worst_relative_bound_excess(cfg, traj1, traj2, floor=1e-20):

@@ -517,13 +517,13 @@ def count_eigh_calls(monkeypatch):
     """Counts the calls of the retraction's eigendecomposition branch."""
     module = importlib.import_module("stiefel_sync.linalg")
     calls = [0]
-    eigh_polar = module._eigh_polar
+    polar_checked = module._polar_checked
 
     def counted(a):
         calls[0] += 1
-        return eigh_polar(a)
+        return polar_checked(a)
 
-    monkeypatch.setattr(module, "_eigh_polar", counted)
+    monkeypatch.setattr(module, "_polar_checked", counted)
     return calls
 
 

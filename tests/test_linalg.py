@@ -13,7 +13,6 @@ from stiefel_sync.errors import (
     ValidationError,
 )
 from stiefel_sync.linalg import (
-    _eigh_polar,
     _polar_unchecked,
     expm_skew,
     frobenius,
@@ -173,7 +172,7 @@ class TestGatedRetraction:
         a = near_manifold(shape, defect, seed=len(shape) + int(-np.log10(defect)))
         assert np.all(max_defect(a) <= 1e-8)
         u = _polar_unchecked(a)
-        assert np.max(np.abs(u - _eigh_polar(a))) <= 1e-15
+        assert np.max(np.abs(u - polar_factor(a))) <= 1e-15
         assert np.max(np.abs(u - newton_schulz(a))) <= 1e-15
 
     def test_far_member_gets_eigh_bitwise(self):
@@ -181,15 +180,14 @@ class TestGatedRetraction:
         a[2] += 1e-6 * np.random.default_rng(21).standard_normal(a[2].shape)
         assert max_defect(a)[2] > 1e-8 and np.all(np.delete(max_defect(a), 2) <= 1e-8)
         u = _polar_unchecked(a)
-        assert np.array_equal(u[2], _eigh_polar(a[2]))
+        assert np.array_equal(u[2], polar_factor(a[2]))
         for b in (0, 1, 3):
             d = np.swapaxes(a[b], -2, -1) @ a[b] - np.eye(2)
             assert np.array_equal(u[b], a[b] - a[b] @ (0.5 * d))
 
     def test_single_ensemble_off_the_gate_gets_eigh_bitwise(self):
         a = near_manifold((5, 6, 2), 1e-3, seed=22)
-        assert np.array_equal(_polar_unchecked(a), _eigh_polar(a))
-        assert np.max(np.abs(polar_factor(a) - _polar_unchecked(a))) <= 1e-15
+        assert np.array_equal(_polar_unchecked(a), polar_factor(a))
 
 
 class TestExpmSkew:

@@ -1,11 +1,18 @@
 """Manifold-layer tests: sampling, validation, retraction, distances."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefel_sync.errors import DimensionError, ValidationError
+from stiefel_sync.errors import (
+    DimensionError,
+    ProjectionError,
+    StiefelSyncError,
+    ValidationError,
+)
 from stiefel_sync.linalg import frobenius
 from stiefel_sync.manifold import (
     _drift_limit,
@@ -24,7 +31,12 @@ from stiefel_sync.manifold import (
     validate_stiefel,
 )
 
-from conftest import ensemble_lp_distance
+from conftest import (
+    ensemble_lp_distance,
+    loop_perturb_ensemble,
+    loop_random_ensemble,
+    loop_retract,
+)
 
 
 def circle_point(theta):
@@ -362,3 +374,116 @@ class TestEnsembleBuilders:
         a = near_consensus_ensemble(4, 2, 3, radius=0.2, seed=30)
         b = near_consensus_ensemble(4, 2, 3, radius=0.2, seed=30)
         assert np.array_equal(a, b)
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` gives: its array, or its error's type and text.
+    The per-agent loop warns where a rescaling overflows; that is silenced
+    here, and the batched builders are held to no warning by the suite."""
+    try:
+        with warnings.catch_warnings():
+            if build is loop_perturb_ensemble:
+                warnings.simplefilter("ignore", RuntimeWarning)
+            return build(*args)
+    except (StiefelSyncError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def same(a, b) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and np.array_equal(a, b)
+    return a == b
+
+
+# p = 1, p = n and N = 1 each appear
+SAMPLING_SHAPES = [(1, 1, 1), (1, 1, 4), (3, 1, 5), (2, 2, 3), (4, 4, 2), (5, 2, 1), (6, 3, 7)]
+
+
+class TestBatchedSampling:
+    """The ensemble builders take one draw per ensemble; they give what the
+    per-agent loops in conftest give, bit for bit, errors included."""
+
+    @pytest.mark.parametrize("n, p, count", SAMPLING_SHAPES)
+    def test_random_ensemble_is_the_loop(self, n, p, count):
+        for seed in range(5):
+            assert same(random_ensemble(n, p, count, seed), loop_random_ensemble(n, p, count, seed))
+
+    @pytest.mark.parametrize("n, p, count", [s for s in SAMPLING_SHAPES if s[0] > 1])
+    @pytest.mark.parametrize("radius", [1e-8, 1e-3, 0.3, 2.0, 40.0])
+    def test_perturb_ensemble_is_the_loop(self, n, p, count, radius):
+        for seed in range(3):
+            states = random_ensemble(n, p, count, seed)
+            moved = perturb_ensemble(states, radius, seed + 10)
+            assert same(moved, loop_perturb_ensemble(states, radius, seed + 10))
+
+    def test_shared_generator_through_successive_calls(self):
+        batched, looped = np.random.default_rng(77), np.random.default_rng(77)
+        for n, p, count in SAMPLING_SHAPES[2:]:
+            states = random_ensemble(n, p, count, batched)
+            assert same(states, loop_random_ensemble(n, p, count, looped))
+            moved = perturb_ensemble(states, 0.05, batched)
+            assert same(moved, loop_perturb_ensemble(states, 0.05, looped))
+        # both generators have taken the same draws
+        assert batched.standard_normal() == looped.standard_normal()
+
+    def test_errors_are_the_loops(self):
+        # radii where the retraction is exact, where it drifts off the
+        # manifold or a^T a turns singular (at p = n odd, where a tangent is
+        # rank-deficient), where a^T a overflows, and where the rescaling
+        # itself overflows for some agents: the first agent to fail names
+        # the error, as in the loop, and nothing warns
+        radii = np.concatenate([np.logspace(2, 12, 41), [1e150, 1e200, 1e300, 1e308, 1.7e308]])
+        seen = set()
+        for n, p, count in [(3, 1, 3), (2, 1, 6), (6, 3, 10), (3, 3, 8), (5, 5, 3)]:
+            for seed in range(3):
+                states = random_ensemble(n, p, count, seed)
+                for radius in radii:
+                    got = outcome(perturb_ensemble, states, float(radius), seed + 20)
+                    want = outcome(loop_perturb_ensemble, states, float(radius), seed + 20)
+                    if want[0] is np.linalg.LinAlgError:
+                        # the loop's eigh took the NaN of an a^T a that
+                        # overflows and raised, untyped: the batched
+                        # retraction reports the singular a^T a
+                        want = (ProjectionError, "a^T a is numerically singular; projection undefined")
+                    assert same(got, want), (n, p, count, seed, radius)
+                    seen.add("ok" if isinstance(got, np.ndarray) else got[1].split(":")[0])
+        assert seen == {
+            "ok",
+            "retracted point is off the manifold",
+            "a^T a is numerically singular; projection undefined",
+            "polar_factor input contains NaN or Inf entries",
+        }
+
+    def test_zero_tangent_at_one_row_one_column(self):
+        states = random_ensemble(1, 1, 4, seed=5)
+        for build in (perturb_ensemble, loop_perturb_ensemble):
+            with pytest.raises(ValidationError, match="degenerate zero tangent sample"):
+                build(states, 0.1, 6)
+
+    @pytest.mark.parametrize("count", [1, 2, 9])
+    def test_one_decomposition_per_ensemble(self, monkeypatch, count):
+        calls = {"eigh": 0, "qr": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        states = random_ensemble(4, 2, count, seed=3)
+        assert calls == {"eigh": 0, "qr": 1}
+        perturb_ensemble(states, 0.1, seed=4)
+        assert calls == {"eigh": 1, "qr": 1}
+        near_consensus_ensemble(4, 2, count, 0.1, seed=5)
+        assert calls == {"eigh": 2, "qr": 2}
+
+    def test_retract_stack_is_each_matrix_alone(self):
+        stack = np.random.default_rng(8).standard_normal((3, 4, 5, 2))
+        u = retract(stack)
+        for index in np.ndindex(3, 4):
+            assert np.array_equal(u[index], loop_retract(stack[index]))
+
+    def test_empty_random_ensemble_rejected(self):
+        with pytest.raises(DimensionError, match="at least one agent"):
+            random_ensemble(3, 1, 0, seed=1)

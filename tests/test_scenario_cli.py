@@ -19,13 +19,15 @@ from stiefel_sync.cli import (
     EXIT_SCENARIO,
     main,
 )
-from stiefel_sync import diagnostics
+from stiefel_sync import cli, diagnostics, series_io
 from stiefel_sync.errors import InsufficientDataError, ScenarioError, ValidationError
-from stiefel_sync.integrate import IntegratorConfig, integrate
+from stiefel_sync.integrate import IntegratorConfig, Trajectory, integrate
 from stiefel_sync.manifold import random_ensemble
 from stiefel_sync.model import ModelConfig, Topology, zero_frequencies
 from stiefel_sync.scenario import ANALYSIS_NAMES, Scenario, generate_scenario, run_scenario
 from stiefel_sync.series_io import emit_series, read_series
+
+from conftest import savetxt_series
 
 BUNDLED = os.path.join(os.path.dirname(__file__), "..", "src", "stiefel_sync", "scenarios")
 
@@ -51,6 +53,7 @@ NAN, INF = float("nan"), float("inf")
 SEPARABLE = {"kind": "separable", "center": 1.0, "spread": 0.2, "seed": 1}
 GENERAL = {"kind": "general", "low": 0.5, "high": 1.0, "seed": 1}
 PLANES = {"n": 3, "p": 2, "N": 3}  # p = 2, so frequencies are not all zero
+SOLIDS = {"n": 6, "p": 3, "N": 3}
 
 # one non-finite number per scenario field read as a float, with the rest of
 # the scenario set up so that the field is read and, if let through, used;
@@ -119,6 +122,23 @@ OVERFLOWING_FIELDS = {
     ),
     "perturbation-radius-1e308": (
         "perturbation.radius", {"perturbation": {"radius": 1e308}, "analyses": ["stability"]}
+    ),
+    # with three columns a^T a overflows to NaN, which eigh does not take
+    "initial-radius-1e200-three-columns": (
+        "initial.radius", {"dims": SOLIDS, **near_consensus_radius(1e200)}
+    ),
+    "perturbation-radius-1e200-three-columns": (
+        "perturbation.radius",
+        {"dims": SOLIDS, "perturbation": {"radius": 1e200}, "analyses": ["stability"]},
+    ),
+    # the one point of S^0 has no tangent but zero
+    "perturbation-radius-points-of-s0": (
+        "perturbation.radius",
+        {
+            "dims": {"n": 1, "p": 1, "N": 3},
+            "initial": {"kind": "random", "seed": 1},
+            "analyses": ["stability"],
+        },
     ),
     "topology-high-1e308": ("topology.high", {"topology": {**GENERAL, "high": 1e308}}),
     # the separable weights overflow, or underflow to a disconnected graph
@@ -489,6 +509,56 @@ class TestSeriesIO:
         assert np.array_equal(back["drift"], traj.drift)
         assert np.array_equal(back["diam_S"], traj.diameters)
         assert np.array_equal(back["V"], extra["V"])
+
+    @staticmethod
+    def series_of(rows: int):
+        """A trajectory of ``rows`` snapshots with one extra column; the
+        values include -0.0, the least subnormal, 1e308 and 1e-17."""
+        rng = np.random.default_rng(rows)
+        table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-30, 30, (rows, 4))
+        specials = np.array([-0.0, 5e-324, 1e308, 1e-17])
+        table.flat[: min(table.size, 16)] = np.resize(specials, min(table.size, 16))
+        traj = Trajectory(
+            times=np.arange(rows) * 0.1,
+            states=np.empty((rows, 1, 1, 1)),
+            drift=table[:, 0],
+            diameters=table[:, 1],
+        )
+        return traj, {"V": table[:, 2], "W": table[:, 3]}
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 1001])
+    def test_bytes_are_savetxt_bytes(self, tmp_path, rows):
+        traj, extra = self.series_of(rows)
+        emit_series(traj, extra, tmp_path / "blocks.csv")
+        columns = {"t": traj.times, "drift": traj.drift, "diam_S": traj.diameters, **extra}
+        savetxt_series(columns, tmp_path / "savetxt.csv")
+        written = (tmp_path / "blocks.csv").read_bytes()
+        assert written == (tmp_path / "savetxt.csv").read_bytes()
+        assert written.count(b"\n") == rows + 1
+        back = read_series(tmp_path / "blocks.csv")
+        assert list(back) == list(columns)
+        for name, values in columns.items():
+            assert np.array_equal(back[name], values)
+            assert np.array_equal(np.signbit(back[name]), np.signbit(values))
+
+    def test_read_opens_the_file_once(self, tmp_path, monkeypatch):
+        traj = self.make_traj()
+        path = tmp_path / "series.csv"
+        emit_series(traj, {}, path)
+        opened = []
+
+        def counted_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(series_io, "open", counted_open, raising=False)
+        back = read_series(path)
+        assert opened == [path]
+        assert np.array_equal(back["t"], traj.times)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValidationError, match="no newline after the last row"):
+            read_series(path)
+        assert opened == [path, path]
 
     def test_empty_trajectory_guard(self, tmp_path):
         traj = self.make_traj()
@@ -1050,6 +1120,41 @@ class TestCli:
         lines = out.getvalue().splitlines()
         flagged = [line for line in lines if line.startswith("audit correlation_contraction")]
         assert len(flagged) == 1 and flagged[0].endswith("FAIL")
+
+    def test_repeated_calls_in_one_process(self, tmp_path, capsys):
+        # one process calls main again and again, as a benchmark worker or a
+        # notebook does: one parser serves every call, and a failed call
+        # leaves nothing behind for the next
+        path = minimal_scenario(
+            tmp_path,
+            name="again",
+            integrator={"h": 0.01, "t_end": 1.0, "record_stride": 1},
+            analyses=[{"stability": {"p_exp": [1.0]}}],
+        )
+        run = ["run", path, "--out", str(tmp_path)]
+        audit = ["audit", str(tmp_path / "again_pair.csv"), "--config", path]
+        bad_gen = ["gen", "homogeneous", "--seed", "1", "--set", "kappa=-1",
+                   "--out", str(tmp_path / "never.json")]
+
+        def call(argv):
+            out, err = io.StringIO(), io.StringIO()
+            return main(argv, out=out, err=err), out.getvalue()
+
+        first = [call(run), call(audit)]
+        assert [code for code, _ in first] == [EXIT_OK, EXIT_OK]
+        assert call(bad_gen) == (EXIT_SCENARIO, "")
+        with pytest.raises(SystemExit) as usage:
+            call(["audit", str(tmp_path / "again_pair.csv")])
+        assert usage.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert call(audit) == first[1]
+        assert call(run) == first[0]
+        assert call(bad_gen) == (EXIT_SCENARIO, "")
+        assert not (tmp_path / "never.json").exists()
+
+    def test_main_parses_with_one_parser(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
     def _pair_run(self, tmp_path, name="bad_csv"):
         path = minimal_scenario(
