@@ -13,11 +13,14 @@ Once per run, ``integrate`` builds the three stage configs
 Omega), so ``rhs`` of the stage config of c is c times the field, and the
 RK4 scalars cost no call a step. It also lays out a
 :class:`~stiefel_sync.linalg._Workspace` for its batch shape (B, N, n, p):
-the state buffer, the stage-argument buffer and u1...u4, the views ``rhs``
-and the retraction take of the two input buffers (the (B, N, n p) reshape
-and the transpose), and their temporaries. A step only fills these arrays:
-the state is copied in from ``initial``, which is only read, and each
-recorded state is copied out.
+the state buffer, the stage-argument buffer and u1...u4, the temporaries,
+and per buffer one tuple of every operand that ``rhs``, the retraction and
+the drift gate read of it (the (B, N, n p) reshape, the transpose and the
+temporaries). Each of the three takes its tuple with one dict lookup and
+tests the shape of its output inline, so a step makes five calls into the
+package (four under ``never``) and no workspace method call. A step only
+fills these arrays: the state is copied in from ``initial``, which is only
+read, and each recorded state is copied out.
 
 One step calls ``rhs(x, cfg_c, work, u)`` four times, through this
 module's globals:
@@ -30,7 +33,7 @@ module's globals:
 and combines the stages in place, into the state buffer, as s + (((u1 +
 u3) + 2 u2) / 3 + u4), which is s + (h/6) (k1 + 2 k2 + 2 k3 + k4): adds,
 one multiply by a 0-d 1/3, then + s. The stage arithmetic is 9 numpy calls
-and ``rhs`` 7 a call. Then, by policy:
+and ``rhs`` 7 a call. Then, by the policy, which is decided once per run:
 
 - ``every_step``: ``_polar_unchecked(s, s, work)`` once on the whole batch,
   writing into the state buffer (6 calls). Its gate on the Gram defect
@@ -180,9 +183,10 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
 
     ``initial`` is one ensemble (N, n, p) or a batch (B, N, n, p) stepped in
     one loop; each member's run is bitwise the one it has on its own.
-    The loop only stores snapshots; drift and diameters come from one call
-    each over the whole stored stack after it. The horizon is rounded to a
-    whole number of steps. Raises
+    The stage configs, the workspace and the retraction policy are set up
+    once per run; the loop only steps and stores snapshots, and drift and
+    diameters come from one call each over the whole stored stack after
+    it. The horizon is rounded to a whole number of steps. Raises
     :class:`DivergenceError` carrying the last good time when any state
     entry becomes non-finite; a batch names its first member to diverge.
     """
@@ -199,7 +203,9 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     half, whole, sixth = (cfg.scaled(c) for c in (0.5 * h, h, h / 6.0))
     # a 0-d array spares each ufunc call the conversion of a Python float
     third = np.array(1.0 / 3.0)
-    policy, threshold = icfg.retraction, icfg.drift_threshold
+    # the retraction policy, decided once per run
+    threshold = icfg.drift_threshold
+    every_step, gated = icfg.retraction == "every_step", icfg.retraction == "on_drift"
     # the gate sums B N p^2 squares
     limit = _drift_limit(threshold, s.size // s.shape[-2] * s.shape[-1])
     work = _Workspace(s.shape, bound=6)
@@ -229,17 +235,17 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
             np.multiply(third, u1, out=u1)
             np.add(u1, u4, out=u1)
             np.add(state, u1, out=state)
-            if policy == "every_step":
+            if every_step:
                 # the retraction's gate tests finiteness
                 try:
                     _polar_unchecked(state, state, work)
                 except _NonFiniteInput:
                     raise _divergence(state, step, h) from None
-            elif policy == "never" or not _drift_within(state, limit, work):
+            elif not (gated and _drift_within(state, limit, work)):
                 # under on_drift, only a state the gate cannot clear gets here
                 if not np.isfinite(state).all():
                     raise _divergence(state, step, h)
-                if policy == "on_drift":
+                if gated:
                     over = orthonormality_drift(state) > threshold
                     if over.any():
                         state[over] = _polar_unchecked(state[over])

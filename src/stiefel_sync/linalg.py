@@ -35,14 +35,50 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def require_skew(x, name: str = "skew matrix") -> np.ndarray:
     """Validate a square skew-symmetric matrix:
-    ||x + x^T|| <= ALGEBRAIC_TOL * max(1, ||x||)."""
+    ||x + x^T|| <= ALGEBRAIC_TOL * max(1, ||x||), tested as
+    :func:`_skew_checks` tests it."""
     x = require_matrix(x, name)
     if x.shape[0] != x.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {x.shape}")
-    defect = np.linalg.norm(x + x.T)
-    if defect > ALGEBRAIC_TOL * max(1.0, np.linalg.norm(x)):
-        raise ValidationError(f"{name} is not skew-symmetric (defect {defect:.3e})")
+    _first_failure(*_skew_checks(x, lambda k: name))
     return x
+
+
+def _skew_checks(x: np.ndarray, name) -> list:
+    """The checks of :func:`require_skew` on every matrix of a stack
+    (..., p, p), for :func:`_first_failure`: a NaN or Inf entry, then
+    ||x + x^T|| > ALGEBRAIC_TOL * max(1, ||x||). ``name`` maps a matrix's
+    flat index to the name its error gives it.
+
+    Unscaled, both sides overflow to Inf for a huge symmetric matrix, and
+    Inf > 1e-12 Inf is False, so the test would pass it. So a matrix whose largest entry is 1 or more is
+    scaled by the power of two 2^-e that brings that entry into [1/2, 1),
+    and the test reads ||y + y^T|| > ALGEBRAIC_TOL * max(2^-e, ||y||) for
+    y = 2^-e x. The scaling is exact but for entries 2^1022 times smaller
+    than the largest, which do not move either side, so both sides are
+    those of x times exactly 2^-e and the test decides as the unscaled one
+    wherever that one does not overflow. Nothing overflows, and nothing
+    warns."""
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    # the test of a matrix that fails the first check is never reported
+    with np.errstate(all="ignore"):
+        _, e = np.frexp(np.abs(x).max(axis=(-2, -1), keepdims=True, initial=0.0))
+        e = np.maximum(e, 0)
+        y = np.ldexp(x, -e)
+        e = e[..., 0, 0]
+        defects = _frobenius_norms(y + np.swapaxes(y, -2, -1))
+        asymmetric = defects > ALGEBRAIC_TOL * np.maximum(np.ldexp(1.0, -e), _frobenius_norms(y))
+        # the defect of x, Inf where it overflows
+        defects = np.ldexp(defects, e)
+    return [
+        (~finite, lambda k: ValidationError(f"{name(k)} contains NaN or Inf entries")),
+        (
+            asymmetric,
+            lambda k: ValidationError(
+                f"{name(k)} is not skew-symmetric (defect {defects.flat[k]:.3e})"
+            ),
+        ),
+    ]
 
 
 def frobenius(a) -> float:
@@ -148,22 +184,33 @@ class _NonFiniteInput(Exception):
 class _Workspace:
     """The arrays that stepping stacks of one shape (..., N, n, p) writes
     into, laid out once: :func:`~stiefel_sync.integrate.integrate` builds one
-    per run, and ``rhs`` and :func:`_polar_unchecked` build a one-shot one
-    when called without.
+    per run, and ``rhs``, :func:`_polar_unchecked` and
+    :func:`~stiefel_sync.manifold._drift_within` build a one-shot one when
+    called without.
 
     - ``buffers``: ``bound`` arrays of the shape, which the caller owns (the
-      integrator's state, stage argument and k1...k4).
-    - ``views``: per buffer, keyed by its ``id``, the two views the field
-      and the retraction take of an input: its (-1, N, n p) reshape and its
-      transpose. A bound input costs no view per call; ``buffers`` keeps the
-      keys alive. :meth:`views_of` takes them of any other input.
-    - The field's temporaries: ``y`` = (kappa/2N) W S with its flat view
-      ``y_flat``, ``m`` = S^T Y with its transpose ``m_t``, ``g`` and
-      ``sg`` = S g.
-    - The retraction's: ``defect`` d = a^T a - I, ``half_defect`` d/2,
-      ``product`` a (d/2), the 0-d constant ``half`` that d is scaled by,
-      and ``polar_limit``, the bound on the sum of the squares of d at
-      which every matrix of the shape takes the Newton-Schulz step.
+      integrator's state, stage argument and u1...u4).
+    - ``field``: the field's temporaries ``y`` = (kappa/2N) W S with its
+      flat view, ``m`` = S^T Y with its transpose, ``g``, the view of g
+      that the generators are subtracted from, and ``sg`` = S g.
+    - ``retraction``: the retraction's temporaries d = a^T a - I, d/2 and
+      a (d/2), the 0-d constant 0.5 that d is scaled by, the identity
+      stacked to d's shape, and ``polar_limit``, the bound on the sum of
+      the squares of d at which every matrix of the shape takes the
+      Newton-Schulz step.
+    - ``views``: per buffer, keyed by its ``id``, the one tuple of every
+      operand that the field, the retraction and the drift gate read of it:
+      its (-1, N, n p) reshape, its transpose, ``field`` and
+      ``retraction``. One dict lookup gives a bound input all of them;
+      ``buffers`` keeps the keys alive. :meth:`views_of` builds the tuple
+      of any other input, after :meth:`check`.
+
+    A ufunc whose operands all have one shape skips numpy's broadcasting
+    iterator, which costs about 0.6 us a call at these sizes. The view of
+    g and the stacked identity give the field's and the retraction's
+    elementwise calls operands of one shape (the generators only when the
+    shape holds one ensemble), and each element gets the same operation
+    as with broadcast operands.
 
     The arrays are private to one caller at a time: two runs, or two
     threads, each build their own."""
@@ -173,43 +220,34 @@ class _Workspace:
         self.state_shape = count, n, p = self.shape[-3:]
         self.flat_shape = (-1, count, n * p)
         gram = self.shape[:-2] + (p, p)
-        self.buffers = [np.empty(self.shape) for _ in range(bound)]
-        self.views = {
-            id(b): (b.reshape(self.flat_shape), b.swapaxes(-2, -1)) for b in self.buffers
-        }
-        self.y = np.empty(self.shape)
-        self.y_flat = self.y.reshape(self.flat_shape)
-        self.m = np.empty(gram)
-        self.m_t = self.m.swapaxes(-2, -1)
-        self.g = np.empty(gram)
-        self.sg = np.empty(self.shape)
-        self.defect = np.empty(gram)
-        self.half_defect = np.empty(gram)
-        self.product = np.empty(self.shape)
-        self.half = np.array(0.5)
+        y, m, g = np.empty(self.shape), np.empty(gram), np.empty(gram)
+        # the generators (N, p, p) meet g without broadcasting when the shape
+        # holds one ensemble; a batch of several broadcasts them
+        g_omega = g.reshape(gram[-3:]) if math.prod(self.shape[:-3]) == 1 else g
+        y_flat, m_t = y.reshape(self.flat_shape), m.swapaxes(-2, -1)
+        self.field = (y, y_flat, m, m_t, g, g_omega, np.empty(self.shape))
         self.polar_limit = _drift_limit(_NEWTON_SCHULZ_DEFECT, math.prod(gram))
-        self.eye = _identity(p)
+        d, half_d, product = np.empty(gram), np.empty(gram), np.empty(self.shape)
+        # one identity per matrix, so that d = a^T a - I broadcasts nothing
+        eye = np.broadcast_to(_identity(p), gram).copy()
+        eye.setflags(write=False)
+        self.retraction = (d, half_d, product, np.array(0.5), eye, self.polar_limit)
+        self.buffers = [np.empty(self.shape) for _ in range(bound)]
+        self.views = {id(b): self.views_of(b) for b in self.buffers}
 
-    def views_of(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The flat and the transposed view of ``x``: the bound ones for a
-        buffer, else new ones of an array of the workspace's shape. Any other
-        shape raises :class:`DimensionError`, so nothing broadcasts."""
-        views = self.views.get(id(x))
-        if views is None:
-            self.check(x)
-            views = (x.reshape(self.flat_shape), x.swapaxes(-2, -1))
-        return views
+    def views_of(self, x: np.ndarray) -> tuple:
+        """The operand tuple of ``x``, as ``views`` holds it for a buffer:
+        the bound ones are built here once, and an input that is not bound
+        gets a new one per call. A shape other than the workspace's raises
+        :class:`DimensionError`, so nothing broadcasts."""
+        self.check(x)
+        return (x.reshape(self.flat_shape), x.swapaxes(-2, -1), self.field, self.retraction)
 
     def check(self, x: np.ndarray) -> None:
         """Raise :class:`DimensionError` unless ``x`` has the workspace's
         shape."""
         if x.shape != self.shape:
             raise DimensionError(f"workspace is for shape {self.shape}, got {x.shape}")
-
-    def gram_defect(self, a: np.ndarray) -> np.ndarray:
-        """a_i^T a_i - I of every matrix of ``a``, in ``defect``."""
-        d = np.matmul(self.views_of(a)[1], a, out=self.defect)
-        return np.subtract(d, self.eye, out=d)
 
 
 def _polar_unchecked(
@@ -232,10 +270,12 @@ def _polar_unchecked(
     it gets alone.
 
     The result goes to ``out``, which may be ``a`` itself, or to a new array
-    when ``out`` is None. d, d/2 (scaled by a 0-d 0.5) and a (d/2) go to
-    the buffers of ``work``, a :class:`_Workspace` for a's shape; without
-    one, a one-shot workspace is built, so both ways run the same code.
-    The eigendecomposition reads ``a`` before ``out`` is written.
+    when ``out`` is None. ``a``'s transpose, d, d/2 (scaled by a 0-d 0.5)
+    and a (d/2) come from one lookup of ``a`` in the views of ``work``, a
+    :class:`_Workspace` for a's shape; an ``a`` not bound there, and an
+    ``out`` of another shape, are shape-checked. Without ``work``, a
+    one-shot workspace is built, so both ways run the same code. The
+    eigendecomposition reads ``a`` before ``out`` is written.
 
     Finiteness is tested only when that gate fails: a NaN or Inf entry of
     a makes a diagonal entry of d (a sum of squares) NaN or Inf, so is the
@@ -246,19 +286,24 @@ def _polar_unchecked(
     is written."""
     if work is None:
         work = _Workspace(a.shape)
-    if out is not None:
+    views = work.views.get(id(a))
+    if views is None:
+        views = work.views_of(a)
+    if out is not None and out.shape != work.shape:
         work.check(out)
-    d = work.gram_defect(a)
-    half_d = np.multiply(work.half, d, out=work.half_defect)
+    _, a_t, _, (d, half_d, product, half, eye, limit) = views
+    np.matmul(a_t, a, d)
+    np.subtract(d, eye, d)
+    np.multiply(half, d, half_d)
     # one dot product over the whole batch decides the usual case
     fixed = None
-    if not np.vdot(d, d) <= work.polar_limit:
+    if not np.vdot(d, d) <= limit:
         if not np.isfinite(a).all():
             raise _NonFiniteInput
         far = np.abs(d, out=d).max(axis=(-3, -2, -1)) > _NEWTON_SCHULZ_DEFECT
         if far.any():
             fixed, _ = _polar_checked(a[far])
-    out = np.subtract(a, np.matmul(a, half_d, out=work.product), out=out)
+    out = np.subtract(a, np.matmul(a, half_d, product), out)
     if fixed is not None:
         out[far] = fixed
     return out

@@ -115,9 +115,18 @@ def _drift_within(states: np.ndarray, limit: float, work: _Workspace | None = No
     ``limit``, from :func:`_drift_limit` of the threshold and the number of
     squares; every ensemble's drift is then within the threshold. A NaN or
     Inf entry of ``states`` makes a diagonal entry of the defect NaN or
-    Inf, and so the sum, which never passes. The defect goes to the
-    ``defect`` buffer of ``work``, a one-shot workspace when None."""
-    d = (_Workspace(states.shape) if work is None else work).gram_defect(states)
+    Inf, and so the sum, which never passes. The transpose of ``states``,
+    the retraction's temporary for the defect and the stacked identity come
+    from one lookup in the views of ``work``, a one-shot workspace when
+    None; ``states`` not bound there is shape-checked against it."""
+    if work is None:
+        work = _Workspace(states.shape)
+    views = work.views.get(id(states))
+    if views is None:
+        views = work.views_of(states)
+    _, s_t, _, (d, _, _, _, eye, _) = views
+    np.matmul(s_t, states, d)
+    np.subtract(d, eye, d)
     return np.vdot(d, d) <= limit
 
 

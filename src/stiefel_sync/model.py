@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedTopologyError,
     ValidationError,
 )
-from .linalg import _Workspace, expm_skew, require_skew
+from .linalg import _first_failure, _skew_checks, _Workspace, expm_skew, require_skew
 from .manifold import _as_rng, _per_ensemble, ensemble_diameter, pair_sq_distances
 from .tolerances import ALGEBRAIC_TOL, SEPARABLE_MATCH_TOL
 
@@ -240,8 +240,7 @@ class ModelConfig:
             raise DimensionError(
                 f"frequencies must be ({count}, {self.p}, {self.p}), got {freqs.shape}"
             )
-        for i in range(count):
-            require_skew(freqs[i], name=f"frequency generator {i}")
+        _first_failure(*_skew_checks(freqs, lambda k: f"frequency generator {k}"))
         self._derive(freqs)
 
     def _derive(self, freqs: np.ndarray) -> None:
@@ -299,12 +298,13 @@ def rhs(states, cfg: ModelConfig, work: _Workspace | None = None, out=None) -> n
     Y, M, the p x p difference and S (...) are formed in the temporaries of
     ``work``, a :class:`~stiefel_sync.linalg._Workspace` for the states'
     shape, in the same order, so the result is bitwise the expression
-    above. When ``states`` is a buffer bound in ``work``, its flat and
-    transposed views are the workspace's; any other input is shape-checked
-    against ``cfg`` and ``work``. Called without ``work``, ``rhs`` builds a
-    one-shot workspace and runs the same code. Leading axes stack
-    ensembles; ``states`` is only read, and the result goes to ``out``, or
-    to a new array when ``out`` is None.
+    above. When ``states`` is a buffer bound in ``work``, one lookup gives
+    its flat and transposed views and the temporaries; any other input is
+    shape-checked against ``cfg`` and ``work``, and so is an ``out`` of
+    another shape. Called without ``work``, ``rhs`` builds a one-shot
+    workspace and runs the same code. Leading axes stack ensembles;
+    ``states`` is only read, and the result goes to ``out``, or to a new
+    array when ``out`` is None.
     """
     views = None if work is None else work.views.get(id(states))
     if views is None:
@@ -313,17 +313,16 @@ def rhs(states, cfg: ModelConfig, work: _Workspace | None = None, out=None) -> n
         views = work.views_of(states)
     elif work.state_shape != cfg.state_shape:
         raise DimensionError(f"state must have shape {cfg.state_shape}, got {work.shape}")
-    if out is not None:
+    if out is not None and out.shape != work.shape:
         work.check(out)
-    s_flat, s_t = views
-    y, g, sg = work.y, work.g, work.sg
-    np.matmul(cfg.half_weights, s_flat, out=work.y_flat)
-    np.matmul(s_t, y, out=work.m)
-    np.add(work.m, work.m_t, out=g)
-    np.subtract(cfg.freqs, g, out=g)
-    np.matmul(states, g, out=sg)
-    np.add(y, sg, out=sg)
-    return np.add(y, sg, out=out)
+    s_flat, s_t, (y, y_flat, m, m_t, g, g_omega, sg), _ = views
+    np.matmul(cfg.half_weights, s_flat, y_flat)
+    np.matmul(s_t, y, m)
+    np.add(m, m_t, g)
+    np.subtract(cfg.freqs, g_omega, g_omega)
+    np.matmul(states, g, sg)
+    np.add(y, sg, sg)
+    return np.add(y, sg, out)
 
 
 def potential(states, topology: Topology):

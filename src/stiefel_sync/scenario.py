@@ -46,7 +46,7 @@ from .model import (
     random_skew,
     zero_frequencies,
 )
-from .series_io import BASE_COLUMNS, emit_series
+from .series_io import BASE_COLUMNS, _replacing, emit_series
 
 ANALYSIS_NAMES = ("framework", "consensus", "decay_fit", "stability", "audits", "cubic")
 SEPARABLE_ONLY = ("framework", "decay_fit", "audits", "cubic")
@@ -532,8 +532,9 @@ def _audit_to_dict(audit) -> dict:
 def run_scenario(source, out_dir: str = ".") -> dict:
     """Execute a scenario file (or a prebuilt :class:`Scenario`): integrate,
     run every requested analysis, and write the series CSVs and report JSON
-    into ``out_dir``. Returns the report dict as written, with the report
-    file's own path appended to ``artifacts``.
+    into ``out_dir``, each through a temporary file that replaces it once
+    complete. Returns the report dict as written, with the report file's
+    own path appended to ``artifacts``.
 
     Raises :class:`ScenarioError` on config problems and
     :class:`DivergenceError` when the integration blows up. Analysis
@@ -641,7 +642,7 @@ def run_scenario(source, out_dir: str = ".") -> dict:
         "ok": ok,
     }
     report_path = os.path.join(out_dir, f"{sc.name}_report.json")
-    with open(report_path, "w") as handle:
+    with _replacing(report_path) as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     artifacts.append(report_path)

@@ -9,6 +9,7 @@ per block, so only one block's text is held at a time.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import warnings
@@ -31,7 +32,9 @@ def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
 
     Base columns are t, drift, diam_S; the ``diag`` mapping appends extra
     columns in its iteration order. Rows are in time order. Nothing is
-    written unless all columns validate, so there are no partial files.
+    written unless all columns validate, and the rows go to a temporary
+    file that replaces ``path`` once complete (:func:`_replacing`), so
+    there are no partial files.
     """
     if len(traj) == 0:
         raise ValidationError("refusing to emit an empty trajectory")
@@ -50,13 +53,28 @@ def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
 
     table = np.column_stack(list(columns.values()))
     row = ",".join([_FORMAT] * len(columns)) + "\n"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
+    with _replacing(path) as handle:
         handle.write(",".join(columns) + "\n")
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start : start + _BLOCK_ROWS]
             handle.write(row * len(block) % tuple(block.ravel().tolist()))
-    os.replace(tmp, path)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text handle on ``<path>.tmp``, which replaces ``path`` when the
+    block ends. If anything fails first, the temporary file is removed and
+    ``path`` is left as it was, so a failed write leaves no partial file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        # a temporary file that was never created needs no removal
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_series(path) -> dict[str, np.ndarray]:

@@ -23,7 +23,7 @@ from stiefel_sync.model import (
     zero_frequencies,
 )
 from stiefel_sync.scenario import generate_xi
-from stiefel_sync.tolerances import ORTH_CONSTRUCTION_TOL, RANK_TOL
+from stiefel_sync.tolerances import ALGEBRAIC_TOL, ORTH_CONSTRUCTION_TOL, RANK_TOL
 
 
 def make_framework_config(seed: int, p: int = 2):
@@ -181,6 +181,19 @@ def loop_perturb_ensemble(states, radius, seed=None):
             raise ValidationError("degenerate zero tangent sample")
         moved.append(loop_retract(s + v * (radius / size)))
     return np.stack(moved)
+
+
+def loop_frequency_checks(freqs) -> None:
+    """The skew test of every generator, one agent at a time, unscaled: the
+    per-agent loop that ``ModelConfig`` ran before it tested the stack at
+    once. A generator whose norms overflow passes here, and warns."""
+    for i, x in enumerate(np.asarray(freqs, dtype=float)):
+        name = f"frequency generator {i}"
+        if not np.all(np.isfinite(x)):
+            raise ValidationError(f"{name} contains NaN or Inf entries")
+        defect = np.linalg.norm(x + x.T)
+        if defect > ALGEBRAIC_TOL * max(1.0, np.linalg.norm(x)):
+            raise ValidationError(f"{name} is not skew-symmetric (defect {defect:.3e})")
 
 
 def savetxt_series(columns: dict, path) -> None:

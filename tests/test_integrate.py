@@ -3,12 +3,14 @@ determinism, and divergence handling."""
 
 import dataclasses
 import importlib
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import stiefel_sync
 from stiefel_sync.errors import (
     DimensionError,
     DivergenceError,
@@ -17,6 +19,7 @@ from stiefel_sync.errors import (
 from stiefel_sync.integrate import RETRACTION_POLICIES, IntegratorConfig, integrate
 from stiefel_sync.linalg import _polar_unchecked, _Workspace, expm_skew
 from stiefel_sync.manifold import (
+    _drift_within,
     near_consensus_ensemble,
     perturb_ensemble,
     random_ensemble,
@@ -656,6 +659,50 @@ class TestCallBudget:
         assert (totals[2] - totals[1]) / 50 <= self.BUDGET[retraction]
 
 
+class TestPackageCallBudget:
+    # calls of the package's own Python functions a step: rhs four times,
+    # then _polar_unchecked (every_step) or _drift_within (on_drift,
+    # passing); each reads its operands from one lookup of its input in the
+    # workspace and tests shapes inline. Through the workspace's methods the
+    # step made 12, 11 and 8
+    BUDGET = {"every_step": 5, "on_drift": 5, "never": 4}
+
+    @staticmethod
+    def count_package_calls():
+        """A profile function counting the calls of Python functions whose
+        code is in the package, and its counter."""
+        package = os.path.dirname(stiefel_sync.__file__) + os.sep
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls[0] += 1
+
+        return profile, calls
+
+    @pytest.mark.parametrize("retraction", RETRACTION_POLICIES)
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_package_calls_per_step_within_budget(self, retraction, batch):
+        profile, calls = self.count_package_calls()
+        cfg = recording_config(3)
+        initial = np.stack([random_ensemble(4, 2, 3, seed=70 + b) for b in range(batch)])
+        totals = []
+        for steps in (50, 50, 100):
+            # at h 0.01 the on_drift gate passes on every step
+            icfg = IntegratorConfig(
+                h=1e-2, t_end=steps * 1e-2, retraction=retraction, record_stride=1000
+            )
+            calls[0] = 0
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                integrate(initial if batch > 1 else initial[0], cfg, icfg)
+            finally:
+                sys.setprofile(previous)
+            totals.append(calls[0])
+        assert (totals[2] - totals[1]) / 50 <= self.BUDGET[retraction]
+
+
 class TestPostLoopRecording:
     @pytest.mark.parametrize("retraction", ["every_step", "on_drift", "never"])
     @pytest.mark.parametrize("batch", [1, 2])
@@ -884,12 +931,22 @@ class TestWorkspace:
                 rhs(bad, cfg, pair, out)
             with pytest.raises(DimensionError):
                 _polar_unchecked(bad, None, pair)
+            with pytest.raises(DimensionError):
+                _drift_within(bad, 1.0, pair)
         single = _Workspace(x.shape, bound=1)
         for target in (np.empty((2,) + x.shape), np.empty((1,) + x.shape)):
             with pytest.raises(DimensionError):
                 rhs(x, cfg, single, target)
             with pytest.raises(DimensionError):
                 _polar_unchecked(x, target, single)
+            # the wrong-shaped array as the gate's state
+            with pytest.raises(DimensionError):
+                _drift_within(target, 1.0, single)
+        # a bound buffer as input, into an output of another shape
+        with pytest.raises(DimensionError):
+            rhs(single.buffers[0], cfg, single, np.empty((2,) + x.shape))
+        with pytest.raises(DimensionError):
+            _polar_unchecked(single.buffers[0], np.empty((2,) + x.shape), single)
         # a bound buffer stepped with the config of another state shape
         with pytest.raises(DimensionError):
             rhs(single.buffers[0], recording_config(3, 4, 1), single, None)
@@ -936,8 +993,9 @@ class TestWorkspace:
         )
         traj = integrate(initial, recording_config(3), icfg)
         (work,) = built
-        arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
-        arrays += work.buffers + [view for views in work.views.values() for view in views]
+        arrays = list(work.buffers)
+        for flat, transposed, field, retraction in work.views.values():
+            arrays += [flat, transposed, *field, *retraction]
         for result in (traj.times, traj.states, traj.drift, traj.diameters):
             assert not any(np.shares_memory(result, a) for a in arrays)
 

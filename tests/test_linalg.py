@@ -1,5 +1,7 @@
 """Matrix-core tests: norms, factorizations, matrix exponential."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,36 @@ class TestValidators:
         assert require_skew(x) is not None
         with pytest.raises(ValidationError):
             require_skew(x + 1e-8)
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 0.9, 1.1, 2.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_require_skew_decides_alike_at_every_power_of_two(self, ratio, seed):
+        # a symmetric part of ratio times the allowed defect; scaled by 2^k,
+        # up to where the largest entry nears the float limit, the matrix
+        # passes or fails as it does at k = 0, with the same defect times 2^k
+        # unit norm and ||x + x^T|| = ratio 1e-12
+        x = skew(3, seed) + ratio * 1e-12 / (2.0 * np.sqrt(3.0)) * np.eye(3)
+        expected = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0, 1, 200, 600, 1000, 1023):
+                try:
+                    require_skew(np.ldexp(x, k))
+                    outcome = "pass"
+                except ValidationError as exc:
+                    defect = float(str(exc).split("defect ")[1].rstrip(")"))
+                    outcome = float(f"{np.ldexp(defect, -k):.2e}")
+                expected = outcome if expected is None else expected
+                assert outcome == expected
+        assert (expected == "pass") == (ratio < 1.0)
+
+    @pytest.mark.parametrize("entry", [1e154, 1e308, np.finfo(float).max])
+    def test_require_skew_rejects_huge_symmetric_without_warning(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="not skew-symmetric"):
+                require_skew([[0.0, entry], [entry, 0.0]])
+            assert require_skew([[0.0, entry], [-entry, 0.0]]) is not None
 
     @settings(max_examples=50)
     @given(theta=st.floats(min_value=-10, max_value=10, allow_nan=False))

@@ -45,8 +45,9 @@ from stiefel_sync.model import (
     rhs,
     zero_frequencies,
 )
+from stiefel_sync.tolerances import ALGEBRAIC_TOL
 
-from conftest import make_framework_config
+from conftest import loop_frequency_checks, make_framework_config
 
 
 def uniform_config(count=4, n=4, p=2, kappa=2.0, freqs=None):
@@ -163,6 +164,56 @@ class TestFrequencies:
         bad[0, 0, 0] = 1.0
         with pytest.raises(ValidationError):
             uniform_config(count=2, freqs=bad)
+
+    @staticmethod
+    def outcome(check, freqs):
+        try:
+            check(freqs)
+        except ValidationError as exc:
+            return str(exc)
+        return "pass"
+
+    def test_stacked_skew_test_errors_are_the_loops(self):
+        # generators at scales where the unscaled loop's norms do not
+        # overflow, with symmetric parts of 0-2 times the tolerance on some
+        # agents and a NaN on some stacks: every outcome, pass or the error
+        # of the first failing generator, is the loop's
+        seen = set()
+        for count, p in [(1, 2), (3, 1), (4, 3), (6, 2)]:
+
+            def check(f, count=count, p=p):
+                uniform_config(count=count, n=p + 1, p=p, freqs=f)
+
+            for scale in (1e-300, 1e-3, 1.0, 7.5, 1e100, 1e150):
+                for seed in range(4):
+                    rng = np.random.default_rng(seed)
+                    g = rng.standard_normal((count, p, p))
+                    freqs = scale * (g - g.swapaxes(1, 2)) / 2.0
+                    sym = rng.standard_normal((count, p, p))
+                    sym += sym.swapaxes(1, 2)
+                    sizes = np.linalg.norm(freqs, axis=(1, 2))
+                    ratio = rng.choice([0.0, 0.5, 0.99, 1.01, 2.0], size=count)
+                    allowed = ALGEBRAIC_TOL * np.maximum(1.0, sizes) / 2.0
+                    sym *= (ratio * allowed / np.linalg.norm(sym, axis=(1, 2)))[:, None, None]
+                    freqs += sym
+                    if seed == 3:
+                        freqs[rng.integers(count), 0, 0] = np.nan
+                    expected = self.outcome(loop_frequency_checks, freqs)
+                    assert self.outcome(check, freqs) == expected
+                    seen.add("pass" if expected == "pass" else "NaN" if "NaN" in expected else "skew")
+        assert seen == {"pass", "NaN", "skew"}
+
+    @pytest.mark.parametrize("entry", [1e154, 1e300, 1e308, 1.7976931348623157e308])
+    def test_huge_symmetric_generator_rejected_without_warning(self, entry):
+        freqs = np.zeros((3, 2, 2))
+        freqs[1] = [[0.0, entry], [entry, 0.0]]
+        freqs[2] = [[0.0, entry], [-entry, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="frequency generator 1 is not skew"):
+                uniform_config(count=3, freqs=freqs)
+            # the huge skew generator, common to every agent, passes
+            uniform_config(count=3, freqs=np.repeat(freqs[2:], 3, axis=0))
 
 
 class TestRhs:

@@ -2,6 +2,7 @@
 and the command-line interface."""
 
 import copy
+import errno
 import io
 import json
 import os
@@ -153,6 +154,11 @@ OVERFLOWING_FIELDS = {
     "frequencies-spread-1e300": (
         "frequencies.spread",
         {"dims": PLANES, "frequencies": {"kind": "random", "spread": 1e300, "seed": 1}},
+    ),
+    # x + x^T and ||x|| both overflow: the skew test is scaled
+    "frequencies-skew-symmetric-1e308": (
+        "frequencies.skew",
+        {"dims": PLANES, "frequencies": {"kind": "common", "skew": [[0, 1e308], [1e308, 0]]}},
     ),
 }
 
@@ -658,7 +664,58 @@ class TestRunScenario:
         assert report["expectations"][0]["ok"] is False
 
 
+class HalfWritten:
+    """A text file whose second write writes half its text and raises the
+    OSError of a full disk."""
+
+    def __init__(self, handle):
+        self.handle, self.writes = handle, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes < 2:
+            return self.handle.write(text)
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
 class TestCli:
+    @pytest.mark.parametrize("target", ["tiny.csv", "tiny_pair.csv", "tiny_report.json"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, target):
+        path = minimal_scenario(tmp_path, analyses=["stability"])
+        out_dir = tmp_path / "out"
+        assert main(["run", path, "--out", str(out_dir)], out=io.StringIO()) == EXIT_OK
+        written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        # in the order run writes them
+        order = ["tiny.csv", "tiny_pair.csv", "tiny_report.json"]
+        assert sorted(written) == order
+
+        def failing_open(file, *args, **kwargs):
+            handle = open(file, *args, **kwargs)
+            return HalfWritten(handle) if str(file).endswith(f"{target}.tmp") else handle
+
+        monkeypatch.setattr(series_io, "open", failing_open, raising=False)
+        # over the files of the first run, and into a directory with none
+        for directory in (out_dir, tmp_path / "fresh"):
+            out, err = io.StringIO(), io.StringIO()
+            code = main(["run", path, "--out", str(directory)], out=out, err=err)
+            assert code == EXIT_ERROR
+            assert out.getvalue() == ""
+            assert os.strerror(errno.ENOSPC) in err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert not any(p.name.endswith(".tmp") for p in directory.iterdir())
+        # the failed file and those after it are the first run's, or absent
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == written
+        fresh = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        assert fresh == order[: order.index(target)]
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exits:
             main(["--version"])
