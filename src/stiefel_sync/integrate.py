@@ -9,9 +9,14 @@ an RK4 step from the manifold is the usual case, and the eigendecomposition
 of a^T a otherwise (under ``on_drift`` with a large threshold, say).
 
 Once per run, ``integrate`` builds the three stage configs
-``cfg.scaled(c)`` for c = h/2, h and h/6. The field is linear in (kappa,
-Omega), so ``rhs`` of the stage config of c is c times the field, and the
-RK4 scalars cost no call a step. It also lays out a
+``cfg.scaled(c, lead)`` for c = h/2, h and h/6. The field is linear in
+(kappa, Omega), so ``rhs`` of the stage config of c is c times the field,
+and the RK4 scalars cost no call a step. For a batch of B > 1 ensembles
+``lead`` is (B,), and the stage configs hold their generators stacked to
+(B, N, p, p), the shape of the field's temporary they are subtracted
+from; one ensemble's (N, p, p) generators meet a view of that temporary
+of their shape. So no elementwise call of a step broadcasts. It also lays
+out a
 :class:`~stiefel_sync.linalg._Workspace` for its batch shape (B, N, n, p):
 the state buffer, the stage-argument buffer and u1...u4, the temporaries,
 and per buffer one tuple of every operand that ``rhs``, the retraction and
@@ -199,8 +204,10 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     for member in s:
         _check_state_shape(validate_ensemble(member), cfg)
     h = float(icfg.h)
-    # the stage configs: rhs of each is c k for c = h/2, h, h/6
-    half, whole, sixth = (cfg.scaled(c) for c in (0.5 * h, h, h / 6.0))
+    # the stage configs: rhs of each is c k for c = h/2, h, h/6; a batch of
+    # several holds the generators stacked to its shape
+    lead = s.shape[:1] if count > 1 else ()
+    half, whole, sixth = (cfg.scaled(c, lead) for c in (0.5 * h, h, h / 6.0))
     # a 0-d array spares each ufunc call the conversion of a Python float
     third = np.array(1.0 / 3.0)
     # the retraction policy, decided once per run

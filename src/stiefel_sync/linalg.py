@@ -208,9 +208,11 @@ class _Workspace:
     A ufunc whose operands all have one shape skips numpy's broadcasting
     iterator, which costs about 0.6 us a call at these sizes. The view of
     g and the stacked identity give the field's and the retraction's
-    elementwise calls operands of one shape (the generators only when the
-    shape holds one ensemble), and each element gets the same operation
-    as with broadcast operands.
+    elementwise calls operands of one shape: for a shape of one ensemble
+    the view of g has the generators' (N, p, p) shape, and a batch of
+    several takes generators stacked to its shape, as the integrator's
+    stage configs hold them (:meth:`~stiefel_sync.model.ModelConfig.scaled`).
+    Each element gets the same operation as with broadcast operands.
 
     The arrays are private to one caller at a time: two runs, or two
     threads, each build their own."""
@@ -221,10 +223,11 @@ class _Workspace:
         self.flat_shape = (-1, count, n * p)
         gram = self.shape[:-2] + (p, p)
         y, m, g = np.empty(self.shape), np.empty(gram), np.empty(gram)
-        # the generators (N, p, p) meet g without broadcasting when the shape
-        # holds one ensemble; a batch of several broadcasts them
-        g_omega = g.reshape(gram[-3:]) if math.prod(self.shape[:-3]) == 1 else g
         y_flat, m_t = y.reshape(self.flat_shape), m.swapaxes(-2, -1)
+        # the generators (N, p, p) meet a view of g of their shape when the
+        # shape holds one ensemble; a batch of several meets them stacked to
+        # g's shape
+        g_omega = g.reshape(gram[-3:]) if math.prod(self.shape[:-3]) == 1 else g
         self.field = (y, y_flat, m, m_t, g, g_omega, np.empty(self.shape))
         self.polar_limit = _drift_limit(_NEWTON_SCHULZ_DEFECT, math.prod(gram))
         d, half_d, product = np.empty(gram), np.empty(gram), np.empty(self.shape)

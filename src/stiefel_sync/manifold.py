@@ -7,6 +7,9 @@ is an (N, n, p) stack of such points sharing dimensions.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .errors import DimensionError, ValidationError
@@ -221,22 +224,52 @@ def tangent_residual(point, v) -> float:
     return float(np.linalg.norm(m + m.T))
 
 
+# entries differenced per gathered chunk of pair_sq_distances: 32 ensembles
+# of 8 agents of (6, 2) (28 pairs of 12 entries), 86 kB per difference
+_PAIR_CHUNK_ENTRIES = 32 * 28 * 12
+
+
+@functools.cache
+def _pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The agents i < k of every pair of ``count`` agents, read-only, built
+    once per count."""
+    i, k = np.triu_indices(count, 1)
+    i.setflags(write=False)
+    k.setflags(write=False)
+    return i, k
+
+
 def pair_sq_distances(states) -> np.ndarray:
     """Table of squared Frobenius distances ||S_i - S_k||^2, shape (..., N, N).
 
-    Built one pair at a time (i < k, mirrored), each pair over every leading
-    axis at once, so no (..., N, N, n, p) difference array is held. Explicit
-    differences (not Gram identities) keep small distances at full relative
-    precision.
+    Built from chunks of the stacked ensembles, as many as difference at
+    most 10,752 entries (32 ensembles of 8 agents of (6, 2)): both agents
+    of every pair i < k are gathered at once, subtracted, squared in place
+    and summed over each contiguous (n, p) block, and both halves of the
+    table are scattered. So no (..., N, N, n, p) difference array is held,
+    and each distance is the sum of the same explicit differences, in the
+    same order, that one pair at a time gives, bit for bit. Explicit
+    differences (not Gram identities) keep small distances at full
+    relative precision.
     """
     states = _check_ensembles(states)
-    count = states.shape[-3]
-    table = np.zeros(states.shape[:-3] + (count, count))
-    for i in range(count - 1):
-        for k in range(i + 1, count):
-            diff = states[..., i, :, :] - states[..., k, :, :]
-            table[..., i, k] = table[..., k, i] = (diff * diff).sum(axis=(-2, -1))
-    return table
+    count, n, p = states.shape[-3:]
+    ensembles = math.prod(states.shape[:-3])
+    flat = states.reshape((ensembles, count, n, p))
+    table = np.zeros((ensembles, count, count))
+    i, k = _pairs(count)
+    size = max(1, _PAIR_CHUNK_ENTRIES // max(1, i.size * n * p))
+    # one agent has no pair, and its table stays zero
+    for start in range(0, ensembles if i.size else 0, size):
+        chunk = flat[start : start + size]
+        diff = np.take(chunk, i, axis=1)
+        np.subtract(diff, np.take(chunk, k, axis=1), diff)
+        np.multiply(diff, diff, diff)
+        squares = diff.reshape(diff.shape[:2] + (-1,)).sum(axis=-1)
+        rows = table[start : start + size]
+        rows[:, i, k] = squares
+        rows[:, k, i] = squares
+    return table.reshape(states.shape[:-3] + (count, count))
 
 
 def ensemble_diameter(states):

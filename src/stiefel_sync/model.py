@@ -145,14 +145,28 @@ class Topology:
 
 
 def frequency_spread(freqs) -> float:
-    """Largest pairwise Frobenius distance among the skew generators."""
+    """Largest pairwise Frobenius distance among the skew generators.
+
+    Scaled as :func:`~stiefel_sync.linalg._skew_checks` scales: generators
+    whose largest entry is 1 or more are multiplied by the power of two
+    2^-e that brings that entry into [1/2, 1), their distances are taken,
+    and the largest is multiplied back by 2^e. Both scalings are by powers
+    of two, so the spread is the unscaled one wherever neither computation
+    overflows or underflows. The scaled sums of squares stay below 4 p^2,
+    so the spread is Inf, without a warning, only where it exceeds the
+    float range itself."""
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 3:
         raise DimensionError(f"frequencies must be (N, p, p), got shape {freqs.shape}")
     if freqs.shape[0] == 1:
         return 0.0
-    diffs = freqs[:, None] - freqs[None, :]
-    return float(np.max(np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))))
+    _, e = np.frexp(np.abs(freqs).max())
+    e = max(int(e), 0)
+    scaled = np.ldexp(freqs, -e)
+    diffs = scaled[:, None] - scaled[None, :]
+    largest = np.max(np.sqrt(np.sum(diffs * diffs, axis=(-2, -1))))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(largest, e))
 
 
 def zero_frequencies(count: int, p: int) -> np.ndarray:
@@ -179,8 +193,8 @@ def random_frequencies(count: int, p: int, spread: float, seed=None, common=None
 
     Deviations around the (optional) common part are centered and rescaled so
     the realized heterogeneity matches the request. p = 1 admits only zero
-    generators, so any positive spread is rejected there, and so is a spread
-    whose realized value overflows.
+    generators, so any positive spread is rejected there, and so is a
+    realized spread whose square overflows (one above about 1.3e154).
     """
     rng = _as_rng(seed)
     base = np.zeros((p, p)) if common is None else require_skew(common)
@@ -196,12 +210,12 @@ def random_frequencies(count: int, p: int, spread: float, seed=None, common=None
     current = frequency_spread(devs)
     if current == 0.0:
         raise ValidationError("degenerate frequency sample; retry with another seed")
-    # a huge spread overflows the generators or their distances
+    # a huge spread overflows the generators, or the square of its distance
     with np.errstate(over="ignore", invalid="ignore"):
         freqs = base[None, :, :] + devs * (spread / current)
         realized = frequency_spread(freqs)
-    if not math.isfinite(realized):
-        raise ValidationError(f"spread {spread} overflows the generators' distances")
+    if not math.isfinite(realized * realized):
+        raise ValidationError(f"spread {spread} overflows the generators' squared distances")
     return freqs
 
 
@@ -242,6 +256,11 @@ class ModelConfig:
             )
         _first_failure(*_skew_checks(freqs, lambda k: f"frequency generator {k}"))
         self._derive(freqs)
+        if not math.isfinite(self.freq_spread):
+            raise ValidationError(
+                "frequency spread overflows: two generators are farther apart than"
+                " the float range"
+            )
 
     def _derive(self, freqs: np.ndarray) -> None:
         """Set ``freqs``, read-only, and the fields derived from it and kappa."""
@@ -254,17 +273,28 @@ class ModelConfig:
         half_weights.setflags(write=False)
         object.__setattr__(self, "half_weights", half_weights)
 
-    def scaled(self, c: float) -> "ModelConfig":
+    def scaled(self, c: float, lead: tuple[int, ...] = ()) -> "ModelConfig":
         """The config whose field is c times this one's: kappa and the
         generators times c, and the rest derived as ``dataclasses.replace``
         derives it. The checks are not run again. A scaled valid config
         describes a valid field, but with c > 1 a generator's rounding can
         exceed the skew test's absolute floor, and c kappa can overflow;
-        a run reports the latter as a divergence."""
+        a run reports the latter as a divergence.
+
+        ``lead``, the leading shape of a batch of states, stacks the scaled
+        generators to ``lead + (N, p, p)`` in a read-only copy, so that
+        :func:`rhs` on such a batch subtracts them from operands of their
+        own shape, each element as without the stack. ``freq_spread`` and
+        the other derived fields come from the (N, p, p) generators; such a
+        config is for stepping that batch, not for scaling again."""
         scaled = copy.copy(self)
         object.__setattr__(scaled, "kappa", c * self.kappa)
         with np.errstate(over="ignore", invalid="ignore"):
             scaled._derive(c * self.freqs)
+        if lead:
+            stacked = np.broadcast_to(scaled.freqs, lead + scaled.freqs.shape).copy()
+            stacked.setflags(write=False)
+            object.__setattr__(scaled, "freqs", stacked)
         return scaled
 
     @property
@@ -302,7 +332,8 @@ def rhs(states, cfg: ModelConfig, work: _Workspace | None = None, out=None) -> n
     its flat and transposed views and the temporaries; any other input is
     shape-checked against ``cfg`` and ``work``, and so is an ``out`` of
     another shape. Called without ``work``, ``rhs`` builds a one-shot
-    workspace and runs the same code. Leading axes stack ensembles;
+    workspace and runs the same code. Leading axes stack ensembles, and
+    ``cfg``'s generators may be stacked to them (:meth:`ModelConfig.scaled`);
     ``states`` is only read, and the result goes to ``out``, or to a new
     array when ``out`` is None.
     """

@@ -616,11 +616,15 @@ class TestCallBudget:
     # step took 51, 48 and 46
     BUDGET = {"every_step": 43, "on_drift": 40, "never": 38}
 
+    ELEMENTWISE = ("add", "subtract", "multiply")
+
     @staticmethod
-    def count_numpy_calls(monkeypatch):
+    def count_numpy_calls(monkeypatch, operands=None):
         """Counts the calls of numpy functions made by the stepping modules,
         through a proxy over their ``np``; types pass through, so that
-        ``isinstance`` still sees them."""
+        ``isinstance`` still sees them. Each call of ``np.add``,
+        ``np.subtract`` or ``np.multiply`` appends the shapes of its array
+        operands, ``out`` included, to ``operands`` when given."""
         calls = [0]
 
         class Counting:
@@ -628,9 +632,15 @@ class TestCallBudget:
                 attr = getattr(np, name)
                 if isinstance(attr, type) or not callable(attr):
                     return attr
+                recorded = operands is not None and name in TestCallBudget.ELEMENTWISE
 
                 def counted(*args, **kwargs):
                     calls[0] += 1
+                    if recorded:
+                        arrays = [*args, *kwargs.values()]
+                        operands.append(
+                            (name, [a.shape for a in arrays if isinstance(a, np.ndarray)])
+                        )
                     return attr(*args, **kwargs)
 
                 return counted
@@ -639,6 +649,22 @@ class TestCallBudget:
             module = importlib.import_module(f"stiefel_sync.{name}")
             monkeypatch.setattr(module, "np", Counting())
         return calls
+
+    @pytest.mark.parametrize("retraction", RETRACTION_POLICIES)
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_no_elementwise_call_broadcasts(self, monkeypatch, retraction, batch):
+        # a ufunc whose operands all have one shape skips numpy's
+        # broadcasting iterator; 0-d scalars broadcast at no cost
+        operands = []
+        self.count_numpy_calls(monkeypatch, operands)
+        initial = np.stack([random_ensemble(4, 2, 3, seed=70 + b) for b in range(batch)])
+        # at h 0.01 the on_drift gate passes on every step
+        icfg = IntegratorConfig(h=1e-2, t_end=0.2, retraction=retraction, record_stride=1000)
+        integrate(initial if batch > 1 else initial[0], recording_config(3), icfg)
+        # the stage arithmetic alone adds and multiplies every step
+        assert len(operands) >= 20 * 6
+        for name, shapes in operands:
+            assert len({shape for shape in shapes if shape}) == 1, (name, shapes)
 
     @pytest.mark.parametrize("retraction", RETRACTION_POLICIES)
     @pytest.mark.parametrize("batch", [1, 2])
@@ -832,9 +858,16 @@ class TestInputsUnchanged:
         icfg = IntegratorConfig(
             h=5e-2, t_end=0.5, retraction=retraction, drift_threshold=1e-14, record_stride=1
         )
-        traj = integrate(initial, recording_config(3), icfg)
+        cfg = recording_config(3)
+        freqs = cfg.freqs
+        expected = freqs.copy()
+        traj = integrate(initial, cfg, icfg)
         assert initial.tobytes() == before.tobytes()
         assert not np.shares_memory(traj.states, initial)
+        # the stage configs' stacked generators are copies, not the caller's
+        assert cfg.freqs is freqs and freqs.shape == (3, 2, 2)
+        assert not freqs.flags.writeable
+        assert freqs.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("shape", [(), (2,), (2, 3)])
     def test_rhs_leaves_states_unchanged(self, shape):

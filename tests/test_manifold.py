@@ -1,5 +1,6 @@
 """Manifold-layer tests: sampling, validation, retraction, distances."""
 
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from stiefel_sync.errors import (
 )
 from stiefel_sync.linalg import frobenius
 from stiefel_sync.manifold import (
+    _PAIR_CHUNK_ENTRIES,
     _drift_limit,
     _drift_within,
     ensemble_diameter,
@@ -208,6 +210,32 @@ class TestLeadingAxes:
     def test_rejects_single_point(self):
         with pytest.raises(DimensionError):
             ensemble_diameter(random_stiefel(4, 2, seed=86))
+
+    # several chunks with a ragged last one, one chunk, and stacks with no
+    # pair (N = 1) or one pair (N = 2)
+    @pytest.mark.parametrize(
+        "shape, chunks",
+        [
+            ((2, 70, 5, 4, 2), 2),
+            ((2, 300, 5, 4, 2), 5),
+            ((2, 1001, 8, 6, 2), 63),
+            ((3, 3, 2, 1), 1),
+            ((40, 1, 4, 2), 0),
+            ((7, 2, 4, 2), 1),
+            ((2, 300, 2, 3, 3), 1),
+        ],
+    )
+    def test_chunked_table_equals_brute_force_bitwise(self, shape, chunks):
+        *lead, count, n, p = shape
+        pairs = count * (count - 1) // 2
+        per_chunk = _PAIR_CHUNK_ENTRIES // max(1, pairs * n * p)
+        assert (math.ceil(math.prod(lead) / per_chunk) if pairs else 0) == chunks
+        stack = np.random.default_rng(87).standard_normal(shape)
+        diffs = stack[..., :, None, :, :] - stack[..., None, :, :, :]
+        expected = np.sum(diffs * diffs, axis=(-2, -1))
+        table = pair_sq_distances(stack)
+        assert table.shape == tuple(lead) + (count, count)
+        assert np.array_equal(table, expected)
 
 
 # multiples of the threshold at which the drift sits: at, just under and

@@ -216,6 +216,39 @@ class TestFrequencies:
             uniform_config(count=3, freqs=np.repeat(freqs[2:], 3, axis=0))
 
 
+    @staticmethod
+    def unscaled_spread(freqs):
+        diffs = freqs[:, None] - freqs[None, :]
+        return float(np.max(np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 7.5, 1e100, 1e150])
+    def test_scaled_spread_equals_the_unscaled_one_bitwise(self, scale):
+        # away from overflow and underflow, scaling by powers of two is exact
+        for seed in range(4):
+            freqs = scale * random_frequencies(5, 3, 0.8, seed=seed, common=random_skew(3, seed))
+            assert frequency_spread(freqs) == self.unscaled_spread(freqs)
+
+    @pytest.mark.parametrize("a", [1e154, 1e200])
+    def test_huge_finite_spread_is_finite_without_warning(self, a):
+        # the unscaled sums of squares overflow at both sizes
+        w = np.array([[0.0, a], [-a, 0.0]])
+        freqs = np.stack([np.zeros((2, 2)), w, w, w])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = uniform_config(count=4, freqs=freqs)
+            assert frequency_spread(freqs) == cfg.freq_spread
+        assert math.isclose(cfg.freq_spread, math.sqrt(2.0) * a, rel_tol=4 * np.finfo(float).eps)
+
+    def test_spread_beyond_the_float_range_rejected_without_warning(self):
+        w = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        freqs = np.stack([w, -w, w])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frequency_spread(freqs) == math.inf
+            with pytest.raises(ValidationError, match="frequency spread overflows"):
+                uniform_config(count=3, freqs=freqs)
+
+
 class TestRhs:
     def test_consensus_is_coupling_equilibrium(self):
         s = random_stiefel(5, 2, seed=5)
@@ -245,6 +278,24 @@ class TestRhs:
         assert cfg.kappa == 1.3
         states = random_ensemble(4, 2, 3, seed=8)
         assert np.allclose(rhs(states, scaled), c * rhs(states, cfg), rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("lead", [(2,), (3,), (2, 3)])
+    def test_scaled_config_stacks_generators_to_the_batch(self, lead):
+        cfg = uniform_config(count=3, kappa=1.3, freqs=random_frequencies(3, 2, 0.5, seed=7))
+        freqs = cfg.freqs
+        plain, stacked = cfg.scaled(0.25), cfg.scaled(0.25, lead)
+        assert stacked.freqs.shape == lead + (3, 2, 2)
+        assert not stacked.freqs.flags.writeable
+        assert np.array_equal(stacked.freqs, np.broadcast_to(plain.freqs, stacked.freqs.shape))
+        for name in ("kappa", "freq_spread", "state_shape", "topology", "n", "p"):
+            assert getattr(stacked, name) == getattr(plain, name)
+        assert np.array_equal(stacked.half_weights, plain.half_weights)
+        # the caller's config keeps its own (N, p, p) generators
+        assert cfg.freqs is freqs and freqs.shape == (3, 2, 2)
+        states = np.stack(
+            [random_ensemble(4, 2, 3, seed=8 + b) for b in range(math.prod(lead))]
+        ).reshape(lead + (3, 4, 2))
+        assert np.array_equal(rhs(states, stacked), rhs(states, plain))
 
     def test_scaled_config_is_not_checked_again(self):
         # a generator whose skew defect is 0.6 of the absolute floor of 1e-12
