@@ -6,17 +6,16 @@ the inequality audits take of them, are in :mod:`stiefel_sync.diagnostics`.
 The retraction is :func:`~stiefel_sync.linalg._polar_unchecked`: one
 Newton-Schulz step for an ensemble within 1e-8 of orthonormal, which after
 an RK4 step from the manifold is the usual case, and the eigendecomposition
-of a^T a otherwise (under ``on_drift`` with a large threshold, say).
+of a^T a otherwise (after a large step, say).
 
 Once per run, ``integrate`` builds the three stage configs
 ``cfg.scaled(c, lead)`` for c = h/2, h and h/6. The field is linear in
 (kappa, Omega), so ``rhs`` of the stage config of c is c times the field,
-and the RK4 scalars cost no call a step. For a batch of B > 1 ensembles
-``lead`` is (B,), and the stage configs hold their generators stacked to
-(B, N, p, p), the shape of the field's temporary they are subtracted
-from; one ensemble's (N, p, p) generators meet a view of that temporary
-of their shape. So no elementwise call of a step broadcasts. It also lays
-out a
+and the RK4 scalars cost no call a step. ``lead`` is (B,) for a batch of
+B ensembles, one ensemble stepped as a batch of 1, and the stage configs
+hold their generators stacked to (B, N, p, p), the shape of the field's
+temporary they are subtracted into. So no elementwise call of a step
+broadcasts. It also lays out a
 :class:`~stiefel_sync.linalg._Workspace` for its batch shape (B, N, n, p):
 the state buffer, the stage-argument buffer and u1...u4, the temporaries,
 and per buffer one tuple of every operand that ``rhs``, the retraction and
@@ -48,14 +47,15 @@ and ``rhs`` 7 a call. Then, by the policy, which is decided once per run:
 - ``on_drift``: a gate of one Gram product d = S^T S - I, into the
   workspace, and one dot product of d with itself (3 calls, 40 a step).
   Every member's ||d||_F^2 is at most that sum of squares, so every member
-  is within the threshold when the sum is at most
-  :func:`~stiefel_sync.manifold._drift_limit` of the threshold and the
-  B N p^2 squares, a bound with a margin for the rounding of both the sum
-  and the drift; NaN and Inf fail it. Only a failed gate runs the exact
-  path: a finiteness test, ``orthonormality_drift`` once, and
-  ``_polar_unchecked`` once on the members over the threshold, if any,
-  with a one-shot workspace of their shape. So each step retracts exactly
-  the members the exact drift puts over the threshold.
+  is within the retraction's own bound, ``NEWTON_SCHULZ_DEFECT`` (1e-8),
+  when the sum is at most the workspace's ``polar_limit``
+  (:func:`~stiefel_sync.linalg._drift_limit` of the B N p^2 squares), a
+  bound with a margin for the rounding of both the sum and the drift; NaN
+  and Inf fail it. Only a failed gate runs the exact path: a finiteness
+  test, ``orthonormality_drift`` once, and ``_polar_unchecked`` once on
+  the members over the bound, if any, with a one-shot workspace of their
+  shape. So each step retracts exactly the members the exact drift puts
+  over the bound.
 - ``never``: a finiteness test only (38 calls a step).
 
 The step size is fixed so that two runs over the same horizon share their
@@ -72,13 +72,13 @@ import numpy as np
 from .errors import DimensionError, DivergenceError, ValidationError
 from .linalg import _NonFiniteInput, _polar_unchecked, _Workspace
 from .manifold import (
-    _drift_limit,
     _drift_within,
     ensemble_diameter,
     orthonormality_drift,
     validate_ensemble,
 )
 from .model import ModelConfig, _check_state_shape, rhs
+from .tolerances import NEWTON_SCHULZ_DEFECT
 
 RETRACTION_POLICIES = ("every_step", "on_drift", "never")
 
@@ -90,16 +90,16 @@ _MAX_SNAPSHOTS = np.iinfo(np.intp).max // 8
 class IntegratorConfig:
     """Step size, horizon, retraction policy, and recording stride.
 
-    ``on_drift`` retracts only when the orthonormality defect exceeds
-    ``drift_threshold``; ``never`` disables retraction (used to measure raw
-    integrator drift). Snapshots are kept every ``record_stride`` steps, and
-    the final step is always recorded.
+    ``on_drift`` retracts only the members whose orthonormality defect
+    exceeds the retraction's own bound, ``NEWTON_SCHULZ_DEFECT`` (1e-8);
+    ``never`` disables retraction (used to measure raw integrator drift).
+    Snapshots are kept every ``record_stride`` steps, and the final step is
+    always recorded.
     """
 
     h: float = 1e-3
     t_end: float = 50.0
     retraction: str = "every_step"
-    drift_threshold: float = 1e-8
     record_stride: int = 10
 
     def __post_init__(self):
@@ -114,10 +114,6 @@ class IntegratorConfig:
             raise ValidationError(
                 f"retraction must be one of {RETRACTION_POLICIES}, got {self.retraction!r}"
             )
-        if not math.isfinite(self.drift_threshold):
-            raise ValidationError(f"drift_threshold must be finite, got {self.drift_threshold}")
-        if self.retraction == "on_drift" and self.drift_threshold <= 0:
-            raise ValidationError("drift_threshold must be positive for on_drift")
         if self.record_stride < 1:
             raise ValidationError("record_stride must be a positive integer")
         # the run stores t_end / h / record_stride + 1 snapshot times; reject a
@@ -204,17 +200,14 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     for member in s:
         _check_state_shape(validate_ensemble(member), cfg)
     h = float(icfg.h)
-    # the stage configs: rhs of each is c k for c = h/2, h, h/6; a batch of
-    # several holds the generators stacked to its shape
-    lead = s.shape[:1] if count > 1 else ()
+    # the stage configs: rhs of each is c k for c = h/2, h, h/6, with the
+    # generators stacked to the batch's shape
+    lead = s.shape[:1]
     half, whole, sixth = (cfg.scaled(c, lead) for c in (0.5 * h, h, h / 6.0))
     # a 0-d array spares each ufunc call the conversion of a Python float
     third = np.array(1.0 / 3.0)
     # the retraction policy, decided once per run
-    threshold = icfg.drift_threshold
     every_step, gated = icfg.retraction == "every_step", icfg.retraction == "on_drift"
-    # the gate sums B N p^2 squares
-    limit = _drift_limit(threshold, s.size // s.shape[-2] * s.shape[-1])
     work = _Workspace(s.shape, bound=6)
     state, arg, u1, u2, u3, u4 = work.buffers
     np.copyto(state, s)
@@ -248,12 +241,12 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
                     _polar_unchecked(state, state, work)
                 except _NonFiniteInput:
                     raise _divergence(state, step, h) from None
-            elif not (gated and _drift_within(state, limit, work)):
+            elif not (gated and _drift_within(state, work)):
                 # under on_drift, only a state the gate cannot clear gets here
                 if not np.isfinite(state).all():
                     raise _divergence(state, step, h)
                 if gated:
-                    over = orthonormality_drift(state) > threshold
+                    over = orthonormality_drift(state) > NEWTON_SCHULZ_DEFECT
                     if over.any():
                         state[over] = _polar_unchecked(state[over])
             if step == marks[slot]:

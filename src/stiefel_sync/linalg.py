@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, ProjectionError, RankDeficiencyError, ValidationError
-from .tolerances import ALGEBRAIC_TOL, RANK_TOL
+from .tolerances import ALGEBRAIC_TOL, NEWTON_SCHULZ_DEFECT, RANK_TOL
 
 
 def require_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -139,17 +139,12 @@ def qr_thin(a) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-# largest orthonormality defect max|a^T a - I| at which one Newton-Schulz
-# step stands in for the polar factor: its error (3/8) d^2 is then ~1e-17
-_NEWTON_SCHULZ_DEFECT = 1e-8
-
-
-def _drift_limit(threshold: float, terms: int) -> float:
+def _drift_limit(terms: int) -> float:
     """The largest sum of the squares of the entries of every S_i^T S_i - I
     of a stack, ``terms`` squares in all, at which
     :func:`~stiefel_sync.manifold.orthonormality_drift` is provably at most
-    ``threshold`` for every ensemble: the bound
-    :func:`~stiefel_sync.manifold._drift_within` and the retraction's gate
+    ``NEWTON_SCHULZ_DEFECT`` (1e-8) for every ensemble: the bound that the
+    retraction's gate and :func:`~stiefel_sync.manifold._drift_within`
     test. A stack of B ensembles of N agents sums B N p^2 squares.
 
     Every agent's ||d||_F^2 is at most the sum over the whole stack. With
@@ -157,15 +152,12 @@ def _drift_limit(threshold: float, terms: int) -> float:
     is below the exact sum by a relative terms u / (1 - terms u) at most;
     the drift squares the same entries of d, sums p^2 <= terms of them and
     takes a root, which rounds its square up by a relative (p^2 + 2) u at
-    most; and threshold^2 / (1 + margin) rounds by 3u. The margin
-    max(1e-12, 5 terms eps) covers all three while terms eps < 0.01. That
-    holds while the squares near the bound are normal numbers, so the
-    threshold is capped at 1e140, and below 1e-140 only an exactly
-    orthonormal stack (d = 0) passes."""
-    if not threshold >= 1e-140:
-        return 0.0
+    most; and 1e-16 / (1 + margin) rounds by 3u. The margin
+    max(1e-12, 5 terms eps) covers all three while terms eps < 0.01. The
+    bound is far above the subnormal range, so a square that underflows
+    moves either sum by less than the margin."""
     margin = max(1e-12, 5 * terms * np.finfo(float).eps)
-    return min(threshold, 1e140) ** 2 / (1.0 + margin)
+    return NEWTON_SCHULZ_DEFECT ** 2 / (1.0 + margin)
 
 
 @functools.cache
@@ -191,13 +183,13 @@ class _Workspace:
     - ``buffers``: ``bound`` arrays of the shape, which the caller owns (the
       integrator's state, stage argument and u1...u4).
     - ``field``: the field's temporaries ``y`` = (kappa/2N) W S with its
-      flat view, ``m`` = S^T Y with its transpose, ``g``, the view of g
-      that the generators are subtracted from, and ``sg`` = S g.
+      flat view, ``m`` = S^T Y with its transpose, ``g``, which the
+      generators are subtracted into, and ``sg`` = S g.
     - ``retraction``: the retraction's temporaries d = a^T a - I, d/2 and
       a (d/2), the 0-d constant 0.5 that d is scaled by, the identity
       stacked to d's shape, and ``polar_limit``, the bound on the sum of
       the squares of d at which every matrix of the shape takes the
-      Newton-Schulz step.
+      Newton-Schulz step, and the drift gate passes.
     - ``views``: per buffer, keyed by its ``id``, the one tuple of every
       operand that the field, the retraction and the drift gate read of it:
       its (-1, N, n p) reshape, its transpose, ``field`` and
@@ -206,13 +198,14 @@ class _Workspace:
       of any other input, after :meth:`check`.
 
     A ufunc whose operands all have one shape skips numpy's broadcasting
-    iterator, which costs about 0.6 us a call at these sizes. The view of
-    g and the stacked identity give the field's and the retraction's
-    elementwise calls operands of one shape: for a shape of one ensemble
-    the view of g has the generators' (N, p, p) shape, and a batch of
-    several takes generators stacked to its shape, as the integrator's
-    stage configs hold them (:meth:`~stiefel_sync.model.ModelConfig.scaled`).
-    Each element gets the same operation as with broadcast operands.
+    iterator, which costs about 0.6 us a call at these sizes. The stacked
+    identity gives the retraction's elementwise calls operands of one
+    shape. The field's subtraction has them when the generators have g's
+    shape: those of a config for one (N, n, p) ensemble, or those stacked
+    to a batch's shape, as the integrator's stage configs hold them for
+    every batch, B = 1 included
+    (:meth:`~stiefel_sync.model.ModelConfig.scaled`). Each element gets the
+    same operation as with broadcast operands.
 
     The arrays are private to one caller at a time: two runs, or two
     threads, each build their own."""
@@ -224,12 +217,8 @@ class _Workspace:
         gram = self.shape[:-2] + (p, p)
         y, m, g = np.empty(self.shape), np.empty(gram), np.empty(gram)
         y_flat, m_t = y.reshape(self.flat_shape), m.swapaxes(-2, -1)
-        # the generators (N, p, p) meet a view of g of their shape when the
-        # shape holds one ensemble; a batch of several meets them stacked to
-        # g's shape
-        g_omega = g.reshape(gram[-3:]) if math.prod(self.shape[:-3]) == 1 else g
-        self.field = (y, y_flat, m, m_t, g, g_omega, np.empty(self.shape))
-        self.polar_limit = _drift_limit(_NEWTON_SCHULZ_DEFECT, math.prod(gram))
+        self.field = (y, y_flat, m, m_t, g, np.empty(self.shape))
+        self.polar_limit = _drift_limit(math.prod(gram))
         d, half_d, product = np.empty(gram), np.empty(gram), np.empty(self.shape)
         # one identity per matrix, so that d = a^T a - I broadcasts nothing
         eye = np.broadcast_to(_identity(p), gram).copy()
@@ -266,7 +255,7 @@ def _polar_unchecked(
     ensemble gets the eigendecomposition of a^T a.
 
     One dot product of d with itself decides the usual case: a sum of the
-    squares under ``work.polar_limit`` (:func:`_drift_limit` of 1e-8)
+    squares under ``work.polar_limit`` (:func:`_drift_limit`)
     bounds every entry of d under 1e-8, so every ensemble takes the step.
     Otherwise each ensemble's max|d| decides, as it would on its own; the
     gate only chooses the fast path, so each ensemble's result is the one
@@ -303,7 +292,7 @@ def _polar_unchecked(
     if not np.vdot(d, d) <= limit:
         if not np.isfinite(a).all():
             raise _NonFiniteInput
-        far = np.abs(d, out=d).max(axis=(-3, -2, -1)) > _NEWTON_SCHULZ_DEFECT
+        far = np.abs(d, out=d).max(axis=(-3, -2, -1)) > NEWTON_SCHULZ_DEFECT
         if far.any():
             fixed, _ = _polar_checked(a[far])
     out = np.subtract(a, np.matmul(a, half_d, product), out)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .linalg import (
-    _drift_limit,
     _first_failure,
     _frobenius_norms,
     _identity,
@@ -112,22 +111,24 @@ def _gram_defect(states: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _drift_within(states: np.ndarray, limit: float, work: _Workspace | None = None) -> bool:
+def _drift_within(states: np.ndarray, work: _Workspace | None = None) -> bool:
     """One Gram product and one dot product: True only if the sum of the
     squares of every entry of every S_i^T S_i - I of the stack is at most
-    ``limit``, from :func:`_drift_limit` of the threshold and the number of
-    squares; every ensemble's drift is then within the threshold. A NaN or
-    Inf entry of ``states`` makes a diagonal entry of the defect NaN or
-    Inf, and so the sum, which never passes. The transpose of ``states``,
-    the retraction's temporary for the defect and the stacked identity come
-    from one lookup in the views of ``work``, a one-shot workspace when
-    None; ``states`` not bound there is shape-checked against it."""
+    the workspace's ``polar_limit``
+    (:func:`~stiefel_sync.linalg._drift_limit` of the number of squares);
+    every ensemble's drift is then within the retraction's bound,
+    ``NEWTON_SCHULZ_DEFECT``. A NaN or Inf entry of ``states`` makes a
+    diagonal entry of the defect NaN or Inf, and so the sum, which never
+    passes. The transpose of ``states``, the retraction's temporary for the
+    defect, the stacked identity and the limit come from one lookup in the
+    views of ``work``, a one-shot workspace when None; ``states`` not bound
+    there is shape-checked against it."""
     if work is None:
         work = _Workspace(states.shape)
     views = work.views.get(id(states))
     if views is None:
         views = work.views_of(states)
-    _, s_t, _, (d, _, _, _, eye, _) = views
+    _, s_t, _, (d, _, _, _, eye, limit) = views
     np.matmul(s_t, states, d)
     np.subtract(d, eye, d)
     return np.vdot(d, d) <= limit

@@ -70,6 +70,7 @@ class Topology:
 
     Construct through :meth:`separable` or :meth:`general`; both validate
     symmetry, nonnegativity, and connectivity of the positive-weight graph.
+    ``weights`` and ``xi`` are read-only copies of the arrays given.
     """
 
     weights: np.ndarray
@@ -97,7 +98,8 @@ class Topology:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.xi is not None:
-            xi = np.asarray(self.xi, dtype=float)
+            # a copy, as the weights are: the caller's array stays writable
+            xi = np.array(self.xi, dtype=float)
             if xi.ndim != 1 or xi.shape[0] != w.shape[0]:
                 raise DimensionError(f"xi must have length {w.shape[0]}, got {xi.shape}")
             if np.any(xi <= 0.0):
@@ -227,6 +229,7 @@ def random_frequencies(count: int, p: int, spread: float, seed=None, common=None
 class ModelConfig:
     """Full system specification: coupling strength, topology, and the
     per-agent skew generators, with dimensions pinned explicitly.
+    ``freqs`` is a read-only copy of the generators given.
 
     Derived once, not set: ``freq_spread``, the ``(N, n, p)`` shape of one
     ensemble, and ``half_weights`` = (kappa/2N) W, the read-only weights
@@ -248,7 +251,8 @@ class ModelConfig:
             raise ValidationError(f"kappa must be finite and nonnegative, got {self.kappa}")
         if not 1 <= self.p <= self.n:
             raise DimensionError(f"need 1 <= p <= n, got p={self.p}, n={self.n}")
-        freqs = np.asarray(self.freqs, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writable
+        freqs = np.array(self.freqs, dtype=float)
         count = self.topology.agent_count
         if freqs.shape != (count, self.p, self.p):
             raise DimensionError(
@@ -346,11 +350,11 @@ def rhs(states, cfg: ModelConfig, work: _Workspace | None = None, out=None) -> n
         raise DimensionError(f"state must have shape {cfg.state_shape}, got {work.shape}")
     if out is not None and out.shape != work.shape:
         work.check(out)
-    s_flat, s_t, (y, y_flat, m, m_t, g, g_omega, sg), _ = views
+    s_flat, s_t, (y, y_flat, m, m_t, g, sg), _ = views
     np.matmul(cfg.half_weights, s_flat, y_flat)
     np.matmul(s_t, y, m)
     np.add(m, m_t, g)
-    np.subtract(cfg.freqs, g_omega, g_omega)
+    np.subtract(cfg.freqs, g, g)
     np.matmul(states, g, sg)
     np.add(y, sg, sg)
     return np.add(y, sg, out)

@@ -260,18 +260,13 @@ def build_initial(spec: Mapping, n: int, p: int, count: int, base_dir: str) -> n
 
 
 def build_integrator(spec: Mapping) -> IntegratorConfig:
-    _reject_unknown(
-        spec, {"h", "t_end", "retraction", "drift_threshold", "record_stride"}, "integrator"
-    )
+    _reject_unknown(spec, {"h", "t_end", "retraction", "record_stride"}, "integrator")
     defaults = IntegratorConfig()
     try:
         return IntegratorConfig(
             h=_optional(spec, "h", float, defaults.h, "integrator"),
             t_end=_optional(spec, "t_end", float, defaults.t_end, "integrator"),
             retraction=_optional(spec, "retraction", str, defaults.retraction, "integrator"),
-            drift_threshold=_optional(
-                spec, "drift_threshold", float, defaults.drift_threshold, "integrator"
-            ),
             record_stride=_optional(
                 spec, "record_stride", int, defaults.record_stride, "integrator"
             ),

@@ -35,6 +35,7 @@ from stiefel_sync.model import (
     rhs,
     zero_frequencies,
 )
+from stiefel_sync.tolerances import NEWTON_SCHULZ_DEFECT
 
 from conftest import ensemble_lp_distance
 from test_golden import STATE_ERROR
@@ -190,11 +191,12 @@ class TestManifoldPreservation:
             p=2,
         )
         init = random_ensemble(4, 2, 4, seed=11)
-        icfg = IntegratorConfig(
-            h=1e-3, t_end=3.0, retraction="on_drift", drift_threshold=1e-12, record_stride=25
-        )
+        # at h 0.02 the unretracted run drifts past the retraction's bound
+        icfg = IntegratorConfig(h=2e-2, t_end=3.0, retraction="on_drift", record_stride=25)
         traj = integrate(init, cfg, icfg)
-        assert np.max(traj.drift) <= 1e-12
+        assert np.max(traj.drift) <= NEWTON_SCHULZ_DEFECT
+        raw = integrate(init, cfg, dataclasses.replace(icfg, retraction="never"))
+        assert np.max(raw.drift) > NEWTON_SCHULZ_DEFECT
 
 
 class TestGradientDescent:
@@ -288,11 +290,9 @@ class TestBatch:
         )
         a = random_ensemble(4, 2, 5, seed=41)
         b = near_consensus_ensemble(4, 2, 5, 0.1, seed=42)
-        # 250 steps, recorded every 7 and at the last; the low threshold
-        # makes on_drift retract the members at different steps
-        icfg = IntegratorConfig(
-            h=2e-3, t_end=0.5, retraction=retraction, drift_threshold=1e-14, record_stride=7
-        )
+        # 25 steps, recorded every 7 and at the last; at h 0.02 on_drift
+        # retracts the members at different steps
+        icfg = IntegratorConfig(h=2e-2, t_end=0.5, retraction=retraction, record_stride=7)
         batch = integrate(np.stack([a, b]), cfg, icfg)
         assert batch.times.shape == (len(batch),)
         assert batch.states.shape == (2, len(batch), 5, 4, 2)
@@ -479,8 +479,8 @@ def stepped_run(initial, icfg, step):
     """Recorded states (B, K, N, n, p) of a run or batch, stepped by
     ``step``, the loop written out: a finiteness test of every state before
     its retraction, and under ``on_drift`` one retraction per member over
-    the threshold. A non-finite state raises DivergenceError naming the
-    first non-finite member, with the last good time."""
+    the retraction's bound. A non-finite state raises DivergenceError
+    naming the first non-finite member, with the last good time."""
     s = np.asarray(initial, dtype=float)
     s = s if s.ndim == 4 else s[None]
     h, steps = icfg.h, icfg.steps
@@ -496,7 +496,7 @@ def stepped_run(initial, icfg, step):
             if icfg.retraction == "every_step":
                 s = reference_polar(s)
             elif icfg.retraction == "on_drift":
-                for b in np.flatnonzero(reference_drift(s) > icfg.drift_threshold):
+                for b in np.flatnonzero(reference_drift(s) > NEWTON_SCHULZ_DEFECT):
                     s[b] = reference_polar(s[b])
             if step_index % icfg.record_stride == 0 or step_index == steps:
                 kept.append(s)
@@ -531,55 +531,56 @@ def count_eigh_calls(monkeypatch):
 
 
 class TestReferenceStepper:
-    # (policy, drift threshold, h, whether the eigh branch runs); at h 0.05
-    # and threshold 1e-6 on_drift retracts some members at some steps, each
-    # beyond the Newton-Schulz gate
+    # (policy, h, whether the eigh branch runs, None where that depends on
+    # the batch); at h 0.01 the on_drift gate passes on every step, at h
+    # 0.02 on_drift retracts some members at some steps, and at h 0.05 it
+    # retracts every member at every step, beyond the Newton-Schulz gate
     CASES = [
-        ("every_step", 1e-8, 1e-2, False),
-        ("every_step", 1e-8, 5e-2, True),
-        ("never", 1e-8, 1e-2, False),
-        ("on_drift", 1e-14, 1e-2, False),
-        ("on_drift", 1e-6, 5e-2, True),
+        ("every_step", 1e-2, False),
+        ("every_step", 5e-2, True),
+        ("never", 1e-2, False),
+        ("on_drift", 1e-2, False),
+        ("on_drift", 2e-2, None),
+        ("on_drift", 5e-2, True),
     ]
 
     @staticmethod
-    def run_both(shape, retraction, threshold, h, batch, stride):
+    def run_both(shape, retraction, h, batch, stride):
         """The states of ``integrate`` and of the reference loop, for
         ``batch`` ensembles of ``shape`` (N, n, p), one unbatched."""
         count, n, p = shape
         cfg = recording_config(count, n, p)
         initial = np.stack([random_ensemble(n, p, count, seed=70 + b) for b in range(batch)])
-        icfg = IntegratorConfig(
-            h=h, t_end=1.0, retraction=retraction, drift_threshold=threshold, record_stride=stride
-        )
+        icfg = IntegratorConfig(h=h, t_end=1.0, retraction=retraction, record_stride=stride)
         traj = integrate(initial if batch > 1 else initial[0], cfg, icfg)
         expected = reference_run(initial, cfg, icfg)
         return traj.states, expected if batch > 1 else expected[0]
 
-    @pytest.mark.parametrize("retraction, threshold, h, eigh_runs", CASES)
+    @pytest.mark.parametrize("retraction, h, eigh_runs", CASES)
     @pytest.mark.parametrize("batch", [1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 7])
     def test_states_equal_reference_bitwise(
-        self, monkeypatch, retraction, threshold, h, eigh_runs, batch, stride
+        self, monkeypatch, retraction, h, eigh_runs, batch, stride
     ):
         eigh_calls = count_eigh_calls(monkeypatch)
-        got, expected = self.run_both((3, 4, 2), retraction, threshold, h, batch, stride)
+        got, expected = self.run_both((3, 4, 2), retraction, h, batch, stride)
         assert np.array_equal(got, expected)
-        assert (eigh_calls[0] > 0) == eigh_runs
+        if eigh_runs is not None:
+            assert (eigh_calls[0] > 0) == eigh_runs
 
     # the workspace's views of (..., n, 1) stacks, and of one agent: p = 1
     # as in the kuramoto-circle scenario, and N = 1. Every step at h 0.05
     # takes the eigh branch under every_step on both; whether on_drift's
     # retractions do depends on the shape and the batch
-    @pytest.mark.parametrize("retraction, threshold, h, eigh_runs", CASES)
+    @pytest.mark.parametrize("retraction, h, eigh_runs", CASES)
     @pytest.mark.parametrize("shape", [(3, 2, 1), (1, 4, 2)])
     @pytest.mark.parametrize("batch", [1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 7])
     def test_other_shapes_equal_reference_bitwise(
-        self, monkeypatch, retraction, threshold, h, eigh_runs, shape, batch, stride
+        self, monkeypatch, retraction, h, eigh_runs, shape, batch, stride
     ):
         eigh_calls = count_eigh_calls(monkeypatch)
-        got, expected = self.run_both(shape, retraction, threshold, h, batch, stride)
+        got, expected = self.run_both(shape, retraction, h, batch, stride)
         assert np.array_equal(got, expected)
         if retraction != "on_drift":
             assert (eigh_calls[0] > 0) == eigh_runs
@@ -588,22 +589,20 @@ class TestReferenceStepper:
 class TestClassicalAnchor:
     # the policies whose states the two loops step alike up to rounding;
     # under on_drift a rounding difference can move a retraction by a step
-    CASES = [case[:3] for case in TestReferenceStepper.CASES if case[0] != "on_drift"]
+    CASES = [case[:2] for case in TestReferenceStepper.CASES if case[0] != "on_drift"]
 
-    @pytest.mark.parametrize("retraction, threshold, h", CASES)
+    @pytest.mark.parametrize("retraction, h", CASES)
     @pytest.mark.parametrize(
         "shape, batch", [((3, 4, 2), 1), ((3, 4, 2), 3), ((8, 6, 2), 2)],
         ids=["single", "batch", "pair"],
     )
-    def test_states_agree_with_classical_rk4(self, retraction, threshold, h, shape, batch):
+    def test_states_agree_with_classical_rk4(self, retraction, h, shape, batch):
         # the scalars moved into the field change only rounding: the folded
         # step stays within the goldens' state error of classical RK4
         count, n, p = shape
         cfg = recording_config(count, n, p)
         initial = np.stack([random_ensemble(n, p, count, seed=70 + b) for b in range(batch)])
-        icfg = IntegratorConfig(
-            h=h, t_end=1.0, retraction=retraction, drift_threshold=threshold, record_stride=1
-        )
+        icfg = IntegratorConfig(h=h, t_end=1.0, retraction=retraction, record_stride=1)
         got = integrate(initial, cfg, icfg).states
         expected = classical_reference_run(initial, cfg, icfg)
         assert np.abs(got - expected).max() <= STATE_ERROR
@@ -724,7 +723,12 @@ class TestPackageCallBudget:
             try:
                 integrate(initial if batch > 1 else initial[0], cfg, icfg)
             finally:
-                sys.setprofile(previous)
+                # a profiler installed from C, as cProfile's, is no callable
+                # that setprofile takes back; it is enabled again instead
+                if previous is None or callable(previous):
+                    sys.setprofile(previous)
+                else:
+                    previous.enable()
             totals.append(calls[0])
         assert (totals[2] - totals[1]) / 50 <= self.BUDGET[retraction]
 
@@ -736,10 +740,8 @@ class TestPostLoopRecording:
     def test_matches_per_snapshot_formula(self, retraction, batch, stride):
         cfg = recording_config(4)
         initials = [random_ensemble(4, 2, 4, seed=61 + b) for b in range(batch)]
-        # 40 steps; the low threshold makes on_drift retract
-        icfg = IntegratorConfig(
-            h=5e-3, t_end=0.2, retraction=retraction, drift_threshold=1e-14, record_stride=stride
-        )
+        # 40 steps; at h 0.02 on_drift retracts at some of them
+        icfg = IntegratorConfig(h=2e-2, t_end=0.8, retraction=retraction, record_stride=stride)
         traj = integrate(np.stack(initials) if batch > 1 else initials[0], cfg, icfg)
         for member in traj.members():
             drift, diameters = reference_drift_and_diameter(member.states)
@@ -748,7 +750,8 @@ class TestPostLoopRecording:
 
     @pytest.mark.parametrize("retraction", ["every_step", "on_drift", "never"])
     def test_single_agent_has_zero_diameter(self, retraction):
-        icfg = IntegratorConfig(h=5e-3, t_end=0.05, retraction=retraction, drift_threshold=1e-14)
+        # at h 0.05 on_drift retracts on every step
+        icfg = IntegratorConfig(h=5e-2, t_end=0.5, retraction=retraction)
         traj = integrate(random_ensemble(4, 2, 1, seed=63), recording_config(1), icfg)
         drift, _ = reference_drift_and_diameter(traj.states)
         assert np.array_equal(traj.drift, drift)
@@ -796,29 +799,27 @@ class TestRecordingCallCounts:
         retractions = n_steps if retraction == "every_step" else 0
         assert calls == {"rhs": 4 * n_steps, "polar": retractions, "drift": 1, "diameter": 1}
 
-    # (h, t_end, threshold, steps whose gate fails for a single run and for
-    # a batch of 3); only those steps call orthonormality_drift. At 1e-8
-    # and h 0.01 the gate clears every step; at 1e-6 and h 0.05 it fails
-    # on some, and some of those have a member over the threshold; at
-    # 1e-14 it fails on every step, and every step has a member over
+    # (h, t_end, steps whose gate fails for a single run and for a batch
+    # of 3); only those steps call orthonormality_drift. At h 0.01 the gate
+    # clears every step; at h 0.02 it fails on some, and some of those have
+    # a member over the retraction's bound; at h 0.05 it fails on every
+    # step, and every step has a member over
     @pytest.mark.parametrize(
-        "h, t_end, threshold, gate_failures",
+        "h, t_end, gate_failures",
         [
-            (1e-2, 0.3, 1e-8, (0, 0)),
-            (5e-2, 1.0, 1e-6, (5, 18)),
-            (1e-2, 0.3, 1e-14, (30, 30)),
+            (1e-2, 0.3, (0, 0)),
+            (2e-2, 1.0, (15, 46)),
+            (5e-2, 1.0, (20, 20)),
         ],
     )
     @pytest.mark.parametrize("batch", [1, 3])
     def test_on_drift_retracts_exactly_the_steps_over_threshold(
-        self, monkeypatch, h, t_end, threshold, gate_failures, batch
+        self, monkeypatch, h, t_end, gate_failures, batch
     ):
         calls, drifts = self.count_calls(monkeypatch)
         cfg = recording_config(3)
         initial = np.stack([random_ensemble(4, 2, 3, seed=72 + b) for b in range(batch)])
-        icfg = IntegratorConfig(
-            h=h, t_end=t_end, retraction="on_drift", drift_threshold=threshold, record_stride=1
-        )
+        icfg = IntegratorConfig(h=h, t_end=t_end, retraction="on_drift", record_stride=1)
         traj = integrate(initial if batch > 1 else initial[0], cfg, icfg)
         n_steps = icfg.steps
         states = traj.states if batch > 1 else traj.states[None]
@@ -827,11 +828,11 @@ class TestRecordingCallCounts:
         stepped = np.stack(
             [reference_rk4_step(states[:, k], cfg, h) for k in range(n_steps)], axis=1
         )
-        over = reference_drift(stepped) > threshold
-        # the members under the threshold were left as stepped, the others
+        over = reference_drift(stepped) > NEWTON_SCHULZ_DEFECT
+        # the members under the bound were left as stepped, the others
         # retracted, in one retraction call per step with a member over
         assert np.array_equal(states[:, 1:][~over], stepped[~over])
-        assert (traj.drift[..., 1:] <= threshold).all()
+        assert (traj.drift[..., 1:] <= NEWTON_SCHULZ_DEFECT).all()
         over_steps = int(over.any(axis=0).sum())
         assert calls == {
             "rhs": 4 * n_steps,
@@ -840,10 +841,10 @@ class TestRecordingCallCounts:
             "diameter": 1,
         }
         # the last drift call is the one over the stored stack
-        assert sum(bool(np.any(d > threshold)) for d in drifts[:-1]) == over_steps
-        if threshold == 1e-6:
+        assert sum(bool(np.any(d > NEWTON_SCHULZ_DEFECT)) for d in drifts[:-1]) == over_steps
+        if h == 2e-2:
             assert 0 < over_steps < gate_failures[batch > 1] < n_steps
-        if threshold == 1e-14:
+        if h == 5e-2:
             assert over_steps == n_steps
 
 
@@ -854,10 +855,8 @@ class TestInputsUnchanged:
         initial = np.stack([random_ensemble(4, 2, 3, seed=90 + b) for b in range(batch)])
         initial = initial if batch > 1 else initial[0]
         before = initial.copy()
-        # at h 0.05 and threshold 1e-14 on_drift retracts on every step
-        icfg = IntegratorConfig(
-            h=5e-2, t_end=0.5, retraction=retraction, drift_threshold=1e-14, record_stride=1
-        )
+        # at h 0.05 on_drift retracts on every step
+        icfg = IntegratorConfig(h=5e-2, t_end=0.5, retraction=retraction, record_stride=1)
         cfg = recording_config(3)
         freqs = cfg.freqs
         expected = freqs.copy()
@@ -965,7 +964,7 @@ class TestWorkspace:
             with pytest.raises(DimensionError):
                 _polar_unchecked(bad, None, pair)
             with pytest.raises(DimensionError):
-                _drift_within(bad, 1.0, pair)
+                _drift_within(bad, pair)
         single = _Workspace(x.shape, bound=1)
         for target in (np.empty((2,) + x.shape), np.empty((1,) + x.shape)):
             with pytest.raises(DimensionError):
@@ -974,7 +973,7 @@ class TestWorkspace:
                 _polar_unchecked(x, target, single)
             # the wrong-shaped array as the gate's state
             with pytest.raises(DimensionError):
-                _drift_within(target, 1.0, single)
+                _drift_within(target, single)
         # a bound buffer as input, into an output of another shape
         with pytest.raises(DimensionError):
             rhs(single.buffers[0], cfg, single, np.empty((2,) + x.shape))
@@ -1020,10 +1019,8 @@ class TestWorkspace:
 
         monkeypatch.setattr(module, "_Workspace", Recorded)
         initial = self.states((3, 4, 2), (2,), seed=94)
-        # at h 0.05 and threshold 1e-14 on_drift retracts on every step
-        icfg = IntegratorConfig(
-            h=5e-2, t_end=0.5, retraction=retraction, drift_threshold=1e-14, record_stride=1
-        )
+        # at h 0.05 on_drift retracts on every step
+        icfg = IntegratorConfig(h=5e-2, t_end=0.5, retraction=retraction, record_stride=1)
         traj = integrate(initial, recording_config(3), icfg)
         (work,) = built
         arrays = list(work.buffers)
@@ -1074,12 +1071,12 @@ class TestDivergence:
             assert err.value.last_good_time == last_good["fast"]
             assert f"member {index}" in str(err.value)
 
-    # (policy, drift threshold); at kappa 1e4 and h 1e-3 the random ensemble
-    # and the near-consensus one diverge at different steps under each
-    POLICIES = [("never", 1e-8), ("every_step", 1e-8), ("on_drift", 1e-8), ("on_drift", 1e-3)]
+    # (policy, step size); at kappa 1e4 the random ensemble and the
+    # near-consensus one diverge at different steps under each
+    POLICIES = [("never", 1e-3), ("every_step", 1e-3), ("on_drift", 1e-3), ("on_drift", 2e-3)]
 
     @staticmethod
-    def stiff_case(retraction, threshold):
+    def stiff_case(retraction, h):
         cfg = ModelConfig(
             kappa=1e4,
             topology=Topology.separable(np.ones(3)),
@@ -1091,9 +1088,7 @@ class TestDivergence:
             random_ensemble(4, 2, 3, seed=26),
             near_consensus_ensemble(4, 2, 3, 1e-6, seed=5),
         ]
-        icfg = IntegratorConfig(
-            h=1e-3, t_end=0.1, retraction=retraction, drift_threshold=threshold
-        )
+        icfg = IntegratorConfig(h=h, t_end=0.1, retraction=retraction)
         return cfg, members, icfg
 
     @staticmethod
@@ -1102,9 +1097,9 @@ class TestDivergence:
             stepper(initial, cfg, icfg)
         return err.value
 
-    @pytest.mark.parametrize("retraction, threshold", POLICIES)
-    def test_single_runs_diverge_where_reference_does(self, retraction, threshold):
-        cfg, members, icfg = self.stiff_case(retraction, threshold)
+    @pytest.mark.parametrize("retraction, h", POLICIES)
+    def test_single_runs_diverge_where_reference_does(self, retraction, h):
+        cfg, members, icfg = self.stiff_case(retraction, h)
         last_good = []
         for init in members:
             got = self.divergence(init, cfg, icfg, integrate)
@@ -1114,10 +1109,10 @@ class TestDivergence:
             last_good.append(got.last_good_time)
         assert last_good[0] != last_good[1]
 
-    @pytest.mark.parametrize("retraction, threshold", POLICIES)
+    @pytest.mark.parametrize("retraction, h", POLICIES)
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-    def test_batch_names_the_reference_member(self, retraction, threshold, order):
-        cfg, members, icfg = self.stiff_case(retraction, threshold)
+    def test_batch_names_the_reference_member(self, retraction, h, order):
+        cfg, members, icfg = self.stiff_case(retraction, h)
         batch = np.stack([members[i] for i in order])
         got = self.divergence(batch, cfg, icfg, integrate)
         expected = self.divergence(batch, cfg, icfg, reference_run)

@@ -64,6 +64,22 @@ class TestTopology:
         assert np.max(np.abs(topo.weights - np.outer(xi, xi))) == 0.0
         assert topo.kind == "separable"
 
+    @pytest.mark.parametrize("build", ["separable", "weights and xi"])
+    def test_keeps_copies_of_the_callers_arrays(self, build):
+        # the topology's arrays are read-only copies; the caller's stay
+        # writable, and writing them changes nothing the topology holds
+        xi = np.array([1.0, 2.0, 0.5])
+        weights = np.outer(xi, xi)
+        if build == "separable":
+            topo = Topology.separable(xi)
+        else:
+            topo = Topology(weights=weights, xi=xi)
+        for given, kept in ((xi, topo.xi), (weights, topo.weights)):
+            assert not np.shares_memory(given, kept)
+            assert given.flags.writeable and not kept.flags.writeable
+        xi[0] = 3.0
+        assert topo.xi[0] == 1.0
+
     def test_stats(self):
         stats = Topology.separable(np.array([0.5, 1.0, 1.5])).xi_stats()
         assert stats.xi_min == 0.5
@@ -265,6 +281,15 @@ class TestRhs:
         states = random_ensemble(4, 2, 3, seed=8)
         assert np.array_equal(rhs(states, cfg), states @ freqs)
 
+    def test_config_keeps_a_copy_of_the_generators(self):
+        freqs = random_frequencies(3, 2, 0.5, seed=7)
+        before = freqs.copy()
+        cfg = uniform_config(count=3, kappa=1.3, freqs=freqs)
+        assert not np.shares_memory(cfg.freqs, freqs)
+        assert freqs.flags.writeable and not cfg.freqs.flags.writeable
+        freqs[0] = 0.0
+        assert np.array_equal(cfg.freqs, before)
+
     @pytest.mark.parametrize("c", [0.0, 1e-3 / 6.0, 0.5, 2.0])
     def test_scaled_config_is_the_replaced_one(self, c):
         cfg = uniform_config(count=3, kappa=1.3, freqs=random_frequencies(3, 2, 0.5, seed=7))
@@ -279,7 +304,7 @@ class TestRhs:
         states = random_ensemble(4, 2, 3, seed=8)
         assert np.allclose(rhs(states, scaled), c * rhs(states, cfg), rtol=1e-14, atol=1e-15)
 
-    @pytest.mark.parametrize("lead", [(2,), (3,), (2, 3)])
+    @pytest.mark.parametrize("lead", [(1,), (2,), (3,), (2, 3)])
     def test_scaled_config_stacks_generators_to_the_batch(self, lead):
         cfg = uniform_config(count=3, kappa=1.3, freqs=random_frequencies(3, 2, 0.5, seed=7))
         freqs = cfg.freqs

@@ -27,6 +27,7 @@ from stiefel_sync.manifold import random_ensemble
 from stiefel_sync.model import ModelConfig, Topology, zero_frequencies
 from stiefel_sync.scenario import ANALYSIS_NAMES, Scenario, generate_scenario, run_scenario
 from stiefel_sync.series_io import emit_series, read_series
+from stiefel_sync.tolerances import NEWTON_SCHULZ_DEFECT
 
 from conftest import savetxt_series
 
@@ -786,10 +787,8 @@ class TestCli:
             ("t_end", float("inf"), {}),
             ("kappa", float("nan"), {}),
             ("kappa", float("inf"), {}),
-            ("drift_threshold", float("nan"), {"retraction": "on_drift"}),
         ],
-        ids=["h-nan", "h-inf", "t_end-nan", "t_end-inf", "kappa-nan", "kappa-inf",
-             "drift_threshold-nan"],
+        ids=["h-nan", "h-inf", "t_end-nan", "t_end-inf", "kappa-nan", "kappa-inf"],
     )
     def test_non_finite_setting_exit_code(self, tmp_path, field, value, extra):
         if field == "kappa":
@@ -802,6 +801,39 @@ class TestCli:
         assert code == EXIT_SCENARIO
         assert "Traceback" not in err.getvalue()
         assert field in err.getvalue()
+
+    # three agents on St(2, 4) with distinct generators; at h 0.02 a run
+    # without retraction drifts past the retraction's bound of 1e-8
+    ON_DRIFT = {
+        "dims": {"n": 4, "p": 2, "N": 3},
+        "kappa": 2.0,
+        "frequencies": {"kind": "random", "spread": 0.5, "seed": 2},
+        "initial": {"kind": "random", "seed": 3},
+        "integrator": {"h": 0.02, "t_end": 2.0, "retraction": "on_drift", "record_stride": 1},
+    }
+
+    def test_on_drift_run_keeps_drift_within_the_retraction_bound(self, tmp_path):
+        drift = {}
+        for policy in ("on_drift", "never"):
+            out = tmp_path / policy
+            out.mkdir()
+            integrator = {**self.ON_DRIFT["integrator"], "retraction": policy}
+            path = minimal_scenario(out, **{**self.ON_DRIFT, "integrator": integrator})
+            err = io.StringIO()
+            code = main(["run", path, "--out", str(out)], out=io.StringIO(), err=err)
+            assert code == EXIT_OK, err.getvalue()
+            drift[policy] = read_series(out / "tiny.csv")["drift"]
+        assert (drift["on_drift"] <= NEWTON_SCHULZ_DEFECT).all()
+        assert drift["never"].max() > NEWTON_SCHULZ_DEFECT
+
+    def test_drift_threshold_is_an_unknown_field(self, tmp_path):
+        integrator = {**self.ON_DRIFT["integrator"], "drift_threshold": 1e-8}
+        path = minimal_scenario(tmp_path, **{**self.ON_DRIFT, "integrator": integrator})
+        err = io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=io.StringIO(), err=err)
+        assert code == EXIT_SCENARIO
+        assert "integrator.drift_threshold: unknown field" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize("h", [1e-300, 5e-324])
     def test_step_count_beyond_any_array_exit_code(self, tmp_path, h):
