@@ -5,7 +5,6 @@ import numpy as np
 
 from stiefel_sync import (
     ensemble_diameter,
-    frobenius,
     orthonormality_drift,
     random_ensemble,
     random_stiefel,
@@ -18,14 +17,14 @@ rng = np.random.default_rng(1)
 
 # a Haar-distributed point: columns are orthonormal to rounding
 x = random_stiefel(6, 3, rng)
-print("one point, ||x^T x - I|| =", frobenius(x.T @ x - np.eye(3)))
+print("one point, ||x^T x - I|| =", np.linalg.norm(x.T @ x - np.eye(3)))
 
 # push it off the manifold and retract back
 off = x + 0.05 * rng.standard_normal(x.shape)
-print("off-manifold defect      =", frobenius(off.T @ off - np.eye(3)))
+print("off-manifold defect      =", np.linalg.norm(off.T @ off - np.eye(3)))
 back = retract(off)
-print("after retraction         =", frobenius(back.T @ back - np.eye(3)))
-print("distance moved           =", frobenius(back - off))
+print("after retraction         =", np.linalg.norm(back.T @ back - np.eye(3)))
+print("distance moved           =", np.linalg.norm(back - off))
 
 # tangent vectors at x satisfy x^T v + v^T x = 0
 v = random_tangent(x, rng)

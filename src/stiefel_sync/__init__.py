@@ -40,7 +40,7 @@ from .integrate import (
     Trajectory,
     integrate,
 )
-from .linalg import expm_skew, frobenius, polar_factor, qr_thin
+from .linalg import expm_skew, qr_thin
 from .manifold import (
     ensemble_diameter,
     near_consensus_ensemble,
@@ -51,7 +51,6 @@ from .manifold import (
     retract,
     tangent_residual,
     validate_ensemble,
-    validate_stiefel,
 )
 from .model import (
     FrameworkCondition,

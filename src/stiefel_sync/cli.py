@@ -27,14 +27,13 @@ from .scenario import (
     parse_override_value,
     run_scenario,
 )
-from .series_io import emit_series, read_series
+from .series_io import read_series
 
 __all__ = [
     "main",
     "build_parser",
     "run_scenario",
     "generate_scenario",
-    "emit_series",
     "read_series",
     "Scenario",
 ]

@@ -162,14 +162,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    @property
-    def initial(self) -> np.ndarray:
-        return self.states[..., 0, :, :, :]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[..., -1, :, :, :]
-
     def members(self) -> list["Trajectory"]:
         """The runs of a batch as single-run views that share ``times``; a
         single run is its own only member."""

@@ -1,11 +1,12 @@
-"""Dense matrix helpers: validation, Frobenius norm, thin QR with a
-fixed sign convention, polar decomposition, and the exponential of a
-skew-symmetric matrix from one Hermitian eigendecomposition.
+"""Dense matrix helpers: validation, stacked Frobenius norms, thin QR
+with a fixed sign convention, polar decomposition, and the exponential of
+a skew-symmetric matrix from one Hermitian eigendecomposition.
 
-The public :func:`polar_factor` always uses the eigendecomposition; the
-integrator's retraction takes a Newton-Schulz step near the manifold, in
-the arrays of a :class:`_Workspace`, which the integrator lays out once per
-run for the field and the retraction.
+The validated retraction (:func:`~stiefel_sync.manifold.retract`) always
+uses the eigendecomposition; the integrator's retraction takes a
+Newton-Schulz step near the manifold, in the arrays of a
+:class:`_Workspace`, which the integrator lays out once per run for the
+field and the retraction.
 
 Everything is plain float64 ndarrays. Shape-changing bugs surface as
 :class:`~stiefel_sync.errors.DimensionError` instead of broadcast surprises,
@@ -79,11 +80,6 @@ def _skew_checks(x: np.ndarray, name) -> list:
             ),
         ),
     ]
-
-
-def frobenius(a) -> float:
-    """Frobenius norm sqrt(tr(a^T a))."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
 def _frobenius_norms(x) -> np.ndarray:
@@ -176,9 +172,8 @@ class _NonFiniteInput(Exception):
 class _Workspace:
     """The arrays that stepping stacks of one shape (..., N, n, p) writes
     into, laid out once: :func:`~stiefel_sync.integrate.integrate` builds one
-    per run, and ``rhs``, :func:`_polar_unchecked` and
-    :func:`~stiefel_sync.manifold._drift_within` build a one-shot one when
-    called without.
+    per run, and ``rhs`` and :func:`_polar_unchecked` build a one-shot one
+    when called without.
 
     - ``buffers``: ``bound`` arrays of the shape, which the caller owns (the
       integrator's state, stage argument and u1...u4).
@@ -302,20 +297,21 @@ def _polar_unchecked(
 
 
 def _polar_checked(a) -> tuple[np.ndarray, list]:
-    """The polar factor of every matrix of a stack (..., n, p), from one
-    eigendecomposition of the stack's a^T a, with the checks of
-    :func:`polar_factor` for :func:`_first_failure`: a NaN or Inf entry,
-    then a numerically singular a^T a. The factor of a failing matrix is
-    not finite or not meaningful, and computing it warns of nothing; the
-    integrator's retraction takes the factors of its far members from here
-    and leaves the checks to its divergence test.
+    """The polar factor U = a (a^T a)^{-1/2}, the closest matrix with
+    orthonormal columns to ``a`` in the Frobenius norm, of every matrix of
+    a stack (..., n, p), from one eigendecomposition of the stack's a^T a,
+    with its checks for :func:`_first_failure`: a NaN or Inf entry, then a
+    numerically singular a^T a (closest point not unique). The factor of a
+    failing matrix is not finite or not meaningful, and computing it warns
+    of nothing; the integrator's retraction takes the factors of its far
+    members from here and leaves the checks to its divergence test.
 
     Raises :class:`DimensionError` for a shape that has no polar factor."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2:
-        raise DimensionError(f"polar_factor expects at least 2-D input, got {a.shape}")
+        raise DimensionError(f"polar factor input must be at least 2-D, got {a.shape}")
     if a.shape[-2] < a.shape[-1]:
-        raise DimensionError(f"polar_factor needs rows >= cols, got {a.shape[-2:]}")
+        raise DimensionError(f"polar factor input needs rows >= cols, got {a.shape[-2:]}")
     finite = np.isfinite(a).all(axis=(-2, -1))
     with np.errstate(all="ignore"):
         gram = np.swapaxes(a, -2, -1) @ a
@@ -328,27 +324,9 @@ def _polar_checked(a) -> tuple[np.ndarray, list]:
     # eigenvalues of a^T a are squared singular values of a
     singular = ~(w[..., 0] > (RANK_TOL ** 2) * np.maximum(w[..., -1], 1e-300))
     return u, [
-        (~finite, lambda k: ValidationError("polar_factor input contains NaN or Inf entries")),
+        (~finite, lambda k: ValidationError("polar factor input contains NaN or Inf entries")),
         (singular, lambda k: ProjectionError("a^T a is numerically singular; projection undefined")),
     ]
-
-
-def polar_factor(a) -> np.ndarray:
-    """Orthonormal polar factor U = a (a^T a)^{-1/2}.
-
-    U is the closest matrix with orthonormal columns to ``a`` in the
-    Frobenius norm. Accepts a stack shaped (..., n, p); the factorization is
-    computed via the symmetric eigendecomposition of a^T a, which is robust
-    at the small column counts used here.
-
-    Raises :class:`ValidationError` for an input with a NaN or Inf entry
-    and :class:`ProjectionError` when a^T a is numerically singular (closest
-    point not unique); a stack raises the error of its first matrix that
-    has no polar factor.
-    """
-    u, checks = _polar_checked(a)
-    _first_failure(*checks)
-    return u
 
 
 def expm_skew(x) -> np.ndarray:

@@ -31,7 +31,7 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def _point_checks(x: np.ndarray, name) -> list:
-    """The checks of :func:`validate_stiefel` on every matrix of a stack
+    """The checks of :func:`validate_ensemble` on every matrix of a stack
     (..., n, p), for :func:`~stiefel_sync.linalg._first_failure`: a NaN or
     Inf entry, then ||x^T x - I|| over tolerance. ``name`` maps a matrix's
     flat index to the name its error gives it.
@@ -54,22 +54,11 @@ def _point_checks(x: np.ndarray, name) -> list:
     ]
 
 
-def validate_stiefel(x, name: str = "point") -> np.ndarray:
-    """Check orthonormal columns: ||x^T x - I|| within tolerance."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {x.shape}")
-    n, p = x.shape
-    if p > n:
-        raise DimensionError(f"{name} needs p <= n, got shape {x.shape}")
-    _first_failure(*_point_checks(x, lambda k: name))
-    return x
-
-
 def validate_ensemble(states) -> np.ndarray:
-    """Validate an (N, n, p) stack of Stiefel points, all at once; the
-    first agent that fails raises the error :func:`validate_stiefel` raises
-    for it, naming it ``agent i``."""
+    """Validate an (N, n, p) stack of Stiefel points, all at once: each
+    agent's entries are finite and ||S_i^T S_i - I|| is within
+    ``ORTH_CONSTRUCTION_TOL``. The first agent that fails raises the error
+    of the first check it fails, naming it ``agent i``."""
     states = np.asarray(states, dtype=float)
     if states.ndim != 3:
         raise DimensionError(f"ensemble must be (N, n, p), got shape {states.shape}")
@@ -111,7 +100,7 @@ def _gram_defect(states: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _drift_within(states: np.ndarray, work: _Workspace | None = None) -> bool:
+def _drift_within(states: np.ndarray, work: _Workspace) -> bool:
     """One Gram product and one dot product: True only if the sum of the
     squares of every entry of every S_i^T S_i - I of the stack is at most
     the workspace's ``polar_limit``
@@ -121,10 +110,9 @@ def _drift_within(states: np.ndarray, work: _Workspace | None = None) -> bool:
     diagonal entry of the defect NaN or Inf, and so the sum, which never
     passes. The transpose of ``states``, the retraction's temporary for the
     defect, the stacked identity and the limit come from one lookup in the
-    views of ``work``, a one-shot workspace when None; ``states`` not bound
-    there is shape-checked against it."""
-    if work is None:
-        work = _Workspace(states.shape)
+    views of ``work``, a :class:`~stiefel_sync.linalg._Workspace` for the
+    stack's shape; ``states`` not bound there is shape-checked against
+    it."""
     views = work.views.get(id(states))
     if views is None:
         views = work.views_of(states)

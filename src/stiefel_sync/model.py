@@ -182,6 +182,8 @@ def common_frequencies(skew, count: int) -> np.ndarray:
 
 def random_skew(p: int, seed=None, scale: float = 1.0) -> np.ndarray:
     """Random skew generator with Frobenius norm ``scale`` (zero when p = 1)."""
+    if scale < 0:
+        raise ValidationError("scale must be nonnegative")
     if p == 1:
         return np.zeros((1, 1))
     g = _as_rng(seed).standard_normal((p, p))
@@ -190,20 +192,20 @@ def random_skew(p: int, seed=None, scale: float = 1.0) -> np.ndarray:
     return s * (scale / norm) if norm > 0 else s
 
 
-def random_frequencies(count: int, p: int, spread: float, seed=None, common=None) -> np.ndarray:
+def random_frequencies(count: int, p: int, spread: float, seed=None) -> np.ndarray:
     """Skew generators with max pairwise distance exactly ``spread``.
 
-    Deviations around the (optional) common part are centered and rescaled so
-    the realized heterogeneity matches the request. p = 1 admits only zero
-    generators, so any positive spread is rejected there, and so is a
-    realized spread whose square overflows (one above about 1.3e154).
+    Random deviations are centered and rescaled so the realized
+    heterogeneity matches the request; a common part is added by the
+    caller. p = 1 admits only zero generators, so any positive spread is
+    rejected there, and so is a realized spread whose square overflows (one
+    above about 1.3e154).
     """
     rng = _as_rng(seed)
-    base = np.zeros((p, p)) if common is None else require_skew(common)
     if spread < 0:
         raise ValidationError("spread must be nonnegative")
     if spread == 0.0 or count == 1:
-        return np.repeat(base[None, :, :], count, axis=0)
+        return zero_frequencies(count, p)
     if p == 1:
         raise ValidationError("1 x 1 skew generators are zero; positive spread impossible")
     g = rng.standard_normal((count, p, p))
@@ -214,7 +216,7 @@ def random_frequencies(count: int, p: int, spread: float, seed=None, common=None
         raise ValidationError("degenerate frequency sample; retry with another seed")
     # a huge spread overflows the generators, or the square of its distance
     with np.errstate(over="ignore", invalid="ignore"):
-        freqs = base[None, :, :] + devs * (spread / current)
+        freqs = devs * (spread / current)
         realized = frequency_spread(freqs)
     if not math.isfinite(realized * realized):
         raise ValidationError(f"spread {spread} overflows the generators' squared distances")

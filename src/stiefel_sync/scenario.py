@@ -173,6 +173,8 @@ def build_topology(spec: Mapping, count: int) -> Topology:
 def generate_xi(count: int, center: float, spread: float, seed: int) -> np.ndarray:
     """Positive factors with min/max pinned to center -+ spread/2, so the
     realized spread equals the request exactly (for count >= 2)."""
+    if spread < 0:
+        raise ScenarioError("spread must be nonnegative", field="topology.spread")
     if center - spread / 2.0 <= 0:
         raise ScenarioError("center - spread/2 must stay positive", field="topology.spread")
     rng = np.random.default_rng(seed)
@@ -216,16 +218,13 @@ def build_frequencies(spec: Mapping, count: int, p: int) -> np.ndarray:
         _reject_unknown(spec, {"kind", "scale", "seed"}, "frequencies")
         scale = _need(spec, "scale", float, "frequencies")
         seed = _need(spec, "seed", int, "frequencies")
-        return common_frequencies(random_skew(p, seed, scale), count)
+        skew = _validated(random_skew, p, seed, scale, field="frequencies.scale")
+        return common_frequencies(skew, count)
     if kind == "random":
-        _reject_unknown(spec, {"kind", "spread", "seed", "common_scale"}, "frequencies")
+        _reject_unknown(spec, {"kind", "spread", "seed"}, "frequencies")
         spread = _need(spec, "spread", float, "frequencies")
         seed = _need(spec, "seed", int, "frequencies")
-        common_scale = _optional(spec, "common_scale", float, 0.0, "frequencies")
-        common = random_skew(p, seed + 1, common_scale) if common_scale > 0 else None
-        return _validated(
-            random_frequencies, count, p, spread, seed, common, field="frequencies.spread"
-        )
+        return _validated(random_frequencies, count, p, spread, seed, field="frequencies.spread")
     raise ScenarioError(f"unknown frequencies kind {kind!r}", field="frequencies.kind")
 
 
@@ -342,7 +341,7 @@ def _resolve_analysis_params(name: str, params: dict, times: np.ndarray) -> dict
         params.setdefault("fit_fraction", 0.5)
         fraction = _need(params, "fit_fraction", float, where)
         if not 0 < fraction < 1:
-            raise ScenarioError("fit_fraction must be in (0, 1)", field=where)
+            raise ScenarioError("fit_fraction must be in (0, 1)", field=f"{where}.fit_fraction")
         window = diagnostics.decay_fit_window(times, fraction)
         context = f"a decay fit over the last {fraction:g} of the span{grid}"
         _validated(diagnostics.fit_window_mask, times, window, field=field, context=context)

@@ -75,7 +75,9 @@ def homogeneous_pair(p: int, t_end: float = 6.0):
 
 def correlation_gap_rates(s1, s2, cfg):
     """Plain gap X, skew gap Y and the exact time derivative of X + Y for two
-    ensembles, from the velocity field: d/dt (S_j^T S_i) = V_j^T S_i + S_j^T V_i."""
+    ensembles, from the velocity field: d/dt (S_j^T S_i) = V_j^T S_i + S_j^T V_i.
+
+    The per-snapshot oracle of :func:`correlation_gap_rate_series`."""
 
     def products(u, v):
         return np.einsum("jab,iac->jibc", u, v)
@@ -88,6 +90,26 @@ def correlation_gap_rates(s1, s2, cfg):
     plain = float(np.sum(d * d))
     skew = float(np.sum(k * k))
     return plain, skew, 2.0 * float(np.sum(d * dd) + np.sum(k * dk))
+
+
+def correlation_gap_rate_series(s1, s2, cfg):
+    """:func:`correlation_gap_rates` at every snapshot of two stacks
+    (K, N, n, p), as three (K,) arrays: one ``rhs`` call per stack and the
+    products as one ``einsum`` with a leading axis. Each value is bit for
+    bit the one-snapshot oracle's."""
+
+    def products(u, v):
+        return np.einsum("kjab,kiac->kjibc", u, v)
+
+    v1, v2 = rhs(s1, cfg), rhs(s2, cfg)
+    d = products(s1, s1) - products(s2, s2)
+    dd = products(v1, s1) + products(s1, v1) - products(v2, s2) - products(s2, v2)
+    k = d - np.swapaxes(d, -2, -1)
+    dk = dd - np.swapaxes(dd, -2, -1)
+    axes = (1, 2, 3, 4)
+    plain = np.sum(d * d, axis=axes)
+    skew = np.sum(k * k, axis=axes)
+    return plain, skew, 2.0 * (np.sum(d * dd, axis=axes) + np.sum(k * dk, axis=axes))
 
 
 def correlation_gap_components(s1, s2) -> tuple[float, float]:
@@ -141,9 +163,9 @@ def loop_qr_thin(a):
 def loop_retract(x):
     """One matrix's validated polar retraction, as ``retract`` did it before
     it took stacks: the eigendecomposition of x^T x, its checks, and the
-    checks of ``validate_stiefel`` on the factor."""
+    checks of ``validate_ensemble`` on the factor."""
     if not np.all(np.isfinite(x)):
-        raise ValidationError("polar_factor input contains NaN or Inf entries")
+        raise ValidationError("polar factor input contains NaN or Inf entries")
     with np.errstate(over="ignore", invalid="ignore"):
         w, v = np.linalg.eigh(x.T @ x)
     if not w[0] > (RANK_TOL**2) * np.maximum(w[-1], 1e-300):
@@ -208,9 +230,7 @@ def savetxt_series(columns: dict, path) -> None:
 def worst_relative_bound_excess(cfg, traj1, traj2, floor=1e-20):
     """max over snapshots with F = X + Y > floor of (dF/dt - bound) / F, with
     dF/dt exact and the bound from the correlation-contraction inequality."""
-    plain, skew, rate = np.array(
-        [correlation_gap_rates(a, b, cfg) for a, b in zip(traj1.states, traj2.states)]
-    ).T
+    plain, skew, rate = correlation_gap_rate_series(traj1.states, traj2.states, cfg)
     bound = correlation_contraction_bound(
         plain, skew, traj1.diameters, traj2.diameters, cfg
     )

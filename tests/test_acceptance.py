@@ -94,11 +94,8 @@ def framework_results():
         gap = plain + skewed
         t_end = float(traj.times[-1])
         rate, r_squared = dg.fit_decay_rate(traj.times, gap, (t_end / 2.0, t_end))
-        slack_series = [
-            contraction_slack(cfg, float(a), float(b))
-            for a, b in zip(traj.diameters, partner.diameters)
-        ]
-        delta_measured = decay_rate_bound(cfg, max(slack_series))
+        slack_series = contraction_slack(cfg, traj.diameters, partner.diameters)
+        delta_measured = decay_rate_bound(cfg, float(np.max(slack_series)))
         bound = diameter_threshold(cfg)
         delta_default = decay_rate_bound(cfg, contraction_slack(cfg, bound, bound))
 
@@ -541,7 +538,7 @@ def test_criterion_10_scalar_reduction_oracle():
         k4 = angle_rhs(th + h * k3)
         th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    measured = np.arctan2(traj.final[:, 1, 0], traj.final[:, 0, 0])
+    measured = np.arctan2(traj.states[-1, :, 1, 0], traj.states[-1, :, 0, 0])
     error = float(np.max(np.abs(np.angle(np.exp(1j * (measured - th))))))
     ok = error <= 1e-8
     report(10, "scalar reduction oracle", ok, f"endpoint phase error {error:.2e}")
@@ -565,7 +562,7 @@ def test_criterion_11_integrator_order():
 
     def endpoint_error(h):
         traj = integrate(init, cfg, IntegratorConfig(h=h, t_end=1.0, record_stride=10_000))
-        return float(np.max(np.abs(traj.final - exact)))
+        return float(np.max(np.abs(traj.states[-1] - exact)))
 
     e1, e2, e3 = (endpoint_error(h) for h in (0.02, 0.01, 0.005))
     r1, r2 = e1 / e2, e2 / e3

@@ -14,7 +14,7 @@ from stiefel_sync.errors import (
     ValidationError,
 )
 from stiefel_sync.integrate import IntegratorConfig, Trajectory, integrate
-from stiefel_sync.linalg import expm_skew, frobenius
+from stiefel_sync.linalg import expm_skew
 from stiefel_sync.manifold import (
     near_consensus_ensemble,
     perturb_ensemble,
@@ -24,6 +24,7 @@ from stiefel_sync.manifold import (
 from stiefel_sync.model import (
     ModelConfig,
     Topology,
+    contraction_slack,
     diameter_threshold,
     random_frequencies,
     random_skew,
@@ -34,6 +35,8 @@ from stiefel_sync.series_io import read_series
 
 from conftest import (
     correlation_gap_components,
+    correlation_gap_rate_series,
+    correlation_gap_rates,
     make_framework_config,
     run_framework_pair,
     worst_relative_bound_excess,
@@ -149,8 +152,8 @@ class TestCorrelationDiameter:
             for i in range(4):
                 a = s1[j].T @ s1[i]
                 b = s2[j].T @ s2[i]
-                plain += frobenius(a - b) ** 2
-                skewed += frobenius((a - a.T) - (b - b.T)) ** 2
+                plain += np.linalg.norm(a - b) ** 2
+                skewed += np.linalg.norm((a - a.T) - (b - b.T)) ** 2
         px, sx = correlation_gap_components(s1, s2)
         assert abs(px - plain) <= 1e-12 * max(1, plain)
         assert abs(sx - skewed) <= 1e-12 * max(1, skewed)
@@ -215,7 +218,7 @@ class TestPairColumns:
         other = random_track(4, 5, 2, 7, seed=4)
         columns = dg.pair_columns(track, other)
         for k in range(7):
-            norms = [frobenius(a - b) for a, b in zip(track.states[k], other.states[k])]
+            norms = [np.linalg.norm(a - b) for a, b in zip(track.states[k], other.states[k])]
             for i, norm in enumerate(norms):
                 assert abs(columns[f"dist_agent_{i}"][k] - norm) <= 1e-14
             assert abs(columns["dist_l1"][k] - sum(norms)) <= 1e-13
@@ -506,6 +509,19 @@ class TestCorrelationContractionAudit:
         pairs = [framework_pair_session] + [homogeneous_pairs[p] for p in (2, 3)]
         for cfg, traj, partner in pairs:
             assert worst_relative_bound_excess(cfg, traj, partner) <= 0.0
+
+    def test_stacked_rates_and_slacks_equal_the_per_snapshot_loops_bitwise(self):
+        # the whole-stack forms that criterion 05's setup takes, against the
+        # per-snapshot loops they replaced, on one short pair
+        cfg, traj, partner = run_framework_pair(11, t_end=0.5)
+        loop = [correlation_gap_rates(a, b, cfg) for a, b in zip(traj.states, partner.states)]
+        stacked = correlation_gap_rate_series(traj.states, partner.states, cfg)
+        assert np.array_equal(np.array(stacked), np.array(loop).T)
+        slacks = [
+            contraction_slack(cfg, float(a), float(b))
+            for a, b in zip(traj.diameters, partner.diameters)
+        ]
+        assert np.array_equal(contraction_slack(cfg, traj.diameters, partner.diameters), slacks)
 
 
 def run_framework_pair_p1(seed):

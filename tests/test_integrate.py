@@ -121,7 +121,7 @@ class TestClosedFormAccuracy:
         init = random_ensemble(4, 2, 3, seed=2)
         traj = integrate(init, cfg, IntegratorConfig(h=h, t_end=1.0, record_stride=100))
         exact = init @ expm_skew(1.0 * skew)
-        err = np.max(np.sqrt(np.sum((traj.final - exact) ** 2, axis=(-2, -1))))
+        err = np.max(np.sqrt(np.sum((traj.states[-1] - exact) ** 2, axis=(-2, -1))))
         assert err <= 10.0 * h ** 4
 
     def test_richardson_order(self):
@@ -133,7 +133,7 @@ class TestClosedFormAccuracy:
             traj = integrate(
                 init, cfg, IntegratorConfig(h=h, t_end=1.0, record_stride=10_000)
             )
-            return np.max(np.abs(traj.final - exact))
+            return np.max(np.abs(traj.states[-1] - exact))
 
         e1, e2, e3 = (endpoint_error(h) for h in (0.02, 0.01, 0.005))
         assert 12.0 <= e1 / e2 <= 20.0
@@ -256,7 +256,7 @@ class TestPairing:
         icfg = IntegratorConfig(h=1e-3, t_end=1.0, record_stride=10)
         t1, t2 = integrate(np.stack([init, moved]), cfg, icfg).members()
         rate = kappa * float(np.max(topo.weights)) * (1.0 + 2.0 * np.sqrt(p))
-        d0 = ensemble_lp_distance(t1.initial, t2.initial, 1.0)
+        d0 = ensemble_lp_distance(t1.states[0], t2.states[0], 1.0)
         for k in range(len(t1)):
             dist = ensemble_lp_distance(t1.states[k], t2.states[k], 1.0)
             assert dist <= 1.05 * d0 * np.exp(rate * t1.times[k]) + 1e-15
@@ -302,7 +302,7 @@ class TestBatch:
             assert member.times is batch.times
             for field in ("times", "states", "drift", "diameters"):
                 assert np.array_equal(getattr(member, field), getattr(single, field)), field
-        assert np.array_equal(batch.initial, np.stack([a, b]))
+        assert np.array_equal(batch.states[:, 0], np.stack([a, b]))
 
     def test_single_run_is_its_own_member(self):
         cfg = ModelConfig(
@@ -371,7 +371,7 @@ class TestDeterminismAndRecording:
         init = random_ensemble(2, 1, 2, seed=25)
         traj = integrate(init, cfg, IntegratorConfig(h=1e-3, t_end=0.0))
         assert len(traj) == 1
-        assert np.array_equal(traj.initial, init)
+        assert np.array_equal(traj.states[0], init)
 
 
 def reference_drift_and_diameter(states):

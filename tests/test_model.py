@@ -17,7 +17,7 @@ from stiefel_sync.errors import (
     UnsupportedTopologyError,
     ValidationError,
 )
-from stiefel_sync.linalg import expm_skew, frobenius
+from stiefel_sync.linalg import expm_skew
 from stiefel_sync.manifold import (
     near_consensus_ensemble,
     random_ensemble,
@@ -157,12 +157,18 @@ class TestFrequencies:
         best = 0.0
         for i in range(5):
             for j in range(5):
-                best = max(best, frobenius(freqs[i] - freqs[j]))
+                best = max(best, np.linalg.norm(freqs[i] - freqs[j]))
         assert abs(frequency_spread(freqs) - best) <= 1e-15
 
     def test_requested_spread_is_exact(self):
         freqs = random_frequencies(6, 2, 0.37, seed=3)
         assert abs(frequency_spread(freqs) - 0.37) <= 1e-13
+
+    def test_negative_scale_rejected(self):
+        assert abs(np.linalg.norm(random_skew(3, seed=5, scale=0.5)) - 0.5) <= 1e-15
+        for p in (1, 2, 3):
+            with pytest.raises(ValidationError, match="scale must be nonnegative"):
+                random_skew(p, seed=5, scale=-0.5)
 
     def test_p1_spread_impossible(self):
         with pytest.raises(ValidationError):
@@ -241,7 +247,8 @@ class TestFrequencies:
     def test_scaled_spread_equals_the_unscaled_one_bitwise(self, scale):
         # away from overflow and underflow, scaling by powers of two is exact
         for seed in range(4):
-            freqs = scale * random_frequencies(5, 3, 0.8, seed=seed, common=random_skew(3, seed))
+            common = random_skew(3, seed)
+            freqs = scale * (common[None] + random_frequencies(5, 3, 0.8, seed=seed))
             assert frequency_spread(freqs) == self.unscaled_spread(freqs)
 
     @pytest.mark.parametrize("a", [1e154, 1e200])
@@ -351,7 +358,7 @@ class TestRhs:
         for i in range(3):
             rate = kappa / 3.0 * np.sum(np.sin(thetas - thetas[i]))
             normal = np.array([[-np.sin(thetas[i])], [np.cos(thetas[i])]])
-            assert frobenius(v[i] - rate * normal) <= 1e-13
+            assert np.linalg.norm(v[i] - rate * normal) <= 1e-13
 
     def test_tangency_fuzz(self):
         rng = np.random.default_rng(9)
@@ -427,7 +434,7 @@ class TestPotential:
 
     def test_two_agent_formula(self):
         states = random_ensemble(4, 2, 2, seed=12)
-        d = frobenius(states[0] - states[1])
+        d = np.linalg.norm(states[0] - states[1])
         topo = Topology.general(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert abs(potential(states, topo) - d ** 2) <= 1e-12
 
@@ -439,7 +446,7 @@ class TestPotential:
         expected = 0.0
         for i in range(5):
             for k in range(5):
-                expected += topo.weights[i, k] * frobenius(states[i] - states[k]) ** 2
+                expected += topo.weights[i, k] * np.linalg.norm(states[i] - states[k]) ** 2
         expected /= 5
         assert abs(potential(states, topo) - expected) <= 1e-12
 
@@ -638,7 +645,7 @@ class TestRateQuantities:
     def test_delta_lower_below_homogeneous_fitted_rate(self, homogeneous_pairs):
         for p in (1, 2, 3):
             cfg, traj, partner = homogeneous_pairs[p]
-            report = check_framework(cfg, traj.initial)
+            report = check_framework(cfg, traj.states[0])
             assert report.satisfied and report.delta_lower is not None
             plain, skewed = correlation_gap_series(traj, partner)
             t_end = float(traj.times[-1])

@@ -25,7 +25,13 @@ from stiefel_sync.errors import InsufficientDataError, ScenarioError, Validation
 from stiefel_sync.integrate import IntegratorConfig, Trajectory, integrate
 from stiefel_sync.manifold import random_ensemble
 from stiefel_sync.model import ModelConfig, Topology, zero_frequencies
-from stiefel_sync.scenario import ANALYSIS_NAMES, Scenario, generate_scenario, run_scenario
+from stiefel_sync.scenario import (
+    ANALYSIS_NAMES,
+    Scenario,
+    generate_scenario,
+    generate_xi,
+    run_scenario,
+)
 from stiefel_sync.series_io import emit_series, read_series
 from stiefel_sync.tolerances import NEWTON_SCHULZ_DEFECT
 
@@ -73,10 +79,6 @@ NON_FINITE_FIELDS = {
     },
     "frequencies.spread": {
         "dims": PLANES, "frequencies": {"kind": "random", "spread": INF, "seed": 1}
-    },
-    "frequencies.common_scale": {
-        "dims": PLANES,
-        "frequencies": {"kind": "random", "spread": 0.1, "seed": 1, "common_scale": NAN},
     },
     "analyses.decay_fit.fit_fraction": {"analyses": [{"decay_fit": {"fit_fraction": NAN}}]},
     "kappa": {"kappa": 10 ** 400},
@@ -164,6 +166,19 @@ OVERFLOWING_FIELDS = {
 }
 
 
+# one negative spread or scale per generated component, with the rest of
+# the scenario set up so that the field is read
+NEGATIVE_FIELDS = {
+    "topology.spread": {"topology": {**SEPARABLE, "spread": -0.2}},
+    "frequencies.scale": {
+        "dims": PLANES, "frequencies": {"kind": "common", "scale": -0.5, "seed": 1}
+    },
+    "frequencies.spread": {
+        "dims": PLANES, "frequencies": {"kind": "random", "spread": -0.1, "seed": 1}
+    },
+}
+
+
 def xi_case(entry):
     return {"topology": {"kind": "separable", "xi": [1.0, entry, 1.0]}}
 
@@ -216,6 +231,13 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError) as err:
             Scenario.from_file(path)
         assert err.value.field == "topology.xi"
+
+    def test_generated_xi_spans_exactly_the_spread(self):
+        xi = generate_xi(5, 1.0, 0.5, 3)
+        assert (xi.min(), xi.max()) == (0.75, 1.25)
+        with pytest.raises(ScenarioError, match="spread must be nonnegative") as err:
+            generate_xi(5, 1.0, -0.5, 3)
+        assert err.value.field == "topology.spread"
 
     def test_json_nested_too_deep_rejected(self, tmp_path):
         path = tmp_path / "deep.json"
@@ -835,6 +857,15 @@ class TestCli:
         assert "integrator.drift_threshold: unknown field" in err.getvalue()
         assert "Traceback" not in err.getvalue()
 
+    def test_common_scale_is_an_unknown_field(self, tmp_path):
+        frequencies = {"kind": "random", "spread": 0.1, "seed": 1, "common_scale": 0.5}
+        path = minimal_scenario(tmp_path, dims=PLANES, frequencies=frequencies)
+        err = io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=io.StringIO(), err=err)
+        assert code == EXIT_SCENARIO
+        assert "frequencies.common_scale: unknown field" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
     @pytest.mark.parametrize("h", [1e-300, 5e-324])
     def test_step_count_beyond_any_array_exit_code(self, tmp_path, h):
         path = minimal_scenario(tmp_path, integrator={"h": h, "t_end": 1.0})
@@ -869,6 +900,26 @@ class TestCli:
         assert out.getvalue() == ""
         assert "Traceback" not in err.getvalue()
         assert f"{field}: expected a finite number" in err.getvalue()
+
+    @pytest.mark.parametrize("field", NEGATIVE_FIELDS)
+    def test_negative_spread_or_scale_exit_code(self, tmp_path, field):
+        path = minimal_scenario(tmp_path, **NEGATIVE_FIELDS[field])
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert f"{field}: " in err.getvalue() and "must be nonnegative" in err.getvalue()
+
+    @pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.0, 1.5])
+    def test_bad_fit_fraction_exit_code(self, tmp_path, fraction):
+        path = minimal_scenario(tmp_path, analyses=[{"decay_fit": {"fit_fraction": fraction}}])
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert "analyses.decay_fit.fit_fraction: fit_fraction must be in (0, 1)" in err.getvalue()
 
     @pytest.mark.parametrize("case", BAD_LIST_FIELDS)
     def test_bad_list_field_entry_exit_code(self, tmp_path, case):
