@@ -27,6 +27,7 @@ them on the recorded grid before anything is integrated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -39,6 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .integrate import Trajectory
+from .manifold import _chunk_rows
 from .model import (
     ModelConfig,
     contraction_rates,
@@ -147,11 +149,17 @@ def correlation_gap_series(traj1: Trajectory, traj2: Trajectory) -> tuple[np.nda
     plain = np.empty(total)
     skew = np.empty(total)
     chunks = zip(_chunked_correlations(traj1.states), _chunked_correlations(traj2.states))
+    # each chunk's two Gram buffers are the only temporaries: the plain
+    # difference goes into the first, its skew part into the second
     for (rows, a), (_, b) in chunks:
-        da = a - b
-        plain[rows] = np.sum(da * da, axis=(1, 2, 3, 4))
-        dk = da - np.swapaxes(da, -2, -1)
-        skew[rows] = np.sum(dk * dk, axis=(1, 2, 3, 4))
+        np.subtract(a, b, a)
+        np.subtract(a, np.swapaxes(a, -2, -1), b)
+        np.multiply(a, a, a)
+        plain[rows] = a.sum(axis=(1, 2, 3, 4))
+        np.multiply(b, b, b)
+        skew[rows] = b.sum(axis=(1, 2, 3, 4))
+        # released before the next chunk's buffers are formed
+        del a, b
     return plain, skew
 
 
@@ -167,10 +175,19 @@ def pair_columns(traj: Trajectory, partner: Trajectory) -> dict[str, np.ndarray]
     pair CSV (base columns included), from one pass over the correlation
     gap. ``diam_A`` is the squared correlation gap, plain plus skew part;
     ``dist_agent_<i>`` is x_i = ||S_i - T_i||, and ``dist_l1``/``dist_l2``
-    are its l1 and l2 sums over the agents."""
+    are its l1 and l2 sums over the agents, all formed chunk by chunk of
+    snapshots (see ``manifold._PAIR_CHUNK_ENTRIES``)."""
     plain, skewed = correlation_gap_series(traj, partner)
-    diffs = traj.states - partner.states
-    norms = np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))
+    total, count = traj.states.shape[:2]
+    norms = np.empty((total, count))
+    l1, l2 = np.empty(total), np.empty(total)
+    for rows in _chunk_rows(total, math.prod(traj.states.shape[1:])):
+        diffs = traj.states[rows] - partner.states[rows]
+        np.multiply(diffs, diffs, diffs)
+        x = norms[rows]
+        np.sqrt(diffs.sum(axis=(-2, -1)), x)
+        l1[rows] = x.sum(axis=1)
+        l2[rows] = np.sqrt((x ** 2).sum(axis=1))
     columns = {
         "t": traj.times,
         "drift": traj.drift,
@@ -180,8 +197,8 @@ def pair_columns(traj: Trajectory, partner: Trajectory) -> dict[str, np.ndarray]
         "corr_skew_sq": skewed,
         "drift_tilde": partner.drift,
         "diam_S_tilde": partner.diameters,
-        "dist_l1": norms.sum(axis=1),
-        "dist_l2": np.sqrt((norms ** 2).sum(axis=1)),
+        "dist_l1": l1,
+        "dist_l2": l2,
     }
     for i in range(norms.shape[1]):
         columns[f"dist_agent_{i}"] = norms[:, i]
@@ -242,6 +259,13 @@ def trailing_window_start(times, window: float) -> int:
     return first
 
 
+def _largest_norm(blocks: np.ndarray):
+    """The largest Frobenius norm of the trailing (p, p) blocks of an
+    array, which is squared in place."""
+    np.multiply(blocks, blocks, blocks)
+    return np.max(np.sqrt(blocks.sum(axis=(-2, -1))))
+
+
 def consensus_status(
     traj: Trajectory, window: float, tol: float = CONSENSUS_TOL
 ) -> ConsensusStatus:
@@ -254,12 +278,15 @@ def consensus_status(
     for rows, products in _chunked_correlations(traj.states[first:]):
         stack[rows] = products
 
-    eye = np.eye(p)
-    identity_gap = np.sqrt(np.sum((stack - eye) ** 2, axis=(-2, -1)))
-    max_identity_gap = float(np.max(identity_gap))
+    # the largest gaps of each chunk of the window, from one temporary per
+    # chunk; a max is exact, so their max is that of the whole window
     mean = stack.mean(axis=0)
-    variation = np.sqrt(np.sum((stack - mean) ** 2, axis=(-2, -1)))
-    max_variation = float(np.max(variation))
+    eye = np.eye(p)
+    largest = []
+    for start in range(0, len(stack), _CHUNK):
+        part = stack[start:start + _CHUNK]
+        largest.append((_largest_norm(part - eye), _largest_norm(part - mean)))
+    max_identity_gap, max_variation = (float(v) for v in np.max(largest, axis=0))
 
     if max_identity_gap <= tol:
         kind = "complete"

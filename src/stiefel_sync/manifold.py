@@ -86,11 +86,18 @@ def orthonormality_drift(states):
     """max_i ||S_i^T S_i - I||, the distance of an ensemble from the manifold.
 
     Leading axes stack ensembles: one (N, n, p) ensemble gives a float, a
-    (..., N, n, p) stack an array with one value per ensemble.
+    (..., N, n, p) stack an array with one value per ensemble. A stack is
+    walked in chunks of ensembles (see ``_PAIR_CHUNK_ENTRIES``), each
+    chunk's Gram defect reduced into the output as it is formed.
     """
-    gram = _gram_defect(_check_ensembles(states))
-    # sqrt is monotone, so the root of the largest square is the largest norm
-    return _per_ensemble(np.sqrt((gram * gram).sum(axis=(-2, -1)).max(axis=-1)))
+    states = _check_ensembles(states)
+    flat, drift = _flat_ensembles(states)
+    for rows in _chunk_rows(flat.shape[0], math.prod(flat.shape[1:])):
+        gram = _gram_defect(flat[rows])
+        np.multiply(gram, gram, gram)
+        # sqrt is monotone, so the root of the largest square is the largest norm
+        drift[rows] = np.sqrt(gram.sum(axis=(-2, -1)).max(axis=-1))
+    return _per_ensemble(drift.reshape(states.shape[:-3]))
 
 
 def _gram_defect(states: np.ndarray) -> np.ndarray:
@@ -213,9 +220,30 @@ def tangent_residual(point, v) -> float:
     return float(np.linalg.norm(m + m.T))
 
 
-# entries differenced per gathered chunk of pair_sq_distances: 32 ensembles
-# of 8 agents of (6, 2) (28 pairs of 12 entries), 86 kB per difference
+# entries per chunk of every pass over a stored stack after the loop: 32
+# ensembles of 8 agents of (6, 2) differenced pairwise (28 pairs of 12
+# entries), 86 kB. Its users, each of which writes a chunk's result straight
+# into its output: orthonormality_drift (entries of the ensembles read),
+# _pair_sq_chunks for ensemble_diameter and model.potential (entries
+# differenced) and diagnostics.pair_columns (entries of the snapshots
+# subtracted). So no temporary grows with the number of stored snapshots.
 _PAIR_CHUNK_ENTRIES = 32 * 28 * 12
+
+
+def _chunk_rows(total: int, entries: int):
+    """Slices of ``range(total)``, as many rows each as hold at most
+    ``_PAIR_CHUNK_ENTRIES`` entries at ``entries`` a row, and at least
+    one."""
+    size = max(1, _PAIR_CHUNK_ENTRIES // max(1, entries))
+    for start in range(0, total, size):
+        yield slice(start, min(start + size, total))
+
+
+def _flat_ensembles(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (..., N, n, p) stack as (E, N, n, p), E its number of ensembles,
+    and an empty (E,) output with one value per ensemble."""
+    flat = states.reshape((-1,) + states.shape[-3:])
+    return flat, np.empty(flat.shape[0])
 
 
 @functools.cache
@@ -228,44 +256,46 @@ def _pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
     return i, k
 
 
-def pair_sq_distances(states) -> np.ndarray:
-    """Table of squared Frobenius distances ||S_i - S_k||^2, shape (..., N, N).
+def _pair_sq_chunks(flat: np.ndarray):
+    """Yield ``(rows, table)`` over chunks of an (E, N, n, p) stack, where
+    ``table[r]`` is the (N, N) table of squared Frobenius distances
+    ||S_i - S_k||^2 of ensemble ``rows[r]``.
 
-    Built from chunks of the stacked ensembles, as many as difference at
-    most 10,752 entries (32 ensembles of 8 agents of (6, 2)): both agents
-    of every pair i < k are gathered at once, subtracted, squared in place
-    and summed over each contiguous (n, p) block, and both halves of the
-    table are scattered. So no (..., N, N, n, p) difference array is held,
-    and each distance is the sum of the same explicit differences, in the
-    same order, that one pair at a time gives, bit for bit. Explicit
-    differences (not Gram identities) keep small distances at full
-    relative precision.
+    A chunk is as many ensembles as difference at most
+    ``_PAIR_CHUNK_ENTRIES`` entries (32 ensembles of 8 agents of (6, 2)):
+    both agents of every pair i < k are gathered at once, subtracted,
+    squared in place and summed over each contiguous (n, p) block, and both
+    halves of the table are scattered. So no table of the whole stack and no
+    (..., N, N, n, p) difference array is held, and each distance is the sum
+    of the same explicit differences, in the same order, that one pair at a
+    time gives, bit for bit. Explicit differences (not Gram identities) keep
+    small distances at full relative precision. One agent has no pair, and
+    its tables are zero.
     """
-    states = _check_ensembles(states)
-    count, n, p = states.shape[-3:]
-    ensembles = math.prod(states.shape[:-3])
-    flat = states.reshape((ensembles, count, n, p))
-    table = np.zeros((ensembles, count, count))
+    count, n, p = flat.shape[1:]
     i, k = _pairs(count)
-    size = max(1, _PAIR_CHUNK_ENTRIES // max(1, i.size * n * p))
-    # one agent has no pair, and its table stays zero
-    for start in range(0, ensembles if i.size else 0, size):
-        chunk = flat[start : start + size]
-        diff = np.take(chunk, i, axis=1)
-        np.subtract(diff, np.take(chunk, k, axis=1), diff)
-        np.multiply(diff, diff, diff)
-        squares = diff.reshape(diff.shape[:2] + (-1,)).sum(axis=-1)
-        rows = table[start : start + size]
-        rows[:, i, k] = squares
-        rows[:, k, i] = squares
-    return table.reshape(states.shape[:-3] + (count, count))
+    for rows in _chunk_rows(flat.shape[0], i.size * n * p):
+        chunk = flat[rows]
+        table = np.zeros((chunk.shape[0], count, count))
+        if i.size:
+            diff = np.take(chunk, i, axis=1)
+            np.subtract(diff, np.take(chunk, k, axis=1), diff)
+            np.multiply(diff, diff, diff)
+            squares = diff.reshape(diff.shape[:2] + (-1,)).sum(axis=-1)
+            table[:, i, k] = squares
+            table[:, k, i] = squares
+        yield rows, table
 
 
 def ensemble_diameter(states):
     """Largest pairwise Frobenius distance max_{i,j} ||S_i - S_j||.
 
     Leading axes stack ensembles: one (N, n, p) ensemble gives a float, a
-    (..., N, n, p) stack an array with one value per ensemble.
+    (..., N, n, p) stack an array with one value per ensemble, each chunk's
+    distance tables reduced as they come (see :func:`_pair_sq_chunks`).
     """
-    squares = pair_sq_distances(states)
-    return _per_ensemble(np.sqrt(squares.max(axis=(-2, -1))))
+    states = _check_ensembles(states)
+    flat, diameters = _flat_ensembles(states)
+    for rows, table in _pair_sq_chunks(flat):
+        diameters[rows] = np.sqrt(table.max(axis=(-2, -1)))
+    return _per_ensemble(diameters.reshape(states.shape[:-3]))

@@ -28,7 +28,13 @@ from .errors import (
     ValidationError,
 )
 from .linalg import _first_failure, _skew_checks, _Workspace, expm_skew, require_skew
-from .manifold import _as_rng, _per_ensemble, ensemble_diameter, pair_sq_distances
+from .manifold import (
+    _as_rng,
+    _flat_ensembles,
+    _pair_sq_chunks,
+    _per_ensemble,
+    ensemble_diameter,
+)
 from .tolerances import ALGEBRAIC_TOL, SEPARABLE_MATCH_TOL
 
 
@@ -181,7 +187,11 @@ def common_frequencies(skew, count: int) -> np.ndarray:
 
 
 def random_skew(p: int, seed=None, scale: float = 1.0) -> np.ndarray:
-    """Random skew generator with Frobenius norm ``scale`` (zero when p = 1)."""
+    """Random skew generator with Frobenius norm ``scale`` (zero when p = 1).
+
+    A scale so large that the rescaling overflows (``scale / norm`` or an
+    entry past the float range, for a scale near 1e308) is rejected, with
+    no warning."""
     if scale < 0:
         raise ValidationError("scale must be nonnegative")
     if p == 1:
@@ -189,7 +199,13 @@ def random_skew(p: int, seed=None, scale: float = 1.0) -> np.ndarray:
     g = _as_rng(seed).standard_normal((p, p))
     s = (g - g.T) / 2.0
     norm = np.linalg.norm(s)
-    return s * (scale / norm) if norm > 0 else s
+    if not norm > 0:
+        return s
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = s * (scale / norm)
+    if not np.isfinite(skew).all():
+        raise ValidationError(f"scale {scale} overflows the generator's entries")
+    return skew
 
 
 def random_frequencies(count: int, p: int, spread: float, seed=None) -> np.ndarray:
@@ -368,13 +384,18 @@ def potential(states, topology: Topology):
     Nonnegative; zero exactly on consensus of every connected component
     (a single one, by construction). Leading axes stack ensembles: one
     (N, n, p) ensemble gives a float, a stack an array with one value per
-    ensemble."""
+    ensemble. A stack's distance tables are weighted and summed chunk by
+    chunk, as :func:`~stiefel_sync.manifold._pair_sq_chunks` yields them."""
     states = np.asarray(states, dtype=float)
     count = topology.agent_count
     if states.ndim < 3 or states.shape[-3] != count:
         raise DimensionError(f"state must be (..., {count}, n, p), got {states.shape}")
-    total = np.sum(topology.weights * pair_sq_distances(states), axis=(-2, -1))
-    return _per_ensemble(total / count)
+    flat, total = _flat_ensembles(states)
+    for rows, table in _pair_sq_chunks(flat):
+        np.multiply(topology.weights, table, table)
+        total[rows] = table.sum(axis=(-2, -1))
+    total /= count
+    return _per_ensemble(total.reshape(states.shape[:-3]))
 
 
 def moving_frame(states, common_skew, t: float) -> np.ndarray:

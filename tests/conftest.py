@@ -146,6 +146,44 @@ def ensemble_lp_distance(e1, e2, p_exp: float) -> float:
     return float(np.sum(norms ** p_exp) ** (1.0 / p_exp))
 
 
+def pair_sq_distances(states):
+    """Table of squared Frobenius distances ||S_i - S_k||^2, (..., N, N),
+    from one (..., N, N, n, p) difference array of the whole stack: the
+    oracle of the chunk tables of ``manifold._pair_sq_chunks``."""
+    states = np.asarray(states, dtype=float)
+    diffs = states[..., :, None, :, :] - states[..., None, :, :, :]
+    return np.sum(diffs * diffs, axis=(-2, -1))
+
+
+def whole_stack_drift(states):
+    """``orthonormality_drift`` of a (..., N, n, p) stack from one Gram
+    defect of the whole stack, as it was taken before it walked chunks."""
+    states = np.asarray(states, dtype=float)
+    gram = states.swapaxes(-2, -1) @ states - np.eye(states.shape[-1])
+    return np.sqrt((gram * gram).sum(axis=(-2, -1)).max(axis=-1))
+
+
+def whole_stack_diameter(states):
+    """``ensemble_diameter`` of a stack from the table of the whole stack."""
+    return np.sqrt(pair_sq_distances(states).max(axis=(-2, -1)))
+
+
+def whole_stack_potential(states, topology):
+    """``model.potential`` of a stack from the table of the whole stack."""
+    table = pair_sq_distances(states)
+    return np.sum(topology.weights * table, axis=(-2, -1)) / topology.agent_count
+
+
+def whole_stack_distances(s1, s2):
+    """The agent distances x_i = ||S_i - T_i|| of two aligned (K, N, n, p)
+    stacks, (K, N), and their l1 and l2 sums over the agents, from one
+    difference array: what ``diagnostics.pair_columns`` forms chunk by
+    chunk."""
+    diffs = np.asarray(s1, dtype=float) - np.asarray(s2, dtype=float)
+    norms = np.sqrt(np.sum(diffs * diffs, axis=(-2, -1)))
+    return norms, norms.sum(axis=1), np.sqrt((norms ** 2).sum(axis=1))
+
+
 def loop_qr_thin(a):
     """One matrix's sign-fixed thin QR, as ``qr_thin`` was written before
     it took stacks."""

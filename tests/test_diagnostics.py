@@ -3,6 +3,7 @@ rate fits, gains, inequality audits (with mutation sensitivity), cubic
 analysis, the weighted power-mean gap, and the derivative estimator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from stiefel_sync.errors import (
 from stiefel_sync.integrate import IntegratorConfig, Trajectory, integrate
 from stiefel_sync.linalg import expm_skew
 from stiefel_sync.manifold import (
+    ensemble_diameter,
     near_consensus_ensemble,
+    orthonormality_drift,
     perturb_ensemble,
     random_ensemble,
     random_stiefel,
@@ -26,6 +29,7 @@ from stiefel_sync.model import (
     Topology,
     contraction_slack,
     diameter_threshold,
+    potential,
     random_frequencies,
     random_skew,
     zero_frequencies,
@@ -243,6 +247,51 @@ class TestPairColumns:
 
 def short_run(cfg, init, t_end=6.0, h=2e-3, stride=5):
     return integrate(init, cfg, IntegratorConfig(h=h, t_end=t_end, record_stride=stride))
+
+
+def traced_excess(call) -> int:
+    """Bytes of one call's ``tracemalloc`` peak above what is held after it,
+    that is, above the memory before it and its result; after one untraced
+    warm-up call, so that caches are built."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - held
+
+
+# the series taken from a stored pair stack after the loop, on the stack,
+# its two runs and a topology
+STORED_SERIES = {
+    "drift": lambda stack, runs, topology: orthonormality_drift(stack),
+    "diameter": lambda stack, runs, topology: ensemble_diameter(stack),
+    "potential": lambda stack, runs, topology: potential(stack, topology),
+    "pair_columns": lambda stack, runs, topology: dg.pair_columns(*runs),
+    "gap_series": lambda stack, runs, topology: dg.correlation_gap_series(*runs),
+}
+
+
+class TestSeriesMemory:
+    @pytest.mark.parametrize("name", STORED_SERIES)
+    def test_temporaries_do_not_grow_with_the_run(self, name):
+        """Each series walks the stack in chunks, so what it allocates
+        beyond its output is the same at 500 and at 2000 snapshots of a
+        (2, K, 8, 6, 2) pair. The stack itself grows by 2.3 MB; a series
+        with one temporary of the whole stack grows by about as much, and
+        64 kB allows for the ragged last chunks and the allocator."""
+        series = STORED_SERIES[name]
+        topology = Topology.separable(np.linspace(0.8, 1.2, 8))
+        excess = []
+        for total in (500, 2000):
+            stack = np.random.default_rng(total).standard_normal((2, total, 8, 6, 2))
+            times, zeros = np.arange(total, dtype=float), np.zeros(total)
+            runs = [Trajectory(times, states, zeros, zeros) for states in stack]
+            excess.append(traced_excess(lambda: series(stack, runs, topology)))
+        assert excess[1] - excess[0] <= 64_000, excess
 
 
 class TestConsensusStatus:

@@ -14,14 +14,16 @@ from stiefel_sync.errors import (
     StiefelSyncError,
     ValidationError,
 )
+from stiefel_sync.diagnostics import pair_columns
+from stiefel_sync.integrate import Trajectory
 from stiefel_sync.linalg import _Workspace
 from stiefel_sync.manifold import (
     _PAIR_CHUNK_ENTRIES,
     _drift_within,
+    _pair_sq_chunks,
     ensemble_diameter,
     near_consensus_ensemble,
     orthonormality_drift,
-    pair_sq_distances,
     perturb_ensemble,
     random_ensemble,
     random_stiefel,
@@ -30,6 +32,7 @@ from stiefel_sync.manifold import (
     tangent_residual,
     validate_ensemble,
 )
+from stiefel_sync.model import Topology, potential
 from stiefel_sync.tolerances import NEWTON_SCHULZ_DEFECT
 
 from conftest import (
@@ -37,6 +40,11 @@ from conftest import (
     loop_perturb_ensemble,
     loop_random_ensemble,
     loop_retract,
+    pair_sq_distances,
+    whole_stack_diameter,
+    whole_stack_distances,
+    whole_stack_drift,
+    whole_stack_potential,
 )
 
 
@@ -200,7 +208,7 @@ class TestLeadingAxes:
 
     def test_pair_table_matches_brute_force(self):
         stack = ensemble_stack(2, 3, 4, 5, 3, seed=85)
-        table = pair_sq_distances(stack)
+        table, _ = chunk_tables(stack)
         assert table.shape == (2, 3, 4, 4)
         for index in np.ndindex(2, 3):
             diffs = stack[index][:, None] - stack[index][None, :]
@@ -211,7 +219,8 @@ class TestLeadingAxes:
             ensemble_diameter(random_stiefel(4, 2, seed=86))
 
     # several chunks with a ragged last one, one chunk, and stacks with no
-    # pair (N = 1) or one pair (N = 2)
+    # pair (N = 1) or one pair (N = 2), with p = 1, 2 and 3; every stack
+    # of two runs also has its agent distances compared
     @pytest.mark.parametrize(
         "shape, chunks",
         [
@@ -219,22 +228,53 @@ class TestLeadingAxes:
             ((2, 300, 5, 4, 2), 5),
             ((2, 1001, 8, 6, 2), 63),
             ((3, 3, 2, 1), 1),
-            ((40, 1, 4, 2), 0),
+            ((40, 1, 4, 2), 1),
+            ((2, 6000, 1, 2, 1), 2),
             ((7, 2, 4, 2), 1),
             ((2, 300, 2, 3, 3), 1),
+            ((2, 400, 6, 3, 1), 4),
+            ((2, 150, 5, 6, 3), 6),
         ],
     )
     def test_chunked_table_equals_brute_force_bitwise(self, shape, chunks):
         *lead, count, n, p = shape
         pairs = count * (count - 1) // 2
         per_chunk = _PAIR_CHUNK_ENTRIES // max(1, pairs * n * p)
-        assert (math.ceil(math.prod(lead) / per_chunk) if pairs else 0) == chunks
+        assert math.ceil(math.prod(lead) / per_chunk) == chunks
         stack = np.random.default_rng(87).standard_normal(shape)
-        diffs = stack[..., :, None, :, :] - stack[..., None, :, :, :]
-        expected = np.sum(diffs * diffs, axis=(-2, -1))
-        table = pair_sq_distances(stack)
+        table, yielded = chunk_tables(stack)
+        assert yielded == chunks
         assert table.shape == tuple(lead) + (count, count)
-        assert np.array_equal(table, expected)
+        assert np.array_equal(table, pair_sq_distances(stack))
+        # the chunked series equal the same formulas on the whole stack
+        topology = Topology.separable(np.random.default_rng(88).uniform(0.5, 1.5, count))
+        assert np.array_equal(orthonormality_drift(stack), whole_stack_drift(stack))
+        assert np.array_equal(ensemble_diameter(stack), whole_stack_diameter(stack))
+        assert np.array_equal(
+            potential(stack, topology), whole_stack_potential(stack, topology)
+        )
+        if len(lead) == 2 and lead[0] == 2:
+            times = np.arange(lead[1], dtype=float)
+            zeros = np.zeros(lead[1])
+            run, partner = (Trajectory(times, states, zeros, zeros) for states in stack)
+            columns = pair_columns(run, partner)
+            norms, l1, l2 = whole_stack_distances(stack[0], stack[1])
+            agents = np.column_stack([columns[f"dist_agent_{i}"] for i in range(count)])
+            assert np.array_equal(agents, norms)
+            assert np.array_equal(columns["dist_l1"], l1)
+            assert np.array_equal(columns["dist_l2"], l2)
+
+
+def chunk_tables(stack):
+    """The tables that ``_pair_sq_chunks`` yields for a (..., N, n, p) stack,
+    put together in the stack's shape, and how many chunks it yielded.
+    The chunks' rows must follow one another from the first ensemble."""
+    flat = stack.reshape((-1,) + stack.shape[-3:])
+    rows, tables = zip(*_pair_sq_chunks(flat))
+    assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]]
+    assert rows[-1].stop == flat.shape[0]
+    table = np.concatenate(tables)
+    return table.reshape(stack.shape[:-3] + table.shape[-2:]), len(tables)
 
 
 # multiples of the retraction's bound at which the drift sits: at, just

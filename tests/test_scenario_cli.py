@@ -3,6 +3,7 @@ and the command-line interface."""
 
 import copy
 import errno
+import importlib
 import io
 import json
 import os
@@ -162,6 +163,11 @@ OVERFLOWING_FIELDS = {
     "frequencies-skew-symmetric-1e308": (
         "frequencies.skew",
         {"dims": PLANES, "frequencies": {"kind": "common", "skew": [[0, 1e308], [1e308, 0]]}},
+    ),
+    # the generated generator's rescaling to its norm overflows
+    "frequencies-scale-1e308": (
+        "frequencies.scale",
+        {"dims": PLANES, "frequencies": {"kind": "common", "scale": 1e308, "seed": 1}},
     ),
 }
 
@@ -610,7 +616,45 @@ class TestSeriesIO:
         assert not target.exists()
 
 
+# the calls of each series in one run of each bundled scenario, counted
+# where the scenario and diagnostics modules bind them, as the benchmark's
+# tracer wraps them: the potential once a run, the correlation gap series
+# once a pair, consensus detection once a consensus analysis, and the slack
+# once for the decay fit's bound (scenario) and once for the correlation
+# audit (diagnostics)
+SERIES_CALLS = {
+    "framework_hetero": (1, 1, 1, 1, 1),
+    "homogeneous_complete": (1, 0, 0, 1, 0),
+    "kuramoto_circle": (1, 0, 0, 1, 0),
+    "stability_pair": (1, 0, 1, 0, 0),
+}
+COUNTED_SERIES = [
+    ("stiefel_sync.scenario", "potential"),
+    ("stiefel_sync.scenario", "contraction_slack"),
+    ("stiefel_sync.diagnostics", "correlation_gap_series"),
+    ("stiefel_sync.diagnostics", "consensus_status"),
+    ("stiefel_sync.diagnostics", "contraction_slack"),
+]
+
+
 class TestRunScenario:
+    @pytest.mark.parametrize("name", SERIES_CALLS)
+    def test_each_series_is_computed_once(self, monkeypatch, tmp_path, name):
+        calls = [0] * len(COUNTED_SERIES)
+
+        def counted(index, fn):
+            def wrapper(*args, **kwargs):
+                calls[index] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for index, (module_name, attr) in enumerate(COUNTED_SERIES):
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, counted(index, getattr(module, attr)))
+        assert run_scenario(os.path.join(BUNDLED, f"{name}.json"), str(tmp_path))["ok"]
+        assert tuple(calls) == SERIES_CALLS[name]
+
     def test_bundled_homogeneous_complete(self, bundled_runs):
         report = bundled_runs["homogeneous_complete"].report
         assert report["ok"]
