@@ -18,6 +18,8 @@ import functools
 import os
 import sys
 
+import numpy as np
+
 from . import __version__, diagnostics
 from .errors import DivergenceError, ScenarioError, StiefelSyncError, ValidationError
 from .scenario import (
@@ -138,13 +140,16 @@ def _cmd_audit(args, out, err) -> int:
         scenario = Scenario.from_file(_resolve_config(args.config))
         series = read_series(args.series)
         audits = diagnostics.audit_series(series, scenario.model)
-        # a run records its final step, so a file cut at a row boundary
-        # parses but ends before the scenario's horizon
-        end = float(scenario.integrator.recorded_steps()[-1] * scenario.integrator.h)
-        if series["t"][-1] != end:
+        # the run writes its recorded grid bit for bit, so a file cut at a
+        # row boundary, or one of a run at another stride or step, parses
+        # but holds another grid
+        times = scenario.integrator.recorded_steps() * scenario.integrator.h
+        if not np.array_equal(series["t"], times):
             raise ValidationError(
-                f"{args.series}: series ends at t = {series['t'][-1]:.17g}, not at the"
-                f" scenario's horizon t = {end:.17g}: a truncated file or another run"
+                f"{args.series}: its t column ({series['t'].size} rows up to"
+                f" t = {series['t'][-1]:.17g}) is not the scenario's recorded grid"
+                f" ({times.size} snapshots up to its horizon t = {times[-1]:.17g}):"
+                " a truncated file or another run"
             )
     except (StiefelSyncError, OSError) as exc:
         print(f"error: {exc}", file=err)

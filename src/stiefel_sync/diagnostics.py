@@ -18,11 +18,12 @@ its CSV and a test's audit of two trajectories go through the same code and
 agree bit for bit. The trajectory-level audits are one-line calls of their
 cores on such columns.
 
-The window rules of consensus detection (:func:`trailing_window_start`),
-the decay fit (:func:`decay_fit_window`, :func:`fit_window_mask`) and the
-audits' slopes (:func:`slope_spacing`) are functions of a time grid: the
-analyses run them on a trajectory's times, and the scenario parser runs
-them on the recorded grid before anything is integrated.
+The window rules of consensus detection (:func:`consensus_window`,
+:func:`trailing_window_start`), the decay fit (:func:`decay_fit_window`,
+:func:`fit_window_mask`) and the audits' slopes (:func:`slope_spacing`) are
+functions of a time grid: a scenario's analyses run them on a trajectory's
+times, and the scenario parser runs them on the recorded grid before
+anything is integrated.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ LOG_FLOOR = 1e-300
 
 # correlation gap and variation below which a window counts as settled
 CONSENSUS_TOL = 1e-6
+
+# the exponents p of the lp gains a scenario's stability analysis reports
+GAIN_EXPONENTS = (1.0, 2.0, 4.0)
 
 
 def audit_tolerance(spacing: float) -> float:
@@ -125,18 +129,21 @@ def correlations(states) -> np.ndarray:
     return _gram(states)
 
 
-# snapshots per Gram product in the chunked passes: few Python-level calls
-# per snapshot, while the temporaries stay a few hundred kB
-_CHUNK = 64
+def _gram_rows(states: np.ndarray):
+    """Chunks of the snapshots of a (K, N, n, p) stack, as many a chunk as
+    have at most ``manifold._PAIR_CHUNK_ENTRIES`` Gram entries, N^2 p^2 a
+    snapshot."""
+    count, _, p = states.shape[-3:]
+    return _chunk_rows(states.shape[0], (count * p) ** 2)
 
 
 def _chunked_correlations(states: np.ndarray):
-    """Yield ``(rows, products)`` over chunks of a (K, N, n, p) stack, where
-    ``products[k]`` equals :func:`correlations` of snapshot ``rows[k]`` bit
-    for bit: the stacked Gram product runs the same per-snapshot product."""
-    for start in range(0, states.shape[0], _CHUNK):
-        part = states[start:start + _CHUNK]
-        yield slice(start, start + part.shape[0]), _gram(part)
+    """Yield ``(rows, products)`` over the chunks of :func:`_gram_rows`,
+    where ``products[k]`` equals :func:`correlations` of snapshot
+    ``rows[k]`` bit for bit: the stacked Gram product runs the same
+    per-snapshot product."""
+    for rows in _gram_rows(states):
+        yield rows, _gram(states[rows])
 
 
 def correlation_gap_series(traj1: Trajectory, traj2: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +248,12 @@ class ConsensusStatus:
     max_variation: float
 
 
+def consensus_window(times) -> float:
+    """The trailing window a scenario's consensus analysis classifies: a
+    fifth of the span of the grid."""
+    return 0.2 * float(times[-1] - times[0])
+
+
 def trailing_window_start(times, window: float) -> int:
     """First row of the trailing ``window`` time units of an increasing
     grid. The window must be positive, shorter than the grid's span, and
@@ -273,9 +286,10 @@ def consensus_status(
     times = traj.times
     first = trailing_window_start(times, window)
 
-    count, _, p = traj.states[0].shape
-    stack = np.empty((times.shape[0] - first, count, count, p, p))
-    for rows, products in _chunked_correlations(traj.states[first:]):
+    window_states = traj.states[first:]
+    count, _, p = window_states.shape[1:]
+    stack = np.empty((window_states.shape[0], count, count, p, p))
+    for rows, products in _chunked_correlations(window_states):
         stack[rows] = products
 
     # the largest gaps of each chunk of the window, from one temporary per
@@ -283,8 +297,8 @@ def consensus_status(
     mean = stack.mean(axis=0)
     eye = np.eye(p)
     largest = []
-    for start in range(0, len(stack), _CHUNK):
-        part = stack[start:start + _CHUNK]
+    for rows in _gram_rows(window_states):
+        part = stack[rows]
         largest.append((_largest_norm(part - eye), _largest_norm(part - mean)))
     max_identity_gap, max_variation = (float(v) for v in np.max(largest, axis=0))
 
@@ -307,11 +321,11 @@ def consensus_status(
 # rate fitting and stability gain
 
 
-def decay_fit_window(times, fit_fraction: float) -> tuple[float, float]:
-    """The trailing ``fit_fraction`` of a grid that starts at t = 0:
-    ((1 - fit_fraction) T, T) with T its last time."""
+def decay_fit_window(times) -> tuple[float, float]:
+    """The window a scenario's decay fit runs on: the trailing half of a
+    grid that starts at t = 0, (T / 2, T) with T its last time."""
     t_end = float(times[-1])
-    return ((1.0 - fit_fraction) * t_end, t_end)
+    return (0.5 * t_end, t_end)
 
 
 def fit_window_mask(times, fit_window: tuple[float, float]) -> np.ndarray:

@@ -225,8 +225,10 @@ def tangent_residual(point, v) -> float:
 # entries), 86 kB. Its users, each of which writes a chunk's result straight
 # into its output: orthonormality_drift (entries of the ensembles read),
 # _pair_sq_chunks for ensemble_diameter and model.potential (entries
-# differenced) and diagnostics.pair_columns (entries of the snapshots
-# subtracted). So no temporary grows with the number of stored snapshots.
+# differenced), diagnostics.pair_columns (entries of the snapshots
+# subtracted) and the Gram passes of diagnostics, the correlation gap series
+# and consensus detection (Gram entries, N^2 p^2 a snapshot). So no
+# temporary grows with the number of stored snapshots.
 _PAIR_CHUNK_ENTRIES = 32 * 28 * 12
 
 

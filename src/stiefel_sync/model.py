@@ -153,28 +153,25 @@ class Topology:
 
 
 def frequency_spread(freqs) -> float:
-    """Largest pairwise Frobenius distance among the skew generators.
+    """Largest pairwise Frobenius distance among the skew generators: the
+    :func:`~stiefel_sync.manifold.ensemble_diameter` of the (N, p, p)
+    stack.
 
     Scaled as :func:`~stiefel_sync.linalg._skew_checks` scales: generators
     whose largest entry is 1 or more are multiplied by the power of two
-    2^-e that brings that entry into [1/2, 1), their distances are taken,
-    and the largest is multiplied back by 2^e. Both scalings are by powers
-    of two, so the spread is the unscaled one wherever neither computation
-    overflows or underflows. The scaled sums of squares stay below 4 p^2,
-    so the spread is Inf, without a warning, only where it exceeds the
-    float range itself."""
+    2^-e that brings that entry into [1/2, 1), their diameter is taken, and
+    it is multiplied back by 2^e. Both scalings are by powers of two, so the
+    spread is the unscaled one wherever neither computation overflows or
+    underflows. The scaled sums of squares stay below 4 p^2, so the spread
+    is Inf, without a warning, only where it exceeds the float range
+    itself."""
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 3:
         raise DimensionError(f"frequencies must be (N, p, p), got shape {freqs.shape}")
-    if freqs.shape[0] == 1:
-        return 0.0
     _, e = np.frexp(np.abs(freqs).max())
     e = max(int(e), 0)
-    scaled = np.ldexp(freqs, -e)
-    diffs = scaled[:, None] - scaled[None, :]
-    largest = np.max(np.sqrt(np.sum(diffs * diffs, axis=(-2, -1))))
     with np.errstate(over="ignore"):
-        return float(np.ldexp(largest, e))
+        return float(np.ldexp(ensemble_diameter(np.ldexp(freqs, -e)), e))
 
 
 def zero_frequencies(count: int, p: int) -> np.ndarray:

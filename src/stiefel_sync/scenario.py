@@ -4,10 +4,10 @@ bundled templates, experiment execution, and machine-readable reports.
 
 A scenario is a single JSON object. Physical parameters (dimensions, kappa,
 topology, frequencies, initial data) carry no defaults and must be explicit;
-only the numerics (integrator settings, the perturbed partner, analysis
-options) default, and the parser fills every default in, so a run reads
-each value from the parsed :class:`Scenario`. See README for the full
-schema.
+only the numerics (integrator settings, the perturbed partner) default, and
+the parser fills every default in, so a run reads each value from the
+parsed :class:`Scenario`. An analysis is a name and runs one fixed rule of
+:mod:`~stiefel_sync.diagnostics`. See README for the full schema.
 """
 
 from __future__ import annotations
@@ -274,26 +274,22 @@ def build_integrator(spec: Mapping) -> IntegratorConfig:
         raise ScenarioError(str(exc), field="integrator") from exc
 
 
-def _normalize_analyses(raw) -> dict[str, dict]:
-    """The analyses list as a map from each name to the options given."""
-    analyses: dict[str, dict] = {}
-    for k, entry in enumerate(raw):
-        if isinstance(entry, str):
-            name, params = entry, {}
-        elif isinstance(entry, dict) and len(entry) == 1:
-            ((name, params),) = entry.items()
-            if not isinstance(params, dict):
-                raise ScenarioError("analysis options must be an object", field=f"analyses[{k}]")
-        else:
-            raise ScenarioError(
-                "each analysis is a name or a single-key object", field=f"analyses[{k}]"
-            )
+def _normalize_analyses(raw) -> list[str]:
+    """The analyses list as its names, in the order given. An analysis is a
+    name and takes no options: an object entry is rejected naming the first
+    option it gives an analysis, else as ``analyses[k]``."""
+    for k, name in enumerate(raw):
+        if isinstance(name, dict) and len(name) == 1:
+            ((analysis, options),) = name.items()
+            if analysis in ANALYSIS_NAMES and isinstance(options, dict):
+                _reject_unknown(options, (), f"analyses.{analysis}")
+        if not isinstance(name, str):
+            raise ScenarioError("each analysis is a name", field=f"analyses[{k}]")
         if name not in ANALYSIS_NAMES:
             raise ScenarioError(f"unknown analysis {name!r}", field=f"analyses[{k}]")
-        if name in analyses:
+        if name in raw[:k]:
             raise ScenarioError(f"duplicate analysis {name!r}", field=f"analyses[{k}]")
-        analyses[name] = dict(params)
-    return analyses
+    return list(raw)
 
 
 def _check_storage(integrator: IntegratorConfig, count: int, n: int, p: int, pair: bool) -> None:
@@ -315,58 +311,22 @@ def _check_storage(integrator: IntegratorConfig, count: int, n: int, p: int, pai
     )
 
 
-def _resolve_analysis_params(name: str, params: dict, times: np.ndarray) -> dict:
-    """Check an analysis's options and fill each missing one with its
-    default; given values are kept as given. ``times`` is the recorded grid:
-    an analysis that cannot run on it is rejected with the rule the analysis
-    runs, naming the option when it was given and the horizon when not."""
-    where = f"analyses.{name}"
+def _check_analysis_grid(name: str, times: np.ndarray) -> None:
+    """Reject an analysis that cannot run on the recorded grid ``times``,
+    with the rule the analysis runs, naming the horizon."""
     grid = f" on the recorded grid of {times.shape[0]} snapshots up to t = {times[-1]:g}: "
+    field = "integrator.t_end"
     if name == "consensus":
-        _reject_unknown(params, {"window", "tol"}, where)
-        for key in ("window", "tol"):
-            if key in params and (value := _need(params, key, float, where)) <= 0:
-                raise ScenarioError(
-                    f"expected a positive number, got {value!r}", field=f"{where}.{key}"
-                )
-        field = f"{where}.window" if "window" in params else "integrator.t_end"
-        # a fifth of the recorded span
-        window = params.setdefault("window", 0.2 * float(times[-1] - times[0]))
-        params.setdefault("tol", diagnostics.CONSENSUS_TOL)
+        window = diagnostics.consensus_window(times)
         context = f"a consensus window of {window:g}{grid}"
         _validated(diagnostics.trailing_window_start, times, window, field=field, context=context)
     elif name == "decay_fit":
-        _reject_unknown(params, {"fit_fraction"}, where)
-        field = f"{where}.fit_fraction" if "fit_fraction" in params else "integrator.t_end"
-        params.setdefault("fit_fraction", 0.5)
-        fraction = _need(params, "fit_fraction", float, where)
-        if not 0 < fraction < 1:
-            raise ScenarioError("fit_fraction must be in (0, 1)", field=f"{where}.fit_fraction")
-        window = diagnostics.decay_fit_window(times, fraction)
-        context = f"a decay fit over the last {fraction:g} of the span{grid}"
+        window = diagnostics.decay_fit_window(times)
+        context = f"a decay fit over the trailing half of the span{grid}"
         _validated(diagnostics.fit_window_mask, times, window, field=field, context=context)
     elif name == "audits":
-        _reject_unknown(params, set(), where)
         context = f"the audits' slopes{grid}"
-        _validated(diagnostics.slope_spacing, times, field="integrator.t_end", context=context)
-    elif name == "stability":
-        _reject_unknown(params, {"p_exp"}, where)
-        exponents = params.setdefault("p_exp", [1.0, 2.0])
-        if not isinstance(exponents, list) or not exponents:
-            raise ScenarioError("p_exp must be a nonempty list", field=f"{where}.p_exp")
-        for v in exponents:
-            # NaN fails the comparison; Infinity is the max norm, while an
-            # integer beyond the float range is no float at all
-            number = isinstance(v, float) or (
-                isinstance(v, int) and not isinstance(v, bool) and v <= sys.float_info.max
-            )
-            if not (number and v >= 1):
-                raise ScenarioError(
-                    f"p_exp entries must be numbers >= 1, got {v!r}", field=f"{where}.p_exp"
-                )
-    else:
-        _reject_unknown(params, set(), where)
-    return params
+        _validated(diagnostics.slope_spacing, times, field=field, context=context)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +335,15 @@ def _resolve_analysis_params(name: str, params: dict, times: np.ndarray) -> dict
 
 @dataclass
 class Scenario:
-    """Validated scenario: built model objects, and every numeric setting
-    and analysis option with its defaults filled in."""
+    """Validated scenario: built model objects, every numeric setting with
+    its defaults filled in, and the names of the analyses in the order
+    given."""
 
     name: str
     model: ModelConfig
     initial: np.ndarray
     integrator: IntegratorConfig
-    analyses: dict[str, dict]
+    analyses: list[str]
     perturbation: dict
     expect: dict
 
@@ -417,14 +378,12 @@ class Scenario:
         if count < 1 or not 1 <= p <= n:
             raise ScenarioError(f"need N >= 1 and 1 <= p <= n, got N={count}, p={p}, n={n}", field="dims")
         integrator = build_integrator(_optional(raw, "integrator", dict, {}))
-        requested = _normalize_analyses(_optional(raw, "analyses", list, []))
+        analyses = _normalize_analyses(_optional(raw, "analyses", list, []))
         # before anything of the run's size is allocated, the grid included
-        _check_storage(integrator, count, n, p, any(a in PAIR_ANALYSES for a in requested))
+        _check_storage(integrator, count, n, p, any(a in PAIR_ANALYSES for a in analyses))
         times = integrator.recorded_steps() * integrator.h
-        analyses = {
-            name: _resolve_analysis_params(name, params, times)
-            for name, params in requested.items()
-        }
+        for analysis in analyses:
+            _check_analysis_grid(analysis, times)
         kappa = _need(raw, "kappa", float)
         if kappa < 0:
             raise ScenarioError("kappa must be nonnegative", field="kappa")
@@ -561,19 +520,19 @@ def run_scenario(source, out_dir: str = ".") -> dict:
 
     consensus_dict = None
     if "consensus" in sc.analyses:
-        params = sc.analyses["consensus"]
-        status = diagnostics.consensus_status(traj, params["window"], params["tol"])
+        window = diagnostics.consensus_window(traj.times)
+        status = diagnostics.consensus_status(traj, window)
         consensus_dict = {
             "kind": status.kind,
             "max_identity_gap": status.max_identity_gap,
             "max_variation": status.max_variation,
-            "window": params["window"],
-            "tol": params["tol"],
+            "window": window,
+            "tol": diagnostics.CONSENSUS_TOL,
         }
 
     decay_dict = None
     if "decay_fit" in sc.analyses:
-        window = diagnostics.decay_fit_window(pair["t"], sc.analyses["decay_fit"]["fit_fraction"])
+        window = diagnostics.decay_fit_window(pair["t"])
         rate, r_squared = diagnostics.fit_decay_rate(pair["t"], pair["diam_A"], window)
         slack_sup = float(
             np.max(contraction_slack(sc.model, pair["diam_S"], pair["diam_S_tilde"]))
@@ -592,8 +551,8 @@ def run_scenario(source, out_dir: str = ".") -> dict:
     gain_dict = None
     if "stability" in sc.analyses:
         gain_dict = {
-            str(p_exp): diagnostics.stability_gain(pair, float(p_exp))
-            for p_exp in sc.analyses["stability"]["p_exp"]
+            str(p_exp): diagnostics.stability_gain(pair, p_exp)
+            for p_exp in diagnostics.GAIN_EXPONENTS
         }
 
     artifacts = []
@@ -778,10 +737,7 @@ def _template_stability_pair(seed: int) -> dict:
         "initial": {"kind": "near_consensus", "radius": 0.1, "seed": seed + 2},
         "integrator": {"h": 0.002, "t_end": 50.0, "record_stride": 10},
         "perturbation": {"radius": 0.002, "seed": seed + 3},
-        "analyses": [
-            "framework",
-            {"stability": {"p_exp": [1.0, 2.0, 4.0]}},
-        ],
+        "analyses": ["framework", "stability"],
         "expect": {"framework": True},
     }
 

@@ -17,6 +17,7 @@ from stiefel_sync.errors import (
 from stiefel_sync.integrate import IntegratorConfig, Trajectory, integrate
 from stiefel_sync.linalg import expm_skew
 from stiefel_sync.manifold import (
+    _PAIR_CHUNK_ENTRIES,
     ensemble_diameter,
     near_consensus_ensemble,
     orthonormality_drift,
@@ -123,12 +124,12 @@ class TestGram:
         batch = integrate(
             np.stack([init, perturb_ensemble(init, 1e-2, seed=8)]),
             cfg,
-            IntegratorConfig(h=1e-2, t_end=1.5, record_stride=1),
+            IntegratorConfig(h=1e-2, t_end=3.5, record_stride=1),
         )
         member = batch.members()[1]
         assert member.states.base is not None  # a view into the batch stack
         total = len(member)
-        assert total > 2 * dg._CHUNK
+        assert total > 2 * gram_chunk(4, 2)
         chunked = np.empty((total, 4, 4, 2, 2))
         for rows, products in dg._chunked_correlations(member.states):
             assert products.flags.c_contiguous
@@ -173,10 +174,17 @@ def random_track(count, n, p, total, seed):
     return Trajectory(times=times, states=states, drift=zeros, diameters=zeros)
 
 
-# lengths around the chunk size of the chunked passes, and shapes up to p = 4
+def gram_chunk(count, p):
+    """Snapshots a chunk of the Gram passes holds: as many as have at most
+    the budget's entries, N^2 p^2 a snapshot."""
+    return _PAIR_CHUNK_ENTRIES // (count * p) ** 2
+
+
+# lengths around the chunk size of the chunked passes (42 snapshots at
+# (8, 6, 2), 47 at (5, 4, 3), 74 at (6, 5, 2)), and shapes up to p = 4
 CHUNK_CASES = [
-    ((3, 2, 1), 1), ((8, 6, 2), 63), ((8, 6, 2), 64), ((5, 4, 3), 65),
-    ((6, 5, 2), 130), ((4, 4, 4), 200),
+    ((3, 2, 1), 1), ((8, 6, 2), gram_chunk(8, 2) - 1), ((8, 6, 2), gram_chunk(8, 2)),
+    ((5, 4, 3), gram_chunk(5, 3) + 1), ((6, 5, 2), 2 * gram_chunk(6, 2) + 1), ((4, 4, 4), 200),
 ]
 
 

@@ -81,7 +81,6 @@ NON_FINITE_FIELDS = {
     "frequencies.spread": {
         "dims": PLANES, "frequencies": {"kind": "random", "spread": INF, "seed": 1}
     },
-    "analyses.decay_fit.fit_fraction": {"analyses": [{"decay_fit": {"fit_fraction": NAN}}]},
     "kappa": {"kappa": 10 ** 400},
     "integrator.t_end": {"integrator": {"h": 0.002, "t_end": -(10 ** 400)}},
 }
@@ -291,35 +290,34 @@ class TestScenarioParsing:
 
 class TestResolvedDefaults:
     def test_parser_fills_every_default(self, tmp_path):
-        path = minimal_scenario(tmp_path, analyses=["consensus", "decay_fit", "stability"])
+        path = minimal_scenario(tmp_path, analyses=["stability", "consensus", "decay_fit"])
         scenario = Scenario.from_file(path)
-        assert scenario.analyses == {
-            "consensus": {"window": 0.2 * (3000 * 0.002), "tol": 1e-6},
-            "decay_fit": {"fit_fraction": 0.5},
-            "stability": {"p_exp": [1.0, 2.0]},
-        }
+        # analyses are their names, in the order given
+        assert scenario.analyses == ["stability", "consensus", "decay_fit"]
         assert scenario.perturbation == {"radius": 1e-3, "seed": 1000003}
 
     @pytest.mark.parametrize("h, t_end, stride", [(0.002, 6.0, 5), (0.003, 1.0, 1), (0.1, 0.7, 3)])
-    def test_default_window_is_a_fifth_of_the_recorded_span(self, tmp_path, h, t_end, stride):
+    def test_window_is_a_fifth_of_the_recorded_span(self, tmp_path, h, t_end, stride):
         path = minimal_scenario(
             tmp_path, integrator={"h": h, "t_end": t_end, "record_stride": stride}
         )
         scenario = Scenario.from_file(path)
         times = integrate(scenario.initial, scenario.model, scenario.integrator).times
         span = float(times[-1] - times[0])
-        assert scenario.analyses["consensus"]["window"] == 0.2 * span
-
-    def test_given_options_kept_as_given(self, tmp_path):
-        path = minimal_scenario(
-            tmp_path,
-            analyses=[{"consensus": {"window": 2, "tol": 1e-5}}, {"stability": {"p_exp": [1, 4]}}],
-        )
         report = run_scenario(path, out_dir=str(tmp_path))
-        consensus = report["consensus"]
-        assert consensus["window"] == 2 and isinstance(consensus["window"], int)
-        assert consensus["tol"] == 1e-5
-        assert set(report["gain"]) == {"1", "4"}
+        assert report["consensus"]["window"] == 0.2 * span
+        assert report["consensus"]["tol"] == diagnostics.CONSENSUS_TOL
+
+    def test_fixed_rules_reported(self, tmp_path):
+        # the decay fit runs on the trailing half of the span and the
+        # stability analysis reports the l1, l2 and l4 gains
+        path = minimal_scenario(tmp_path, analyses=["decay_fit", "stability"])
+        report = run_scenario(path, out_dir=str(tmp_path))
+        assert report["decay"]["fit_window"] == [3.0, 6.0]
+        assert list(report["gain"]) == ["1.0", "2.0", "4.0"]
+        columns = read_series(tmp_path / "tiny_pair.csv")
+        for key, gain in report["gain"].items():
+            assert gain == diagnostics.stability_gain(columns, float(key))
 
 
 def scalar_leaves(node, path=()):
@@ -666,7 +664,7 @@ class TestRunScenario:
         path = minimal_scenario(
             tmp_path,
             name="paircols",
-            analyses=["consensus", {"stability": {"p_exp": [1.0, 2.0]}}],
+            analyses=["consensus", "stability"],
         )
         report = run_scenario(path, out_dir=str(tmp_path))
         pair_csv = [a for a in report["artifacts"] if a.endswith("_pair.csv")]
@@ -676,7 +674,7 @@ class TestRunScenario:
                          "diam_S_tilde", "dist_l1", "dist_l2", "dist_agent_0"):
             assert required in columns
         assert report["gain"] is not None
-        assert set(report["gain"]) == {"1.0", "2.0"}
+        assert set(report["gain"]) == {"1.0", "2.0", "4.0"}
 
     @pytest.mark.parametrize("analyses", [["consensus"], list(ANALYSIS_NAMES)])
     def test_report_json_schema(self, tmp_path, analyses):
@@ -920,20 +918,29 @@ class TestCli:
         assert "integrator" in err.getvalue() and "h =" in err.getvalue()
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("window", "x"), ("window", float("nan")), ("window", -1.0), ("window", 0),
-         ("tol", float("nan")), ("tol", float("inf")), ("tol", "1e-6"), ("tol", 0.0)],
-        ids=["window-str", "window-nan", "window-neg", "window-zero",
-             "tol-nan", "tol-inf", "tol-str", "tol-zero"],
+        "entry, field",
+        [
+            ({"consensus": {"window": 2.0}}, "analyses.consensus.window"),
+            ({"consensus": {"tol": 1e-5}}, "analyses.consensus.tol"),
+            ({"decay_fit": {"fit_fraction": 0.5}}, "analyses.decay_fit.fit_fraction"),
+            ({"stability": {"p_exp": [1.0, 2.0, 4.0]}}, "analyses.stability.p_exp"),
+            ({"consensus": {}}, "analyses[1]"),
+            ({"consensus": None}, "analyses[1]"),
+            ({"consensus": {}, "stability": {}}, "analyses[1]"),
+        ],
+        ids=["window", "tol", "fit_fraction", "p_exp", "object", "object-not-options",
+             "object-two-keys"],
     )
-    def test_bad_consensus_param_exit_code(self, tmp_path, field, value):
-        path = minimal_scenario(tmp_path, analyses=[{"consensus": {field: value}}])
+    def test_analysis_options_retired_exit_code(self, tmp_path, entry, field):
+        # an analysis is a name and runs one fixed rule: an option names
+        # its field, any other object its entry
+        path = minimal_scenario(tmp_path, analyses=["framework", entry])
         out, err = io.StringIO(), io.StringIO()
         code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
         assert code == EXIT_SCENARIO
         assert out.getvalue() == ""
         assert "Traceback" not in err.getvalue()
-        assert f"analyses.consensus.{field}" in err.getvalue()
+        assert err.getvalue().startswith(f"error in {path}: {field}: ")
 
     @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
     def test_non_finite_scenario_number_exit_code(self, tmp_path, field):
@@ -955,16 +962,6 @@ class TestCli:
         assert "Traceback" not in err.getvalue()
         assert f"{field}: " in err.getvalue() and "must be nonnegative" in err.getvalue()
 
-    @pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.0, 1.5])
-    def test_bad_fit_fraction_exit_code(self, tmp_path, fraction):
-        path = minimal_scenario(tmp_path, analyses=[{"decay_fit": {"fit_fraction": fraction}}])
-        out, err = io.StringIO(), io.StringIO()
-        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
-        assert code == EXIT_SCENARIO
-        assert out.getvalue() == ""
-        assert "Traceback" not in err.getvalue()
-        assert "analyses.decay_fit.fit_fraction: fit_fraction must be in (0, 1)" in err.getvalue()
-
     @pytest.mark.parametrize("case", BAD_LIST_FIELDS)
     def test_bad_list_field_entry_exit_code(self, tmp_path, case):
         field, overrides = BAD_LIST_FIELDS[case]
@@ -975,36 +972,6 @@ class TestCli:
         assert out.getvalue() == ""
         assert "Traceback" not in err.getvalue()
         assert f"{field}: " in err.getvalue()
-
-    def test_nan_gain_exponent_exit_code(self, tmp_path):
-        path = minimal_scenario(tmp_path, analyses=[{"stability": {"p_exp": [2.0, NAN]}}])
-        out, err = io.StringIO(), io.StringIO()
-        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
-        assert code == EXIT_SCENARIO
-        assert out.getvalue() == ""
-        assert "analyses.stability.p_exp: p_exp entries must be numbers >= 1" in err.getvalue()
-
-    def test_huge_gain_exponent_exit_code(self, tmp_path):
-        path = minimal_scenario(tmp_path, analyses=[{"stability": {"p_exp": [2.0, 10 ** 400]}}])
-        out, err = io.StringIO(), io.StringIO()
-        code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
-        assert code == EXIT_SCENARIO
-        assert out.getvalue() == ""
-        assert "analyses.stability.p_exp: p_exp entries must be numbers >= 1" in err.getvalue()
-
-    def test_large_gain_exponent_runs(self, tmp_path):
-        # the bundled pair starts 0.002 apart, where x_i^2000 underflows: a
-        # large but finite exponent is a valid gain, not identical data
-        with open(os.path.join(BUNDLED, "stability_pair.json")) as handle:
-            raw = json.load(handle)
-        raw["integrator"]["t_end"] = 1.0
-        raw["analyses"] = ["framework", {"stability": {"p_exp": [2000.0, 1e300]}}]
-        path = tmp_path / "large_p.json"
-        path.write_text(json.dumps(raw))
-        out, err = io.StringIO(), io.StringIO()
-        code = main(["run", str(path), "--out", str(tmp_path)], out=out, err=err)
-        assert (code, err.getvalue()) == (EXIT_OK, "")
-        assert "  gain: l1e+300=1, l2000.0=1\n" in out.getvalue()
 
     @pytest.mark.parametrize("case", BAD_INTEGER_FIELDS)
     def test_bad_integer_field_exit_code(self, tmp_path, case):
@@ -1028,79 +995,83 @@ class TestCli:
         assert f"analyses.stability.{key}: unknown field" in err.getvalue()
 
     @pytest.mark.parametrize(
-        "integrator, consensus, field",
+        "integrator",
         [
-            ({"h": 0.002, "t_end": 0.0}, {}, "integrator.t_end"),
+            {"h": 0.002, "t_end": 0.0},
             # one step: a single snapshot after the first
-            ({"h": 0.002, "t_end": 0.002}, {}, "integrator.t_end"),
-            # the default window, a fifth of the span, is shorter than the spacing
-            ({"h": 0.1, "t_end": 1.0, "record_stride": 5}, {}, "integrator.t_end"),
-            ({"h": 0.002, "t_end": 6.0}, {"window": 6.0}, "analyses.consensus.window"),
-            ({"h": 0.002, "t_end": 6.0, "record_stride": 5}, {"window": 0.005},
-             "analyses.consensus.window"),
+            {"h": 0.002, "t_end": 0.002},
+            # the window, a fifth of the span, is shorter than the spacing
+            {"h": 0.1, "t_end": 1.0, "record_stride": 5},
         ],
-        ids=["t_end-zero", "one-step", "default-window-below-spacing", "window-span",
-             "window-below-spacing"],
+        ids=["t_end-zero", "one-step", "default-window-below-spacing"],
     )
-    def test_horizon_short_for_consensus_window_exit_code(
-        self, tmp_path, integrator, consensus, field
-    ):
-        path = minimal_scenario(
-            tmp_path, integrator=integrator, analyses=[{"consensus": consensus}]
-        )
+    def test_horizon_short_for_consensus_window_exit_code(self, tmp_path, integrator):
+        path = minimal_scenario(tmp_path, integrator=integrator, analyses=["consensus"])
         out, err = io.StringIO(), io.StringIO()
         code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
         assert code == EXIT_SCENARIO
         assert out.getvalue() == ""
         assert "Traceback" not in err.getvalue()
-        assert f"{field}: a consensus window" in err.getvalue()
+        assert "integrator.t_end: a consensus window" in err.getvalue()
 
-    @pytest.mark.parametrize("stride", [1, 3])
-    def test_consensus_window_check_matches_consensus_status(self, tmp_path, stride):
-        # the parser accepts a window exactly when consensus_status can
-        # classify it on the run's grid; multiples of h hit the boundaries,
-        # where the grid times and t_end - window round
-        icfg = IntegratorConfig(h=0.1, t_end=1.0, record_stride=stride)
+    @staticmethod
+    def _grid_sweep(tmp_path, stride, analysis, runs):
+        """Parse a two-agent scenario of one ``analysis`` at every horizon
+        0, h, ..., 2.5 with h = 0.1 and the given stride, and assert that it
+        parses exactly when ``runs`` succeeds on the trajectory it
+        integrates; multiples of h hit the boundaries, where the grid times
+        and the window edges round. Both outcomes must occur."""
         cfg = ModelConfig(
             kappa=1.0, topology=Topology.separable(np.ones(2)),
             freqs=zero_frequencies(2, 1), n=2, p=1,
         )
-        traj = integrate(random_ensemble(2, 1, 2, seed=3), cfg, icfg)
         outcomes = set()
-        for window in [k * 0.1 for k in range(1, 12)] + [k / 10 for k in range(1, 12)]:
+        for t_end in [k * 0.1 for k in range(26)] + [k / 10 for k in range(26)]:
+            integrator = {"h": 0.1, "t_end": t_end, "record_stride": stride}
             path = minimal_scenario(
                 tmp_path, dims={"n": 2, "p": 1, "N": 2},
                 topology={"kind": "separable", "xi": [1.0, 1.0]},
-                integrator={"h": 0.1, "t_end": 1.0, "record_stride": stride},
-                analyses=[{"consensus": {"window": window}}],
+                integrator=integrator, analyses=[analysis],
             )
             try:
                 Scenario.from_file(path)
                 parsed = True
             except ScenarioError:
                 parsed = False
+            traj = integrate(random_ensemble(2, 1, 2, seed=3), cfg, IntegratorConfig(**integrator))
             try:
-                diagnostics.consensus_status(traj, window)
-                classified = True
+                runs(traj)
+                ran = True
             except (InsufficientDataError, ValidationError):
-                classified = False
-            assert parsed == classified, window
+                ran = False
+            assert parsed == ran, t_end
             outcomes.add(parsed)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("stride", [1, 3, 5])
+    def test_consensus_window_check_matches_consensus_status(self, tmp_path, stride):
+        # the parser accepts a horizon exactly when consensus_status can
+        # classify a fifth of the span of the run's grid
+        self._grid_sweep(
+            tmp_path, stride, "consensus",
+            lambda traj: diagnostics.consensus_status(
+                traj, diagnostics.consensus_window(traj.times)
+            ),
+        )
 
     @pytest.mark.parametrize(
         "integrator, analysis, field",
         [
             ({"h": 0.002, "t_end": 0.002}, "decay_fit", "integrator.t_end"),
             ({"h": 0.002, "t_end": 0.0}, "decay_fit", "integrator.t_end"),
-            ({"h": 0.002, "t_end": 6.0, "record_stride": 50},
-             {"decay_fit": {"fit_fraction": 0.01}}, "analyses.decay_fit.fit_fraction"),
+            # recorded at t = 0, 3 and 6: two points in the trailing half
+            ({"h": 0.002, "t_end": 6.0, "record_stride": 1500}, "decay_fit", "integrator.t_end"),
             ({"h": 0.002, "t_end": 0.002}, "audits", "integrator.t_end"),
             ({"h": 0.002, "t_end": 0.0}, "audits", "integrator.t_end"),
             # 25 steps recorded every 7th and at the last: not uniform
             ({"h": 0.002, "t_end": 0.05, "record_stride": 7}, "audits", "integrator.t_end"),
         ],
-        ids=["decay-one-step", "decay-t_end-zero", "decay-fraction-below-spacing",
+        ids=["decay-one-step", "decay-t_end-zero", "decay-half-below-spacing",
              "audits-one-step", "audits-t_end-zero", "audits-uneven-grid"],
     )
     def test_horizon_short_for_decay_fit_or_audits_exit_code(
@@ -1116,39 +1087,16 @@ class TestCli:
         assert f"{field}: " in err.getvalue()
         assert not os.path.exists(tmp_path / "tiny.csv")
 
-    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 3, 5])
     def test_decay_fit_check_matches_fit_decay_rate(self, tmp_path, stride):
-        # the parser accepts a fit_fraction exactly when fit_decay_rate can
-        # fit the trailing fraction of the run's grid
-        icfg = IntegratorConfig(h=0.1, t_end=1.0, record_stride=stride)
-        cfg = ModelConfig(
-            kappa=1.0, topology=Topology.separable(np.ones(2)),
-            freqs=zero_frequencies(2, 1), n=2, p=1,
+        # the parser accepts a horizon exactly when fit_decay_rate can fit
+        # the trailing half of the run's grid, from t_end / 2 on
+        self._grid_sweep(
+            tmp_path, stride, "decay_fit",
+            lambda traj: diagnostics.fit_decay_rate(
+                traj.times, traj.diameters, (0.5 * float(traj.times[-1]), float(traj.times[-1]))
+            ),
         )
-        traj = integrate(random_ensemble(2, 1, 2, seed=3), cfg, icfg)
-        t_end = float(traj.times[-1])
-        outcomes = set()
-        for fraction in [k * 0.05 for k in range(1, 20)] + [k / 10 for k in range(1, 10)]:
-            path = minimal_scenario(
-                tmp_path, dims={"n": 2, "p": 1, "N": 2},
-                topology={"kind": "separable", "xi": [1.0, 1.0]},
-                integrator={"h": 0.1, "t_end": 1.0, "record_stride": stride},
-                analyses=[{"decay_fit": {"fit_fraction": fraction}}],
-            )
-            try:
-                Scenario.from_file(path)
-                parsed = True
-            except ScenarioError:
-                parsed = False
-            window = ((1.0 - fraction) * t_end, t_end)
-            try:
-                diagnostics.fit_decay_rate(traj.times, traj.diameters, window)
-                fitted = True
-            except InsufficientDataError:
-                fitted = False
-            assert parsed == fitted, fraction
-            outcomes.add(parsed)
-        assert outcomes == {True, False}
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -1274,7 +1222,7 @@ class TestCli:
             tmp_path,
             name="audit_me",
             integrator={"h": 0.002, "t_end": 4.0, "record_stride": 1},
-            analyses=["consensus", {"stability": {"p_exp": [1.0]}}],
+            analyses=["consensus", "stability"],
         )
         out = io.StringIO()
         assert main(["run", path, "--out", str(tmp_path)], out=out, err=out) == EXIT_OK
@@ -1313,7 +1261,7 @@ class TestCli:
             tmp_path,
             name="again",
             integrator={"h": 0.01, "t_end": 1.0, "record_stride": 1},
-            analyses=[{"stability": {"p_exp": [1.0]}}],
+            analyses=["stability"],
         )
         run = ["run", path, "--out", str(tmp_path)]
         audit = ["audit", str(tmp_path / "again_pair.csv"), "--config", path]
@@ -1345,7 +1293,7 @@ class TestCli:
             tmp_path,
             name=name,
             integrator={"h": 0.01, "t_end": 1.0, "record_stride": 1},
-            analyses=[{"stability": {"p_exp": [1.0]}}],
+            analyses=["stability"],
         )
         out = io.StringIO()
         assert main(["run", path, "--out", str(tmp_path)], out=out, err=out) == EXIT_OK
@@ -1435,7 +1383,7 @@ class TestCli:
 
     def test_audit_rejects_csv_cut_at_row_boundary(self, tmp_path):
         # a cut just after the newline of data row 60 leaves a valid shorter
-        # table; only the scenario's horizon shows the cut
+        # table; only the scenario's grid shows the cut
         path, pair_csv = self._pair_run(tmp_path)
         data = pair_csv.read_bytes()
         row_end = [k for k, byte in enumerate(data) if byte == ord("\n")][60]
@@ -1445,7 +1393,34 @@ class TestCli:
         assert code == EXIT_SCENARIO
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:")
-        assert "not at the scenario's horizon t = 1" in err.getvalue()
+        assert "(60 rows up to t = " in err.getvalue()
+        assert "(101 snapshots up to its horizon t = 1)" in err.getvalue()
+
+    @pytest.mark.parametrize("run_stride, audit_stride", [(4, 1), (1, 4), (4, 2)])
+    def test_audit_rejects_csv_of_another_stride(self, tmp_path, run_stride, audit_stride):
+        # the runs end at the same horizon, and a coarser grid's slopes pass
+        # the finer grid's tolerance, so only the whole t column shows that
+        # the file is another run's
+        def scenario(name, stride):
+            return minimal_scenario(
+                tmp_path, name=name, dims={"n": 3, "p": 2, "N": 3},
+                topology={"kind": "separable", "xi": [1.0, 1.2, 0.9]},
+                frequencies={"kind": "random", "spread": 0.3, "seed": 5},
+                integrator={"h": 0.01, "t_end": 2.0, "record_stride": stride},
+                analyses=["audits"],
+            )
+
+        ran = scenario("ran", run_stride)
+        out = io.StringIO()
+        assert main(["run", ran, "--out", str(tmp_path)], out=out, err=out) == EXIT_OK
+        pair_csv = str(tmp_path / "ran_pair.csv")
+        assert main(["audit", pair_csv, "--config", ran], out=out, err=out) == EXIT_OK
+        out, err = io.StringIO(), io.StringIO()
+        other = scenario("other", audit_stride)
+        code = main(["audit", pair_csv, "--config", other], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and "another run" in err.getvalue()
 
     def test_run_and_csv_reaudit_agree_bitwise(self, tmp_path, monkeypatch):
         # the run audits its in-memory pair columns and the re-audit the
