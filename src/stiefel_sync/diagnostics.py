@@ -258,7 +258,7 @@ def trailing_window_start(times, window: float) -> int:
     """First row of the trailing ``window`` time units of an increasing
     grid. The window must be positive, shorter than the grid's span, and
     hold at least two samples."""
-    if window <= 0:
+    if not window > 0:
         raise ValidationError("window must be positive")
     span = float(times[-1] - times[0])
     if window >= span:
@@ -282,7 +282,10 @@ def _largest_norm(blocks: np.ndarray):
 def consensus_status(
     traj: Trajectory, window: float, tol: float = CONSENSUS_TOL
 ) -> ConsensusStatus:
-    """Classify the trailing ``window`` time units of a trajectory."""
+    """Classify the trailing ``window`` time units of a trajectory at a
+    positive, finite ``tol``."""
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     times = traj.times
     first = trailing_window_start(times, window)
 

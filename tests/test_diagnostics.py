@@ -336,6 +336,38 @@ class TestConsensusStatus:
         with pytest.raises(ValidationError):
             dg.consensus_status(traj, window=0.0)
 
+    @pytest.fixture(scope="class")
+    def unit_span_run(self):
+        # recorded every 0.01 up to t = 1
+        cfg = uniform_config(2, 3, 1, kappa=1.0)
+        return short_run(cfg, random_ensemble(3, 1, 2, seed=10), t_end=1.0)
+
+    @pytest.mark.parametrize("window", [math.nan, 0.0, -0.5, -math.inf])
+    def test_nonpositive_window_rejected(self, unit_span_run, window):
+        with pytest.raises(ValidationError, match="window must be positive"):
+            dg.consensus_status(unit_span_run, window)
+
+    @pytest.mark.parametrize("window", [1.0, 2.0, math.inf, 0.005])
+    def test_window_outside_the_grid_rejected(self, unit_span_run, window):
+        # the whole span or more, or less than the spacing of 0.01
+        with pytest.raises(InsufficientDataError):
+            dg.consensus_status(unit_span_run, window)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, -math.inf])
+    def test_tol_must_be_positive_and_finite(self, unit_span_run, tol):
+        # a NaN tol would classify every run as "none", an infinite one
+        # every run as "complete"
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            dg.consensus_status(unit_span_run, 0.2, tol)
+
+    def test_tol_at_the_largest_gap_classifies_complete(self):
+        cfg = uniform_config(4, 4, 2, kappa=4.0)
+        init = near_consensus_ensemble(4, 2, 4, 0.4, seed=7)
+        traj = short_run(cfg, init, t_end=8.0)
+        gap = dg.consensus_status(traj, 1.6).max_identity_gap
+        assert dg.consensus_status(traj, 1.6, gap).kind == "complete"
+        assert dg.consensus_status(traj, 1.6, np.nextafter(gap, 0.0)).kind != "complete"
+
 
 class TestFitDecayRate:
     def test_exact_exponential(self):
@@ -366,6 +398,16 @@ class TestFitDecayRate:
         t = np.linspace(0, 5, 100)
         with pytest.raises(InsufficientDataError):
             dg.fit_decay_rate(t, np.exp(-t), (4.99, 5.0))
+
+    @pytest.mark.parametrize(
+        "fit_window",
+        [(4.0, 1.0), (math.nan, 5.0), (0.0, math.nan), (6.0, 7.0), (-2.0, -1.0), (4.9, 5.0)],
+        ids=["reversed", "nan-start", "nan-end", "after-grid", "before-grid", "two-points"],
+    )
+    def test_window_without_three_points_rejected(self, fit_window):
+        t = np.linspace(0, 5, 100)
+        with pytest.raises(InsufficientDataError, match="fewer than three points"):
+            dg.fit_decay_rate(t, np.exp(-t), fit_window)
 
 
 class TestStabilityGain:
@@ -418,6 +460,12 @@ class TestStabilityGain:
         # distance from 0.2 to 0.3
         columns = {"dist_agent_0": np.array([0.2, 0.3]), "dist_agent_1": np.array([0.2, 0.1])}
         assert dg.stability_gain(columns, p_exp) == pytest.approx(gain, rel=1e-15)
+
+    @pytest.mark.parametrize("p_exp", [math.nan, 0.0, 0.5, -1.0, -math.inf, np.nextafter(1.0, 0.0)])
+    def test_exponent_below_one_rejected(self, p_exp):
+        columns = {"dist_agent_0": np.array([0.2, 0.3]), "dist_agent_1": np.array([0.2, 0.1])}
+        with pytest.raises(ValidationError, match="p_exp must be >= 1"):
+            dg.stability_gain(columns, p_exp)
 
     @pytest.mark.parametrize("name", ["framework_hetero", "stability_pair"])
     @pytest.mark.parametrize("p_exp", [1.0, 2.0, 3.5, 4.0, 2000.0, 1e300])

@@ -927,9 +927,27 @@ class TestCli:
             ({"consensus": {}}, "analyses[1]"),
             ({"consensus": None}, "analyses[1]"),
             ({"consensus": {}, "stability": {}}, "analyses[1]"),
+            # the values the retired options once rejected, and those of the
+            # fixed rules, name the retired field all the same
+            ({"consensus": {"window": NAN}}, "analyses.consensus.window"),
+            ({"consensus": {"window": "x"}}, "analyses.consensus.window"),
+            ({"consensus": {"window": -1.0}}, "analyses.consensus.window"),
+            ({"consensus": {"tol": diagnostics.CONSENSUS_TOL}}, "analyses.consensus.tol"),
+            ({"consensus": {"tol": "1e-6"}}, "analyses.consensus.tol"),
+            ({"consensus": {"tol": INF}}, "analyses.consensus.tol"),
+            ({"consensus": {"tol": 0.0}}, "analyses.consensus.tol"),
+            ({"decay_fit": {"fit_fraction": 1.5}}, "analyses.decay_fit.fit_fraction"),
+            ({"decay_fit": {"fit_fraction": NAN}}, "analyses.decay_fit.fit_fraction"),
+            ({"decay_fit": {"fit_fraction": 0.0}}, "analyses.decay_fit.fit_fraction"),
+            ({"stability": {"p_exp": [2.0, NAN]}}, "analyses.stability.p_exp"),
+            ({"stability": {"p_exp": [2.0, 10 ** 400]}}, "analyses.stability.p_exp"),
+            ({"stability": {"p_exp": []}}, "analyses.stability.p_exp"),
+            ({"stability": {"p_exp": [1.0, 2.0]}}, "analyses.stability.p_exp"),
         ],
         ids=["window", "tol", "fit_fraction", "p_exp", "object", "object-not-options",
-             "object-two-keys"],
+             "object-two-keys", "window-nan", "window-str", "window-neg", "tol-rule",
+             "tol-str", "tol-inf", "tol-zero", "fit_fraction-above-one", "fit_fraction-nan",
+             "fit_fraction-zero", "p_exp-nan", "p_exp-huge", "p_exp-empty", "p_exp-pair"],
     )
     def test_analysis_options_retired_exit_code(self, tmp_path, entry, field):
         # an analysis is a name and runs one fixed rule: an option names
@@ -1002,8 +1020,13 @@ class TestCli:
             {"h": 0.002, "t_end": 0.002},
             # the window, a fifth of the span, is shorter than the spacing
             {"h": 0.1, "t_end": 1.0, "record_stride": 5},
+            # two steps: the window of 0.0008 holds the last snapshot only
+            {"h": 0.002, "t_end": 0.004},
+            # recorded at t = 0 and 6 only: the window of 1.2 holds one snapshot
+            {"h": 0.002, "t_end": 6.0, "record_stride": 3000},
         ],
-        ids=["t_end-zero", "one-step", "default-window-below-spacing"],
+        ids=["t_end-zero", "one-step", "default-window-below-spacing", "two-steps",
+             "stride-at-horizon"],
     )
     def test_horizon_short_for_consensus_window_exit_code(self, tmp_path, integrator):
         path = minimal_scenario(tmp_path, integrator=integrator, analyses=["consensus"])
