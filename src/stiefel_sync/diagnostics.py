@@ -97,7 +97,9 @@ def dini_derivative_series(series_t, series_y) -> np.ndarray:
     t = np.asarray(series_t, dtype=float)
     y = np.asarray(series_y, dtype=float)
     h = slope_spacing(t)
-    return (y[2:] - y[:-2]) / (2.0 * h)
+    slopes = y[2:] - y[:-2]
+    slopes /= 2.0 * h
+    return slopes
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +131,15 @@ def correlations(states) -> np.ndarray:
     return _gram(states)
 
 
-def _gram_rows(states: np.ndarray):
-    """Chunks of the snapshots of a (K, N, n, p) stack, as many a chunk as
-    have at most ``manifold._PAIR_CHUNK_ENTRIES`` Gram entries, N^2 p^2 a
-    snapshot."""
-    count, _, p = states.shape[-3:]
-    return _chunk_rows(states.shape[0], (count * p) ** 2)
-
-
 def _chunked_correlations(states: np.ndarray):
-    """Yield ``(rows, products)`` over the chunks of :func:`_gram_rows`,
+    """Yield ``(rows, products)`` over chunks of the snapshots of a
+    (K, N, n, p) stack, as many a chunk as have at most
+    ``manifold._PAIR_CHUNK_ENTRIES`` Gram entries (N^2 p^2 a snapshot),
     where ``products[k]`` equals :func:`correlations` of snapshot
     ``rows[k]`` bit for bit: the stacked Gram product runs the same
     per-snapshot product."""
-    for rows in _gram_rows(states):
+    count, _, p = states.shape[-3:]
+    for rows in _chunk_rows(states.shape[0], (count * p) ** 2):
         yield rows, _gram(states[rows])
 
 
@@ -170,7 +167,17 @@ def correlation_gap_series(traj1: Trajectory, traj2: Trajectory) -> tuple[np.nda
     return plain, skew
 
 
+def _require_single(traj: Trajectory) -> None:
+    if traj.states.ndim != 4:
+        raise DimensionError(
+            f"expected one run, states (K, N, n, p), got shape {traj.states.shape};"
+            " split a batch into its runs with Trajectory.members()"
+        )
+
+
 def _require_aligned(traj1: Trajectory, traj2: Trajectory) -> None:
+    _require_single(traj1)
+    _require_single(traj2)
     if traj1.states.shape != traj2.states.shape or not np.array_equal(
         traj1.times, traj2.times
     ):
@@ -212,8 +219,8 @@ def pair_columns(traj: Trajectory, partner: Trajectory) -> dict[str, np.ndarray]
     return columns
 
 
-def _agent_distances(columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The (K, N) table of the ``dist_agent_<i>`` columns, in agent order.
+def _agent_distances(columns: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+    """The ``dist_agent_<i>`` columns, in agent order.
 
     The N columns named ``dist_agent_...`` must be exactly ``dist_agent_0``
     ... ``dist_agent_<N-1>``, so no agent is read twice or skipped."""
@@ -226,7 +233,7 @@ def _agent_distances(columns: Mapping[str, np.ndarray]) -> np.ndarray:
             raise ValidationError(
                 f"series has {count} dist_agent_<i> columns but none named {name!r}"
             )
-    return np.column_stack([columns[name] for name in names])
+    return [np.asarray(columns[name], dtype=float) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +289,45 @@ def _largest_norm(blocks: np.ndarray):
 def consensus_status(
     traj: Trajectory, window: float, tol: float = CONSENSUS_TOL
 ) -> ConsensusStatus:
-    """Classify the trailing ``window`` time units of a trajectory at a
-    positive, finite ``tol``."""
+    """Classify the trailing ``window`` time units of one run at a positive,
+    finite ``tol``.
+
+    Two passes over the window's chunks of snapshots (see
+    :func:`_chunked_correlations`) form each chunk's Gram products: the
+    first sums them into the window mean, the second takes the largest
+    gaps to the identity and to that mean. So no product of the whole
+    window is held. Every value is bitwise that of the (W, N, N, p, p)
+    stack of the window's products (``tests/conftest.py``'s
+    ``whole_window_consensus``), since numpy sums such a stack along the
+    window one snapshot after another; at N = p = 1 it sums pairwise
+    instead, so there the mean of a window longer than one chunk (10,752
+    snapshots) may differ by rounding."""
     if not 0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
-    times = traj.times
-    first = trailing_window_start(times, window)
-
+    _require_single(traj)
+    first = trailing_window_start(traj.times, window)
     window_states = traj.states[first:]
-    count, _, p = window_states.shape[1:]
-    stack = np.empty((window_states.shape[0], count, count, p, p))
-    for rows, products in _chunked_correlations(window_states):
-        stack[rows] = products
 
-    # the largest gaps of each chunk of the window, from one temporary per
-    # chunk; a max is exact, so their max is that of the whole window
-    mean = stack.mean(axis=0)
-    eye = np.eye(p)
+    total = None
+    for rows, products in _chunked_correlations(window_states):
+        # the running sum enters as the chunk's first term, so each chunk's
+        # sum along the window goes on snapshot by snapshot from the last
+        if total is not None:
+            products[0] += total
+        total = products.sum(axis=0)
+        # released before the next chunk's products are formed
+        del products
+    mean = total / window_states.shape[0]
+
+    # the largest gaps of each chunk; a max is exact, so their max is that
+    # of the whole window
+    eye = np.eye(window_states.shape[-1])
     largest = []
-    for rows in _gram_rows(window_states):
-        part = stack[rows]
-        largest.append((_largest_norm(part - eye), _largest_norm(part - mean)))
+    for rows, products in _chunked_correlations(window_states):
+        variation = products - mean
+        np.subtract(products, eye, products)
+        largest.append((_largest_norm(products), _largest_norm(variation)))
+        del products, variation
     max_identity_gap, max_variation = (float(v) for v in np.max(largest, axis=0))
 
     if max_identity_gap <= tol:
@@ -371,7 +396,13 @@ def stability_gain(columns: Mapping[str, np.ndarray], p_exp: float) -> float:
     the initial distance is zero."""
     if not p_exp >= 1:
         raise ValidationError(f"p_exp must be >= 1, got {p_exp}")
-    norms = _agent_distances(columns)  # (K, N)
+    try:
+        p_exp = float(p_exp)
+    except OverflowError:
+        raise ValidationError(
+            "p_exp is beyond the float range; p_exp = inf takes the largest agent distance"
+        ) from None
+    norms = np.column_stack(_agent_distances(columns))  # (K, N)
     if p_exp == 1:
         dist = norms.sum(axis=1)
     elif p_exp == np.inf:
@@ -415,8 +446,13 @@ class InequalityAudit:
 
 
 def _finish_audit(name, times, lhs, rhs, audited, tol) -> InequalityAudit:
-    gap = np.where(audited, lhs - rhs, -np.inf)
-    max_violation = float(max(0.0, np.max(gap))) if gap.size else 0.0
+    # the largest audited gap of each chunk of rows; a max is exact, so
+    # their max is the whole table's
+    largest = [
+        np.max(lhs[rows] - rhs[rows], where=audited[rows], initial=-np.inf)
+        for rows in _chunk_rows(lhs.shape[0], math.prod(lhs.shape[1:]))
+    ]
+    max_violation = float(max(0.0, np.max(largest, initial=-np.inf)))
     return InequalityAudit(
         name=name,
         times=times,
@@ -439,11 +475,17 @@ def audit_diameter_bound_series(
     times = np.asarray(columns["t"], dtype=float)
     d = np.asarray(columns["diam_S"], dtype=float)
     lhs = dini_derivative_series(times, d)
-    interior = d[1:-1]
     half = cfg.kappa * stats.xi_min ** 2 / 2.0
-    rhs = -half * interior + 2.0 * np.sqrt(cfg.p) * cfg.freq_spread
-    if mutation != "drop_cubic_term":
-        rhs = rhs + (half / 2.0) * interior ** 3
+    rhs = np.empty_like(lhs)
+    for rows in _chunk_rows(lhs.shape[0], 1):
+        interior = d[rows.start + 1 : rows.stop + 1]
+        part = rhs[rows]
+        np.multiply(-half, interior, part)
+        part += 2.0 * np.sqrt(cfg.p) * cfg.freq_spread
+        if mutation != "drop_cubic_term":
+            cubic = interior ** 3
+            cubic *= half / 2.0
+            part += cubic
     audited = np.ones_like(lhs, dtype=bool)
     spacing = float(times[1] - times[0])
     return _finish_audit(
@@ -493,14 +535,23 @@ def audit_correlation_contraction_series(
     """Series-level core of :func:`audit_correlation_contraction`: reads the
     ``t``, ``corr_sq``, ``corr_skew_sq``, ``diam_S`` and ``diam_S_tilde``
     columns."""
+    if mutation not in (None, "overstated_skew_rate"):
+        raise ValidationError(f"unknown mutation {mutation!r}")
     times = np.asarray(columns["t"], dtype=float)
     plain = np.asarray(columns["corr_sq"], dtype=float)
     skewed = np.asarray(columns["corr_skew_sq"], dtype=float)
     diam1, diam2 = columns["diam_S"], columns["diam_S_tilde"]
-    rhs = correlation_contraction_bound(
-        plain[1:-1], skewed[1:-1], diam1[1:-1], diam2[1:-1], cfg, mutation
-    )
-    lhs = dini_derivative_series(times, plain + skewed)
+    # the slopes of X + Y as dini_derivative_series takes them, with each
+    # chunk's sums formed in turn: (X + Y)[k + 2] - (X + Y)[k], over 2 h
+    lhs = plain[2:] + skewed[2:]
+    rhs = np.empty_like(lhs)
+    for rows in _chunk_rows(lhs.shape[0], 1):
+        lhs[rows] -= plain[rows] + skewed[rows]
+        mid = slice(rows.start + 1, rows.stop + 1)
+        rhs[rows] = correlation_contraction_bound(
+            plain[mid], skewed[mid], diam1[mid], diam2[mid], cfg, mutation
+        )
+    lhs /= 2.0 * slope_spacing(times)
     audited = np.ones_like(lhs, dtype=bool)
     spacing = float(times[1] - times[0])
     return _finish_audit(
@@ -539,24 +590,48 @@ def audit_agent_distance_bound_series(
     if mutation not in (None, "drop_state_term"):
         raise ValidationError(f"unknown mutation {mutation!r}")
     times = np.asarray(columns["t"], dtype=float)
-    dists = _agent_distances(columns)
-    count = dists.shape[1]
+    agents = _agent_distances(columns)
+    count = len(agents)
     if count != cfg.agent_count:
         raise DimensionError(
             f"distance columns ({count}) do not match agent count ({cfg.agent_count})"
         )
-    lhs = dini_derivative_series(times, dists)  # (K-2, N)
+    h = slope_spacing(times)
 
+    # lhs holds the (K-2, N) table of interior distances x_i until their
+    # slopes replace it, so the neighbour term is one product of the whole
+    # table and no other table is formed; a product of fewer rows need not
+    # give the same bits (numpy takes a one-row product through BLAS gemv)
+    lhs = np.empty((times.shape[0] - 2, count))
+    for i, column in enumerate(agents):
+        lhs[:, i] = column[1:-1]
     weights = cfg.topology.weights
     row_sums = weights.sum(axis=1)
-    interior = dists[1:-1]
-    neighbor_term = interior @ weights / count  # (1/N) sum_k a_ik x_k
-    self_term = interior * row_sums / count
-    rhs = cfg.kappa * (neighbor_term - self_term)
-    if mutation != "drop_state_term":
-        z = np.maximum(columns["diam_S"], columns["diam_S_tilde"])
-        rhs = rhs + cfg.kappa * z[1:-1, None] * self_term
-    audited = interior >= DISTANCE_FLOOR
+    rhs = lhs @ weights
+    rhs /= count  # (1/N) sum_k a_ik x_k
+    audited = lhs >= DISTANCE_FLOOR
+    # the self and Z terms one agent and one chunk of rows at a time, in
+    # place in the agent's column of the chunk: a broadcast product would
+    # take a buffer as large as the chunk; the value is k (n_i - s_i) +
+    # (k Z) s_i bit for bit, since a product commutes
+    for rows in _chunk_rows(lhs.shape[0], count):
+        if mutation != "drop_state_term":
+            mid = slice(rows.start + 1, rows.stop + 1)
+            z = cfg.kappa * np.maximum(columns["diam_S"][mid], columns["diam_S_tilde"][mid])
+        for i in range(count):
+            self_term = lhs[rows, i] * row_sums[i]
+            self_term /= count  # (1/N) sum_k a_ik x_i
+            part = rhs[rows, i]
+            part -= self_term
+            part *= cfg.kappa
+            if mutation != "drop_state_term":
+                self_term *= z
+                part += self_term
+    # each agent's slope as dini_derivative_series takes it, straight from
+    # its column
+    for i, column in enumerate(agents):
+        np.subtract(column[2:], column[:-2], lhs[:, i])
+    lhs /= 2.0 * h
     spacing = float(times[1] - times[0])
     return _finish_audit(
         "agent_distance_bound", times[1:-1], lhs, rhs, audited, audit_tolerance(spacing)

@@ -1,10 +1,19 @@
 """Shared builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from golden.regenerate import SCENARIOS, run_bundled
-from stiefel_sync.diagnostics import correlation_contraction_bound, correlations
+from stiefel_sync import diagnostics, scenario
+from stiefel_sync.diagnostics import (
+    CONSENSUS_TOL,
+    ConsensusStatus,
+    correlation_contraction_bound,
+    correlations,
+    trailing_window_start,
+)
 from stiefel_sync.errors import (
     DimensionError,
     ProjectionError,
@@ -125,6 +134,79 @@ def correlation_gap_components(s1, s2) -> tuple[float, float]:
     plain = float(np.sum(da * da))
     skew = da - np.swapaxes(da, -2, -1)
     return plain, float(np.sum(skew * skew))
+
+
+def whole_window_consensus(traj, window: float, tol: float = CONSENSUS_TOL) -> ConsensusStatus:
+    """``diagnostics.consensus_status`` taken on the (W, N, N, p, p) stack of
+    its whole window's Gram products, with the mean ``stack.mean(axis=0)``:
+    the oracle of its two passes over the window's chunks."""
+    first = trailing_window_start(traj.times, window)
+    stack = np.stack([correlations(s) for s in traj.states[first:]])
+    mean = stack.mean(axis=0)
+
+    def largest_norm(blocks):
+        return float(np.max(np.sqrt(np.sum(blocks * blocks, axis=(-2, -1)))))
+
+    max_identity_gap = largest_norm(stack - np.eye(stack.shape[-1]))
+    max_variation = largest_norm(stack - mean)
+    if max_identity_gap <= tol:
+        kind = "complete"
+    elif max_variation <= tol:
+        kind = "partial"
+    else:
+        kind = "none"
+    return ConsensusStatus(
+        kind=kind,
+        limits=None if kind == "none" else mean,
+        max_identity_gap=max_identity_gap,
+        max_variation=max_variation,
+    )
+
+
+# the functions run_scenario calls for its phases, by phase name: the loop,
+# the pair series, the analyses, the potential and the emission
+RUN_PHASES = {
+    "integrate": (scenario, "integrate"),
+    "pair_columns": (diagnostics, "pair_columns"),
+    "consensus_status": (diagnostics, "consensus_status"),
+    "fit_decay_rate": (diagnostics, "fit_decay_rate"),
+    "audit_series": (diagnostics, "audit_series"),
+    "stability_gain": (diagnostics, "stability_gain"),
+    "potential": (scenario, "potential"),
+    "emit_series": (scenario, "emit_series"),
+}
+
+
+def phase_peaks(call) -> dict[str, int]:
+    """Run ``call()`` under ``tracemalloc`` with each function of
+    ``RUN_PHASES`` wrapped, and return, per phase that ran, the largest over
+    its calls of the bytes of its peak above the memory held when it returns
+    (its result included): what it allocates and releases. Each call starts
+    with ``tracemalloc.reset_peak()``, so the phases must not call one
+    another."""
+    peaks = {}
+
+    def traced(name, function):
+        def wrapper(*args, **kwargs):
+            tracemalloc.reset_peak()
+            result = function(*args, **kwargs)
+            held, peak = tracemalloc.get_traced_memory()
+            peaks[name] = max(peaks.get(name, 0), peak - held)
+            return result
+
+        return wrapper
+
+    originals = {name: getattr(module, attr) for name, (module, attr) in RUN_PHASES.items()}
+    for name, (module, attr) in RUN_PHASES.items():
+        setattr(module, attr, traced(name, originals[name]))
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        tracemalloc.stop()
+        for name, (module, attr) in RUN_PHASES.items():
+            setattr(module, attr, originals[name])
+    return peaks
 
 
 def ensemble_lp_distance(e1, e2, p_exp: float) -> float:

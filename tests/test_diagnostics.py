@@ -36,6 +36,7 @@ from stiefel_sync.model import (
     zero_frequencies,
 )
 from stiefel_sync import diagnostics as dg
+from stiefel_sync.scenario import Scenario, generate_scenario, run_scenario
 from stiefel_sync.series_io import read_series
 
 from conftest import (
@@ -43,7 +44,9 @@ from conftest import (
     correlation_gap_rate_series,
     correlation_gap_rates,
     make_framework_config,
+    phase_peaks,
     run_framework_pair,
+    whole_window_consensus,
     worst_relative_bound_excess,
 )
 
@@ -220,6 +223,61 @@ class TestChunkedCorrelationPasses:
         )
 
 
+def window_track(shape, snapshots, seed):
+    """A track whose window of ``snapshots - 0.5`` time units holds the
+    last ``snapshots`` of its snapshots, with five more before them."""
+    return random_track(*shape, snapshots + 5, seed=seed)
+
+
+# windows around the Gram chunk at (8, 6, 2) (42 snapshots), of several
+# chunks at p = 1 (430 snapshots a chunk at N = 5) and p = 3 (47), and at
+# N = 1: bitwise wherever a snapshot has more than one Gram entry, and at
+# N = p = 1 while the window fits in one chunk (10,752 snapshots)
+TWO_PASS_CASES = [
+    ((8, 6, 2), 41), ((8, 6, 2), 42), ((8, 6, 2), 43), ((8, 6, 2), 149),
+    ((5, 4, 1), 2 * gram_chunk(5, 1) + 7), ((5, 4, 3), 3 * gram_chunk(5, 3) + 2),
+    ((1, 3, 2), gram_chunk(1, 2) + 1), ((1, 3, 1), 500),
+]
+
+
+class TestConsensusTwoPass:
+    @pytest.mark.parametrize("shape, snapshots", TWO_PASS_CASES)
+    @pytest.mark.parametrize("tol", [dg.CONSENSUS_TOL, 10.0])
+    def test_equals_whole_window_stack(self, shape, snapshots, tol):
+        track = window_track(shape, snapshots, seed=snapshots)
+        window = snapshots - 0.5
+        status = dg.consensus_status(track, window, tol)
+        expected = whole_window_consensus(track, window, tol)
+        assert status.kind == expected.kind
+        assert status.max_identity_gap == expected.max_identity_gap
+        assert status.max_variation == expected.max_variation
+        if expected.limits is None:
+            assert status.limits is None
+        else:
+            assert np.array_equal(status.limits, expected.limits)
+
+    def test_single_entry_window_of_several_chunks_at_rounding(self):
+        # at N = p = 1 numpy sums a window of one chunk pairwise, so a window
+        # of two chunks has each chunk summed pairwise and the two added: the
+        # mean of these positive terms may move by the rounding of both
+        # pairwise sums, each at most log2(W) + 16 roundings of their mean
+        # (blocks of 128 terms summed in 8 lanes, then halved), not more;
+        # the identity gap does not read the mean and stays bitwise
+        snapshots = gram_chunk(1, 1) + 248
+        states = np.random.default_rng(5).standard_normal((snapshots + 5, 1, 2, 1))
+        zeros = np.zeros(snapshots + 5)
+        track = Trajectory(np.arange(snapshots + 5, dtype=float), states, zeros, zeros)
+        window = snapshots - 0.5
+        status = dg.consensus_status(track, window, tol=1e9)
+        expected = whole_window_consensus(track, window, tol=1e9)
+        mean = float(expected.limits[0, 0, 0, 0])
+        bound = 2 * (math.log2(snapshots) + 16) * np.finfo(float).eps * mean
+        assert status.max_identity_gap == expected.max_identity_gap
+        assert abs(status.limits - expected.limits).max() <= bound
+        variation = expected.max_variation
+        assert abs(status.max_variation - variation) <= bound + 4 * np.spacing(variation)
+
+
 class TestPairColumns:
     def test_misaligned_runs_rejected(self):
         with pytest.raises(DimensionError):
@@ -257,6 +315,22 @@ def short_run(cfg, init, t_end=6.0, h=2e-3, stride=5):
     return integrate(init, cfg, IntegratorConfig(h=h, t_end=t_end, record_stride=stride))
 
 
+class TestBatchRejected:
+    @pytest.fixture(scope="class")
+    def batch(self):
+        stack = np.stack([random_track(3, 4, 2, 6, seed=k).states for k in (1, 2)])
+        zeros = np.zeros((2, 6))
+        return Trajectory(np.arange(6, dtype=float), stack, zeros, zeros)
+
+    def test_consensus_status_names_members(self, batch):
+        with pytest.raises(DimensionError, match=r"Trajectory\.members\(\)"):
+            dg.consensus_status(batch, 2.5)
+
+    def test_pair_columns_names_members(self, batch):
+        with pytest.raises(DimensionError, match=r"Trajectory\.members\(\)"):
+            dg.pair_columns(batch, batch)
+
+
 def traced_excess(call) -> int:
     """Bytes of one call's ``tracemalloc`` peak above what is held after it,
     that is, above the memory before it and its result; after one untraced
@@ -272,14 +346,18 @@ def traced_excess(call) -> int:
     return peak - held
 
 
-# the series taken from a stored pair stack after the loop, on the stack,
-# its two runs and a topology
+# the series and analyses taken from a stored pair stack after the loop, on
+# the stack, its two runs, a model and the runs' pair columns
 STORED_SERIES = {
-    "drift": lambda stack, runs, topology: orthonormality_drift(stack),
-    "diameter": lambda stack, runs, topology: ensemble_diameter(stack),
-    "potential": lambda stack, runs, topology: potential(stack, topology),
-    "pair_columns": lambda stack, runs, topology: dg.pair_columns(*runs),
-    "gap_series": lambda stack, runs, topology: dg.correlation_gap_series(*runs),
+    "drift": lambda stack, runs, cfg, columns: orthonormality_drift(stack),
+    "diameter": lambda stack, runs, cfg, columns: ensemble_diameter(stack),
+    "potential": lambda stack, runs, cfg, columns: potential(stack, cfg.topology),
+    "pair_columns": lambda stack, runs, cfg, columns: dg.pair_columns(*runs),
+    "gap_series": lambda stack, runs, cfg, columns: dg.correlation_gap_series(*runs),
+    "consensus_status": lambda stack, runs, cfg, columns: dg.consensus_status(
+        runs[0], dg.consensus_window(runs[0].times)
+    ),
+    "audit_series": lambda stack, runs, cfg, columns: dg.audit_series(columns, cfg),
 }
 
 
@@ -293,13 +371,34 @@ class TestSeriesMemory:
         64 kB allows for the ragged last chunks and the allocator."""
         series = STORED_SERIES[name]
         topology = Topology.separable(np.linspace(0.8, 1.2, 8))
+        cfg = ModelConfig(kappa=1.0, topology=topology, freqs=zero_frequencies(8, 2), n=6, p=2)
         excess = []
         for total in (500, 2000):
             stack = np.random.default_rng(total).standard_normal((2, total, 8, 6, 2))
             times, zeros = np.arange(total, dtype=float), np.zeros(total)
             runs = [Trajectory(times, states, zeros, zeros) for states in stack]
-            excess.append(traced_excess(lambda: series(stack, runs, topology)))
+            columns = dg.pair_columns(*runs)
+            excess.append(traced_excess(lambda: series(stack, runs, cfg, columns)))
         assert excess[1] - excess[0] <= 64_000, excess
+
+    # the phases after the loop; the emission writes a table of the whole run
+    POST_LOOP = ("pair_columns", "consensus_status", "fit_decay_rate", "audit_series", "potential")
+
+    def test_post_loop_phases_do_not_grow_with_the_run(self, tmp_path):
+        """Each phase of a generated heterogeneous pair run after its loop
+        allocates beyond what it keeps about as much at t_end 0.5 as at 2
+        (501 and 2001 snapshots, stride 1), measured by ``phase_peaks`` after
+        one untraced warm-up run. The stored pair grows by 2.3 MB."""
+        runs = {}
+        for t_end in (0.5, 2.0):
+            path = str(tmp_path / f"pair_{t_end}.json")
+            generate_scenario("heterogeneous-framework", 3, {"integrator.t_end": t_end}, path)
+            runs[t_end] = Scenario.from_file(path)
+        out_dir = str(tmp_path / "out")
+        run_scenario(runs[0.5], out_dir)
+        short, long = (phase_peaks(lambda: run_scenario(sc, out_dir)) for sc in runs.values())
+        for name in self.POST_LOOP:
+            assert long[name] - short[name] <= 64_000, (name, short[name], long[name])
 
 
 class TestConsensusStatus:
@@ -467,6 +566,11 @@ class TestStabilityGain:
         with pytest.raises(ValidationError, match="p_exp must be >= 1"):
             dg.stability_gain(columns, p_exp)
 
+    def test_exponent_beyond_the_float_range_rejected(self):
+        columns = {"dist_agent_0": np.array([0.2, 0.3]), "dist_agent_1": np.array([0.2, 0.1])}
+        with pytest.raises(ValidationError, match="p_exp is beyond the float range"):
+            dg.stability_gain(columns, 10 ** 400)
+
     @pytest.mark.parametrize("name", ["framework_hetero", "stability_pair"])
     @pytest.mark.parametrize("p_exp", [1.0, 2.0, 3.5, 4.0, 2000.0, 1e300])
     def test_gain_at_least_one_on_bundled_pair(self, bundled_runs, name, p_exp):
@@ -606,6 +710,20 @@ class TestCorrelationContractionAudit:
         )
         assert not mutated.passed
         assert mutated.max_violation > standard.max_violation
+
+    def test_correlation_audit_rejects_unknown_mutation_before_short_series(
+        self, framework_pair_session
+    ):
+        # the mutation is checked before the series, as in the other audits
+        cfg = framework_pair_session[0]
+        short = {
+            name: np.array([0.0, 0.1])
+            for name in ("t", "corr_sq", "corr_skew_sq", "diam_S", "diam_S_tilde")
+        }
+        with pytest.raises(ValidationError, match="unknown mutation"):
+            dg.audit_correlation_contraction_series(short, cfg, mutation="bogus")
+        with pytest.raises(InsufficientDataError):
+            dg.audit_correlation_contraction_series(short, cfg)
 
     def test_exact_derivative_within_bound(self, framework_pair_session, homogeneous_pairs):
         # dF/dt from the velocity field, no finite differences: the bound
