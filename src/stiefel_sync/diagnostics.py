@@ -10,13 +10,16 @@ accept a named ``mutation`` that deliberately overstates their bound; a
 healthy implementation must fail under the mutation on an adversarial run,
 which is how the test suite proves the audits can detect violations at all.
 
-A pair of runs is measured once: :func:`pair_columns` forms every series
-of the pair, named as the pair CSV's columns, and is the only place that
-subtracts two trajectories' states. The stability gain, the audit cores and
-:func:`audit_series` read those columns, so a scenario run, the re-audit of
-its CSV and a test's audit of two trajectories go through the same code and
-agree bit for bit. The trajectory-level audits are one-line calls of their
-cores on such columns.
+A pair of runs is measured once: ``_PairSeries`` forms every series of
+the pair chunk by chunk of snapshots, named as the pair CSV's columns, and
+is the only place that subtracts two trajectories' states. It is fed by
+:func:`pair_columns` from two stored runs, and by a scenario run from the
+chunks ``integrate`` hands to its sink, with no trajectory kept. The
+stability gain, the audit cores and :func:`audit_series` read those
+columns, so a scenario run, the re-audit of its CSV and a test's audit of
+two trajectories go through the same code and agree bit for bit. The
+trajectory-level audits are one-line calls of their cores on such
+columns.
 
 The window rules of consensus detection (:func:`consensus_window`,
 :func:`trailing_window_start`), the decay fit (:func:`decay_fit_window`,
@@ -168,6 +171,8 @@ def correlation_gap_series(traj1: Trajectory, traj2: Trajectory) -> tuple[np.nda
 
 
 def _require_single(traj: Trajectory) -> None:
+    if traj.states is None:
+        raise ValidationError("the run kept no states: it was handed to a sink chunk by chunk")
     if traj.states.ndim != 4:
         raise DimensionError(
             f"expected one run, states (K, N, n, p), got shape {traj.states.shape};"
@@ -184,39 +189,70 @@ def _require_aligned(traj1: Trajectory, traj2: Trajectory) -> None:
         raise DimensionError("trajectories are not on identical time grids")
 
 
+class _PairSeries:
+    """The series of a pair of aligned runs that :func:`pair_columns`
+    names, filled one chunk of snapshots at a time by :meth:`add`. A stored
+    pair (:func:`pair_columns`) and a scenario run that ``integrate`` hands
+    to a sink chunk by chunk both go through :meth:`add`, so both give the
+    same bits."""
+
+    def __init__(self, total: int, count: int):
+        self.plain, self.skewed, self.l1, self.l2 = (np.empty(total) for _ in range(4))
+        self.norms = np.empty((total, count))
+
+    def add(self, rows: slice, run: Trajectory, partner: Trajectory) -> None:
+        """Fill ``rows`` of every series from the aligned chunks ``run`` and
+        ``partner`` of those snapshots."""
+        plain, skewed = correlation_gap_series(run, partner)
+        self.plain[rows] = plain
+        self.skewed[rows] = skewed
+        # x_i = ||S_i - T_i||, squared in place in the chunk's differences
+        diffs = run.states - partner.states
+        np.multiply(diffs, diffs, diffs)
+        x = self.norms[rows]
+        np.sqrt(diffs.sum(axis=(-2, -1)), x)
+        self.l1[rows] = x.sum(axis=1)
+        self.l2[rows] = np.sqrt((x ** 2).sum(axis=1))
+
+    def columns(self, traj: Trajectory, partner: Trajectory) -> dict[str, np.ndarray]:
+        """Every column of the pair CSV, the runs' own series included; the
+        whole gap is summed from its parts here, once the runs are done."""
+        columns = {
+            "t": traj.times,
+            "drift": traj.drift,
+            "diam_S": traj.diameters,
+            "diam_A": self.plain + self.skewed,
+            "corr_sq": self.plain,
+            "corr_skew_sq": self.skewed,
+            "drift_tilde": partner.drift,
+            "diam_S_tilde": partner.diameters,
+            "dist_l1": self.l1,
+            "dist_l2": self.l2,
+        }
+        for i in range(self.norms.shape[1]):
+            columns[f"dist_agent_{i}"] = self.norms[:, i]
+        return columns
+
+
 def pair_columns(traj: Trajectory, partner: Trajectory) -> dict[str, np.ndarray]:
     """Every series of a pair of aligned runs, named as the columns of the
-    pair CSV (base columns included), from one pass over the correlation
-    gap. ``diam_A`` is the squared correlation gap, plain plus skew part;
-    ``dist_agent_<i>`` is x_i = ||S_i - T_i||, and ``dist_l1``/``dist_l2``
-    are its l1 and l2 sums over the agents, all formed chunk by chunk of
-    snapshots (see ``manifold._PAIR_CHUNK_ENTRIES``)."""
-    plain, skewed = correlation_gap_series(traj, partner)
-    total, count = traj.states.shape[:2]
-    norms = np.empty((total, count))
-    l1, l2 = np.empty(total), np.empty(total)
-    for rows in _chunk_rows(total, math.prod(traj.states.shape[1:])):
-        diffs = traj.states[rows] - partner.states[rows]
-        np.multiply(diffs, diffs, diffs)
-        x = norms[rows]
-        np.sqrt(diffs.sum(axis=(-2, -1)), x)
-        l1[rows] = x.sum(axis=1)
-        l2[rows] = np.sqrt((x ** 2).sum(axis=1))
-    columns = {
-        "t": traj.times,
-        "drift": traj.drift,
-        "diam_S": traj.diameters,
-        "diam_A": plain + skewed,
-        "corr_sq": plain,
-        "corr_skew_sq": skewed,
-        "drift_tilde": partner.drift,
-        "diam_S_tilde": partner.diameters,
-        "dist_l1": l1,
-        "dist_l2": l2,
-    }
-    for i in range(norms.shape[1]):
-        columns[f"dist_agent_{i}"] = norms[:, i]
-    return columns
+    pair CSV (base columns included). ``diam_A`` is the squared correlation
+    gap, plain plus skew part; ``dist_agent_<i>`` is x_i = ||S_i - T_i||,
+    and ``dist_l1``/``dist_l2`` are its l1 and l2 sums over the agents. The
+    runs are walked in the chunks ``integrate`` records in, as many
+    snapshots as hold at most ``manifold._PAIR_CHUNK_ENTRIES`` entries of
+    both runs' states."""
+    _require_aligned(traj, partner)
+    total = len(traj)
+    series = _PairSeries(total, traj.states.shape[1])
+    for rows in _chunk_rows(total, 2 * math.prod(traj.states.shape[1:])):
+        series.add(rows, _snapshots(traj, rows), _snapshots(partner, rows))
+    return series.columns(traj, partner)
+
+
+def _snapshots(traj: Trajectory, rows: slice) -> Trajectory:
+    """The snapshots ``rows`` of one run, as views."""
+    return Trajectory(traj.times[rows], traj.states[rows], traj.drift[rows], traj.diameters[rows])
 
 
 def _agent_distances(columns: Mapping[str, np.ndarray]) -> list[np.ndarray]:
@@ -429,7 +465,8 @@ class InequalityAudit:
     ``lhs``/``rhs`` are aligned with ``times`` (interior grid points); for
     per-agent audits they are 2-D with one column per agent. ``audited``
     marks where the comparison was meaningful. ``max_violation`` is
-    max(lhs - rhs) over audited points, clipped at zero.
+    max(lhs - rhs) over audited points, clipped at zero; an audit whose
+    gap is NaN at an audited point raises :class:`ValidationError` instead.
     """
 
     name: str
@@ -452,7 +489,11 @@ def _finish_audit(name, times, lhs, rhs, audited, tol) -> InequalityAudit:
         np.max(lhs[rows] - rhs[rows], where=audited[rows], initial=-np.inf)
         for rows in _chunk_rows(lhs.shape[0], math.prod(lhs.shape[1:]))
     ]
-    max_violation = float(max(0.0, np.max(largest, initial=-np.inf)))
+    worst = float(np.max(largest, initial=-np.inf))
+    # a NaN gap is no violation to max(), so it would pass unseen
+    if math.isnan(worst):
+        raise ValidationError(f"{name}: an audited gap is NaN; the series hold a non-finite value")
+    max_violation = max(0.0, worst)
     return InequalityAudit(
         name=name,
         times=times,

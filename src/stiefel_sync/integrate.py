@@ -24,7 +24,16 @@ temporaries). Each of the three takes its tuple with one dict lookup and
 tests the shape of its output inline, so a step makes five calls into the
 package (four under ``never``) and no workspace method call. A step only
 fills these arrays: the state is copied in from ``initial``, which is only
-read, and each recorded state is copied out.
+read, and each recorded state is copied out, into a chunk of snapshots.
+
+A chunk holds as many recorded snapshots as have at most
+``manifold._PAIR_CHUNK_ENTRIES`` state entries, B N n p a snapshot, and at
+least one. Once a chunk is full, its drift and diameters are taken in one
+call each, through this module's globals, into the run's (B, K) columns.
+Without a sink the chunks are consecutive rows of the stored (B, K, N, n,
+p) stack. With a sink they share one buffer: each full chunk is handed to
+the sink and then overwritten, so the run holds one chunk of states, never
+its trajectory.
 
 One step calls ``rhs(x, cfg_c, work, u)`` four times, through this
 module's globals:
@@ -65,13 +74,16 @@ time grid bitwise, which the pairwise diagnostics rely on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, ValidationError
 from .linalg import _NonFiniteInput, _polar_unchecked, _Workspace
 from .manifold import (
+    _chunk_rows,
     _drift_within,
     ensemble_diameter,
     orthonormality_drift,
@@ -114,8 +126,10 @@ class IntegratorConfig:
             raise ValidationError(
                 f"retraction must be one of {RETRACTION_POLICIES}, got {self.retraction!r}"
             )
-        if self.record_stride < 1:
-            raise ValidationError("record_stride must be a positive integer")
+        # a bool is an int to Python, and a float stride cannot step a range
+        stride = self.record_stride
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+            raise ValidationError(f"record_stride must be a positive integer, got {stride!r}")
         # the run stores t_end / h / record_stride + 1 snapshot times; reject a
         # grid no array can hold before anything is allocated (t_end / h is
         # inf for a subnormal h, which the comparison rejects too)
@@ -151,7 +165,9 @@ class Trajectory:
     drift: (K,) orthonormality defects; diameters: (K,) ensemble diameters.
     A batch of B runs keeps one ``times`` grid and puts the member axis
     first: states (B, K, N, n, p), drift and diameters (B, K). Drift and
-    diameters are computed from the stored snapshots after the run.
+    diameters are taken chunk by chunk of recorded snapshots (see
+    :func:`integrate`). A run handed to a sink keeps no states: ``states``
+    is None, and ``times``, ``drift`` and ``diameters`` are whole.
     """
 
     times: np.ndarray
@@ -167,21 +183,36 @@ class Trajectory:
         single run is its own only member."""
         if self.drift.ndim == 1:
             return [self]
-        runs = zip(self.states, self.drift, self.diameters)
+        states = [None] * len(self.drift) if self.states is None else self.states
+        runs = zip(states, self.drift, self.diameters)
         return [Trajectory(self.times, *run) for run in runs]
 
 
-def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
+def integrate(
+    initial,
+    cfg: ModelConfig,
+    icfg: IntegratorConfig,
+    sink: Callable[[slice, Trajectory], None] | None = None,
+) -> Trajectory:
     """Integrate the system from ``initial`` over [0, t_end].
 
     ``initial`` is one ensemble (N, n, p) or a batch (B, N, n, p) stepped in
     one loop; each member's run is bitwise the one it has on its own.
     The stage configs, the workspace and the retraction policy are set up
-    once per run; the loop only steps and stores snapshots, and drift and
-    diameters come from one call each over the whole stored stack after
-    it. The horizon is rounded to a whole number of steps. Raises
-    :class:`DivergenceError` carrying the last good time when any state
-    entry becomes non-finite; a batch names its first member to diverge.
+    once per run; the loop only steps and records snapshots, and each full
+    chunk of them gets its drift and diameters from one call each. The
+    horizon is rounded to a whole number of steps.
+
+    Without a ``sink`` the chunks are stored, and the result holds every
+    recorded state. With one, ``sink(rows, chunk)`` is called once a chunk
+    is full, in time order, with ``rows`` the chunk's slice of the grid and
+    ``chunk`` a :class:`Trajectory` of those snapshots, shaped as the result
+    is (a batch for a batch). Its states are a buffer that the next chunk
+    overwrites, so a sink copies what it keeps; the result has no states.
+
+    Raises :class:`DivergenceError` carrying the last good time when any
+    state entry becomes non-finite; a batch names its first member to
+    diverge. The chunks before it have been handed to the sink by then.
     """
     initial = np.asarray(initial, dtype=float)
     batched = initial.ndim == 4
@@ -205,48 +236,64 @@ def integrate(initial, cfg: ModelConfig, icfg: IntegratorConfig) -> Trajectory:
     np.copyto(state, s)
     recorded = icfg.recorded_steps()
     times = recorded * h
-    states = np.empty((count, times.shape[0]) + s.shape[1:])
-    states[:, 0] = s
-    # one list lookup per step decides whether the step is recorded
-    marks = recorded.tolist()
-    slot = 1
+    total = times.shape[0]
+    drift = np.empty((count, total))
+    diameters = np.empty((count, total))
+    states = np.empty((count, total) + s.shape[1:]) if sink is None else None
+    buffer = None
+    step = 0
 
     # overflow in a diverging step, and a zero eigenvalue in its retraction,
     # is reported through DivergenceError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # rhs and _polar_unchecked are called positionally through this
-        # module's globals, where call counters can wrap them
-        for step in range(1, icfg.steps + 1):
-            rhs(state, half, work, u1)
-            rhs(np.add(state, u1, out=arg), half, work, u2)
-            rhs(np.add(state, u2, out=arg), whole, work, u3)
-            rhs(np.add(state, u3, out=arg), sixth, work, u4)
-            # s + (((u1 + u3) + 2 u2) / 3 + u4), the sum in u1
-            np.add(u1, u3, out=u1)
-            np.add(u1, np.add(u2, u2, out=u2), out=u1)
-            np.multiply(third, u1, out=u1)
-            np.add(u1, u4, out=u1)
-            np.add(state, u1, out=state)
-            if every_step:
-                # the retraction's gate tests finiteness
-                try:
-                    _polar_unchecked(state, state, work)
-                except _NonFiniteInput:
-                    raise _divergence(state, step, h) from None
-            elif not (gated and _drift_within(state, work)):
-                # under on_drift, only a state the gate cannot clear gets here
-                if not np.isfinite(state).all():
-                    raise _divergence(state, step, h)
-                if gated:
-                    over = orthonormality_drift(state) > NEWTON_SCHULZ_DEFECT
-                    if over.any():
-                        state[over] = _polar_unchecked(state[over])
-            if step == marks[slot]:
-                states[:, slot] = state
-                slot += 1
+        for rows in _chunk_rows(total, s.size):
+            if sink is None:
+                block = states[:, rows]
+            else:
+                # the first chunk is the longest, and the others reuse it
+                if buffer is None:
+                    buffer = np.empty((count, rows.stop) + s.shape[1:])
+                block = buffer[:, : rows.stop - rows.start]
+            # the step each snapshot of the chunk is recorded after
+            for row, mark in enumerate(recorded[rows].tolist()):
+                # the steps up to the snapshot's own; none for step 0
+                for step in range(step + 1, mark + 1):
+                    # rhs and _polar_unchecked are called positionally
+                    # through this module's globals, where call counters
+                    # can wrap them
+                    rhs(state, half, work, u1)
+                    rhs(np.add(state, u1, out=arg), half, work, u2)
+                    rhs(np.add(state, u2, out=arg), whole, work, u3)
+                    rhs(np.add(state, u3, out=arg), sixth, work, u4)
+                    # s + (((u1 + u3) + 2 u2) / 3 + u4), the sum in u1
+                    np.add(u1, u3, out=u1)
+                    np.add(u1, np.add(u2, u2, out=u2), out=u1)
+                    np.multiply(third, u1, out=u1)
+                    np.add(u1, u4, out=u1)
+                    np.add(state, u1, out=state)
+                    if every_step:
+                        # the retraction's gate tests finiteness
+                        try:
+                            _polar_unchecked(state, state, work)
+                        except _NonFiniteInput:
+                            raise _divergence(state, step, h) from None
+                    elif not (gated and _drift_within(state, work)):
+                        # under on_drift, only a state the gate cannot clear
+                        # gets here
+                        if not np.isfinite(state).all():
+                            raise _divergence(state, step, h)
+                        if gated:
+                            over = orthonormality_drift(state) > NEWTON_SCHULZ_DEFECT
+                            if over.any():
+                                state[over] = _polar_unchecked(state[over])
+                block[:, row] = state
+            # the chunk is full: its drift and diameters, one call each
+            drift[:, rows] = orthonormality_drift(block)
+            diameters[:, rows] = ensemble_diameter(block)
+            if sink is not None:
+                chunk = Trajectory(times[rows], block, drift[:, rows], diameters[:, rows])
+                sink(rows, chunk if batched else chunk.members()[0])
 
-    drift = orthonormality_drift(states)
-    diameters = ensemble_diameter(states)
     traj = Trajectory(times=times, states=states, drift=drift, diameters=diameters)
     return traj if batched else traj.members()[0]
 

@@ -220,15 +220,16 @@ def tangent_residual(point, v) -> float:
     return float(np.linalg.norm(m + m.T))
 
 
-# entries per chunk of every pass over a stored stack after the loop: 32
-# ensembles of 8 agents of (6, 2) differenced pairwise (28 pairs of 12
-# entries), 86 kB. Its users, each of which writes a chunk's result straight
-# into its output: orthonormality_drift (entries of the ensembles read),
+# entries per chunk of every pass over recorded snapshots: 32 ensembles of 8
+# agents of (6, 2) differenced pairwise (28 pairs of 12 entries), 86 kB. Its
+# users, each of which writes a chunk's result straight into its output:
+# integrate's chunks of recorded snapshots (state entries of every run of
+# the batch), orthonormality_drift (entries of the ensembles read),
 # _pair_sq_chunks for ensemble_diameter and model.potential (entries
-# differenced), diagnostics.pair_columns (entries of the snapshots
-# subtracted) and the Gram passes of diagnostics, the correlation gap series
-# and consensus detection (Gram entries, N^2 p^2 a snapshot). So no
-# temporary grows with the number of stored snapshots.
+# differenced), diagnostics.pair_columns (entries of both runs' snapshots)
+# and the Gram passes of diagnostics, the correlation gap series and
+# consensus detection (Gram entries, N^2 p^2 a snapshot). So no temporary
+# grows with the number of recorded snapshots.
 _PAIR_CHUNK_ENTRIES = 32 * 28 * 12
 
 

@@ -25,8 +25,9 @@ from . import diagnostics
 from .errors import (
     InsufficientDataError, ProjectionError, ScenarioError, UnsupportedTopologyError, ValidationError
 )
-from .integrate import IntegratorConfig, integrate
+from .integrate import IntegratorConfig, Trajectory, integrate
 from .manifold import (
+    _chunk_rows,
     near_consensus_ensemble,
     perturb_ensemble,
     random_ensemble,
@@ -292,22 +293,35 @@ def _normalize_analyses(raw) -> list[str]:
     return list(raw)
 
 
-def _check_storage(integrator: IntegratorConfig, count: int, n: int, p: int, pair: bool) -> None:
-    """Reject a run whose arrays cannot fit in physical memory: the float64
-    snapshot stack of the run, and of its partner when it has one, and the
-    N x N weights. Dims that cannot fit one snapshot are named, else ``h``."""
+def _check_storage(
+    integrator: IntegratorConfig, count: int, n: int, p: int, pair: bool, consensus: bool
+) -> None:
+    """Reject a run whose arrays cannot fit in physical memory: what a
+    streamed run holds (see :class:`_RunSeries`), its float64 series
+    columns, the snapshots of its consensus window when it has one and one
+    recorded chunk of the run and its partner, and the N x N weights. Dims
+    that cannot fit one chunk and the weights are named, else ``h``."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     runs = 2 if pair else 1
     snapshots = integrator.snapshot_count
-    snapshot = runs * count * n * p * 8
-    weights = count * count * 8
-    if snapshots * snapshot + weights <= memory:
+    # t, the potential and each run's drift and diameters; a pair adds
+    # the gap, its two parts, the l1 and l2 distances and N agent distances
+    columns = 2 + 2 * runs + (5 + count if pair else 0)
+    # a fifth of the span, and the snapshot kept before it
+    window = min(snapshots, snapshots // 5 + 3) if consensus else 0
+    snapshot = count * n * p
+    # the first chunk integrate records is its longest
+    chunk = next(_chunk_rows(snapshots, runs * snapshot)).stop * runs * snapshot
+    fixed = 8 * (chunk + count * count)
+    need = 8 * (snapshots * columns + window * snapshot) + fixed
+    if need <= memory:
         return
     raise ScenarioError(
-        f"{runs} run(s) of {snapshots} snapshots of {count} x {n} x {p} float64 and the"
-        f" {count} x {count} weights need {snapshots * snapshot + weights:.3g} bytes,"
+        f"{runs} run(s) of {snapshots} snapshots of {count} x {n} x {p} float64 hold"
+        f" {columns} series columns, {window} snapshots of the consensus window and one"
+        f" recorded chunk; with the {count} x {count} weights that is {need:.3g} bytes,"
         f" more than the {memory:.3g} bytes of physical memory",
-        field="dims" if snapshot + weights > memory else "integrator.h",
+        field="dims" if fixed > memory else "integrator.h",
     )
 
 
@@ -380,7 +394,10 @@ class Scenario:
         integrator = build_integrator(_optional(raw, "integrator", dict, {}))
         analyses = _normalize_analyses(_optional(raw, "analyses", list, []))
         # before anything of the run's size is allocated, the grid included
-        _check_storage(integrator, count, n, p, any(a in PAIR_ANALYSES for a in analyses))
+        _check_storage(
+            integrator, count, n, p, any(a in PAIR_ANALYSES for a in analyses),
+            "consensus" in analyses,
+        )
         times = integrator.recorded_steps() * integrator.h
         for analysis in analyses:
             _check_analysis_grid(analysis, times)
@@ -482,6 +499,48 @@ def _audit_to_dict(audit) -> dict:
     }
 
 
+class _RunSeries:
+    """The sink a scenario run hands to ``integrate``: what the run keeps
+    of its recorded chunks. Of each chunk it takes the main run's potential
+    and, for a pair, the pair series (``diagnostics._PairSeries``), and for
+    a consensus analysis it copies the main run's states from row ``keep``
+    on, one snapshot before the window, so that the kept grid spans more
+    than the window, as ``trailing_window_start`` asks. Nothing else of a
+    chunk outlives the call. So a run holds its series columns, the window
+    and one chunk, not its trajectory."""
+
+    def __init__(self, sc: Scenario):
+        total = sc.integrator.snapshot_count
+        self.topology = sc.model.topology
+        self.potential = np.empty(total)
+        count = self.topology.agent_count
+        self.pair = diagnostics._PairSeries(total, count) if sc.needs_pair else None
+        self.keep = self.window = None
+        if "consensus" in sc.analyses:
+            # the grid integrate records on
+            times = sc.integrator.recorded_steps() * float(sc.integrator.h)
+            window = diagnostics.consensus_window(times)
+            self.keep = diagnostics.trailing_window_start(times, window) - 1
+            self.window = np.empty((total - self.keep,) + sc.initial.shape)
+
+    def __call__(self, rows: slice, chunk: Trajectory) -> None:
+        run, *partner = chunk.members()
+        self.potential[rows] = potential(run.states, self.topology)
+        if self.pair is not None:
+            self.pair.add(rows, run, partner[0])
+        if self.window is not None and rows.stop > self.keep:
+            first = max(rows.start, self.keep)
+            kept = self.window[first - self.keep : rows.stop - self.keep]
+            kept[...] = run.states[first - rows.start :]
+
+    def window_run(self, traj: Trajectory) -> Trajectory:
+        """The main run ``traj`` from row ``keep`` on, with the kept states;
+        the sink lets go of them."""
+        states, self.window = self.window, None
+        rows = slice(self.keep, None)
+        return Trajectory(traj.times[rows], states, traj.drift[rows], traj.diameters[rows])
+
+
 def run_scenario(source, out_dir: str = ".") -> dict:
     """Execute a scenario file (or a prebuilt :class:`Scenario`): integrate,
     run every requested analysis, and write the series CSVs and report JSON
@@ -503,10 +562,12 @@ def run_scenario(source, out_dir: str = ".") -> dict:
         initials.append(
             _validated(perturb_ensemble, sc.initial, radius, seed, field="perturbation.radius")
         )
-    # the main run and its perturbed partner, if any, step as one batch
-    members = integrate(np.stack(initials), sc.model, sc.integrator).members()
+    series = _RunSeries(sc)
+    # the main run and its perturbed partner, if any, step as one batch,
+    # and each recorded chunk of both goes to the series
+    members = integrate(np.stack(initials), sc.model, sc.integrator, sink=series).members()
     traj = members[0]
-    pair = diagnostics.pair_columns(traj, members[1]) if sc.needs_pair else None
+    pair = series.pair.columns(traj, members[1]) if sc.needs_pair else None
 
     framework_dict = None
     if "framework" in sc.analyses:
@@ -521,7 +582,8 @@ def run_scenario(source, out_dir: str = ".") -> dict:
     consensus_dict = None
     if "consensus" in sc.analyses:
         window = diagnostics.consensus_window(traj.times)
-        status = diagnostics.consensus_status(traj, window)
+        # the window of the kept states is the run's own, row for row
+        status = diagnostics.consensus_status(series.window_run(traj), window)
         consensus_dict = {
             "kind": status.kind,
             "max_identity_gap": status.max_identity_gap,
@@ -557,7 +619,7 @@ def run_scenario(source, out_dir: str = ".") -> dict:
 
     artifacts = []
     base_csv = os.path.join(out_dir, f"{sc.name}.csv")
-    emit_series(traj, {"V": potential(traj.states, sc.model.topology)}, base_csv)
+    emit_series(traj, {"V": series.potential}, base_csv)
     artifacts.append(base_csv)
     if pair is not None:
         pair_csv = os.path.join(out_dir, f"{sc.name}_pair.csv")

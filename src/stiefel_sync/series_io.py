@@ -3,8 +3,9 @@
 Values are written with 17 significant digits so a parse of the emitted file
 reproduces every float bit for bit; runs with the same configuration and
 seeds therefore produce byte-identical files: the bytes ``np.savetxt`` writes
-with that format. Rows are formatted :data:`_BLOCK_ROWS` at a time, one ``%``
-per block, so only one block's text is held at a time.
+with that format. Rows are stacked from the columns and formatted
+:data:`_BLOCK_ROWS` at a time, one ``%`` per block, so only one block's
+values and text are held at a time.
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
             )
         columns[name] = values
 
-    table = np.column_stack(list(columns.values()))
     row = ",".join([_FORMAT] * len(columns)) + "\n"
     with _replacing(path) as handle:
         handle.write(",".join(columns) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
+        # each block's rows are stacked from the columns, so no table of
+        # the whole run is formed
+        for start in range(0, len(traj), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            block = np.column_stack([values[rows] for values in columns.values()])
             handle.write(row * len(block) % tuple(block.ravel().tolist()))
 
 

@@ -164,15 +164,14 @@ def whole_window_consensus(traj, window: float, tol: float = CONSENSUS_TOL) -> C
 
 
 # the functions run_scenario calls for its phases, by phase name: the loop,
-# the pair series, the analyses, the potential and the emission
+# which forms the potential and the pair series of each recorded chunk
+# too, the analyses and the emission
 RUN_PHASES = {
     "integrate": (scenario, "integrate"),
-    "pair_columns": (diagnostics, "pair_columns"),
     "consensus_status": (diagnostics, "consensus_status"),
     "fit_decay_rate": (diagnostics, "fit_decay_rate"),
     "audit_series": (diagnostics, "audit_series"),
     "stability_gain": (diagnostics, "stability_gain"),
-    "potential": (scenario, "potential"),
     "emit_series": (scenario, "emit_series"),
 }
 

@@ -3,6 +3,7 @@ rate fits, gains, inequality audits (with mutation sensitivity), cubic
 analysis, the weighted power-mean gap, and the derivative estimator."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -381,14 +382,16 @@ class TestSeriesMemory:
             excess.append(traced_excess(lambda: series(stack, runs, cfg, columns)))
         assert excess[1] - excess[0] <= 64_000, excess
 
-    # the phases after the loop; the emission writes a table of the whole run
-    POST_LOOP = ("pair_columns", "consensus_status", "fit_decay_rate", "audit_series", "potential")
+    # the loop, with the series of each recorded chunk, the analyses after
+    # it, and the emission, which stacks each block of rows from the columns
+    PHASES = ("integrate", "consensus_status", "fit_decay_rate", "audit_series", "emit_series")
 
-    def test_post_loop_phases_do_not_grow_with_the_run(self, tmp_path):
-        """Each phase of a generated heterogeneous pair run after its loop
-        allocates beyond what it keeps about as much at t_end 0.5 as at 2
-        (501 and 2001 snapshots, stride 1), measured by ``phase_peaks`` after
-        one untraced warm-up run. The stored pair grows by 2.3 MB."""
+    @pytest.fixture(scope="class")
+    def pair_runs(self, tmp_path_factory):
+        """A generated heterogeneous pair scenario at t_end 0.5 and 2 (501
+        and 2001 snapshots, stride 1), and an output directory that one
+        untraced warm-up run has written to."""
+        tmp_path = tmp_path_factory.mktemp("pair_runs")
         runs = {}
         for t_end in (0.5, 2.0):
             path = str(tmp_path / f"pair_{t_end}.json")
@@ -396,9 +399,33 @@ class TestSeriesMemory:
             runs[t_end] = Scenario.from_file(path)
         out_dir = str(tmp_path / "out")
         run_scenario(runs[0.5], out_dir)
+        return runs, out_dir
+
+    def test_post_loop_phases_do_not_grow_with_the_run(self, pair_runs):
+        """Each phase of a pair run allocates beyond what it keeps about as
+        much at t_end 0.5 as at 2, measured by ``phase_peaks``. A stored
+        pair would grow by 2.3 MB, and a table of the emitted columns by
+        230 kB."""
+        runs, out_dir = pair_runs
         short, long = (phase_peaks(lambda: run_scenario(sc, out_dir)) for sc in runs.values())
-        for name in self.POST_LOOP:
+        for name in self.PHASES:
             assert long[name] - short[name] <= 64_000, (name, short[name], long[name])
+
+    def test_whole_run_grows_by_its_columns_and_window(self, pair_runs):
+        """The peak of a whole pair run grows from t_end 0.5 to 2 by at most
+        what it keeps per snapshot, its series columns (the pair CSV's and
+        the potential) and the rows of its consensus window, plus 64 kB: the
+        runs are streamed chunk by chunk, and no trajectory is held. A
+        stored pair would add 2.3 MB, the series and window 0.46 MB."""
+        runs, out_dir = pair_runs
+        peaks, kept = [], []
+        for sc in runs.values():
+            peaks.append(traced_excess(lambda: run_scenario(sc, out_dir)))
+            columns = read_series(os.path.join(out_dir, f"{sc.name}_pair.csv"))
+            times = columns["t"]
+            window = len(times) - dg.trailing_window_start(times, dg.consensus_window(times))
+            kept.append(len(times) * (len(columns) + 1) + window * sc.initial.size)
+        assert peaks[1] - peaks[0] <= 8 * (kept[1] - kept[0]) + 64_000, (peaks, kept)
 
 
 class TestConsensusStatus:
@@ -745,6 +772,41 @@ class TestCorrelationContractionAudit:
             for a, b in zip(traj.diameters, partner.diameters)
         ]
         assert np.array_equal(contraction_slack(cfg, traj.diameters, partner.diameters), slacks)
+
+
+class TestNaNGapRejected:
+    """A NaN sample makes NaN gaps, and max(0.0, nan) is 0.0: an audit over
+    it would pass with max_violation 0. Each audit core raises instead."""
+
+    # each core with a column it reads; the diameter audit on the t and
+    # diam_S columns alone
+    CORES = [
+        (dg.audit_diameter_bound_series, "diam_S"),
+        (dg.audit_correlation_contraction_series, "corr_sq"),
+        (dg.audit_correlation_contraction_series, "diam_S"),
+        (dg.audit_agent_distance_bound_series, "dist_agent_0"),
+        (dg.audit_agent_distance_bound_series, "diam_S_tilde"),
+    ]
+
+    @pytest.mark.parametrize("audit, column", CORES)
+    def test_nan_sample_raises(self, framework_pair_session, audit, column):
+        cfg, traj, partner = framework_pair_session
+        columns = dg.pair_columns(traj, partner)
+        if audit is dg.audit_diameter_bound_series:
+            columns = {"t": columns["t"], "diam_S": columns["diam_S"]}
+        columns[column] = columns[column].copy()
+        columns[column][len(traj) // 2] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            audit(columns, cfg)
+
+    @pytest.mark.parametrize("column", ["diam_S", "corr_sq", "dist_agent_0"])
+    def test_audit_series_raises(self, framework_pair_session, column):
+        cfg, traj, partner = framework_pair_session
+        columns = dg.pair_columns(traj, partner)
+        columns[column] = columns[column].copy()
+        columns[column][1] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            dg.audit_series(columns, cfg)
 
 
 def run_framework_pair_p1(seed):

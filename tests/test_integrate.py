@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,9 +17,11 @@ from stiefel_sync.errors import (
     DivergenceError,
     ValidationError,
 )
-from stiefel_sync.integrate import RETRACTION_POLICIES, IntegratorConfig, integrate
+from stiefel_sync.diagnostics import consensus_status, pair_columns
+from stiefel_sync.integrate import RETRACTION_POLICIES, IntegratorConfig, Trajectory, integrate
 from stiefel_sync.linalg import _polar_unchecked, _Workspace, expm_skew
 from stiefel_sync.manifold import (
+    _PAIR_CHUNK_ENTRIES,
     _drift_within,
     near_consensus_ensemble,
     perturb_ensemble,
@@ -68,9 +71,17 @@ class TestIntegratorConfig:
         with pytest.raises(ValidationError):
             IntegratorConfig(retraction="sometimes")
 
-    def test_rejects_bad_stride(self):
-        with pytest.raises(ValidationError):
-            IntegratorConfig(record_stride=0)
+    # a float stride cannot step a range, and a bool is an int to Python
+    @pytest.mark.parametrize("stride", [0, -3, 2.5, 2.0, True, False, "2", None, np.float64(3)])
+    def test_rejects_bad_stride(self, stride):
+        with pytest.raises(ValidationError, match="record_stride"):
+            IntegratorConfig(record_stride=stride)
+
+    @pytest.mark.parametrize("stride", [3, np.int64(3), np.int32(3)])
+    def test_integer_strides_accepted(self, stride):
+        icfg = IntegratorConfig(h=0.1, t_end=1.0, record_stride=stride)
+        assert icfg.snapshot_count == 5
+        assert icfg.recorded_steps().tolist() == [0, 3, 6, 9, 10]
 
     @pytest.mark.parametrize("h, t_end", [(1e-300, 50.0), (5e-324, 1.0), (1e-3, 1e300)])
     def test_rejects_grid_no_array_can_hold(self, h, t_end):
@@ -846,6 +857,110 @@ class TestRecordingCallCounts:
             assert 0 < over_steps < gate_failures[batch > 1] < n_steps
         if h == 5e-2:
             assert over_steps == n_steps
+
+
+class TestStreamedChunks:
+    """A run handed to a sink: the sink sees every recorded snapshot once,
+    in chunks of at most ``_PAIR_CHUNK_ENTRIES`` state entries, bitwise as
+    a stored run records it, and the run keeps no states."""
+
+    @staticmethod
+    def streamed(initial, cfg, icfg):
+        """The streamed run of ``initial`` and a copy of each chunk it hands
+        to its sink, with the chunk's rows."""
+        chunks = []
+
+        def sink(rows, chunk):
+            chunks.append((rows, Trajectory(*(np.copy(a) for a in dataclasses.astuple(chunk)))))
+
+        return integrate(initial, cfg, icfg, sink=sink), chunks
+
+    @pytest.mark.parametrize("retraction", RETRACTION_POLICIES)
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_chunks_cover_the_grid_and_equal_the_stored_run(
+        self, monkeypatch, retraction, batch, stride
+    ):
+        calls, _ = TestRecordingCallCounts.count_calls(monkeypatch)
+        cfg = recording_config(3)
+        initial = np.stack([random_ensemble(4, 2, 3, seed=80 + b) for b in range(batch)])
+        initial = initial if batch > 1 else initial[0]
+        # 1000 steps, recorded in 2 to 5 chunks; at h 0.01 the on_drift gate
+        # passes on every step
+        icfg = IntegratorConfig(h=1e-2, t_end=10.0, retraction=retraction, record_stride=stride)
+        stored = integrate(initial, cfg, icfg)
+        calls.update(drift=0, diameter=0)
+        run, chunks = self.streamed(initial, cfg, icfg)
+
+        size = _PAIR_CHUNK_ENTRIES // (batch * 3 * 4 * 2)
+        total = icfg.snapshot_count
+        assert [rows for rows, _ in chunks] == [
+            slice(start, min(start + size, total)) for start in range(0, total, size)
+        ]
+        assert len(chunks) >= 2
+        # drift and diameters once a chunk
+        assert (calls["drift"], calls["diameter"]) == (len(chunks), len(chunks))
+        lead = (slice(None),) * (batch > 1)
+        for rows, chunk in chunks:
+            assert np.array_equal(chunk.times, stored.times[rows])
+            assert np.array_equal(chunk.states, stored.states[lead + (rows,)])
+            assert np.array_equal(chunk.drift, stored.drift[lead + (rows,)])
+            assert np.array_equal(chunk.diameters, stored.diameters[lead + (rows,)])
+        assert run.states is None
+        for name in ("times", "drift", "diameters"):
+            assert np.array_equal(getattr(run, name), getattr(stored, name))
+        assert [member.states for member in run.members()] == [None] * batch
+
+    def test_run_holds_one_chunk_not_its_trajectory(self):
+        """The peak of a streamed batch run of two grows from 401 to 1601
+        snapshots, both longer than a chunk of 224, by its (K,) grid and step
+        arrays and its (2, K) drift and diameters, 48 bytes a snapshot, and
+        16 kB more: the chunk buffer is reused. A stored run would add 461 kB
+        of states."""
+        cfg = recording_config(3)
+        initial = np.stack([random_ensemble(4, 2, 3, seed=80 + b) for b in range(2)])
+        peaks = []
+        for t_end in (4.0, 16.0):
+            icfg = IntegratorConfig(h=1e-2, t_end=t_end, record_stride=1)
+            integrate(initial, cfg, icfg, sink=lambda rows, chunk: None)
+            tracemalloc.start()
+            try:
+                integrate(initial, cfg, icfg, sink=lambda rows, chunk: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 48 * 1200 + 16_000, peaks
+
+    def test_analyses_of_states_reject_the_run(self):
+        cfg = recording_config(3)
+        initial = np.stack([random_ensemble(4, 2, 3, seed=80 + b) for b in range(2)])
+        icfg = IntegratorConfig(h=1e-2, t_end=1.0, record_stride=1)
+        run, partner = integrate(initial, cfg, icfg, sink=lambda rows, chunk: None).members()
+        with pytest.raises(ValidationError, match="kept no states"):
+            consensus_status(run, 0.5)
+        with pytest.raises(ValidationError, match="kept no states"):
+            pair_columns(run, partner)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_divergence_raised_as_in_a_stored_run(self, batch):
+        # the stiff coupling of TestDivergence blows RK4 up within a few
+        # steps; a stride of 1 hands the sink the good snapshots first
+        cfg = ModelConfig(
+            kappa=1e9,
+            topology=Topology.separable(np.ones(3)),
+            freqs=zero_frequencies(3, 2),
+            n=4,
+            p=2,
+        )
+        initial = np.stack([random_ensemble(4, 2, 3, seed=26 + b) for b in range(batch)])
+        initial = initial if batch > 1 else initial[0]
+        icfg = IntegratorConfig(h=1e-3, t_end=1.0, retraction="never", record_stride=1)
+        with pytest.raises(DivergenceError) as stored:
+            integrate(initial, cfg, icfg)
+        with pytest.raises(DivergenceError) as streamed:
+            self.streamed(initial, cfg, icfg)
+        assert str(streamed.value) == str(stored.value)
+        assert streamed.value.last_good_time == stored.value.last_good_time
 
 
 class TestInputsUnchanged:

@@ -22,9 +22,10 @@ from stiefel_sync.cli import (
     main,
 )
 from stiefel_sync import cli, diagnostics, series_io
+from stiefel_sync import scenario as scenario_module
 from stiefel_sync.errors import InsufficientDataError, ScenarioError, ValidationError
 from stiefel_sync.integrate import IntegratorConfig, Trajectory, integrate
-from stiefel_sync.manifold import random_ensemble
+from stiefel_sync.manifold import perturb_ensemble, random_ensemble
 from stiefel_sync.model import ModelConfig, Topology, zero_frequencies
 from stiefel_sync.scenario import (
     ANALYSIS_NAMES,
@@ -614,24 +615,28 @@ class TestSeriesIO:
         assert not target.exists()
 
 
-# the calls of each series in one run of each bundled scenario, counted
-# where the scenario and diagnostics modules bind them, as the benchmark's
-# tracer wraps them: the potential once a run, the correlation gap series
-# once a pair, consensus detection once a consensus analysis, and the slack
-# once for the decay fit's bound (scenario) and once for the correlation
-# audit (diagnostics)
+# how often each series is computed in one run of each bundled scenario,
+# counted where the scenario and diagnostics modules bind them, as the
+# benchmark's tracer wraps them: the potential once a run and the
+# correlation gap series once a pair, each snapshot once (they are called
+# once per recorded chunk, so they count the snapshots they are given, in
+# runs), consensus detection once a consensus analysis, and the slack once
+# for the decay fit's bound (scenario) and once for the correlation audit
+# (diagnostics)
 SERIES_CALLS = {
     "framework_hetero": (1, 1, 1, 1, 1),
     "homogeneous_complete": (1, 0, 0, 1, 0),
     "kuramoto_circle": (1, 0, 0, 1, 0),
     "stability_pair": (1, 0, 1, 0, 0),
 }
+# (module, name, whether the calls count the snapshots of their first
+# argument)
 COUNTED_SERIES = [
-    ("stiefel_sync.scenario", "potential"),
-    ("stiefel_sync.scenario", "contraction_slack"),
-    ("stiefel_sync.diagnostics", "correlation_gap_series"),
-    ("stiefel_sync.diagnostics", "consensus_status"),
-    ("stiefel_sync.diagnostics", "contraction_slack"),
+    ("stiefel_sync.scenario", "potential", True),
+    ("stiefel_sync.scenario", "contraction_slack", False),
+    ("stiefel_sync.diagnostics", "correlation_gap_series", True),
+    ("stiefel_sync.diagnostics", "consensus_status", False),
+    ("stiefel_sync.diagnostics", "contraction_slack", False),
 ]
 
 
@@ -640,18 +645,80 @@ class TestRunScenario:
     def test_each_series_is_computed_once(self, monkeypatch, tmp_path, name):
         calls = [0] * len(COUNTED_SERIES)
 
-        def counted(index, fn):
+        def counted(index, fn, snapshots):
             def wrapper(*args, **kwargs):
-                calls[index] += 1
+                calls[index] += len(args[0]) if snapshots else 1
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        for index, (module_name, attr) in enumerate(COUNTED_SERIES):
+        for index, (module_name, attr, snapshots) in enumerate(COUNTED_SERIES):
             module = importlib.import_module(module_name)
-            monkeypatch.setattr(module, attr, counted(index, getattr(module, attr)))
-        assert run_scenario(os.path.join(BUNDLED, f"{name}.json"), str(tmp_path))["ok"]
-        assert tuple(calls) == SERIES_CALLS[name]
+            monkeypatch.setattr(module, attr, counted(index, getattr(module, attr), snapshots))
+        path = os.path.join(BUNDLED, f"{name}.json")
+        assert run_scenario(path, str(tmp_path))["ok"]
+        total = Scenario.from_file(path).integrator.snapshot_count
+        expected = [
+            count * total if snapshots else count
+            for count, (_, _, snapshots) in zip(SERIES_CALLS[name], COUNTED_SERIES)
+        ]
+        assert calls == expected
+
+    # a generated heterogeneous pair with every analysis, at p = 1 (the
+    # generators are then zero), 2 and 3: 501 snapshots, which integrate
+    # records in 5, 9 and 14 chunks
+    STREAMED = {
+        1: {"dims.p": 1, "frequencies": {"kind": "zero"}},
+        2: {},
+        3: {"dims.p": 3},
+    }
+
+    @pytest.mark.parametrize("p", STREAMED)
+    def test_streamed_run_writes_what_a_stored_run_does(self, monkeypatch, tmp_path, p):
+        """A run streamed chunk by chunk writes the bytes, and reports the
+        analyses, that the same run gives when its trajectory is stored and
+        each series is taken from the whole of it."""
+        overrides = {"integrator.t_end": 0.5, "analyses": list(ANALYSIS_NAMES), **self.STREAMED[p]}
+        path = generate_scenario(
+            "heterogeneous-framework", 11, overrides, str(tmp_path / "pair.json")
+        )
+        sc = Scenario.from_file(path)
+        chunks = []
+        potential = scenario_module.potential
+        monkeypatch.setattr(
+            scenario_module, "potential", lambda *args: chunks.append(1) or potential(*args)
+        )
+        report = run_scenario(sc, str(tmp_path / "streamed"))
+        assert len(chunks) > 3
+
+        stored = tmp_path / "stored"
+        stored.mkdir()
+        partner = perturb_ensemble(sc.initial, sc.perturbation["radius"], sc.perturbation["seed"])
+        traj, other = integrate(np.stack([sc.initial, partner]), sc.model, sc.integrator).members()
+        pair = diagnostics.pair_columns(traj, other)
+        emit_series(traj, {"V": potential(traj.states, sc.model.topology)}, stored / "base.csv")
+        base = series_io.BASE_COLUMNS
+        extra = {name: values for name, values in pair.items() if name not in base}
+        emit_series(traj, extra, stored / "pair.csv")
+        for name, written in (("base.csv", f"{sc.name}.csv"), ("pair.csv", f"{sc.name}_pair.csv")):
+            assert (stored / name).read_bytes() == (tmp_path / "streamed" / written).read_bytes()
+
+        status = diagnostics.consensus_status(traj, diagnostics.consensus_window(traj.times))
+        assert report["consensus"]["kind"] == status.kind
+        assert report["consensus"]["max_identity_gap"] == status.max_identity_gap
+        assert report["consensus"]["max_variation"] == status.max_variation
+        audits = diagnostics.audit_series(pair, sc.model)
+        assert [a["max_violation"] for a in report["audits"]] == [
+            a.max_violation for a in audits
+        ]
+        rate = diagnostics.fit_decay_rate(
+            pair["t"], pair["diam_A"], diagnostics.decay_fit_window(pair["t"])
+        )
+        assert (report["decay"]["rate"], report["decay"]["r_squared"]) == rate
+        assert report["gain"] == {
+            str(p_exp): diagnostics.stability_gain(pair, p_exp)
+            for p_exp in diagnostics.GAIN_EXPONENTS
+        }
 
     def test_bundled_homogeneous_complete(self, bundled_runs):
         report = bundled_runs["homogeneous_complete"].report
@@ -1144,14 +1211,34 @@ class TestCli:
         assert f"{field}: " in err.getvalue() and "physical memory" in err.getvalue()
 
     def test_storage_bound_counts_the_partner(self, tmp_path, monkeypatch):
-        # 601 snapshots of 3 x 3 x 1 and the 3 x 3 weights: 43344 bytes for
-        # one run, 86616 with the partner
-        memory = 50_000
+        # 601 snapshots of 3 x 3 x 1: one run holds 4 series columns (19,232
+        # bytes), 123 snapshots of its consensus window (8,856) and one
+        # chunk of all 601 snapshots (43,272), with the 3 x 3 weights 71,432
+        # bytes; with the partner, 14 columns (67,312) and a chunk of both
+        # runs (86,544) make it 162,784
+        memory = 100_000
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         Scenario.from_file(minimal_scenario(tmp_path))
         with pytest.raises(ScenarioError, match="physical memory") as caught:
             Scenario.from_file(minimal_scenario(tmp_path, analyses=["consensus", "stability"]))
+        assert caught.value.field == "integrator.h"
+
+    def test_storage_bound_counts_one_chunk_not_the_trajectory(self, tmp_path, monkeypatch):
+        # 3001 snapshots of 8 x 6 x 2: the stored trajectory would be 2.3 MB;
+        # a streamed run holds 4 series columns (96,032 bytes), 603 snapshots
+        # of its consensus window (463,104) and one chunk of 112 snapshots
+        # (86,016), with the 8 x 8 weights 645,664 bytes
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 645_664}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        dims = {"n": 6, "p": 2, "N": 8}
+        topology = {"kind": "separable", "xi": [1.0] * 8}
+        integrator = {"h": 0.002, "t_end": 6.0, "record_stride": 1}
+        path = minimal_scenario(tmp_path, dims=dims, topology=topology, integrator=integrator)
+        Scenario.from_file(path)
+        pages["SC_PHYS_PAGES"] = 645_663
+        with pytest.raises(ScenarioError, match="physical memory") as caught:
+            Scenario.from_file(path)
         assert caught.value.field == "integrator.h"
 
     @pytest.mark.parametrize("case", OVERFLOWING_FIELDS)
