@@ -29,7 +29,8 @@ for k in range(0, len(traj), 10):
     v = potential(traj.states[k], topology)
     print(f"{traj.times[k]:6.2f}   {v:12.6e}  {traj.diameters[k]:12.6e}")
 
-status = consensus_status(traj, window=2.0, tol=1e-6)
+# the trailing fifth of the span, t in [8, 10], at tolerance 1e-6
+status = consensus_status(traj.times, traj.states)
 print("\nconsensus:", status.kind)
 print("largest distance of any pairwise correlation from the identity:",
       f"{status.max_identity_gap:.2e}")

@@ -51,7 +51,8 @@ traj, partner = integrate(pair, cfg, icfg).members()
 
 plain, skewed = correlation_gap_series(traj, partner)
 gap = plain + skewed
-rate, r2 = fit_decay_rate(traj.times, gap, (5.0, 10.0))
+# fitted over the trailing half of the span, t in [5, 10]
+rate, r2 = fit_decay_rate(traj.times, gap)
 slack_sup = max(
     contraction_slack(cfg, float(a), float(b))
     for a, b in zip(traj.diameters, partner.diameters)

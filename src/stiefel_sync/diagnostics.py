@@ -21,12 +21,11 @@ two trajectories go through the same code and agree bit for bit. The
 trajectory-level audits are one-line calls of their cores on such
 columns.
 
-The window rules of consensus detection (:func:`consensus_window`,
-:func:`trailing_window_start`), the decay fit (:func:`decay_fit_window`,
-:func:`fit_window_mask`) and the audits' slopes (:func:`slope_spacing`) are
-functions of a time grid: a scenario's analyses run them on a trajectory's
-times, and the scenario parser runs them on the recorded grid before
-anything is integrated.
+Each analysis is one fixed rule of a time grid: consensus detection
+(:func:`trailing_window_start`), the decay fit (:func:`fit_window_mask`)
+and the audits' slopes (:func:`slope_spacing`). The scenario parser runs
+these rules on the recorded grid before anything is integrated. An
+analysis that reads a non-finite value raises :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -170,19 +169,19 @@ def correlation_gap_series(traj1: Trajectory, traj2: Trajectory) -> tuple[np.nda
     return plain, skew
 
 
-def _require_single(traj: Trajectory) -> None:
-    if traj.states is None:
+def _require_single(states) -> None:
+    if states is None:
         raise ValidationError("the run kept no states: it was handed to a sink chunk by chunk")
-    if traj.states.ndim != 4:
+    if states.ndim != 4:
         raise DimensionError(
-            f"expected one run, states (K, N, n, p), got shape {traj.states.shape};"
+            f"expected one run, states (K, N, n, p), got shape {states.shape};"
             " split a batch into its runs with Trajectory.members()"
         )
 
 
 def _require_aligned(traj1: Trajectory, traj2: Trajectory) -> None:
-    _require_single(traj1)
-    _require_single(traj2)
+    _require_single(traj1.states)
+    _require_single(traj2.states)
     if traj1.states.shape != traj2.states.shape or not np.array_equal(
         traj1.times, traj2.times
     ):
@@ -292,22 +291,18 @@ class ConsensusStatus:
 
 
 def consensus_window(times) -> float:
-    """The trailing window a scenario's consensus analysis classifies: a
-    fifth of the span of the grid."""
+    """The trailing window consensus detection classifies: a fifth of the
+    span of the grid."""
     return 0.2 * float(times[-1] - times[0])
 
 
-def trailing_window_start(times, window: float) -> int:
-    """First row of the trailing ``window`` time units of an increasing
-    grid. The window must be positive, shorter than the grid's span, and
+def trailing_window_start(times) -> int:
+    """First row of the consensus window (:func:`consensus_window`) of an
+    increasing grid. The grid must span a positive time, and the window
     hold at least two samples."""
+    window = consensus_window(times)
     if not window > 0:
-        raise ValidationError("window must be positive")
-    span = float(times[-1] - times[0])
-    if window >= span:
-        raise InsufficientDataError(
-            f"window {window} does not fit inside the trajectory span {span}"
-        )
+        raise InsufficientDataError("a grid that spans no time has no consensus window")
     # times increase, so the window is a trailing run of samples
     first = int(np.searchsorted(times, times[-1] - window))
     if times.shape[0] - first < 2:
@@ -322,11 +317,11 @@ def _largest_norm(blocks: np.ndarray):
     return np.max(np.sqrt(blocks.sum(axis=(-2, -1))))
 
 
-def consensus_status(
-    traj: Trajectory, window: float, tol: float = CONSENSUS_TOL
-) -> ConsensusStatus:
-    """Classify the trailing ``window`` time units of one run at a positive,
-    finite ``tol``.
+def consensus_status(times, states) -> ConsensusStatus:
+    """Classify at :data:`CONSENSUS_TOL` the consensus window of one run,
+    its grid ``times`` from :func:`trailing_window_start` on. ``states``
+    are its last M snapshots, M from the window's rows to the grid's: a
+    stored run's ``traj.states``, or the rows a scenario run's sink kept.
 
     Two passes over the window's chunks of snapshots (see
     :func:`_chunked_correlations`) form each chunk's Gram products: the
@@ -338,11 +333,13 @@ def consensus_status(
     window one snapshot after another; at N = p = 1 it sums pairwise
     instead, so there the mean of a window longer than one chunk (10,752
     snapshots) may differ by rounding."""
-    if not 0 < tol < math.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
-    _require_single(traj)
-    first = trailing_window_start(traj.times, window)
-    window_states = traj.states[first:]
+    _require_single(states)
+    window_rows = times.shape[0] - trailing_window_start(times)
+    if not window_rows <= states.shape[0] <= times.shape[0]:
+        raise DimensionError(
+            f"{len(states)} states for a consensus window of {window_rows} of {len(times)} rows"
+        )
+    window_states = states[-window_rows:]
 
     total = None
     for rows, products in _chunked_correlations(window_states):
@@ -353,7 +350,10 @@ def consensus_status(
         total = products.sum(axis=0)
         # released before the next chunk's products are formed
         del products
-    mean = total / window_states.shape[0]
+    # a non-finite state makes its Gram products, and so their sum, non-finite
+    if not np.isfinite(total).all():
+        raise ValidationError("consensus: a state in the window is not finite")
+    mean = total / window_rows
 
     # the largest gaps of each chunk; a max is exact, so their max is that
     # of the whole window
@@ -366,9 +366,9 @@ def consensus_status(
         del products, variation
     max_identity_gap, max_variation = (float(v) for v in np.max(largest, axis=0))
 
-    if max_identity_gap <= tol:
+    if max_identity_gap <= CONSENSUS_TOL:
         kind = "complete"
-    elif max_variation <= tol:
+    elif max_variation <= CONSENSUS_TOL:
         kind = "partial"
     else:
         kind = "none"
@@ -386,31 +386,34 @@ def consensus_status(
 
 
 def decay_fit_window(times) -> tuple[float, float]:
-    """The window a scenario's decay fit runs on: the trailing half of a
-    grid that starts at t = 0, (T / 2, T) with T its last time."""
+    """The window the decay fit runs on: the trailing half of a grid that
+    starts at t = 0, (T / 2, T) with T its last time."""
     t_end = float(times[-1])
     return (0.5 * t_end, t_end)
 
 
-def fit_window_mask(times, fit_window: tuple[float, float]) -> np.ndarray:
-    """The samples of a grid inside a closed fit window, at least three."""
-    lo, hi = fit_window
+def fit_window_mask(times) -> np.ndarray:
+    """The samples of a grid inside its closed decay-fit window
+    (:func:`decay_fit_window`), at least three."""
+    lo, hi = decay_fit_window(times)
     mask = (times >= lo) & (times <= hi)
     if int(np.count_nonzero(mask)) < 3:
         raise InsufficientDataError("fewer than three points in the fit window")
     return mask
 
 
-def fit_decay_rate(times, values, fit_window: tuple[float, float]) -> tuple[float, float]:
-    """Least-squares slope of log(values) against time over the window,
-    negated so decay is positive, together with the fit's r^2."""
+def fit_decay_rate(times, values) -> tuple[float, float]:
+    """Least-squares slope of log(values) against time over the samples of
+    :func:`fit_window_mask`, negated so decay is positive, and its r^2."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise DimensionError(f"series shapes differ: {times.shape} vs {values.shape}")
-    mask = fit_window_mask(times, fit_window)
-    t = times[mask]
-    logs = np.log(np.maximum(values[mask], LOG_FLOOR))
+    mask = fit_window_mask(times)
+    t, fitted = times[mask], values[mask]
+    if not np.isfinite(fitted).all():
+        raise ValidationError("decay fit: a value in the fit window is not finite")
+    logs = np.log(np.maximum(fitted, LOG_FLOOR))
     slope, intercept = np.polyfit(t, logs, 1)
     predicted = slope * t + intercept
     ss_res = float(np.sum((logs - predicted) ** 2))
@@ -439,6 +442,8 @@ def stability_gain(columns: Mapping[str, np.ndarray], p_exp: float) -> float:
             "p_exp is beyond the float range; p_exp = inf takes the largest agent distance"
         ) from None
     norms = np.column_stack(_agent_distances(columns))  # (K, N)
+    if not np.isfinite(norms).all():
+        raise ValidationError("stability gain: an agent distance is not finite")
     if p_exp == 1:
         dist = norms.sum(axis=1)
     elif p_exp == np.inf:

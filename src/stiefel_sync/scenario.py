@@ -307,8 +307,8 @@ def _check_storage(
     # t, the potential and each run's drift and diameters; a pair adds
     # the gap, its two parts, the l1 and l2 distances and N agent distances
     columns = 2 + 2 * runs + (5 + count if pair else 0)
-    # a fifth of the span, and the snapshot kept before it
-    window = min(snapshots, snapshots // 5 + 3) if consensus else 0
+    # the rows of a fifth of the span, at most K // 5 + 2 of K snapshots
+    window = min(snapshots, snapshots // 5 + 2) if consensus else 0
     snapshot = count * n * p
     # the first chunk integrate records is its longest
     chunk = next(_chunk_rows(snapshots, runs * snapshot)).stop * runs * snapshot
@@ -331,13 +331,11 @@ def _check_analysis_grid(name: str, times: np.ndarray) -> None:
     grid = f" on the recorded grid of {times.shape[0]} snapshots up to t = {times[-1]:g}: "
     field = "integrator.t_end"
     if name == "consensus":
-        window = diagnostics.consensus_window(times)
-        context = f"a consensus window of {window:g}{grid}"
-        _validated(diagnostics.trailing_window_start, times, window, field=field, context=context)
+        context = f"a consensus window of {diagnostics.consensus_window(times):g}{grid}"
+        _validated(diagnostics.trailing_window_start, times, field=field, context=context)
     elif name == "decay_fit":
-        window = diagnostics.decay_fit_window(times)
         context = f"a decay fit over the trailing half of the span{grid}"
-        _validated(diagnostics.fit_window_mask, times, window, field=field, context=context)
+        _validated(diagnostics.fit_window_mask, times, field=field, context=context)
     elif name == "audits":
         context = f"the audits' slopes{grid}"
         _validated(diagnostics.slope_spacing, times, field=field, context=context)
@@ -503,11 +501,11 @@ class _RunSeries:
     """The sink a scenario run hands to ``integrate``: what the run keeps
     of its recorded chunks. Of each chunk it takes the main run's potential
     and, for a pair, the pair series (``diagnostics._PairSeries``), and for
-    a consensus analysis it copies the main run's states from row ``keep``
-    on, one snapshot before the window, so that the kept grid spans more
-    than the window, as ``trailing_window_start`` asks. Nothing else of a
-    chunk outlives the call. So a run holds its series columns, the window
-    and one chunk, not its trajectory."""
+    a consensus analysis it copies the main run's states from row ``first``
+    of the consensus window on (``diagnostics.trailing_window_start``),
+    which is all that ``consensus_status`` reads. Nothing else of a chunk
+    outlives the call. So a run holds its series columns, the window and
+    one chunk, not its trajectory."""
 
     def __init__(self, sc: Scenario):
         total = sc.integrator.snapshot_count
@@ -515,30 +513,22 @@ class _RunSeries:
         self.potential = np.empty(total)
         count = self.topology.agent_count
         self.pair = diagnostics._PairSeries(total, count) if sc.needs_pair else None
-        self.keep = self.window = None
+        self.first = self.window = None
         if "consensus" in sc.analyses:
             # the grid integrate records on
             times = sc.integrator.recorded_steps() * float(sc.integrator.h)
-            window = diagnostics.consensus_window(times)
-            self.keep = diagnostics.trailing_window_start(times, window) - 1
-            self.window = np.empty((total - self.keep,) + sc.initial.shape)
+            self.first = diagnostics.trailing_window_start(times)
+            self.window = np.empty((total - self.first,) + sc.initial.shape)
 
     def __call__(self, rows: slice, chunk: Trajectory) -> None:
         run, *partner = chunk.members()
         self.potential[rows] = potential(run.states, self.topology)
         if self.pair is not None:
             self.pair.add(rows, run, partner[0])
-        if self.window is not None and rows.stop > self.keep:
-            first = max(rows.start, self.keep)
-            kept = self.window[first - self.keep : rows.stop - self.keep]
-            kept[...] = run.states[first - rows.start :]
-
-    def window_run(self, traj: Trajectory) -> Trajectory:
-        """The main run ``traj`` from row ``keep`` on, with the kept states;
-        the sink lets go of them."""
-        states, self.window = self.window, None
-        rows = slice(self.keep, None)
-        return Trajectory(traj.times[rows], states, traj.drift[rows], traj.diameters[rows])
+        if self.window is not None and rows.stop > self.first:
+            start = max(rows.start, self.first)
+            kept = self.window[start - self.first : rows.stop - self.first]
+            kept[...] = run.states[start - rows.start :]
 
 
 def run_scenario(source, out_dir: str = ".") -> dict:
@@ -581,21 +571,20 @@ def run_scenario(source, out_dir: str = ".") -> dict:
 
     consensus_dict = None
     if "consensus" in sc.analyses:
-        window = diagnostics.consensus_window(traj.times)
-        # the window of the kept states is the run's own, row for row
-        status = diagnostics.consensus_status(series.window_run(traj), window)
+        status = diagnostics.consensus_status(traj.times, series.window)
+        # the window rows are let go before the later analyses
+        series.window = None
         consensus_dict = {
             "kind": status.kind,
             "max_identity_gap": status.max_identity_gap,
             "max_variation": status.max_variation,
-            "window": window,
+            "window": diagnostics.consensus_window(traj.times),
             "tol": diagnostics.CONSENSUS_TOL,
         }
 
     decay_dict = None
     if "decay_fit" in sc.analyses:
-        window = diagnostics.decay_fit_window(pair["t"])
-        rate, r_squared = diagnostics.fit_decay_rate(pair["t"], pair["diam_A"], window)
+        rate, r_squared = diagnostics.fit_decay_rate(pair["t"], pair["diam_A"])
         slack_sup = float(
             np.max(contraction_slack(sc.model, pair["diam_S"], pair["diam_S_tilde"]))
         )
@@ -603,7 +592,7 @@ def run_scenario(source, out_dir: str = ".") -> dict:
             "rate": rate,
             "r_squared": r_squared,
             "delta_lower": decay_rate_bound(sc.model, slack_sup),
-            "fit_window": list(window),
+            "fit_window": list(diagnostics.decay_fit_window(pair["t"])),
         }
 
     audit_dicts = None

@@ -33,9 +33,9 @@ def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
 
     Base columns are t, drift, diam_S; the ``diag`` mapping appends extra
     columns in its iteration order. Rows are in time order. Nothing is
-    written unless all columns validate, and the rows go to a temporary
-    file that replaces ``path`` once complete (:func:`_replacing`), so
-    there are no partial files.
+    written unless all columns validate, finite as :func:`read_series`
+    asks, and the rows go to a temporary file that replaces ``path`` once
+    complete (:func:`_replacing`), so there are no partial files.
     """
     if len(traj) == 0:
         raise ValidationError("refusing to emit an empty trajectory")
@@ -51,6 +51,10 @@ def emit_series(traj: Trajectory, diag: Mapping[str, np.ndarray], path) -> None:
                 f"column {name!r} has length {values.shape}, expected {traj.times.shape}"
             )
         columns[name] = values
+    for name, values in columns.items():
+        if not np.isfinite(values).all():
+            k = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise ValidationError(f"column {name!r} holds {values[k]} at data row {k + 1}")
 
     row = ",".join([_FORMAT] * len(columns)) + "\n"
     with _replacing(path) as handle:

@@ -8,7 +8,6 @@ import pytest
 from golden.regenerate import SCENARIOS, run_bundled
 from stiefel_sync import diagnostics, scenario
 from stiefel_sync.diagnostics import (
-    CONSENSUS_TOL,
     ConsensusStatus,
     correlation_contraction_bound,
     correlations,
@@ -136,12 +135,13 @@ def correlation_gap_components(s1, s2) -> tuple[float, float]:
     return plain, float(np.sum(skew * skew))
 
 
-def whole_window_consensus(traj, window: float, tol: float = CONSENSUS_TOL) -> ConsensusStatus:
+def whole_window_consensus(times, states) -> ConsensusStatus:
     """``diagnostics.consensus_status`` taken on the (W, N, N, p, p) stack of
     its whole window's Gram products, with the mean ``stack.mean(axis=0)``:
-    the oracle of its two passes over the window's chunks."""
-    first = trailing_window_start(traj.times, window)
-    stack = np.stack([correlations(s) for s in traj.states[first:]])
+    the oracle of its two passes over the window's chunks. It classifies at
+    ``diagnostics.CONSENSUS_TOL`` as read when called, as the library does."""
+    window_rows = len(times) - trailing_window_start(times)
+    stack = np.stack([correlations(s) for s in states[-window_rows:]])
     mean = stack.mean(axis=0)
 
     def largest_norm(blocks):
@@ -149,6 +149,7 @@ def whole_window_consensus(traj, window: float, tol: float = CONSENSUS_TOL) -> C
 
     max_identity_gap = largest_norm(stack - np.eye(stack.shape[-1]))
     max_variation = largest_norm(stack - mean)
+    tol = diagnostics.CONSENSUS_TOL
     if max_identity_gap <= tol:
         kind = "complete"
     elif max_variation <= tol:

@@ -205,12 +205,14 @@ class TestChunkedCorrelationPasses:
         assert np.array_equal(skewed, expected[:, 1])
 
     @pytest.mark.parametrize("shape, total", CHUNK_CASES[1:])
-    def test_consensus_window_equals_per_snapshot_stack(self, shape, total):
+    def test_consensus_window_equals_per_snapshot_stack(self, monkeypatch, shape, total):
         track = random_track(*shape, total, seed=300)
-        window = 0.8 * (total - 1)
+        # the window of the last 80 % of the track's span, on a grid whose
+        # consensus window holds those rows of the whole track
+        first = int(np.ceil(0.2 * (total - 1)))
         # a tolerance above every gap classifies the window, so limits is set
-        status = dg.consensus_status(track, window, tol=10.0)
-        first = int(np.ceil((total - 1) - window))
+        monkeypatch.setattr(dg, "CONSENSUS_TOL", 10.0)
+        status = dg.consensus_status(window_grid(total - first), track.states)
         stack = np.stack([dg.correlations(s) for s in track.states[first:]])
         mean = stack.mean(axis=0)
         eye = np.eye(shape[2])
@@ -224,10 +226,17 @@ class TestChunkedCorrelationPasses:
         )
 
 
-def window_track(shape, snapshots, seed):
-    """A track whose window of ``snapshots - 0.5`` time units holds the
-    last ``snapshots`` of its snapshots, with five more before them."""
-    return random_track(*shape, snapshots + 5, seed=seed)
+def window_grid(rows: int) -> np.ndarray:
+    """A unit-spaced grid whose consensus window, a fifth of its span,
+    holds exactly its last ``rows`` samples: a span of 5 rows - 3 starts
+    the window 0.4 past a sample, clear of rounding."""
+    return np.arange(5 * rows - 2, dtype=float)
+
+
+def window_states(shape, snapshots, seed):
+    """The last ``snapshots + 5`` states of a run whose consensus window
+    (on ``window_grid(snapshots)``) is the last ``snapshots`` of them."""
+    return random_track(*shape, snapshots + 5, seed=seed).states
 
 
 # windows around the Gram chunk at (8, 6, 2) (42 snapshots), of several
@@ -244,11 +253,12 @@ TWO_PASS_CASES = [
 class TestConsensusTwoPass:
     @pytest.mark.parametrize("shape, snapshots", TWO_PASS_CASES)
     @pytest.mark.parametrize("tol", [dg.CONSENSUS_TOL, 10.0])
-    def test_equals_whole_window_stack(self, shape, snapshots, tol):
-        track = window_track(shape, snapshots, seed=snapshots)
-        window = snapshots - 0.5
-        status = dg.consensus_status(track, window, tol)
-        expected = whole_window_consensus(track, window, tol)
+    def test_equals_whole_window_stack(self, monkeypatch, shape, snapshots, tol):
+        times = window_grid(snapshots)
+        states = window_states(shape, snapshots, seed=snapshots)
+        monkeypatch.setattr(dg, "CONSENSUS_TOL", tol)
+        status = dg.consensus_status(times, states)
+        expected = whole_window_consensus(times, states)
         assert status.kind == expected.kind
         assert status.max_identity_gap == expected.max_identity_gap
         assert status.max_variation == expected.max_variation
@@ -257,7 +267,7 @@ class TestConsensusTwoPass:
         else:
             assert np.array_equal(status.limits, expected.limits)
 
-    def test_single_entry_window_of_several_chunks_at_rounding(self):
+    def test_single_entry_window_of_several_chunks_at_rounding(self, monkeypatch):
         # at N = p = 1 numpy sums a window of one chunk pairwise, so a window
         # of two chunks has each chunk summed pairwise and the two added: the
         # mean of these positive terms may move by the rounding of both
@@ -266,11 +276,10 @@ class TestConsensusTwoPass:
         # the identity gap does not read the mean and stays bitwise
         snapshots = gram_chunk(1, 1) + 248
         states = np.random.default_rng(5).standard_normal((snapshots + 5, 1, 2, 1))
-        zeros = np.zeros(snapshots + 5)
-        track = Trajectory(np.arange(snapshots + 5, dtype=float), states, zeros, zeros)
-        window = snapshots - 0.5
-        status = dg.consensus_status(track, window, tol=1e9)
-        expected = whole_window_consensus(track, window, tol=1e9)
+        times = window_grid(snapshots)
+        monkeypatch.setattr(dg, "CONSENSUS_TOL", 1e9)
+        status = dg.consensus_status(times, states)
+        expected = whole_window_consensus(times, states)
         mean = float(expected.limits[0, 0, 0, 0])
         bound = 2 * (math.log2(snapshots) + 16) * np.finfo(float).eps * mean
         assert status.max_identity_gap == expected.max_identity_gap
@@ -325,7 +334,7 @@ class TestBatchRejected:
 
     def test_consensus_status_names_members(self, batch):
         with pytest.raises(DimensionError, match=r"Trajectory\.members\(\)"):
-            dg.consensus_status(batch, 2.5)
+            dg.consensus_status(batch.times, batch.states)
 
     def test_pair_columns_names_members(self, batch):
         with pytest.raises(DimensionError, match=r"Trajectory\.members\(\)"):
@@ -356,7 +365,7 @@ STORED_SERIES = {
     "pair_columns": lambda stack, runs, cfg, columns: dg.pair_columns(*runs),
     "gap_series": lambda stack, runs, cfg, columns: dg.correlation_gap_series(*runs),
     "consensus_status": lambda stack, runs, cfg, columns: dg.consensus_status(
-        runs[0], dg.consensus_window(runs[0].times)
+        runs[0].times, runs[0].states
     ),
     "audit_series": lambda stack, runs, cfg, columns: dg.audit_series(columns, cfg),
 }
@@ -423,7 +432,7 @@ class TestSeriesMemory:
             peaks.append(traced_excess(lambda: run_scenario(sc, out_dir)))
             columns = read_series(os.path.join(out_dir, f"{sc.name}_pair.csv"))
             times = columns["t"]
-            window = len(times) - dg.trailing_window_start(times, dg.consensus_window(times))
+            window = len(times) - dg.trailing_window_start(times)
             kept.append(len(times) * (len(columns) + 1) + window * sc.initial.size)
         assert peaks[1] - peaks[0] <= 8 * (kept[1] - kept[0]) + 64_000, (peaks, kept)
 
@@ -433,7 +442,7 @@ class TestConsensusStatus:
         cfg = uniform_config(4, 4, 2, kappa=4.0)
         init = near_consensus_ensemble(4, 2, 4, 0.4, seed=7)
         traj = short_run(cfg, init, t_end=8.0)
-        status = dg.consensus_status(traj, window=1.6, tol=1e-6)
+        status = dg.consensus_status(traj.times, traj.states)
         assert status.kind == "complete"
         assert status.max_identity_gap <= 1e-6
 
@@ -442,25 +451,16 @@ class TestConsensusStatus:
         cfg = uniform_config(3, 4, 2, kappa=0.0, freqs=freqs)
         init = random_ensemble(4, 2, 3, seed=9)
         traj = short_run(cfg, init, t_end=8.0)
-        status = dg.consensus_status(traj, window=4.0, tol=1e-6)
+        status = dg.consensus_status(traj.times, traj.states)
         assert status.kind == "none"
         assert status.limits is None
 
     def test_partial_for_heterogeneous_locked_state(self):
         cfg, traj, _ = run_framework_pair(777, t_end=8.0)
-        status = dg.consensus_status(traj, window=1.6, tol=1e-6)
+        status = dg.consensus_status(traj.times, traj.states)
         assert status.kind == "partial"
         assert status.limits is not None
         assert status.max_identity_gap > 1e-6
-
-    def test_window_validation(self):
-        cfg = uniform_config(2, 3, 1, kappa=1.0)
-        init = random_ensemble(3, 1, 2, seed=10)
-        traj = short_run(cfg, init, t_end=1.0)
-        with pytest.raises(InsufficientDataError):
-            dg.consensus_status(traj, window=2.0)
-        with pytest.raises(ValidationError):
-            dg.consensus_status(traj, window=0.0)
 
     @pytest.fixture(scope="class")
     def unit_span_run(self):
@@ -468,72 +468,104 @@ class TestConsensusStatus:
         cfg = uniform_config(2, 3, 1, kappa=1.0)
         return short_run(cfg, random_ensemble(3, 1, 2, seed=10), t_end=1.0)
 
-    @pytest.mark.parametrize("window", [math.nan, 0.0, -0.5, -math.inf])
-    def test_nonpositive_window_rejected(self, unit_span_run, window):
-        with pytest.raises(ValidationError, match="window must be positive"):
-            dg.consensus_status(unit_span_run, window)
-
-    @pytest.mark.parametrize("window", [1.0, 2.0, math.inf, 0.005])
-    def test_window_outside_the_grid_rejected(self, unit_span_run, window):
-        # the whole span or more, or less than the spacing of 0.01
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0], [0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0, 4.0]],
+        ids=["one-sample", "no-span", "one-sample-in-window", "window-edge-between"],
+    )
+    def test_grid_without_a_window_rejected(self, times):
+        # a fifth of the span must be positive and hold two samples
+        times = np.array(times)
+        states = random_track(2, 3, 1, len(times), seed=1).states
         with pytest.raises(InsufficientDataError):
-            dg.consensus_status(unit_span_run, window)
+            dg.trailing_window_start(times)
+        with pytest.raises(InsufficientDataError):
+            dg.consensus_status(times, states)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, -math.inf])
-    def test_tol_must_be_positive_and_finite(self, unit_span_run, tol):
-        # a NaN tol would classify every run as "none", an infinite one
-        # every run as "complete"
-        with pytest.raises(ValidationError, match="tol must be positive and finite"):
-            dg.consensus_status(unit_span_run, 0.2, tol)
+    def test_states_tail_is_the_window(self, unit_span_run):
+        # 101 samples, the last 21 in the window: a tail of 21 to 101
+        # states classifies as the whole run does, bit for bit
+        times, states = unit_span_run.times, unit_span_run.states
+        assert len(times) - dg.trailing_window_start(times) == 21
+        whole = dg.consensus_status(times, states)
+        for rows in (21, 22, 100):
+            assert dg.consensus_status(times, states[-rows:]) == whole
 
-    def test_tol_at_the_largest_gap_classifies_complete(self):
+    @pytest.mark.parametrize("rows", [20, 102])
+    def test_states_not_covering_the_window_rejected(self, unit_span_run, rows):
+        # fewer rows than the window, or more than the grid
+        states = np.concatenate([unit_span_run.states] * 2)[-rows:]
+        with pytest.raises(DimensionError, match="consensus window"):
+            dg.consensus_status(unit_span_run.times, states)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_state_in_the_window_rejected(self, unit_span_run, value):
+        states = unit_span_run.states.copy()
+        states[-3, 1, 0, 0] = value
+        with pytest.raises(ValidationError, match="consensus: .* not finite"):
+            dg.consensus_status(unit_span_run.times, states)
+
+    def test_tol_at_the_largest_gap_classifies_complete(self, monkeypatch):
         cfg = uniform_config(4, 4, 2, kappa=4.0)
         init = near_consensus_ensemble(4, 2, 4, 0.4, seed=7)
         traj = short_run(cfg, init, t_end=8.0)
-        gap = dg.consensus_status(traj, 1.6).max_identity_gap
-        assert dg.consensus_status(traj, 1.6, gap).kind == "complete"
-        assert dg.consensus_status(traj, 1.6, np.nextafter(gap, 0.0)).kind != "complete"
+        gap = dg.consensus_status(traj.times, traj.states).max_identity_gap
+        monkeypatch.setattr(dg, "CONSENSUS_TOL", gap)
+        assert dg.consensus_status(traj.times, traj.states).kind == "complete"
+        monkeypatch.setattr(dg, "CONSENSUS_TOL", np.nextafter(gap, 0.0))
+        assert dg.consensus_status(traj.times, traj.states).kind != "complete"
 
 
 class TestFitDecayRate:
     def test_exact_exponential(self):
         t = np.linspace(0, 5, 400)
-        rate, r2 = dg.fit_decay_rate(t, np.exp(-3.0 * t), (1.0, 4.0))
+        rate, r2 = dg.fit_decay_rate(t, np.exp(-3.0 * t))
         assert abs(rate - 3.0) <= 1e-9
+        assert abs(r2 - 1.0) <= 1e-12
+
+    def test_fits_the_trailing_half(self):
+        # a kink at t = 2.5: the rate of the second half alone
+        t = np.linspace(0, 5, 401)
+        values = np.exp(np.where(t < 2.5, -1.0 * t, -2.5 - 4.0 * (t - 2.5)))
+        rate, r2 = dg.fit_decay_rate(t, values)
+        assert abs(rate - 4.0) <= 1e-9
         assert abs(r2 - 1.0) <= 1e-12
 
     def test_constant_series(self):
         t = np.linspace(0, 5, 100)
-        rate, r2 = dg.fit_decay_rate(t, np.full(100, 2.5), (0.0, 5.0))
+        rate, r2 = dg.fit_decay_rate(t, np.full(100, 2.5))
         assert abs(rate) <= 1e-12
         assert r2 == 1.0
 
     def test_noise_has_poor_r_squared(self):
         rng = np.random.default_rng(99)
         t = np.linspace(0, 5, 200)
-        _, r2 = dg.fit_decay_rate(t, np.exp(rng.standard_normal(200)), (0.0, 5.0))
+        _, r2 = dg.fit_decay_rate(t, np.exp(rng.standard_normal(200)))
         assert r2 < 0.5
 
     def test_floor_guards_log(self):
         t = np.linspace(0, 5, 50)
         values = np.zeros(50)
-        rate, _ = dg.fit_decay_rate(t, values, (0.0, 5.0))
+        rate, _ = dg.fit_decay_rate(t, values)
         assert abs(rate) <= 1e-9
 
-    def test_insufficient_window(self):
-        t = np.linspace(0, 5, 100)
-        with pytest.raises(InsufficientDataError):
-            dg.fit_decay_rate(t, np.exp(-t), (4.99, 5.0))
-
     @pytest.mark.parametrize(
-        "fit_window",
-        [(4.0, 1.0), (math.nan, 5.0), (0.0, math.nan), (6.0, 7.0), (-2.0, -1.0), (4.9, 5.0)],
-        ids=["reversed", "nan-start", "nan-end", "after-grid", "before-grid", "two-points"],
+        "times",
+        [[0.0], [0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 1.9, 3.9, 4.0]],
+        ids=["one-sample", "two-samples", "two-in-half", "edge-just-after-a-sample"],
     )
-    def test_window_without_three_points_rejected(self, fit_window):
-        t = np.linspace(0, 5, 100)
+    def test_grid_without_three_points_rejected(self, times):
+        times = np.array(times)
         with pytest.raises(InsufficientDataError, match="fewer than three points"):
-            dg.fit_decay_rate(t, np.exp(-t), fit_window)
+            dg.fit_decay_rate(times, np.exp(-times))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_in_the_window_rejected(self, value):
+        t = np.linspace(0, 5, 100)
+        values = np.exp(-t)
+        values[80] = value
+        with pytest.raises(ValidationError, match="decay fit: .* not finite"):
+            dg.fit_decay_rate(t, values)
 
 
 class TestStabilityGain:
@@ -597,6 +629,16 @@ class TestStabilityGain:
         columns = {"dist_agent_0": np.array([0.2, 0.3]), "dist_agent_1": np.array([0.2, 0.1])}
         with pytest.raises(ValidationError, match="p_exp is beyond the float range"):
             dg.stability_gain(columns, 10 ** 400)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("p_exp", [1.0, 2.0, math.inf])
+    def test_non_finite_agent_distance_rejected(self, p_exp, value):
+        columns = {
+            "dist_agent_0": np.array([0.2, 0.3, 0.25]),
+            "dist_agent_1": np.array([0.2, value, 0.1]),
+        }
+        with pytest.raises(ValidationError, match="stability gain: .* not finite"):
+            dg.stability_gain(columns, p_exp)
 
     @pytest.mark.parametrize("name", ["framework_hetero", "stability_pair"])
     @pytest.mark.parametrize("p_exp", [1.0, 2.0, 3.5, 4.0, 2000.0, 1e300])

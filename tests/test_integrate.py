@@ -937,7 +937,7 @@ class TestStreamedChunks:
         icfg = IntegratorConfig(h=1e-2, t_end=1.0, record_stride=1)
         run, partner = integrate(initial, cfg, icfg, sink=lambda rows, chunk: None).members()
         with pytest.raises(ValidationError, match="kept no states"):
-            consensus_status(run, 0.5)
+            consensus_status(run.times, run.states)
         with pytest.raises(ValidationError, match="kept no states"):
             pair_columns(run, partner)
 

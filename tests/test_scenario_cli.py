@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -614,6 +615,23 @@ class TestSeriesIO:
             emit_series(traj, {"V": np.ones(3)}, target)
         assert not target.exists()
 
+    @pytest.mark.parametrize("column", ["t", "drift", "V", "W"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_column_rejected_without_partial_file(self, tmp_path, column, value):
+        # read_series would reject the file, so it is not written; a file
+        # already at the target is left as it was
+        traj, extra = self.series_of(5)
+        columns = {"t": traj.times, "drift": traj.drift, "diam_S": traj.diameters, **extra}
+        columns[column] = columns[column].copy()
+        columns[column][3] = value
+        traj = Trajectory(columns["t"], traj.states, columns["drift"], columns["diam_S"])
+        target = tmp_path / "kept.csv"
+        target.write_text("earlier\n")
+        with pytest.raises(ValidationError, match=f"column '{column}' holds .* at data row 4"):
+            emit_series(traj, {"V": columns["V"], "W": columns["W"]}, target)
+        assert target.read_text() == "earlier\n"
+        assert os.listdir(tmp_path) == ["kept.csv"]
+
 
 # how often each series is computed in one run of each bundled scenario,
 # counted where the scenario and diagnostics modules bind them, as the
@@ -703,7 +721,7 @@ class TestRunScenario:
         for name, written in (("base.csv", f"{sc.name}.csv"), ("pair.csv", f"{sc.name}_pair.csv")):
             assert (stored / name).read_bytes() == (tmp_path / "streamed" / written).read_bytes()
 
-        status = diagnostics.consensus_status(traj, diagnostics.consensus_window(traj.times))
+        status = diagnostics.consensus_status(traj.times, traj.states)
         assert report["consensus"]["kind"] == status.kind
         assert report["consensus"]["max_identity_gap"] == status.max_identity_gap
         assert report["consensus"]["max_variation"] == status.max_variation
@@ -711,14 +729,31 @@ class TestRunScenario:
         assert [a["max_violation"] for a in report["audits"]] == [
             a.max_violation for a in audits
         ]
-        rate = diagnostics.fit_decay_rate(
-            pair["t"], pair["diam_A"], diagnostics.decay_fit_window(pair["t"])
-        )
+        rate = diagnostics.fit_decay_rate(pair["t"], pair["diam_A"])
         assert (report["decay"]["rate"], report["decay"]["r_squared"]) == rate
         assert report["gain"] == {
             str(p_exp): diagnostics.stability_gain(pair, p_exp)
             for p_exp in diagnostics.GAIN_EXPONENTS
         }
+
+    @pytest.mark.parametrize(
+        "stride, snapshots, rows", [(1, 3001, 601), (5, 601, 121), (7, 430, 87)]
+    )
+    def test_sink_keeps_the_consensus_window_rows(
+        self, monkeypatch, tmp_path, stride, snapshots, rows
+    ):
+        # a run of 3000 steps to t = 6: the window from t = 4.8 on is all
+        # that consensus_status reads, and all that the run keeps of states
+        calls = []
+        status = diagnostics.consensus_status
+        monkeypatch.setattr(
+            diagnostics, "consensus_status",
+            lambda times, states: calls.append((len(times), states.shape)) or status(times, states),
+        )
+        integrator = {"h": 0.002, "t_end": 6.0, "record_stride": stride}
+        report = run_scenario(minimal_scenario(tmp_path, integrator=integrator), str(tmp_path))
+        assert calls == [(snapshots, (rows, 3, 3, 1))]
+        assert report["consensus"]["kind"] == "complete"
 
     def test_bundled_homogeneous_complete(self, bundled_runs):
         report = bundled_runs["homogeneous_complete"].report
@@ -1144,9 +1179,7 @@ class TestCli:
         # classify a fifth of the span of the run's grid
         self._grid_sweep(
             tmp_path, stride, "consensus",
-            lambda traj: diagnostics.consensus_status(
-                traj, diagnostics.consensus_window(traj.times)
-            ),
+            lambda traj: diagnostics.consensus_status(traj.times, traj.states),
         )
 
     @pytest.mark.parametrize(
@@ -1183,9 +1216,7 @@ class TestCli:
         # the trailing half of the run's grid, from t_end / 2 on
         self._grid_sweep(
             tmp_path, stride, "decay_fit",
-            lambda traj: diagnostics.fit_decay_rate(
-                traj.times, traj.diameters, (0.5 * float(traj.times[-1]), float(traj.times[-1]))
-            ),
+            lambda traj: diagnostics.fit_decay_rate(traj.times, traj.diameters),
         )
 
     @pytest.mark.parametrize(
@@ -1212,10 +1243,10 @@ class TestCli:
 
     def test_storage_bound_counts_the_partner(self, tmp_path, monkeypatch):
         # 601 snapshots of 3 x 3 x 1: one run holds 4 series columns (19,232
-        # bytes), 123 snapshots of its consensus window (8,856) and one
-        # chunk of all 601 snapshots (43,272), with the 3 x 3 weights 71,432
+        # bytes), 122 snapshots of its consensus window (8,784) and one
+        # chunk of all 601 snapshots (43,272), with the 3 x 3 weights 71,360
         # bytes; with the partner, 14 columns (67,312) and a chunk of both
-        # runs (86,544) make it 162,784
+        # runs (86,544) make it 162,712
         memory = 100_000
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -1226,20 +1257,48 @@ class TestCli:
 
     def test_storage_bound_counts_one_chunk_not_the_trajectory(self, tmp_path, monkeypatch):
         # 3001 snapshots of 8 x 6 x 2: the stored trajectory would be 2.3 MB;
-        # a streamed run holds 4 series columns (96,032 bytes), 603 snapshots
-        # of its consensus window (463,104) and one chunk of 112 snapshots
-        # (86,016), with the 8 x 8 weights 645,664 bytes
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 645_664}
+        # a streamed run holds 4 series columns (96,032 bytes), 602 snapshots
+        # of its consensus window (462,336) and one chunk of 112 snapshots
+        # (86,016), with the 8 x 8 weights 644,896 bytes
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 644_896}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         dims = {"n": 6, "p": 2, "N": 8}
         topology = {"kind": "separable", "xi": [1.0] * 8}
         integrator = {"h": 0.002, "t_end": 6.0, "record_stride": 1}
         path = minimal_scenario(tmp_path, dims=dims, topology=topology, integrator=integrator)
         Scenario.from_file(path)
-        pages["SC_PHYS_PAGES"] = 645_663
+        pages["SC_PHYS_PAGES"] = 644_895
         with pytest.raises(ScenarioError, match="physical memory") as caught:
             Scenario.from_file(path)
         assert caught.value.field == "integrator.h"
+
+    def test_storage_bound_counts_every_consensus_window_row(self, monkeypatch):
+        """The consensus rows the storage bound counts, K // 5 + 2 of K
+        snapshots, are at least the K - first rows a run's sink keeps, on
+        random grids (h, t_end, stride) that have a consensus window; on some
+        grids they are exactly those rows, so K // 5 + 1 would fall short.
+        With no memory, the bound's error states the rows it counted."""
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 0}.__getitem__)
+        rng = np.random.default_rng(2027)
+        spare = []
+        for _ in range(3000):
+            h = float(rng.choice([1e-3, 2e-3, 0.01, 0.07, 0.1, 0.25, 0.3]))
+            steps = int(rng.integers(1, 1500))
+            # a multiple of h, where the grid's times and the window's edge
+            # round, or a horizon between steps
+            t_end = steps * h if rng.random() < 0.5 else float(rng.uniform(0.0, steps * h))
+            integrator = IntegratorConfig(h=h, t_end=t_end, record_stride=int(rng.integers(1, 40)))
+            times = integrator.recorded_steps() * integrator.h
+            try:
+                first = diagnostics.trailing_window_start(times)
+            except InsufficientDataError:
+                continue
+            with pytest.raises(ScenarioError) as caught:
+                scenario_module._check_storage(integrator, 1, 1, 1, False, True)
+            counted = re.search(r"(\d+) snapshots of the consensus window", str(caught.value))
+            spare.append(int(counted.group(1)) - (len(times) - first))
+        assert len(spare) > 2000
+        assert min(spare) == 0
 
     @pytest.mark.parametrize("case", OVERFLOWING_FIELDS)
     def test_overflowing_number_exit_code(self, tmp_path, case):
