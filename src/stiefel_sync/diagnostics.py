@@ -1,8 +1,8 @@
 """Measured counterparts of everything the theory predicts: pairwise
 correlation matrices and the gap between two solutions' correlation sets,
-consensus detection, exponential-rate fitting, uniform stability gains,
-differential-inequality audits, and the cubic whose roots fence the running
-diameter.
+consensus detection from a run's last snapshot, exponential-rate fitting,
+uniform stability gains, differential-inequality audits, and the cubic
+whose roots fence the running diameter.
 
 Each audit compares a finite-difference derivative of a recorded series
 against the corresponding bound evaluated on the same grid. The audits
@@ -21,10 +21,12 @@ two trajectories go through the same code and agree bit for bit. The
 trajectory-level audits are one-line calls of their cores on such
 columns.
 
-Each analysis is one fixed rule of a time grid: consensus detection
-(:func:`trailing_window_start`), the decay fit (:func:`fit_window_mask`)
-and the audits' slopes (:func:`slope_spacing`). The scenario parser runs
-these rules on the recorded grid before anything is integrated. An
+Each analysis is one fixed rule. Consensus detection
+(:func:`consensus_status`) classifies a run's last snapshot with one
+evaluation of the field, which gives the correlations' rate exactly there.
+The decay fit (:func:`fit_window_mask`) and the audits' slopes
+(:func:`slope_spacing`) are rules of the time grid, which the scenario
+parser runs on the recorded grid before anything is integrated. An
 analysis that reads a non-finite value raises :class:`ValidationError`.
 """
 
@@ -51,6 +53,7 @@ from .model import (
     cubic_coefficient,
     cubic_invariant_roots,
     diameter_threshold,
+    rhs,
 )
 
 # distances below this are treated as zero: the norm is not differentiable
@@ -60,7 +63,8 @@ DISTANCE_FLOOR = 1e-12
 # values are floored here before taking logs in rate fits
 LOG_FLOOR = 1e-300
 
-# correlation gap and variation below which a window counts as settled
+# identity gap below which a snapshot is at consensus, and the relative
+# correlation rate below which it is locked (see consensus_status)
 CONSENSUS_TOL = 1e-6
 
 # the exponents p of the lp gains a scenario's stability analysis reports
@@ -108,14 +112,21 @@ def dini_derivative_series(series_t, series_y) -> np.ndarray:
 # correlations
 
 
-def _gram(states: np.ndarray) -> np.ndarray:
-    """A[..., j, i] = S_j^T S_i for every ensemble of a (..., N, n, p) stack,
-    as a C-contiguous (..., N, N, p, p) array: one x^T x product per
-    ensemble, with x = [S_1 ... S_N] the (n, N p) matrix of its agents."""
+def _gram(states: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
+    """A[..., j, i] = L_j^T S_i for every ensemble of a (..., N, n, p) stack
+    S and a stack L of its shape, L = S when ``left`` is None, as a
+    C-contiguous (..., N, N, p, p) array: one y^T x product per ensemble,
+    with x = [S_1 ... S_N] and y = [L_1 ... L_N] the (n, N p) matrices of
+    their agents."""
     lead = states.shape[:-3]
     count, n, p = states.shape[-3:]
-    x = np.swapaxes(states, -3, -2).reshape(lead + (n, count * p))
-    g = (np.swapaxes(x, -1, -2) @ x).reshape(lead + (count, p, count, p))
+
+    def agents(stack):
+        return np.swapaxes(stack, -3, -2).reshape(lead + (n, count * p))
+
+    x = agents(states)
+    y = x if left is None else agents(left)
+    g = (np.swapaxes(y, -1, -2) @ x).reshape(lead + (count, p, count, p))
     # numpy sums a strided view in another order, so a view would break the
     # bitwise match between stacked and per-snapshot reductions
     return np.ascontiguousarray(np.swapaxes(g, -3, -2))
@@ -133,18 +144,6 @@ def correlations(states) -> np.ndarray:
     return _gram(states)
 
 
-def _chunked_correlations(states: np.ndarray):
-    """Yield ``(rows, products)`` over chunks of the snapshots of a
-    (K, N, n, p) stack, as many a chunk as have at most
-    ``manifold._PAIR_CHUNK_ENTRIES`` Gram entries (N^2 p^2 a snapshot),
-    where ``products[k]`` equals :func:`correlations` of snapshot
-    ``rows[k]`` bit for bit: the stacked Gram product runs the same
-    per-snapshot product."""
-    count, _, p = states.shape[-3:]
-    for rows in _chunk_rows(states.shape[0], (count * p) ** 2):
-        yield rows, _gram(states[rows])
-
-
 def correlation_gap_series(traj1: Trajectory, traj2: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Squared l2 gaps between two aligned trajectories' correlation sets at
     every snapshot: the plain gap sum_ij ||A_ji - B_ji||^2 and the gap of
@@ -154,10 +153,13 @@ def correlation_gap_series(traj1: Trajectory, traj2: Trajectory) -> tuple[np.nda
     total = len(traj1)
     plain = np.empty(total)
     skew = np.empty(total)
-    chunks = zip(_chunked_correlations(traj1.states), _chunked_correlations(traj2.states))
-    # each chunk's two Gram buffers are the only temporaries: the plain
-    # difference goes into the first, its skew part into the second
-    for (rows, a), (_, b) in chunks:
+    count, _, p = traj1.states.shape[-3:]
+    # each chunk of snapshots, as many as have at most
+    # manifold._PAIR_CHUNK_ENTRIES Gram entries (N^2 p^2 a snapshot), has
+    # two Gram buffers, the only temporaries: the plain difference goes into
+    # the first, its skew part into the second
+    for rows in _chunk_rows(total, (count * p) ** 2):
+        a, b = _gram(traj1.states[rows]), _gram(traj2.states[rows])
         np.subtract(a, b, a)
         np.subtract(a, np.swapaxes(a, -2, -1), b)
         np.multiply(a, a, a)
@@ -277,108 +279,84 @@ def _agent_distances(columns: Mapping[str, np.ndarray]) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class ConsensusStatus:
-    """Outcome of trailing-window consensus detection.
+    """Class of one run's last snapshot (see :func:`consensus_status`).
 
-    kind: "complete" (all correlations settle at the identity), "partial"
-    (all correlations settle but not at the identity), or "none".
-    ``limits`` holds the trailing-average correlations when they settle.
+    kind: "complete" (every correlation at the identity), "partial" (the
+    correlations stationary, not all at the identity) or "none".
+    ``max_rate`` is the largest ||dG_ij/dt|| at the snapshot, and
+    ``rate_tol`` the rate up to which the correlations count as
+    stationary.
     """
 
     kind: str
-    limits: np.ndarray | None
     max_identity_gap: float
-    max_variation: float
+    max_rate: float
+    rate_tol: float
 
 
-def consensus_window(times) -> float:
-    """The trailing window consensus detection classifies: a fifth of the
-    span of the grid."""
-    return 0.2 * float(times[-1] - times[0])
+def _correlation_rate(state: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """dG_ji/dt = V_j^T S_i + S_j^T V_i for every pair of agents of one
+    ensemble, as the (N, N, p, p) array of :func:`correlations`, from the
+    field V = ``rhs(state, cfg)``: one field evaluation and one product."""
+    cross = _gram(state, left=rhs(state, cfg))  # V_j^T S_i
+    return cross + np.swapaxes(cross, 0, 1).swapaxes(-2, -1)
 
 
-def trailing_window_start(times) -> int:
-    """First row of the consensus window (:func:`consensus_window`) of an
-    increasing grid. The grid must span a positive time, and the window
-    hold at least two samples."""
-    window = consensus_window(times)
-    if not window > 0:
-        raise InsufficientDataError("a grid that spans no time has no consensus window")
-    # times increase, so the window is a trailing run of samples
-    first = int(np.searchsorted(times, times[-1] - window))
-    if times.shape[0] - first < 2:
-        raise InsufficientDataError("fewer than two snapshots in the window")
-    return first
+def consensus_status(state, cfg: ModelConfig) -> ConsensusStatus:
+    """Classify one run's last snapshot ``state`` (N, n, p), say
+    ``traj.states[-1]``, at tolerance tol = :data:`CONSENSUS_TOL`:
 
+    - "complete" when every correlation G_ij = S_i^T S_j is within tol of
+      the identity, max ||G_ij - I|| <= tol;
+    - else "partial" when the correlations are stationary,
+      max ||dG_ij/dt|| <= tol (kappa + max_i ||Omega_i||);
+    - else "none".
 
-def _largest_norm(blocks: np.ndarray):
-    """The largest Frobenius norm of the trailing (p, p) blocks of an
-    array, which is squared in place."""
-    np.multiply(blocks, blocks, blocks)
-    return np.max(np.sqrt(blocks.sum(axis=(-2, -1))))
+    The norms are Frobenius norms of p x p blocks. The rate is exact at the
+    snapshot (:func:`_correlation_rate`). A locked state need not be at
+    rest: the field commutes with S_i -> Q S_i for Q in O(n), so a locked
+    run can keep rotating as S(t) = Q(t) S* while its correlations, the
+    coordinates of the quotient by that action, stay fixed (Sarlette and
+    Sepulchre, SIAM J. Control Optim. 48, 2009).
 
+    The rate scale comes from the closed flow of the correlations. With
+    H_ij = (1/N) sum_k a_ik G_kj and A_ij = -Omega_i G_ij + kappa (H_ij -
+    sym(H_ii) G_ij), the field gives dG_ij/dt = A_ij + A_ji^T, a function
+    of G alone. Each term is kappa or one Omega_i times products of
+    correlations and weights, so with weights of order one the flow is
+    Lipschitz in G with a constant of order kappa + max_i ||Omega_i||.
+    Correlations within tol of a stationary set therefore move at a rate of
+    order tol (kappa + max_i ||Omega_i||), and a rate below that threshold
+    reads as stationary on the same tolerance the identity gap uses. With
+    kappa = 0 and zero generators the field, and so the threshold and the
+    rate, are exactly zero: every state is stationary.
 
-def consensus_status(times, states) -> ConsensusStatus:
-    """Classify at :data:`CONSENSUS_TOL` the consensus window of one run,
-    its grid ``times`` from :func:`trailing_window_start` on. ``states``
-    are its last M snapshots, M from the window's rows to the grid's: a
-    stored run's ``traj.states``, or the rows a scenario run's sink kept.
-
-    Two passes over the window's chunks of snapshots (see
-    :func:`_chunked_correlations`) form each chunk's Gram products: the
-    first sums them into the window mean, the second takes the largest
-    gaps to the identity and to that mean. So no product of the whole
-    window is held. Every value is bitwise that of the (W, N, N, p, p)
-    stack of the window's products (``tests/conftest.py``'s
-    ``whole_window_consensus``), since numpy sums such a stack along the
-    window one snapshot after another; at N = p = 1 it sums pairwise
-    instead, so there the mean of a window longer than one chunk (10,752
-    snapshots) may differ by rounding."""
-    _require_single(states)
-    window_rows = times.shape[0] - trailing_window_start(times)
-    if not window_rows <= states.shape[0] <= times.shape[0]:
+    Raises :class:`DimensionError` for anything but one ensemble (a stack
+    of snapshots, a batch), and :class:`ValidationError` for a non-finite
+    state."""
+    state = np.asarray(state, dtype=float)
+    if state.ndim != 3:
         raise DimensionError(
-            f"{len(states)} states for a consensus window of {window_rows} of {len(times)} rows"
+            f"consensus classifies one ensemble (N, n, p), got shape {state.shape}: pass a"
+            " run's last snapshot, traj.states[-1], and split a batch with Trajectory.members()"
         )
-    window_states = states[-window_rows:]
-
-    total = None
-    for rows, products in _chunked_correlations(window_states):
-        # the running sum enters as the chunk's first term, so each chunk's
-        # sum along the window goes on snapshot by snapshot from the last
-        if total is not None:
-            products[0] += total
-        total = products.sum(axis=0)
-        # released before the next chunk's products are formed
-        del products
-    # a non-finite state makes its Gram products, and so their sum, non-finite
-    if not np.isfinite(total).all():
-        raise ValidationError("consensus: a state in the window is not finite")
-    mean = total / window_rows
-
-    # the largest gaps of each chunk; a max is exact, so their max is that
-    # of the whole window
-    eye = np.eye(window_states.shape[-1])
-    largest = []
-    for rows, products in _chunked_correlations(window_states):
-        variation = products - mean
-        np.subtract(products, eye, products)
-        largest.append((_largest_norm(products), _largest_norm(variation)))
-        del products, variation
-    max_identity_gap, max_variation = (float(v) for v in np.max(largest, axis=0))
-
+    if not np.isfinite(state).all():
+        raise ValidationError("consensus: the state is not finite")
+    identity_gaps = correlations(state) - np.eye(state.shape[-1])
+    rates = _correlation_rate(state, cfg)
+    max_identity_gap, max_rate = (
+        float(np.sqrt((blocks * blocks).sum(axis=(-2, -1))).max())
+        for blocks in (identity_gaps, rates)
+    )
+    generators = float(np.sqrt((cfg.freqs * cfg.freqs).sum(axis=(-2, -1))).max())
+    rate_tol = CONSENSUS_TOL * (cfg.kappa + generators)
     if max_identity_gap <= CONSENSUS_TOL:
         kind = "complete"
-    elif max_variation <= CONSENSUS_TOL:
+    elif max_rate <= rate_tol:
         kind = "partial"
     else:
         kind = "none"
-    limits = mean if kind in ("complete", "partial") else None
-    return ConsensusStatus(
-        kind=kind,
-        limits=limits,
-        max_identity_gap=max_identity_gap,
-        max_variation=max_variation,
-    )
+    return ConsensusStatus(kind, max_identity_gap, max_rate, rate_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +364,11 @@ def consensus_status(times, states) -> ConsensusStatus:
 
 
 def decay_fit_window(times) -> tuple[float, float]:
-    """The window the decay fit runs on: the trailing half of a grid that
-    starts at t = 0, (T / 2, T) with T its last time."""
-    t_end = float(times[-1])
-    return (0.5 * t_end, t_end)
+    """The window the decay fit runs on: the trailing half of the span of
+    the grid, (t_0 + (T - t_0) / 2, T) with t_0 and T its first and last
+    times; (T / 2, T) bit for bit on a grid from t = 0."""
+    t_start, t_end = float(times[0]), float(times[-1])
+    return (t_start + 0.5 * (t_end - t_start), t_end)
 
 
 def fit_window_mask(times) -> np.ndarray:

@@ -293,34 +293,29 @@ def _normalize_analyses(raw) -> list[str]:
     return list(raw)
 
 
-def _check_storage(
-    integrator: IntegratorConfig, count: int, n: int, p: int, pair: bool, consensus: bool
-) -> None:
+def _check_storage(integrator: IntegratorConfig, count: int, n: int, p: int, pair: bool) -> None:
     """Reject a run whose arrays cannot fit in physical memory: what a
     streamed run holds (see :class:`_RunSeries`), its float64 series
-    columns, the snapshots of its consensus window when it has one and one
-    recorded chunk of the run and its partner, and the N x N weights. Dims
-    that cannot fit one chunk and the weights are named, else ``h``."""
+    columns and one recorded chunk of the run and its partner, and the
+    N x N weights. Dims that cannot fit one chunk and the weights are
+    named, else ``h``."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     runs = 2 if pair else 1
     snapshots = integrator.snapshot_count
     # t, the potential and each run's drift and diameters; a pair adds
     # the gap, its two parts, the l1 and l2 distances and N agent distances
     columns = 2 + 2 * runs + (5 + count if pair else 0)
-    # the rows of a fifth of the span, at most K // 5 + 2 of K snapshots
-    window = min(snapshots, snapshots // 5 + 2) if consensus else 0
     snapshot = count * n * p
     # the first chunk integrate records is its longest
     chunk = next(_chunk_rows(snapshots, runs * snapshot)).stop * runs * snapshot
     fixed = 8 * (chunk + count * count)
-    need = 8 * (snapshots * columns + window * snapshot) + fixed
+    need = 8 * snapshots * columns + fixed
     if need <= memory:
         return
     raise ScenarioError(
         f"{runs} run(s) of {snapshots} snapshots of {count} x {n} x {p} float64 hold"
-        f" {columns} series columns, {window} snapshots of the consensus window and one"
-        f" recorded chunk; with the {count} x {count} weights that is {need:.3g} bytes,"
-        f" more than the {memory:.3g} bytes of physical memory",
+        f" {columns} series columns and one recorded chunk; with the {count} x {count}"
+        f" weights that is {need:.3g} bytes, more than the {memory:.3g} bytes of physical memory",
         field="dims" if fixed > memory else "integrator.h",
     )
 
@@ -330,10 +325,7 @@ def _check_analysis_grid(name: str, times: np.ndarray) -> None:
     with the rule the analysis runs, naming the horizon."""
     grid = f" on the recorded grid of {times.shape[0]} snapshots up to t = {times[-1]:g}: "
     field = "integrator.t_end"
-    if name == "consensus":
-        context = f"a consensus window of {diagnostics.consensus_window(times):g}{grid}"
-        _validated(diagnostics.trailing_window_start, times, field=field, context=context)
-    elif name == "decay_fit":
+    if name == "decay_fit":
         context = f"a decay fit over the trailing half of the span{grid}"
         _validated(diagnostics.fit_window_mask, times, field=field, context=context)
     elif name == "audits":
@@ -392,10 +384,7 @@ class Scenario:
         integrator = build_integrator(_optional(raw, "integrator", dict, {}))
         analyses = _normalize_analyses(_optional(raw, "analyses", list, []))
         # before anything of the run's size is allocated, the grid included
-        _check_storage(
-            integrator, count, n, p, any(a in PAIR_ANALYSES for a in analyses),
-            "consensus" in analyses,
-        )
+        _check_storage(integrator, count, n, p, any(a in PAIR_ANALYSES for a in analyses))
         times = integrator.recorded_steps() * integrator.h
         for analysis in analyses:
             _check_analysis_grid(analysis, times)
@@ -500,12 +489,11 @@ def _audit_to_dict(audit) -> dict:
 class _RunSeries:
     """The sink a scenario run hands to ``integrate``: what the run keeps
     of its recorded chunks. Of each chunk it takes the main run's potential
-    and, for a pair, the pair series (``diagnostics._PairSeries``), and for
-    a consensus analysis it copies the main run's states from row ``first``
-    of the consensus window on (``diagnostics.trailing_window_start``),
-    which is all that ``consensus_status`` reads. Nothing else of a chunk
-    outlives the call. So a run holds its series columns, the window and
-    one chunk, not its trajectory."""
+    and, for a pair, the pair series (``diagnostics._PairSeries``), and it
+    copies the main run's last state, so that after the last chunk
+    ``final`` holds the state ``consensus_status`` classifies. Nothing else
+    of a chunk outlives the call. So a run holds its series columns and one
+    chunk, not its trajectory."""
 
     def __init__(self, sc: Scenario):
         total = sc.integrator.snapshot_count
@@ -513,22 +501,15 @@ class _RunSeries:
         self.potential = np.empty(total)
         count = self.topology.agent_count
         self.pair = diagnostics._PairSeries(total, count) if sc.needs_pair else None
-        self.first = self.window = None
-        if "consensus" in sc.analyses:
-            # the grid integrate records on
-            times = sc.integrator.recorded_steps() * float(sc.integrator.h)
-            self.first = diagnostics.trailing_window_start(times)
-            self.window = np.empty((total - self.first,) + sc.initial.shape)
+        self.final = None
 
     def __call__(self, rows: slice, chunk: Trajectory) -> None:
         run, *partner = chunk.members()
         self.potential[rows] = potential(run.states, self.topology)
         if self.pair is not None:
             self.pair.add(rows, run, partner[0])
-        if self.window is not None and rows.stop > self.first:
-            start = max(rows.start, self.first)
-            kept = self.window[start - self.first : rows.stop - self.first]
-            kept[...] = run.states[start - rows.start :]
+        # integrate overwrites the chunk's buffer with the next chunk
+        self.final = run.states[-1].copy()
 
 
 def run_scenario(source, out_dir: str = ".") -> dict:
@@ -571,14 +552,14 @@ def run_scenario(source, out_dir: str = ".") -> dict:
 
     consensus_dict = None
     if "consensus" in sc.analyses:
-        status = diagnostics.consensus_status(traj.times, series.window)
-        # the window rows are let go before the later analyses
-        series.window = None
+        # classified after the loop, not in the sink, so that it is a phase
+        # of its own
+        status = diagnostics.consensus_status(series.final, sc.model)
         consensus_dict = {
             "kind": status.kind,
             "max_identity_gap": status.max_identity_gap,
-            "max_variation": status.max_variation,
-            "window": diagnostics.consensus_window(traj.times),
+            "max_rate": status.max_rate,
+            "rate_tol": status.rate_tol,
             "tol": diagnostics.CONSENSUS_TOL,
         }
 

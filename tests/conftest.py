@@ -1,18 +1,14 @@
 """Shared builders for the test suite."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from golden.regenerate import SCENARIOS, run_bundled
 from stiefel_sync import diagnostics, scenario
-from stiefel_sync.diagnostics import (
-    ConsensusStatus,
-    correlation_contraction_bound,
-    correlations,
-    trailing_window_start,
-)
+from stiefel_sync.diagnostics import correlation_contraction_bound, correlations
 from stiefel_sync.errors import (
     DimensionError,
     ProjectionError,
@@ -135,20 +131,34 @@ def correlation_gap_components(s1, s2) -> tuple[float, float]:
     return plain, float(np.sum(skew * skew))
 
 
-def whole_window_consensus(times, states) -> ConsensusStatus:
-    """``diagnostics.consensus_status`` taken on the (W, N, N, p, p) stack of
-    its whole window's Gram products, with the mean ``stack.mean(axis=0)``:
-    the oracle of its two passes over the window's chunks. It classifies at
-    ``diagnostics.CONSENSUS_TOL`` as read when called, as the library does."""
-    window_rows = len(times) - trailing_window_start(times)
-    stack = np.stack([correlations(s) for s in states[-window_rows:]])
-    mean = stack.mean(axis=0)
+@dataclass(frozen=True)
+class WindowConsensus:
+    """The verdict of :func:`whole_window_consensus`."""
+
+    kind: str
+    max_identity_gap: float
+    max_variation: float
+
+
+def whole_window_consensus(times, states) -> WindowConsensus:
+    """Consensus classified from the trailing fifth of a run's span, as
+    ``diagnostics.consensus_status`` did before it read the last snapshot:
+    the oracle its verdicts are compared with. Over the (W, N, N, p, p)
+    stack of the window's correlations, "complete" when the largest
+    ||G_ij - I|| is within ``diagnostics.CONSENSUS_TOL``, else "partial"
+    when the largest distance of a correlation from its window mean, its
+    variation, is, else "none". The grid must span a positive time and its
+    window hold two samples."""
+    first = int(np.searchsorted(times, times[-1] - 0.2 * (times[-1] - times[0])))
+    if not times[-1] > times[0] or len(times) - first < 2:
+        raise ValueError("the grid has no consensus window")
+    stack = np.stack([correlations(s) for s in states[first:]])
 
     def largest_norm(blocks):
         return float(np.max(np.sqrt(np.sum(blocks * blocks, axis=(-2, -1)))))
 
     max_identity_gap = largest_norm(stack - np.eye(stack.shape[-1]))
-    max_variation = largest_norm(stack - mean)
+    max_variation = largest_norm(stack - stack.mean(axis=0))
     tol = diagnostics.CONSENSUS_TOL
     if max_identity_gap <= tol:
         kind = "complete"
@@ -156,12 +166,73 @@ def whole_window_consensus(times, states) -> ConsensusStatus:
         kind = "partial"
     else:
         kind = "none"
-    return ConsensusStatus(
-        kind=kind,
-        limits=None if kind == "none" else mean,
-        max_identity_gap=max_identity_gap,
-        max_variation=max_variation,
+    return WindowConsensus(kind, max_identity_gap, max_variation)
+
+
+def gram_field(gram, cfg):
+    """dG_ij/dt from the closed flow of the correlations G_ij = S_i^T S_j
+    of one ensemble, given as the (N, N, p, p) array of ``correlations``,
+    written from the formula, not from ``rhs``: with H_ij = (1/N) sum_k
+    a_ik G_kj and A_ij = -Omega_i G_ij + kappa (H_ij - sym(H_ii) G_ij),
+    dG_ij/dt = A_ij + A_ji^T."""
+    count = gram.shape[0]
+    h = np.einsum("ik,kjab->ijab", cfg.topology.weights, gram) / count
+    own = h[np.arange(count), np.arange(count)]
+    sym = (own + np.swapaxes(own, -2, -1)) / 2.0
+    a = -cfg.freqs[:, None] @ gram + cfg.kappa * (h - sym[:, None] @ gram)
+    return a + np.swapaxes(a, 0, 1).swapaxes(-2, -1)
+
+
+def kuramoto_critical_coupling(omega) -> float:
+    """The exact critical coupling K_c of the finite Kuramoto model
+    theta_i' = omega_i + (K/N) sum_k sin(theta_k - theta_i), from Verwoerd
+    and Mason (SIAM J. Appl. Dyn. Syst. 7, 2008): with omega centred and
+    w = max |omega_i|, u* in (w, 2 w] solves 2 sum_i r_i(u) = sum_i 1 /
+    r_i(u), r_i(u) = sqrt(1 - (omega_i / u)^2), and K_c = N u* / sum_i
+    r_i(u*). The difference of the two sides rises from -inf at u = w, and
+    bisection brackets its root to adjacent floats."""
+    omega = np.asarray(omega, dtype=float)
+    omega = omega - omega.mean()
+    lo = hi = float(np.max(np.abs(omega)))
+    hi *= 2.0
+
+    def excess(u):
+        r = np.sqrt(1.0 - (omega / u) ** 2)
+        return 2.0 * r.sum() - (1.0 / r).sum()
+
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if excess(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return len(omega) * hi / float(np.sqrt(1.0 - (omega / hi) ** 2).sum())
+
+
+def kuramoto_o2_config(ratio: float):
+    """The O(2) config at coupling ``ratio`` K_c: N = 6 agents S_i =
+    R(theta_i) in SO(2) (n = p = 2) with uniform weights and generators
+    Omega_i = omega_i J, whose field is exactly the finite Kuramoto model.
+    omega is drawn uniform on [-0.5, 0.5] and centred (K_c = 0.562206),
+    theta(0) uniform on [-0.3, 0.3], both from seed 7. Returns the config
+    and the initial ensemble."""
+    rng = np.random.default_rng(7)
+    omega = rng.uniform(-0.5, 0.5, 6)
+    omega -= omega.mean()
+    theta = rng.uniform(-0.3, 0.3, 6)
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    cfg = ModelConfig(
+        kappa=ratio * kuramoto_critical_coupling(omega),
+        topology=Topology.separable(np.ones(6)),
+        freqs=omega[:, None, None] * turn,
+        n=2,
+        p=2,
     )
+    cos, sin = np.cos(theta), np.sin(theta)
+    initial = np.stack([np.array([[c, -s], [s, c]]) for c, s in zip(cos, sin)])
+    return cfg, initial
 
 
 # the functions run_scenario calls for its phases, by phase name: the loop,

@@ -6,6 +6,7 @@ computed once in a module fixture and reduced to scalars immediately.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -37,9 +38,14 @@ from stiefel_sync.model import (
     rhs,
     zero_frequencies,
 )
-from stiefel_sync.scenario import generate_weights, generate_xi
+from stiefel_sync.scenario import Scenario, generate_weights, generate_xi
 
-from conftest import make_framework_config, worst_relative_bound_excess
+from conftest import (
+    kuramoto_o2_config,
+    make_framework_config,
+    whole_window_consensus,
+    worst_relative_bound_excess,
+)
 
 
 def report(num, name, ok, detail=""):
@@ -98,7 +104,8 @@ def framework_results():
         bound = diameter_threshold(cfg)
         delta_default = decay_rate_bound(cfg, contraction_slack(cfg, bound, bound))
 
-        status = dg.consensus_status(traj.times, traj.states)
+        status = dg.consensus_status(traj.states[-1], cfg)
+        window = whole_window_consensus(traj.times, traj.states)
 
         audits = {
             "diameter_bound": dg.audit_diameter_bound(traj, cfg),
@@ -117,8 +124,9 @@ def framework_results():
                 "r_squared": r_squared,
                 "delta_measured": delta_measured,
                 "delta_default": delta_default,
-                "max_variation": status.max_variation,
+                "max_variation": window.max_variation,
                 "consensus_kind": status.kind,
+                "window_kind": window.kind,
                 "audits": audits,
                 "mutated_correlation": mutated_correlation,
                 "exact_bound_excess": worst_relative_bound_excess(cfg, traj, partner),
@@ -293,6 +301,42 @@ def test_criterion_05_consensus_reproduction(framework_results):
     assert fit_ok, "correlation-gap decay is not cleanly exponential"
     assert cauchy_ok, "a pairwise correlation failed the Cauchy window check"
     assert settled_ok
+
+
+BUNDLED = os.path.join(os.path.dirname(dg.__file__), "scenarios")
+
+
+def test_end_state_consensus_agrees_with_the_window(framework_results, bundled_runs):
+    """The library's verdict from the last snapshot equals the verdict of
+    the trailing fifth of the span (``conftest.whole_window_consensus``)
+    on the four bundled scenarios, integrated with their states stored, on
+    criterion 05's ten runs, and on the O(2) Kuramoto config at 0.97 and
+    1.03 times its exact critical coupling, h 1e-2 to t = 400, where the
+    flow does not lock and locks. A bundled scenario's report reads the
+    verdict of the stored run."""
+    verdicts = {}
+    for name, run in bundled_runs.items():
+        sc = Scenario.from_file(os.path.join(BUNDLED, f"{name}.json"))
+        traj = integrate(sc.initial, sc.model, sc.integrator)
+        status = dg.consensus_status(traj.states[-1], sc.model)
+        window = whole_window_consensus(traj.times, traj.states)
+        verdicts[name] = (status.kind, window.kind)
+        if run.report["consensus"] is not None:
+            assert run.report["consensus"]["kind"] == status.kind
+    for r in framework_results:
+        verdicts[f"criterion 05 seed {r['seed']}"] = (r["consensus_kind"], r["window_kind"])
+    for ratio in (0.97, 1.03):
+        cfg, initial = kuramoto_o2_config(ratio)
+        traj = integrate(initial, cfg, IntegratorConfig(h=1e-2, t_end=400.0))
+        status = dg.consensus_status(traj.states[-1], cfg)
+        window = whole_window_consensus(traj.times, traj.states)
+        verdicts[f"O(2) at {ratio} K_c"] = (status.kind, window.kind)
+    assert {case: kinds[0] for case, kinds in verdicts.items()} == {
+        case: kinds[1] for case, kinds in verdicts.items()
+    }
+    assert verdicts["O(2) at 0.97 K_c"][0] == "none"
+    assert verdicts["O(2) at 1.03 K_c"][0] == "partial"
+    assert verdicts["framework_hetero"][0] == "partial"
 
 
 def test_criterion_06a_diameter_audit_with_mutation(framework_results):

@@ -37,17 +37,17 @@ from stiefel_sync.model import (
     zero_frequencies,
 )
 from stiefel_sync import diagnostics as dg
-from stiefel_sync.scenario import Scenario, generate_scenario, run_scenario
+from stiefel_sync.scenario import Scenario, generate_scenario, generate_weights, run_scenario
 from stiefel_sync.series_io import read_series
 
 from conftest import (
     correlation_gap_components,
     correlation_gap_rate_series,
     correlation_gap_rates,
+    gram_field,
     make_framework_config,
     phase_peaks,
     run_framework_pair,
-    whole_window_consensus,
     worst_relative_bound_excess,
 )
 
@@ -122,7 +122,7 @@ class TestGram:
         expected = np.stack([dg._gram(s) for s in stack]).reshape(a.shape)
         assert np.array_equal(a, expected)
 
-    def test_chunked_equals_per_snapshot_on_member_view(self):
+    def test_chunked_gap_equals_per_snapshot_on_member_views(self):
         cfg = uniform_config(4, 3, 2, kappa=1.0)
         init = random_ensemble(3, 2, 4, seed=7)
         batch = integrate(
@@ -130,16 +130,15 @@ class TestGram:
             cfg,
             IntegratorConfig(h=1e-2, t_end=3.5, record_stride=1),
         )
-        member = batch.members()[1]
+        run, member = batch.members()
         assert member.states.base is not None  # a view into the batch stack
-        total = len(member)
-        assert total > 2 * gram_chunk(4, 2)
-        chunked = np.empty((total, 4, 4, 2, 2))
-        for rows, products in dg._chunked_correlations(member.states):
-            assert products.flags.c_contiguous
-            chunked[rows] = products
-        per_snapshot = np.stack([dg.correlations(s) for s in member.states])
-        assert np.array_equal(chunked, per_snapshot)
+        assert len(member) > 2 * gram_chunk(4, 2)
+        plain, skewed = dg.correlation_gap_series(run, member)
+        expected = np.array(
+            [correlation_gap_components(a, b) for a, b in zip(run.states, member.states)]
+        )
+        assert np.array_equal(plain, expected[:, 0])
+        assert np.array_equal(skewed, expected[:, 1])
 
 
 class TestCorrelationDiameter:
@@ -171,7 +170,7 @@ class TestCorrelationDiameter:
 
 def random_track(count, n, p, total, seed):
     """A stored stack of `total` random ensembles on a unit time grid (not a
-    solution; the chunked passes only read the stack)."""
+    solution; the chunked series only read the stack)."""
     states = np.stack([random_ensemble(n, p, count, seed=seed + k) for k in range(total)])
     zeros = np.zeros(total)
     times = np.arange(total, dtype=float)
@@ -179,12 +178,12 @@ def random_track(count, n, p, total, seed):
 
 
 def gram_chunk(count, p):
-    """Snapshots a chunk of the Gram passes holds: as many as have at most
+    """Snapshots a chunk of the gap series holds: as many as have at most
     the budget's entries, N^2 p^2 a snapshot."""
     return _PAIR_CHUNK_ENTRIES // (count * p) ** 2
 
 
-# lengths around the chunk size of the chunked passes (42 snapshots at
+# lengths around the chunk size of the gap series (42 snapshots at
 # (8, 6, 2), 47 at (5, 4, 3), 74 at (6, 5, 2)), and shapes up to p = 4
 CHUNK_CASES = [
     ((3, 2, 1), 1), ((8, 6, 2), gram_chunk(8, 2) - 1), ((8, 6, 2), gram_chunk(8, 2)),
@@ -203,89 +202,6 @@ class TestChunkedCorrelationPasses:
         ).reshape(total, 2)
         assert np.array_equal(plain, expected[:, 0])
         assert np.array_equal(skewed, expected[:, 1])
-
-    @pytest.mark.parametrize("shape, total", CHUNK_CASES[1:])
-    def test_consensus_window_equals_per_snapshot_stack(self, monkeypatch, shape, total):
-        track = random_track(*shape, total, seed=300)
-        # the window of the last 80 % of the track's span, on a grid whose
-        # consensus window holds those rows of the whole track
-        first = int(np.ceil(0.2 * (total - 1)))
-        # a tolerance above every gap classifies the window, so limits is set
-        monkeypatch.setattr(dg, "CONSENSUS_TOL", 10.0)
-        status = dg.consensus_status(window_grid(total - first), track.states)
-        stack = np.stack([dg.correlations(s) for s in track.states[first:]])
-        mean = stack.mean(axis=0)
-        eye = np.eye(shape[2])
-        assert status.kind == "complete"
-        assert np.array_equal(status.limits, mean)
-        assert status.max_identity_gap == float(
-            np.max(np.sqrt(np.sum((stack - eye) ** 2, axis=(-2, -1))))
-        )
-        assert status.max_variation == float(
-            np.max(np.sqrt(np.sum((stack - mean) ** 2, axis=(-2, -1))))
-        )
-
-
-def window_grid(rows: int) -> np.ndarray:
-    """A unit-spaced grid whose consensus window, a fifth of its span,
-    holds exactly its last ``rows`` samples: a span of 5 rows - 3 starts
-    the window 0.4 past a sample, clear of rounding."""
-    return np.arange(5 * rows - 2, dtype=float)
-
-
-def window_states(shape, snapshots, seed):
-    """The last ``snapshots + 5`` states of a run whose consensus window
-    (on ``window_grid(snapshots)``) is the last ``snapshots`` of them."""
-    return random_track(*shape, snapshots + 5, seed=seed).states
-
-
-# windows around the Gram chunk at (8, 6, 2) (42 snapshots), of several
-# chunks at p = 1 (430 snapshots a chunk at N = 5) and p = 3 (47), and at
-# N = 1: bitwise wherever a snapshot has more than one Gram entry, and at
-# N = p = 1 while the window fits in one chunk (10,752 snapshots)
-TWO_PASS_CASES = [
-    ((8, 6, 2), 41), ((8, 6, 2), 42), ((8, 6, 2), 43), ((8, 6, 2), 149),
-    ((5, 4, 1), 2 * gram_chunk(5, 1) + 7), ((5, 4, 3), 3 * gram_chunk(5, 3) + 2),
-    ((1, 3, 2), gram_chunk(1, 2) + 1), ((1, 3, 1), 500),
-]
-
-
-class TestConsensusTwoPass:
-    @pytest.mark.parametrize("shape, snapshots", TWO_PASS_CASES)
-    @pytest.mark.parametrize("tol", [dg.CONSENSUS_TOL, 10.0])
-    def test_equals_whole_window_stack(self, monkeypatch, shape, snapshots, tol):
-        times = window_grid(snapshots)
-        states = window_states(shape, snapshots, seed=snapshots)
-        monkeypatch.setattr(dg, "CONSENSUS_TOL", tol)
-        status = dg.consensus_status(times, states)
-        expected = whole_window_consensus(times, states)
-        assert status.kind == expected.kind
-        assert status.max_identity_gap == expected.max_identity_gap
-        assert status.max_variation == expected.max_variation
-        if expected.limits is None:
-            assert status.limits is None
-        else:
-            assert np.array_equal(status.limits, expected.limits)
-
-    def test_single_entry_window_of_several_chunks_at_rounding(self, monkeypatch):
-        # at N = p = 1 numpy sums a window of one chunk pairwise, so a window
-        # of two chunks has each chunk summed pairwise and the two added: the
-        # mean of these positive terms may move by the rounding of both
-        # pairwise sums, each at most log2(W) + 16 roundings of their mean
-        # (blocks of 128 terms summed in 8 lanes, then halved), not more;
-        # the identity gap does not read the mean and stays bitwise
-        snapshots = gram_chunk(1, 1) + 248
-        states = np.random.default_rng(5).standard_normal((snapshots + 5, 1, 2, 1))
-        times = window_grid(snapshots)
-        monkeypatch.setattr(dg, "CONSENSUS_TOL", 1e9)
-        status = dg.consensus_status(times, states)
-        expected = whole_window_consensus(times, states)
-        mean = float(expected.limits[0, 0, 0, 0])
-        bound = 2 * (math.log2(snapshots) + 16) * np.finfo(float).eps * mean
-        assert status.max_identity_gap == expected.max_identity_gap
-        assert abs(status.limits - expected.limits).max() <= bound
-        variation = expected.max_variation
-        assert abs(status.max_variation - variation) <= bound + 4 * np.spacing(variation)
 
 
 class TestPairColumns:
@@ -333,8 +249,10 @@ class TestBatchRejected:
         return Trajectory(np.arange(6, dtype=float), stack, zeros, zeros)
 
     def test_consensus_status_names_members(self, batch):
+        # the batch's last snapshots, (B, N, n, p)
+        cfg = uniform_config(3, 4, 2, kappa=1.0)
         with pytest.raises(DimensionError, match=r"Trajectory\.members\(\)"):
-            dg.consensus_status(batch.times, batch.states)
+            dg.consensus_status(batch.states[:, -1], cfg)
 
     def test_pair_columns_names_members(self, batch):
         with pytest.raises(DimensionError, match=r"Trajectory\.members\(\)"):
@@ -365,7 +283,7 @@ STORED_SERIES = {
     "pair_columns": lambda stack, runs, cfg, columns: dg.pair_columns(*runs),
     "gap_series": lambda stack, runs, cfg, columns: dg.correlation_gap_series(*runs),
     "consensus_status": lambda stack, runs, cfg, columns: dg.consensus_status(
-        runs[0].times, runs[0].states
+        runs[0].states[-1], cfg
     ),
     "audit_series": lambda stack, runs, cfg, columns: dg.audit_series(columns, cfg),
 }
@@ -420,20 +338,18 @@ class TestSeriesMemory:
         for name in self.PHASES:
             assert long[name] - short[name] <= 64_000, (name, short[name], long[name])
 
-    def test_whole_run_grows_by_its_columns_and_window(self, pair_runs):
+    def test_whole_run_grows_by_its_columns(self, pair_runs):
         """The peak of a whole pair run grows from t_end 0.5 to 2 by at most
         what it keeps per snapshot, its series columns (the pair CSV's and
-        the potential) and the rows of its consensus window, plus 64 kB: the
-        runs are streamed chunk by chunk, and no trajectory is held. A
-        stored pair would add 2.3 MB, the series and window 0.46 MB."""
+        the potential), plus 64 kB: the runs are streamed chunk by chunk,
+        and no trajectory is held. A stored pair would add 2.3 MB, the
+        series 0.23 MB."""
         runs, out_dir = pair_runs
         peaks, kept = [], []
         for sc in runs.values():
             peaks.append(traced_excess(lambda: run_scenario(sc, out_dir)))
             columns = read_series(os.path.join(out_dir, f"{sc.name}_pair.csv"))
-            times = columns["t"]
-            window = len(times) - dg.trailing_window_start(times)
-            kept.append(len(times) * (len(columns) + 1) + window * sc.initial.size)
+            kept.append(len(columns["t"]) * (len(columns) + 1))
         assert peaks[1] - peaks[0] <= 8 * (kept[1] - kept[0]) + 64_000, (peaks, kept)
 
 
@@ -442,7 +358,7 @@ class TestConsensusStatus:
         cfg = uniform_config(4, 4, 2, kappa=4.0)
         init = near_consensus_ensemble(4, 2, 4, 0.4, seed=7)
         traj = short_run(cfg, init, t_end=8.0)
-        status = dg.consensus_status(traj.times, traj.states)
+        status = dg.consensus_status(traj.states[-1], cfg)
         assert status.kind == "complete"
         assert status.max_identity_gap <= 1e-6
 
@@ -451,69 +367,88 @@ class TestConsensusStatus:
         cfg = uniform_config(3, 4, 2, kappa=0.0, freqs=freqs)
         init = random_ensemble(4, 2, 3, seed=9)
         traj = short_run(cfg, init, t_end=8.0)
-        status = dg.consensus_status(traj.times, traj.states)
+        status = dg.consensus_status(traj.states[-1], cfg)
         assert status.kind == "none"
-        assert status.limits is None
+        assert status.max_rate > status.rate_tol
 
     def test_partial_for_heterogeneous_locked_state(self):
         cfg, traj, _ = run_framework_pair(777, t_end=8.0)
-        status = dg.consensus_status(traj.times, traj.states)
+        status = dg.consensus_status(traj.states[-1], cfg)
         assert status.kind == "partial"
-        assert status.limits is not None
+        assert status.max_identity_gap > 1e-6
+        assert status.max_rate <= status.rate_tol
+
+    def test_zero_field_is_partial(self):
+        # kappa = 0 and zero generators: the field, the rate and its
+        # threshold are exactly zero, so a state off consensus is locked
+        cfg = uniform_config(4, 5, 2, kappa=0.0)
+        status = dg.consensus_status(random_ensemble(5, 2, 4, seed=11), cfg)
+        assert (status.kind, status.max_rate, status.rate_tol) == ("partial", 0.0, 0.0)
         assert status.max_identity_gap > 1e-6
 
-    @pytest.fixture(scope="class")
-    def unit_span_run(self):
-        # recorded every 0.01 up to t = 1
-        cfg = uniform_config(2, 3, 1, kappa=1.0)
-        return short_run(cfg, random_ensemble(3, 1, 2, seed=10), t_end=1.0)
-
     @pytest.mark.parametrize(
-        "times",
-        [[0.0], [0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0, 4.0]],
-        ids=["one-sample", "no-span", "one-sample-in-window", "window-edge-between"],
+        "p, topology, frequencies",
+        [
+            (p, topology, frequencies)
+            for p in (1, 2, 3)
+            for topology in ("separable", "general")
+            for frequencies in (("zero",) if p == 1 else ("common", "random"))
+        ],
     )
-    def test_grid_without_a_window_rejected(self, times):
-        # a fifth of the span must be positive and hold two samples
-        times = np.array(times)
-        states = random_track(2, 3, 1, len(times), seed=1).states
-        with pytest.raises(InsufficientDataError):
-            dg.trailing_window_start(times)
-        with pytest.raises(InsufficientDataError):
-            dg.consensus_status(times, states)
+    def test_rate_is_the_closed_gram_flow(self, p, topology, frequencies):
+        """The correlation rate consensus_status reads equals dG/dt of the
+        correlations' closed flow (``conftest.gram_field``) on random
+        states. Both sides sum rounded products of at most (N + n) p terms,
+        each below the scale kappa max a_ik + max ||Omega_i|| (the entries
+        of S and G are at most 1), so each entry differs by at most
+        4 (N + n) p eps times that scale."""
+        count, n = 5, 6
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            if topology == "separable":
+                topo = Topology.separable(rng.uniform(0.7, 1.3, count))
+            else:
+                topo = Topology.general(generate_weights(count, 0.4, 1.4, 0.8, seed))
+            if frequencies == "zero":
+                freqs = zero_frequencies(count, p)
+            elif frequencies == "common":
+                freqs = np.repeat(random_skew(p, seed, 0.8)[None], count, axis=0)
+            else:
+                freqs = random_frequencies(count, p, 0.8, seed) + random_skew(p, seed, 0.5)
+            cfg = ModelConfig(kappa=1.7, topology=topo, freqs=freqs, n=n, p=p)
+            state = random_ensemble(n, p, count, seed=seed)
+            rate = dg._correlation_rate(state, cfg)
+            expected = gram_field(dg.correlations(state), cfg)
+            generators = np.sqrt((freqs * freqs).sum(axis=(-2, -1))).max()
+            scale = cfg.kappa * topo.weights.max() + generators
+            bound = 4 * (count + n) * p * np.finfo(float).eps * scale
+            assert np.abs(rate - expected).max() <= bound
+            assert np.abs(expected).max() > 1e3 * bound
 
-    def test_states_tail_is_the_window(self, unit_span_run):
-        # 101 samples, the last 21 in the window: a tail of 21 to 101
-        # states classifies as the whole run does, bit for bit
-        times, states = unit_span_run.times, unit_span_run.states
-        assert len(times) - dg.trailing_window_start(times) == 21
-        whole = dg.consensus_status(times, states)
-        for rows in (21, 22, 100):
-            assert dg.consensus_status(times, states[-rows:]) == whole
-
-    @pytest.mark.parametrize("rows", [20, 102])
-    def test_states_not_covering_the_window_rejected(self, unit_span_run, rows):
-        # fewer rows than the window, or more than the grid
-        states = np.concatenate([unit_span_run.states] * 2)[-rows:]
-        with pytest.raises(DimensionError, match="consensus window"):
-            dg.consensus_status(unit_span_run.times, states)
+    @pytest.mark.parametrize("lead", [(7,), (2,)], ids=["snapshots", "batch"])
+    def test_stack_rejected(self, lead):
+        cfg = uniform_config(3, 4, 2, kappa=1.0)
+        stack = np.stack([random_ensemble(4, 2, 3, seed=k) for k in range(lead[0])])
+        with pytest.raises(DimensionError, match="one ensemble"):
+            dg.consensus_status(stack, cfg)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_state_in_the_window_rejected(self, unit_span_run, value):
-        states = unit_span_run.states.copy()
-        states[-3, 1, 0, 0] = value
+    def test_non_finite_state_rejected(self, value):
+        cfg = uniform_config(3, 4, 2, kappa=1.0)
+        state = random_ensemble(4, 2, 3, seed=12)
+        state[1, 0, 0] = value
         with pytest.raises(ValidationError, match="consensus: .* not finite"):
-            dg.consensus_status(unit_span_run.times, states)
+            dg.consensus_status(state, cfg)
 
     def test_tol_at_the_largest_gap_classifies_complete(self, monkeypatch):
         cfg = uniform_config(4, 4, 2, kappa=4.0)
         init = near_consensus_ensemble(4, 2, 4, 0.4, seed=7)
-        traj = short_run(cfg, init, t_end=8.0)
-        gap = dg.consensus_status(traj.times, traj.states).max_identity_gap
+        state = short_run(cfg, init, t_end=8.0).states[-1]
+        gap = dg.consensus_status(state, cfg).max_identity_gap
         monkeypatch.setattr(dg, "CONSENSUS_TOL", gap)
-        assert dg.consensus_status(traj.times, traj.states).kind == "complete"
+        assert dg.consensus_status(state, cfg).kind == "complete"
         monkeypatch.setattr(dg, "CONSENSUS_TOL", np.nextafter(gap, 0.0))
-        assert dg.consensus_status(traj.times, traj.states).kind != "complete"
+        assert dg.consensus_status(state, cfg).kind != "complete"
 
 
 class TestFitDecayRate:
@@ -523,10 +458,14 @@ class TestFitDecayRate:
         assert abs(rate - 3.0) <= 1e-9
         assert abs(r2 - 1.0) <= 1e-12
 
-    def test_fits_the_trailing_half(self):
-        # a kink at t = 2.5: the rate of the second half alone
-        t = np.linspace(0, 5, 401)
-        values = np.exp(np.where(t < 2.5, -1.0 * t, -2.5 - 4.0 * (t - 2.5)))
+    @pytest.mark.parametrize("start, end", [(0.0, 5.0), (10.0, 20.0)])
+    def test_fits_the_trailing_half(self, start, end):
+        # a kink at the middle of the span: the rate of the second half
+        # alone, on a grid from t = 0 and on one from t = 10
+        t = np.linspace(start, end, 401)
+        kink = (start + end) / 2.0
+        values = np.exp(np.where(t < kink, -1.0 * t, -kink - 4.0 * (t - kink)))
+        assert dg.decay_fit_window(t) == (kink, end)
         rate, r2 = dg.fit_decay_rate(t, values)
         assert abs(rate - 4.0) <= 1e-9
         assert abs(r2 - 1.0) <= 1e-12

@@ -24,7 +24,14 @@ import os
 
 import pytest
 
-from golden.regenerate import GOLDEN_DIR, SCENARIOS, golden_report, kept_rows
+from golden.regenerate import (
+    GOLDEN_DIR,
+    SCENARIOS,
+    csv_differences,
+    golden_report,
+    kept_rows,
+    report_differences,
+)
 
 STATE_ERROR = 1e-13
 
@@ -68,6 +75,16 @@ GAP = Tol(1e-6, 1e-20)
 # r_squared by 4e-10. A wrong rate is off in the second digit.
 FIT_RATE = Tol(1e-4, 0.0)
 FIT_QUALITY = Tol(1e-7, 0.0)
+# The largest rate of a correlation at the last snapshot, max ||dG_ij/dt||.
+# A state error e moves a correlation block G_ij = S_i^T S_j by at most
+# 2 sqrt(n p) e in Frobenius norm, and the correlations' closed flow (see
+# diagnostics.consensus_status) moves the rate by at most 2 (max ||Omega_i||
+# + 3 kappa a) times that, a the largest weight. On the bundled scenarios
+# with a consensus entry (kappa <= 2.03, a <= 1.02, n p <= 12, ||Omega_i||
+# <= 0.5) that is at most 86 e, so the absolute part is 100 STATE_ERROR,
+# with STATE's relative part for the O(1) rates of a run that does not
+# lock.
+RATE = Tol(1e-10, 100 * STATE_ERROR)
 # Worst excess of a central-difference slope of a gap series over its bound:
 # a GAP error divided by the spacing (>= 1e-3). The verdict is exact.
 AUDIT = Tol(1e-6, 1e-15)
@@ -90,10 +107,10 @@ COLUMN_TOLERANCES = {
 REPORT_TOLERANCES = {
     ("framework", "*"): CONFIG,
     ("cubic", "*"): CONFIG,
-    ("consensus", "window"): CONFIG,
     ("consensus", "tol"): CONFIG,
+    ("consensus", "rate_tol"): CONFIG,
     ("consensus", "max_identity_gap"): STATE,
-    ("consensus", "max_variation"): STATE,
+    ("consensus", "max_rate"): RATE,
     ("decay", "fit_window"): CONFIG,
     ("decay", "delta_lower"): STATE,
     ("decay", "rate"): FIT_RATE,
@@ -190,3 +207,22 @@ def test_tolerances_catch_a_changed_number():
     assert report_mismatches(renamed, golden) == ["consensus/kind: 'partial' != 'complete'"]
     assert not GAP.allows(1.0e-12 * (1 + 2e-6), 1.0e-12)
     assert GAP.allows(1e-22 + 2 * 1e-11 * STATE_ERROR, 1e-22)
+
+
+def test_regeneration_lists_the_largest_differences():
+    # per report field, list entries gathered, and per CSV column
+    old = {"consensus": {"kind": "partial", "max_variation": 2e-9, "tol": 1e-6},
+           "audits": [{"max_violation": 0.0}, {"max_violation": 1.0}]}
+    new = {"consensus": {"kind": "none", "max_rate": 9e-11, "tol": 1e-6},
+           "audits": [{"max_violation": 0.25}, {"max_violation": 1.5}]}
+    assert report_differences(old, old) == {}
+    assert report_differences(new, old) == {
+        "audits/max_violation": 0.5,
+        "consensus/kind": "'partial' -> 'none'",
+        "consensus/max_rate": "added",
+        "consensus/max_variation": "removed",
+    }
+    excerpt = "row,t,V\n0,0,1.5\n9,1,0.25\n"
+    assert csv_differences(excerpt, excerpt) == {}
+    assert csv_differences("row,t,V\n0,0,1.5\n9,1,0.5\n", excerpt) == {"V": 0.25}
+    assert list(csv_differences("row,t,W\n0,0,1.5\n9,1,0.25\n", excerpt)) == ["header and rows"]

@@ -7,7 +7,6 @@ import importlib
 import io
 import json
 import os
-import re
 import warnings
 from pathlib import Path
 
@@ -298,17 +297,17 @@ class TestResolvedDefaults:
         assert scenario.analyses == ["stability", "consensus", "decay_fit"]
         assert scenario.perturbation == {"radius": 1e-3, "seed": 1000003}
 
-    @pytest.mark.parametrize("h, t_end, stride", [(0.002, 6.0, 5), (0.003, 1.0, 1), (0.1, 0.7, 3)])
-    def test_window_is_a_fifth_of_the_recorded_span(self, tmp_path, h, t_end, stride):
+    def test_consensus_reports_its_thresholds(self, tmp_path):
+        # the rate threshold is tol (kappa + max ||Omega_i||), with a common
+        # generator of norm 0.3; the run reaches consensus by t = 20
         path = minimal_scenario(
-            tmp_path, integrator={"h": h, "t_end": t_end, "record_stride": stride}
+            tmp_path, dims=PLANES, frequencies={"kind": "common", "scale": 0.3, "seed": 2},
+            integrator={"h": 0.002, "t_end": 20.0, "record_stride": 50},
         )
-        scenario = Scenario.from_file(path)
-        times = integrate(scenario.initial, scenario.model, scenario.integrator).times
-        span = float(times[-1] - times[0])
-        report = run_scenario(path, out_dir=str(tmp_path))
-        assert report["consensus"]["window"] == 0.2 * span
-        assert report["consensus"]["tol"] == diagnostics.CONSENSUS_TOL
+        consensus = run_scenario(path, out_dir=str(tmp_path))["consensus"]
+        assert consensus["tol"] == diagnostics.CONSENSUS_TOL
+        assert consensus["rate_tol"] == pytest.approx(diagnostics.CONSENSUS_TOL * 1.8, rel=1e-12)
+        assert consensus["kind"] == "complete"
 
     def test_fixed_rules_reported(self, tmp_path):
         # the decay fit runs on the trailing half of the span and the
@@ -721,10 +720,14 @@ class TestRunScenario:
         for name, written in (("base.csv", f"{sc.name}.csv"), ("pair.csv", f"{sc.name}_pair.csv")):
             assert (stored / name).read_bytes() == (tmp_path / "streamed" / written).read_bytes()
 
-        status = diagnostics.consensus_status(traj.times, traj.states)
-        assert report["consensus"]["kind"] == status.kind
-        assert report["consensus"]["max_identity_gap"] == status.max_identity_gap
-        assert report["consensus"]["max_variation"] == status.max_variation
+        status = diagnostics.consensus_status(traj.states[-1], sc.model)
+        assert report["consensus"] == {
+            "kind": status.kind,
+            "max_identity_gap": status.max_identity_gap,
+            "max_rate": status.max_rate,
+            "rate_tol": status.rate_tol,
+            "tol": diagnostics.CONSENSUS_TOL,
+        }
         audits = diagnostics.audit_series(pair, sc.model)
         assert [a["max_violation"] for a in report["audits"]] == [
             a.max_violation for a in audits
@@ -736,23 +739,23 @@ class TestRunScenario:
             for p_exp in diagnostics.GAIN_EXPONENTS
         }
 
-    @pytest.mark.parametrize(
-        "stride, snapshots, rows", [(1, 3001, 601), (5, 601, 121), (7, 430, 87)]
-    )
-    def test_sink_keeps_the_consensus_window_rows(
-        self, monkeypatch, tmp_path, stride, snapshots, rows
-    ):
-        # a run of 3000 steps to t = 6: the window from t = 4.8 on is all
-        # that consensus_status reads, and all that the run keeps of states
+    @pytest.mark.parametrize("stride", [1, 5, 7])
+    def test_sink_keeps_the_final_state(self, monkeypatch, tmp_path, stride):
+        # a run of 3000 steps to t = 6, recorded in chunks that end at the
+        # last snapshot: consensus classifies the stored run's final state,
+        # bit for bit, and no other
         calls = []
         status = diagnostics.consensus_status
         monkeypatch.setattr(
             diagnostics, "consensus_status",
-            lambda times, states: calls.append((len(times), states.shape)) or status(times, states),
+            lambda state, cfg: calls.append(state.copy()) or status(state, cfg),
         )
         integrator = {"h": 0.002, "t_end": 6.0, "record_stride": stride}
-        report = run_scenario(minimal_scenario(tmp_path, integrator=integrator), str(tmp_path))
-        assert calls == [(snapshots, (rows, 3, 3, 1))]
+        path = minimal_scenario(tmp_path, integrator=integrator)
+        report = run_scenario(path, str(tmp_path))
+        sc = Scenario.from_file(path)
+        final = integrate(sc.initial, sc.model, sc.integrator).states[-1]
+        assert len(calls) == 1 and np.array_equal(calls[0], final)
         assert report["consensus"]["kind"] == "complete"
 
     def test_bundled_homogeneous_complete(self, bundled_runs):
@@ -1120,24 +1123,25 @@ class TestCli:
             {"h": 0.002, "t_end": 0.0},
             # one step: a single snapshot after the first
             {"h": 0.002, "t_end": 0.002},
-            # the window, a fifth of the span, is shorter than the spacing
+            # recorded at t = 0, 0.5 and 1: a fifth of the span is shorter
+            # than the spacing
             {"h": 0.1, "t_end": 1.0, "record_stride": 5},
-            # two steps: the window of 0.0008 holds the last snapshot only
             {"h": 0.002, "t_end": 0.004},
-            # recorded at t = 0 and 6 only: the window of 1.2 holds one snapshot
+            # recorded at t = 0 and 6 only
             {"h": 0.002, "t_end": 6.0, "record_stride": 3000},
         ],
-        ids=["t_end-zero", "one-step", "default-window-below-spacing", "two-steps",
+        ids=["t_end-zero", "one-step", "fifth-below-spacing", "two-steps",
              "stride-at-horizon"],
     )
-    def test_horizon_short_for_consensus_window_exit_code(self, tmp_path, integrator):
+    def test_consensus_runs_on_any_horizon(self, tmp_path, integrator):
+        # consensus reads the last snapshot alone, so no grid is too short
+        # for it, not even the one snapshot of t_end = 0
         path = minimal_scenario(tmp_path, integrator=integrator, analyses=["consensus"])
         out, err = io.StringIO(), io.StringIO()
         code = main(["run", path, "--out", str(tmp_path)], out=out, err=err)
-        assert code == EXIT_SCENARIO
-        assert out.getvalue() == ""
-        assert "Traceback" not in err.getvalue()
-        assert "integrator.t_end: a consensus window" in err.getvalue()
+        assert code == 0, err.getvalue()
+        report = json.loads((tmp_path / "tiny_report.json").read_text())
+        assert report["consensus"]["kind"] in ("complete", "partial", "none")
 
     @staticmethod
     def _grid_sweep(tmp_path, stride, analysis, runs):
@@ -1172,15 +1176,6 @@ class TestCli:
             assert parsed == ran, t_end
             outcomes.add(parsed)
         assert outcomes == {True, False}
-
-    @pytest.mark.parametrize("stride", [1, 3, 5])
-    def test_consensus_window_check_matches_consensus_status(self, tmp_path, stride):
-        # the parser accepts a horizon exactly when consensus_status can
-        # classify a fifth of the span of the run's grid
-        self._grid_sweep(
-            tmp_path, stride, "consensus",
-            lambda traj: diagnostics.consensus_status(traj.times, traj.states),
-        )
 
     @pytest.mark.parametrize(
         "integrator, analysis, field",
@@ -1243,10 +1238,9 @@ class TestCli:
 
     def test_storage_bound_counts_the_partner(self, tmp_path, monkeypatch):
         # 601 snapshots of 3 x 3 x 1: one run holds 4 series columns (19,232
-        # bytes), 122 snapshots of its consensus window (8,784) and one
-        # chunk of all 601 snapshots (43,272), with the 3 x 3 weights 71,360
-        # bytes; with the partner, 14 columns (67,312) and a chunk of both
-        # runs (86,544) make it 162,712
+        # bytes) and one chunk of all 601 snapshots (43,272), with the 3 x 3
+        # weights (72) 62,576 bytes; with the partner, 14 columns (67,312)
+        # and a chunk of both runs (86,544) make it 153,928
         memory = 100_000
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -1257,48 +1251,20 @@ class TestCli:
 
     def test_storage_bound_counts_one_chunk_not_the_trajectory(self, tmp_path, monkeypatch):
         # 3001 snapshots of 8 x 6 x 2: the stored trajectory would be 2.3 MB;
-        # a streamed run holds 4 series columns (96,032 bytes), 602 snapshots
-        # of its consensus window (462,336) and one chunk of 112 snapshots
-        # (86,016), with the 8 x 8 weights 644,896 bytes
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 644_896}
+        # a streamed run holds 4 series columns (96,032 bytes) and one chunk
+        # of 112 snapshots (86,016), with the 8 x 8 weights (512) 182,560
+        # bytes
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 182_560}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         dims = {"n": 6, "p": 2, "N": 8}
         topology = {"kind": "separable", "xi": [1.0] * 8}
         integrator = {"h": 0.002, "t_end": 6.0, "record_stride": 1}
         path = minimal_scenario(tmp_path, dims=dims, topology=topology, integrator=integrator)
         Scenario.from_file(path)
-        pages["SC_PHYS_PAGES"] = 644_895
+        pages["SC_PHYS_PAGES"] = 182_559
         with pytest.raises(ScenarioError, match="physical memory") as caught:
             Scenario.from_file(path)
         assert caught.value.field == "integrator.h"
-
-    def test_storage_bound_counts_every_consensus_window_row(self, monkeypatch):
-        """The consensus rows the storage bound counts, K // 5 + 2 of K
-        snapshots, are at least the K - first rows a run's sink keeps, on
-        random grids (h, t_end, stride) that have a consensus window; on some
-        grids they are exactly those rows, so K // 5 + 1 would fall short.
-        With no memory, the bound's error states the rows it counted."""
-        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 0}.__getitem__)
-        rng = np.random.default_rng(2027)
-        spare = []
-        for _ in range(3000):
-            h = float(rng.choice([1e-3, 2e-3, 0.01, 0.07, 0.1, 0.25, 0.3]))
-            steps = int(rng.integers(1, 1500))
-            # a multiple of h, where the grid's times and the window's edge
-            # round, or a horizon between steps
-            t_end = steps * h if rng.random() < 0.5 else float(rng.uniform(0.0, steps * h))
-            integrator = IntegratorConfig(h=h, t_end=t_end, record_stride=int(rng.integers(1, 40)))
-            times = integrator.recorded_steps() * integrator.h
-            try:
-                first = diagnostics.trailing_window_start(times)
-            except InsufficientDataError:
-                continue
-            with pytest.raises(ScenarioError) as caught:
-                scenario_module._check_storage(integrator, 1, 1, 1, False, True)
-            counted = re.search(r"(\d+) snapshots of the consensus window", str(caught.value))
-            spare.append(int(counted.group(1)) - (len(times) - first))
-        assert len(spare) > 2000
-        assert min(spare) == 0
 
     @pytest.mark.parametrize("case", OVERFLOWING_FIELDS)
     def test_overflowing_number_exit_code(self, tmp_path, case):
