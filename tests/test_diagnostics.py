@@ -34,6 +34,7 @@ from stiefel_sync.model import (
     potential,
     random_frequencies,
     random_skew,
+    rhs,
     zero_frequencies,
 )
 from stiefel_sync import diagnostics as dg
@@ -449,6 +450,110 @@ class TestConsensusStatus:
         assert dg.consensus_status(state, cfg).kind == "complete"
         monkeypatch.setattr(dg, "CONSENSUS_TOL", np.nextafter(gap, 0.0))
         assert dg.consensus_status(state, cfg).kind != "complete"
+
+    def test_rate_at_its_threshold_classifies_partial(self, monkeypatch, framework_pair_session):
+        cfg, traj, _ = framework_pair_session
+        state = traj.states[-1]
+        status = dg.consensus_status(state, cfg)
+        scale = status.rate_tol / dg.CONSENSUS_TOL
+        # the least tol whose threshold tol * scale reaches the rate
+        tol = status.max_rate / scale
+        while tol * scale < status.max_rate:
+            tol = np.nextafter(tol, math.inf)
+        while np.nextafter(tol, 0.0) * scale >= status.max_rate:
+            tol = np.nextafter(tol, 0.0)
+        assert status.max_identity_gap > tol
+        monkeypatch.setattr(dg, "CONSENSUS_TOL", tol)
+        assert dg.consensus_status(state, cfg).kind == "partial"
+        monkeypatch.setattr(dg, "CONSENSUS_TOL", np.nextafter(tol, 0.0))
+        assert dg.consensus_status(state, cfg).kind == "none"
+
+    # N = 1, p = 1, n = p, n = p = 2 and p = 4
+    RULE_SHAPES = [
+        (8, 6, 2), (5, 4, 1), (5, 4, 3), (1, 3, 2), (1, 3, 1), (3, 3, 3), (4, 5, 4), (6, 2, 2),
+    ]
+
+    @pytest.mark.parametrize("count, n, p", RULE_SHAPES)
+    @pytest.mark.parametrize("tol", [dg.CONSENSUS_TOL, 10.0])
+    def test_norms_and_verdict_are_the_written_out_rule(self, monkeypatch, count, n, p, tol):
+        """The gap, the rate and the threshold equal their per-pair
+        definitions with V = rhs(S): each entry of S_i^T S_j and of
+        V_i^T S_j + S_i^T V_j is a sum of at most 2 n products, each below 1
+        or the field's scale kappa max a_ik + max ||Omega_i||, so the two
+        sides differ by at most 8 n p eps times that; the verdict follows
+        the rule at ``tol``."""
+        seed = 10 * count + n + p
+        rng = np.random.default_rng(seed)
+        freqs = np.stack([random_skew(p, seed + i, 0.5) for i in range(count)])
+        topo = Topology.separable(rng.uniform(0.7, 1.3, count))
+        cfg = ModelConfig(kappa=1.3, topology=topo, freqs=freqs, n=n, p=p)
+        state = random_ensemble(n, p, count, seed=seed)
+        monkeypatch.setattr(dg, "CONSENSUS_TOL", tol)
+        status = dg.consensus_status(state, cfg)
+
+        v = rhs(state, cfg)
+        pairs = [(i, j) for i in range(count) for j in range(count)]
+        gap = max(np.linalg.norm(state[i].T @ state[j] - np.eye(p)) for i, j in pairs)
+        rate = max(np.linalg.norm(v[i].T @ state[j] + state[i].T @ v[j]) for i, j in pairs)
+        generators = max(np.linalg.norm(w) for w in freqs)
+        rate_tol = tol * (cfg.kappa + generators)
+        eps = np.finfo(float).eps
+        assert abs(status.max_identity_gap - gap) <= 8 * n * p * eps
+        scale = cfg.kappa * topo.weights.max() + generators
+        assert abs(status.max_rate - rate) <= 8 * n * p * eps * scale
+        assert math.isclose(status.rate_tol, rate_tol, rel_tol=4 * eps)
+        if gap <= tol:
+            expected = "complete"
+        elif rate <= rate_tol:
+            expected = "partial"
+        else:
+            expected = "none"
+        assert status.kind == expected
+
+    @pytest.mark.parametrize("p", [1, 2, 3, "locked"])
+    def test_common_rotation_keeps_the_verdict(self, p, framework_pair_session):
+        """Q S_i for one Q in O(n) has the correlations and the correlation
+        rate of S, up to the rounding of Q^T Q = I and of the products: a
+        few n p eps, times the field's scale for the rate."""
+        if p == "locked":
+            cfg, traj, _ = framework_pair_session
+            state = traj.states[-1]
+        else:
+            count, n = 5, 6
+            topo = Topology.general(generate_weights(count, 0.4, 1.4, 0.8, p))
+            freqs = random_frequencies(count, p, 0.8 if p > 1 else 0.0, p)
+            cfg = ModelConfig(kappa=1.7, topology=topo, freqs=freqs, n=n, p=p)
+            state = random_ensemble(n, p, count, seed=p)
+        count, n, cols = state.shape
+        q = random_stiefel(n, n, seed=31)
+        status = dg.consensus_status(state, cfg)
+        rotated = dg.consensus_status(np.einsum("ab,ibc->iac", q, state), cfg)
+        eps = np.finfo(float).eps
+        scale = status.rate_tol / dg.CONSENSUS_TOL
+        bound = 16 * (count + n) * cols * eps
+        assert rotated.kind == status.kind
+        assert abs(rotated.max_identity_gap - status.max_identity_gap) <= bound
+        assert abs(rotated.max_rate - status.max_rate) <= bound * scale
+        assert rotated.rate_tol == status.rate_tol
+        if p == "locked":
+            assert status.kind == "partial"
+        else:
+            assert status.kind == "none"
+            assert status.max_rate > 1e6 * bound * scale
+
+    @pytest.mark.parametrize("c", [2.0 ** -20, 0.5, 8.0])
+    def test_field_scale_moves_rate_and_threshold_together(self, c, framework_pair_session):
+        # the field is linear in (kappa, Omega) and a power of two scales
+        # every product and sum exactly, so the rate and its threshold
+        # scale by c bit for bit and a locked state stays locked
+        cfg, traj, _ = framework_pair_session
+        state = traj.states[-1]
+        status = dg.consensus_status(state, cfg)
+        scaled = dg.consensus_status(state, cfg.scaled(c))
+        assert scaled.max_identity_gap == status.max_identity_gap
+        assert scaled.max_rate == c * status.max_rate
+        assert scaled.rate_tol == c * status.rate_tol
+        assert (status.kind, scaled.kind) == ("partial", "partial")
 
 
 class TestFitDecayRate:
