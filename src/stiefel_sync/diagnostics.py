@@ -5,7 +5,11 @@ uniform stability gains, differential-inequality audits, and the cubic
 whose roots fence the running diameter.
 
 Each audit compares a finite-difference derivative of a recorded series
-against the corresponding bound evaluated on the same grid. The audits
+against the corresponding bound evaluated on the same grid. The three
+audit cores name only the values they audit and their bound; one driver
+(``_slope_audit``) takes the slopes, subtracts the bound and keeps the
+largest excess, chunk by chunk of the grid, and returns a verdict
+(:class:`InequalityAudit`) with no table of the run's length. The audits
 accept a named ``mutation`` that deliberately overstates their bound; a
 healthy implementation must fail under the mutation on an adversarial run,
 which is how the test suite proves the audits can detect violations at all.
@@ -444,20 +448,15 @@ def stability_gain(columns: Mapping[str, np.ndarray], p_exp: float) -> float:
 
 @dataclass(frozen=True)
 class InequalityAudit:
-    """Result of checking measured slopes against a bound on a grid.
+    """Verdict of checking measured slopes against a bound on a grid.
 
-    ``lhs``/``rhs`` are aligned with ``times`` (interior grid points); for
-    per-agent audits they are 2-D with one column per agent. ``audited``
-    marks where the comparison was meaningful. ``max_violation`` is
-    max(lhs - rhs) over audited points, clipped at zero; an audit whose
-    gap is NaN at an audited point raises :class:`ValidationError` instead.
+    ``max_violation`` is the largest excess of a slope over the bound at an
+    audited interior point of the grid, clipped at zero; an audit whose
+    excess is NaN at an audited point raises :class:`ValidationError`
+    instead. The audit passes when ``max_violation`` is at most ``tol``.
     """
 
     name: str
-    times: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    audited: np.ndarray
     max_violation: float
     tol: float
 
@@ -466,27 +465,41 @@ class InequalityAudit:
         return self.max_violation <= self.tol
 
 
-def _finish_audit(name, times, lhs, rhs, audited, tol) -> InequalityAudit:
-    # the largest audited gap of each chunk of rows; a max is exact, so
-    # their max is the whole table's
-    largest = [
-        np.max(lhs[rows] - rhs[rows], where=audited[rows], initial=-np.inf)
-        for rows in _chunk_rows(lhs.shape[0], math.prod(lhs.shape[1:]))
-    ]
-    worst = float(np.max(largest, initial=-np.inf))
-    # a NaN gap is no violation to max(), so it would pass unseen
-    if math.isnan(worst):
-        raise ValidationError(f"{name}: an audited gap is NaN; the series hold a non-finite value")
-    max_violation = max(0.0, worst)
-    return InequalityAudit(
-        name=name,
-        times=times,
-        lhs=lhs,
-        rhs=rhs,
-        audited=audited,
-        max_violation=max_violation,
-        tol=tol,
-    )
+def _slope_audit(name, times, width, values, bound, floored=False) -> InequalityAudit:
+    """The pass that every inequality audit makes over the grid ``times``:
+    at each interior point t_k, the central-difference slope
+    (v_{k+1} - v_{k-1}) / 2h of the audited values v, as
+    :func:`dini_derivative_series` takes it, less the audit's bound at t_k.
+
+    ``values(rows)`` gives v at the grid rows ``rows``, a column or a
+    (rows, ``width``) table. ``bound(v, mid)`` gives the bound at the grid
+    rows ``mid`` from the values ``v`` of the chunk, which hold one row more
+    on either side of ``mid``. With ``floored``, points whose value is below
+    :data:`DISTANCE_FLOOR` are not audited.
+
+    The interior is walked in chunks of rows, with at most eight arrays of
+    (rows, ``width``) entries live at once, so the chunk's temporaries hold
+    at most ``manifold._PAIR_CHUNK_ENTRIES`` entries and no table of the
+    run's length is formed. A max is exact, so the running max over the
+    chunks is the whole grid's.
+    """
+    times = np.asarray(times, dtype=float)
+    h = slope_spacing(times)
+    worst = 0.0  # the verdict is clipped at zero
+    for rows in _chunk_rows(times.shape[0] - 2, 8 * width):
+        v = values(slice(rows.start, rows.stop + 2))
+        gap = v[2:] - v[:-2]
+        gap /= 2.0 * h
+        gap -= bound(v, slice(rows.start + 1, rows.stop + 1))
+        audited = v[1:-1] >= DISTANCE_FLOOR if floored else True
+        largest = float(np.max(gap, where=audited, initial=-np.inf))
+        # a NaN gap is no violation to max(), so it would pass unseen
+        if math.isnan(largest):
+            raise ValidationError(
+                f"{name}: an audited gap is NaN; the series hold a non-finite value"
+            )
+        worst = max(worst, largest)
+    return InequalityAudit(name, worst, audit_tolerance(h))
 
 
 def audit_diameter_bound_series(
@@ -494,28 +507,23 @@ def audit_diameter_bound_series(
 ) -> InequalityAudit:
     """Series-level core of :func:`audit_diameter_bound`: reads the ``t``
     and ``diam_S`` columns."""
-    stats = cfg.topology.xi_stats()
     if mutation not in (None, "drop_cubic_term"):
         raise ValidationError(f"unknown mutation {mutation!r}")
-    times = np.asarray(columns["t"], dtype=float)
+    half = cfg.kappa * cfg.topology.xi_stats().xi_min ** 2 / 2.0
+    drive = 2.0 * np.sqrt(cfg.p) * cfg.freq_spread
     d = np.asarray(columns["diam_S"], dtype=float)
-    lhs = dini_derivative_series(times, d)
-    half = cfg.kappa * stats.xi_min ** 2 / 2.0
-    rhs = np.empty_like(lhs)
-    for rows in _chunk_rows(lhs.shape[0], 1):
-        interior = d[rows.start + 1 : rows.stop + 1]
-        part = rhs[rows]
-        np.multiply(-half, interior, part)
-        part += 2.0 * np.sqrt(cfg.p) * cfg.freq_spread
+
+    def bound(v, mid):
+        interior = v[1:-1]
+        part = -half * interior
+        part += drive
         if mutation != "drop_cubic_term":
             cubic = interior ** 3
             cubic *= half / 2.0
             part += cubic
-    audited = np.ones_like(lhs, dtype=bool)
-    spacing = float(times[1] - times[0])
-    return _finish_audit(
-        "diameter_bound", times[1:-1], lhs, rhs, audited, audit_tolerance(spacing)
-    )
+        return part
+
+    return _slope_audit("diameter_bound", columns["t"], 1, lambda rows: d[rows], bound)
 
 
 def audit_diameter_bound(
@@ -559,28 +567,20 @@ def audit_correlation_contraction_series(
 ) -> InequalityAudit:
     """Series-level core of :func:`audit_correlation_contraction`: reads the
     ``t``, ``corr_sq``, ``corr_skew_sq``, ``diam_S`` and ``diam_S_tilde``
-    columns."""
+    columns, and audits the slope of X + Y."""
     if mutation not in (None, "overstated_skew_rate"):
         raise ValidationError(f"unknown mutation {mutation!r}")
-    times = np.asarray(columns["t"], dtype=float)
     plain = np.asarray(columns["corr_sq"], dtype=float)
     skewed = np.asarray(columns["corr_skew_sq"], dtype=float)
     diam1, diam2 = columns["diam_S"], columns["diam_S_tilde"]
-    # the slopes of X + Y as dini_derivative_series takes them, with each
-    # chunk's sums formed in turn: (X + Y)[k + 2] - (X + Y)[k], over 2 h
-    lhs = plain[2:] + skewed[2:]
-    rhs = np.empty_like(lhs)
-    for rows in _chunk_rows(lhs.shape[0], 1):
-        lhs[rows] -= plain[rows] + skewed[rows]
-        mid = slice(rows.start + 1, rows.stop + 1)
-        rhs[rows] = correlation_contraction_bound(
+    return _slope_audit(
+        "correlation_contraction",
+        columns["t"],
+        1,
+        lambda rows: plain[rows] + skewed[rows],
+        lambda v, mid: correlation_contraction_bound(
             plain[mid], skewed[mid], diam1[mid], diam2[mid], cfg, mutation
-        )
-    lhs /= 2.0 * slope_spacing(times)
-    audited = np.ones_like(lhs, dtype=bool)
-    spacing = float(times[1] - times[0])
-    return _finish_audit(
-        "correlation_contraction", times[1:-1], lhs, rhs, audited, audit_tolerance(spacing)
+        ),
     )
 
 
@@ -614,52 +614,39 @@ def audit_agent_distance_bound_series(
     elementwise maximum of ``diam_S`` and ``diam_S_tilde``."""
     if mutation not in (None, "drop_state_term"):
         raise ValidationError(f"unknown mutation {mutation!r}")
-    times = np.asarray(columns["t"], dtype=float)
     agents = _agent_distances(columns)
     count = len(agents)
     if count != cfg.agent_count:
         raise DimensionError(
             f"distance columns ({count}) do not match agent count ({cfg.agent_count})"
         )
-    h = slope_spacing(times)
-
-    # lhs holds the (K-2, N) table of interior distances x_i until their
-    # slopes replace it, so the neighbour term is one product of the whole
-    # table and no other table is formed; a product of fewer rows need not
-    # give the same bits (numpy takes a one-row product through BLAS gemv)
-    lhs = np.empty((times.shape[0] - 2, count))
-    for i, column in enumerate(agents):
-        lhs[:, i] = column[1:-1]
     weights = cfg.topology.weights
     row_sums = weights.sum(axis=1)
-    rhs = lhs @ weights
-    rhs /= count  # (1/N) sum_k a_ik x_k
-    audited = lhs >= DISTANCE_FLOOR
-    # the self and Z terms one agent and one chunk of rows at a time, in
-    # place in the agent's column of the chunk: a broadcast product would
-    # take a buffer as large as the chunk; the value is k (n_i - s_i) +
-    # (k Z) s_i bit for bit, since a product commutes
-    for rows in _chunk_rows(lhs.shape[0], count):
+
+    def bound(x, mid):
+        # k (n_i - s_i) + (k Z) s_i with n_i = (1/N) sum_k a_ik x_k and
+        # s_i = (1/N) sum_k a_ik x_i; the product takes the chunk's rows with
+        # their neighbours, so it never has one row, which numpy would take
+        # through BLAS gemv with other bits than a product of more rows
+        part = (x @ weights)[1:-1]
+        part /= count
+        self_term = x[1:-1] * row_sums
+        self_term /= count
+        part -= self_term
+        part *= cfg.kappa
         if mutation != "drop_state_term":
-            mid = slice(rows.start + 1, rows.stop + 1)
             z = cfg.kappa * np.maximum(columns["diam_S"][mid], columns["diam_S_tilde"][mid])
-        for i in range(count):
-            self_term = lhs[rows, i] * row_sums[i]
-            self_term /= count  # (1/N) sum_k a_ik x_i
-            part = rhs[rows, i]
-            part -= self_term
-            part *= cfg.kappa
-            if mutation != "drop_state_term":
-                self_term *= z
-                part += self_term
-    # each agent's slope as dini_derivative_series takes it, straight from
-    # its column
-    for i, column in enumerate(agents):
-        np.subtract(column[2:], column[:-2], lhs[:, i])
-    lhs /= 2.0 * h
-    spacing = float(times[1] - times[0])
-    return _finish_audit(
-        "agent_distance_bound", times[1:-1], lhs, rhs, audited, audit_tolerance(spacing)
+            self_term *= z[:, None]
+            part += self_term
+        return part
+
+    return _slope_audit(
+        "agent_distance_bound",
+        columns["t"],
+        count,
+        lambda rows: np.column_stack([column[rows] for column in agents]),
+        bound,
+        floored=True,
     )
 
 

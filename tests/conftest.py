@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import math
 import tracemalloc
 from dataclasses import dataclass
 
@@ -429,6 +430,109 @@ def worst_relative_bound_excess(cfg, traj1, traj2, floor=1e-20):
     kept = gap > floor
     assert kept.any(), "no snapshot with a gap above the floor"
     return float(np.max((rate[kept] - bound[kept]) / gap[kept]))
+
+
+def audit_verdict(audit) -> tuple[str, str, str]:
+    """An audit's name, ``max_violation`` and ``tol``, the floats as hex,
+    so that comparing verdicts compares them bit for bit."""
+    return audit.name, audit.max_violation.hex(), audit.tol.hex()
+
+
+def audit_chunks(audit, columns, cfg) -> list[slice]:
+    """The chunks of interior rows that ``audit(columns, cfg)`` walks, as
+    the audit driver asks ``diagnostics._chunk_rows`` for them."""
+    chunk_rows = diagnostics._chunk_rows
+    seen = []
+
+    def recording(total, entries):
+        seen.append(list(chunk_rows(total, entries)))
+        return iter(seen[-1])
+
+    diagnostics._chunk_rows = recording
+    try:
+        audit(columns, cfg)
+    finally:
+        diagnostics._chunk_rows = chunk_rows
+    (chunks,) = seen
+    return chunks
+
+
+def pointwise_audit(name: str, columns, cfg) -> tuple[float, float]:
+    """The ``max_violation`` of the audit ``name`` on the series
+    ``columns``, written out one interior point t_j at a time: the central
+    difference (v_{j+1} - v_{j-1}) / 2h of the audited value less the
+    bound at t_j, the largest over the points, clipped at zero. Returned
+    with the rounding it may differ from the library's value by.
+
+    The diameter and correlation bounds are the library's operations in the
+    library's order, so their rounding is zero. The per-agent bound k (n_i -
+    s_i) + (k Z) s_i, with n_i = (1/N) sum_k a_ik x_k and s_i = (1/N) r_i
+    x_i, r_i = sum_k a_ik, sums n_i and r_i one term at a time, where BLAS
+    and numpy sum in their own order. Two orders of a sum of N nonnegative
+    terms differ by at most (N - 1) eps times the sum of the terms, and the
+    later operations round each once more, so the bound and the slope less
+    it differ by at most 2 (N + 3) eps (|slope| + (k/N) (sum_k a_ik x_k +
+    r_i x_i (1 + Z))), taken at its largest over the audited points: a
+    max moves by at most what any of its terms moves by."""
+    t = np.asarray(columns["t"], dtype=float)
+    h = float(t[1] - t[0])
+    total = t.shape[0]
+    worst, rounding = -math.inf, 0.0
+    if name == "diameter_bound":
+        d = np.asarray(columns["diam_S"], dtype=float)
+        half = cfg.kappa * cfg.topology.xi_stats().xi_min ** 2 / 2.0
+        drive = 2.0 * math.sqrt(cfg.p) * cfg.freq_spread
+        for j in range(1, total - 1):
+            # numpy's vector pow and libm's pow can differ in the last bit,
+            # so the cube is numpy's, on this point alone
+            cube = float((d[j : j + 1] ** 3)[0])
+            bound = -half * float(d[j]) + drive + cube * (half / 2.0)
+            slope = (float(d[j + 1]) - float(d[j - 1])) / (2.0 * h)
+            worst = max(worst, slope - bound)
+    elif name == "correlation_contraction":
+        x, y, d1, d2 = (
+            [float(v) for v in columns[key]]
+            for key in ("corr_sq", "corr_skew_sq", "diam_S", "diam_S_tilde")
+        )
+        stats = cfg.topology.xi_stats()
+        rate_skew = cfg.kappa * (4.0 * stats.xi_min * stats.xi_mean - 2.5 * stats.xi_max ** 2)
+        for j in range(1, total - 1):
+            slack = (
+                5.0 * cfg.kappa * stats.xi_max ** 2 * math.sqrt(cfg.p) * (d1[j] + d2[j])
+                + 3.0 * cfg.kappa * stats.xi_max * stats.spread
+                + cfg.freq_spread
+            )
+            rate_plain = 4.0 * (cfg.kappa * stats.xi_min * stats.xi_mean - slack)
+            bound = -rate_plain * x[j] - rate_skew * y[j]
+            slope = ((x[j + 1] + y[j + 1]) - (x[j - 1] + y[j - 1])) / (2.0 * h)
+            worst = max(worst, slope - bound)
+    else:
+        count = cfg.agent_count
+        x = [[float(v) for v in columns[f"dist_agent_{i}"]] for i in range(count)]
+        z = [max(float(a), float(b)) for a, b in zip(columns["diam_S"], columns["diam_S_tilde"])]
+        a = cfg.topology.weights.tolist()
+        row_sums = []
+        for i in range(count):
+            row_sum = 0.0
+            for k in range(count):
+                row_sum += a[i][k]
+            row_sums.append(row_sum)
+        for j in range(1, total - 1):
+            for i in range(count):
+                if not x[i][j] >= diagnostics.DISTANCE_FLOOR:
+                    continue
+                neighbours = 0.0
+                for k in range(count):
+                    neighbours += x[k][j] * a[k][i]
+                own = x[i][j] * row_sums[i] / count
+                bound = (neighbours / count - own) * cfg.kappa + own * (cfg.kappa * z[j])
+                slope = (x[i][j + 1] - x[i][j - 1]) / (2.0 * h)
+                worst = max(worst, slope - bound)
+                scale = abs(slope) + cfg.kappa / count * (
+                    neighbours + x[i][j] * row_sums[i] * (1.0 + z[j])
+                )
+                rounding = max(rounding, 2 * (count + 3) * np.finfo(float).eps * scale)
+    return max(0.0, worst), rounding
 
 
 @pytest.fixture(scope="session")

@@ -42,12 +42,15 @@ from stiefel_sync.scenario import Scenario, generate_scenario, generate_weights,
 from stiefel_sync.series_io import read_series
 
 from conftest import (
+    audit_chunks,
+    audit_verdict,
     correlation_gap_components,
     correlation_gap_rate_series,
     correlation_gap_rates,
     gram_field,
     make_framework_config,
     phase_peaks,
+    pointwise_audit,
     run_framework_pair,
     worst_relative_bound_excess,
 )
@@ -231,10 +234,7 @@ class TestPairColumns:
             dg.audit_correlation_contraction(traj, partner, cfg),
             dg.audit_agent_distance_bound(traj, partner, cfg),
         ):
-            expected = by_name.pop(audit.name)
-            assert np.array_equal(audit.lhs, expected.lhs)
-            assert np.array_equal(audit.rhs, expected.rhs)
-            assert audit.max_violation == expected.max_violation
+            assert audit_verdict(audit) == audit_verdict(by_name.pop(audit.name))
         assert not by_name
 
 
@@ -728,6 +728,29 @@ class TestDiameterBoundAudit:
         with pytest.raises(ValidationError):
             dg.audit_diameter_bound(traj, cfg, mutation="bogus")
 
+    @pytest.mark.parametrize(
+        "audit",
+        [
+            dg.audit_diameter_bound_series,
+            dg.audit_correlation_contraction_series,
+            dg.audit_agent_distance_bound_series,
+        ],
+    )
+    def test_unknown_mutation_rejected_before_the_topology(self, framework_pair_session, audit):
+        # a general topology has no xi statistics, which the diameter and
+        # correlation bounds need; a bad mutation is named first all the same
+        cfg, traj, partner = framework_pair_session
+        count = cfg.agent_count
+        general = ModelConfig(
+            kappa=cfg.kappa,
+            topology=Topology.general(np.ones((count, count))),
+            freqs=cfg.freqs,
+            n=cfg.n,
+            p=cfg.p,
+        )
+        with pytest.raises(ValidationError, match="unknown mutation"):
+            audit(dg.pair_columns(traj, partner), general, mutation="bogus")
+
 
 class TestAgentDistanceAudit:
     def test_identical_trajectories_vacuous_pass(self):
@@ -738,7 +761,38 @@ class TestAgentDistanceAudit:
         ).members()
         audit = dg.audit_agent_distance_bound(t1, t2, cfg)
         assert audit.passed
-        assert not audit.audited.any()
+        assert audit.max_violation == 0.0
+
+    @pytest.mark.parametrize(
+        "value, audited",
+        [
+            (np.nextafter(dg.DISTANCE_FLOOR, 0.0), False),
+            (dg.DISTANCE_FLOOR, True),
+            (np.nextafter(dg.DISTANCE_FLOOR, 1.0), True),
+        ],
+    )
+    def test_points_below_the_floor_are_not_audited(self, value, audited):
+        # agent 0's distance is `value` at t_2 between 0 at t_1 and 1 at
+        # t_3, so its slope there is 1 / 2h = 4 against a bound of about
+        # kappa / 2; its other interior points sit at 0, below the floor
+        # (t_1), or descend (t_3), and agent 1 stays at 1 under a bound of
+        # at least kappa / 2, so t_2 is the one point that can violate. A
+        # mask taken from the row after (t_3) audits it below the floor, and
+        # one from the row before (t_1) never audits it
+        cfg = uniform_config(2, 3, 1, kappa=1.0)
+        columns = {
+            "t": np.arange(5) / 8.0,
+            "diam_S": np.ones(5),
+            "diam_S_tilde": np.ones(5),
+            "dist_agent_0": np.array([0.0, 0.0, value, 1.0, 0.0]),
+            "dist_agent_1": np.ones(5),
+        }
+        audit = dg.audit_agent_distance_bound_series(columns, cfg)
+        if audited:
+            assert not audit.passed
+            assert audit.max_violation > 3.0
+        else:
+            assert audit.max_violation == 0.0
 
     def test_framework_pair_passes(self, framework_pair_session):
         cfg, traj, partner = framework_pair_session
@@ -860,28 +914,88 @@ class TestCorrelationContractionAudit:
         assert np.array_equal(contraction_slack(cfg, traj.diameters, partner.diameters), slacks)
 
 
+class TestAuditChunks:
+    """The audits walk the interior of the grid in chunks of rows. A spike
+    at a chunk's first or last interior row moves the slopes on both sides
+    of it, one of them in the neighbouring chunk, and the verdict must be
+    the one the written-out oracle ``pointwise_audit`` gives."""
+
+    # each core with the column whose slope it audits
+    SPIKED = [
+        (dg.audit_diameter_bound_series, "diam_S"),
+        (dg.audit_correlation_contraction_series, "corr_sq"),
+        (dg.audit_agent_distance_bound_series, "dist_agent_0"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def pair_series(self, framework_pair_session):
+        _, traj, partner = framework_pair_session
+        return dg.pair_columns(traj, partner)
+
+    @pytest.mark.parametrize("audit, column", SPIKED)
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    @pytest.mark.parametrize("factor", [3.0, 1.0 / 3.0])
+    def test_spike_at_a_chunk_edge_gives_the_oracles_verdict(
+        self, framework_pair_session, pair_series, audit, column, edge, factor
+    ):
+        # a raised sample makes the slope before it the largest gap, a
+        # lowered one the slope after it; at a chunk's first interior row
+        # the slope before it is the last of the chunk before, at its last
+        # interior row the slope after it is the first of the chunk after
+        cfg = framework_pair_session[0]
+        chunks = audit_chunks(audit, pair_series, cfg)
+        assert len(chunks) >= 3
+        # interior row k is grid row k + 1
+        row = chunks[1].start + 1 if edge == "first" else chunks[1].stop
+        columns = dict(pair_series)
+        columns[column] = columns[column].copy()
+        columns[column][row] *= factor
+        result = audit(columns, cfg)
+        expected, rounding = pointwise_audit(result.name, columns, cfg)
+        # the unspiked run violates nowhere, so the spike sets the verdict
+        assert audit(pair_series, cfg).max_violation == 0.0
+        assert result.max_violation > 0.0
+        assert abs(result.max_violation - expected) <= rounding
+
+
 class TestNaNGapRejected:
     """A NaN sample makes NaN gaps, and max(0.0, nan) is 0.0: an audit over
     it would pass with max_violation 0. Each audit core raises instead."""
 
-    # each core with a column it reads; the diameter audit on the t and
-    # diam_S columns alone
+    # each core with a column it reads, and whether it takes that column's
+    # slopes, which read every row; a column that only enters the bound is
+    # read at the interior rows, so its last row is no input here. The
+    # diameter audit runs on the t and diam_S columns alone
     CORES = [
-        (dg.audit_diameter_bound_series, "diam_S"),
-        (dg.audit_correlation_contraction_series, "corr_sq"),
-        (dg.audit_correlation_contraction_series, "diam_S"),
-        (dg.audit_agent_distance_bound_series, "dist_agent_0"),
-        (dg.audit_agent_distance_bound_series, "diam_S_tilde"),
+        (dg.audit_diameter_bound_series, "diam_S", True),
+        (dg.audit_correlation_contraction_series, "corr_sq", True),
+        (dg.audit_correlation_contraction_series, "diam_S", False),
+        (dg.audit_agent_distance_bound_series, "dist_agent_0", True),
+        (dg.audit_agent_distance_bound_series, "diam_S_tilde", False),
+    ]
+    # the middle of the run, the first and last interior rows of the
+    # audit's second chunk, and the run's last row
+    CASES = [
+        (audit, column, row)
+        for audit, column, sloped in CORES
+        for row in ("middle", "chunk_first", "chunk_last", "last")
+        if sloped or row != "last"
     ]
 
-    @pytest.mark.parametrize("audit, column", CORES)
-    def test_nan_sample_raises(self, framework_pair_session, audit, column):
+    @pytest.mark.parametrize("audit, column, row", CASES)
+    def test_nan_sample_raises(self, framework_pair_session, audit, column, row):
         cfg, traj, partner = framework_pair_session
         columns = dg.pair_columns(traj, partner)
         if audit is dg.audit_diameter_bound_series:
             columns = {"t": columns["t"], "diam_S": columns["diam_S"]}
+        if row in ("chunk_first", "chunk_last"):
+            chunk = audit_chunks(audit, columns, cfg)[1]
+            # interior row k is grid row k + 1
+            index = chunk.start + 1 if row == "chunk_first" else chunk.stop
+        else:
+            index = len(traj) // 2 if row == "middle" else len(traj) - 1
         columns[column] = columns[column].copy()
-        columns[column][len(traj) // 2] = np.nan
+        columns[column][index] = np.nan
         with pytest.raises(ValidationError, match="NaN"):
             audit(columns, cfg)
 
