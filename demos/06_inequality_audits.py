@@ -24,6 +24,7 @@ from stiefel_sync.diagnostics import (
     audit_agent_distance_bound,
     audit_correlation_contraction,
     audit_diameter_bound,
+    pair_columns,
 )
 from stiefel_sync.manifold import perturb_ensemble
 from stiefel_sync.model import coupling_margin_threshold, diameter_threshold
@@ -49,11 +50,13 @@ init = near_consensus_ensemble(n, p, count, 0.35 * diameter_threshold(cfg), seed
 icfg = IntegratorConfig(h=1e-3, t_end=8.0, record_stride=1)
 pair = np.stack([init, perturb_ensemble(init, 1e-3, seed=24)])
 traj, partner = integrate(pair, cfg, icfg).members()
+# the audits read named series columns, as a scenario run and a CSV re-audit do
+columns = pair_columns(traj, partner)
 
 print("standard audits on a condition-satisfying pair:")
-show(audit_diameter_bound(traj, cfg))
-show(audit_agent_distance_bound(traj, partner, cfg))
-show(audit_correlation_contraction(traj, partner, cfg))
+show(audit_diameter_bound({"t": traj.times, "diam_S": traj.diameters}, cfg))
+show(audit_agent_distance_bound(columns, cfg))
+show(audit_correlation_contraction(columns, cfg))
 
 print("\nmutated bounds must register as violations somewhere:")
 wide = np.stack([
@@ -64,5 +67,6 @@ cfg_wide = ModelConfig(
     kappa=1.0, topology=Topology.separable(np.ones(2)), freqs=zero_frequencies(2, 1), n=2, p=1
 )
 traj_wide = integrate(wide, cfg_wide, IntegratorConfig(h=1e-3, t_end=1.0, record_stride=1))
-show(audit_diameter_bound(traj_wide, cfg_wide, mutation="drop_cubic_term"))
-show(audit_correlation_contraction(traj, partner, cfg, mutation="overstated_skew_rate"))
+wide_columns = {"t": traj_wide.times, "diam_S": traj_wide.diameters}
+show(audit_diameter_bound(wide_columns, cfg_wide, mutation="drop_cubic_term"))
+show(audit_correlation_contraction(columns, cfg, mutation="overstated_skew_rate"))

@@ -139,10 +139,11 @@ def _cmd_audit(args, out, err) -> int:
     try:
         scenario = Scenario.from_file(_resolve_config(args.config))
         series = read_series(args.series)
-        audits = diagnostics.audit_series(series, scenario.model)
+        if "t" not in series:
+            raise ValidationError(f"{args.series}: series lacks the 't' column")
         # the run writes its recorded grid bit for bit, so a file cut at a
         # row boundary, or one of a run at another stride or step, parses
-        # but holds another grid
+        # but holds another grid; it is named before any audit reads it
         times = scenario.integrator.recorded_steps() * scenario.integrator.h
         if not np.array_equal(series["t"], times):
             raise ValidationError(
@@ -151,6 +152,7 @@ def _cmd_audit(args, out, err) -> int:
                 f" ({times.size} snapshots up to its horizon t = {times[-1]:.17g}):"
                 " a truncated file or another run"
             )
+        audits = diagnostics.audit_series(series, scenario.model)
     except (StiefelSyncError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_SCENARIO

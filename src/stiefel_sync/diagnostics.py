@@ -6,7 +6,7 @@ whose roots fence the running diameter.
 
 Each audit compares a finite-difference derivative of a recorded series
 against the corresponding bound evaluated on the same grid. The three
-audit cores name only the values they audit and their bound; one driver
+audits name only the values they audit and their bound; one driver
 (``_slope_audit``) takes the slopes, subtracts the bound and keeps the
 largest excess, chunk by chunk of the grid, and returns a verdict
 (:class:`InequalityAudit`) with no table of the run's length. The audits
@@ -19,11 +19,9 @@ the pair chunk by chunk of snapshots, named as the pair CSV's columns, and
 is the only place that subtracts two trajectories' states. It is fed by
 :func:`pair_columns` from two stored runs, and by a scenario run from the
 chunks ``integrate`` hands to its sink, with no trajectory kept. The
-stability gain, the audit cores and :func:`audit_series` read those
-columns, so a scenario run, the re-audit of its CSV and a test's audit of
-two trajectories go through the same code and agree bit for bit. The
-trajectory-level audits are one-line calls of their cores on such
-columns.
+stability gain and the audits read only such columns, so a scenario run,
+the re-audit of its CSV and a test's audit of two trajectories go through
+the same code and agree bit for bit.
 
 Each analysis is one fixed rule. Consensus detection
 (:func:`consensus_status`) classifies a run's last snapshot with one
@@ -98,18 +96,6 @@ def slope_spacing(times) -> float:
     if times.shape[0] < 3:
         raise InsufficientDataError("need at least three samples for interior slopes")
     return h
-
-
-def dini_derivative_series(series_t, series_y) -> np.ndarray:
-    """Central-difference derivative, O(h^2), at every interior point of a
-    series sampled on a uniform time grid; a (K, N) table gives the slope of
-    each of its N series along the first axis."""
-    t = np.asarray(series_t, dtype=float)
-    y = np.asarray(series_y, dtype=float)
-    h = slope_spacing(t)
-    slopes = y[2:] - y[:-2]
-    slopes /= 2.0 * h
-    return slopes
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +454,8 @@ class InequalityAudit:
 def _slope_audit(name, times, width, values, bound, floored=False) -> InequalityAudit:
     """The pass that every inequality audit makes over the grid ``times``:
     at each interior point t_k, the central-difference slope
-    (v_{k+1} - v_{k-1}) / 2h of the audited values v, as
-    :func:`dini_derivative_series` takes it, less the audit's bound at t_k.
+    (v_{k+1} - v_{k-1}) / 2h of the audited values v, less the audit's
+    bound at t_k, with h the grid's :func:`slope_spacing`.
 
     ``values(rows)`` gives v at the grid rows ``rows``, a column or a
     (rows, ``width``) table. ``bound(v, mid)`` gives the bound at the grid
@@ -502,11 +488,15 @@ def _slope_audit(name, times, width, values, bound, floored=False) -> Inequality
     return InequalityAudit(name, worst, audit_tolerance(h))
 
 
-def audit_diameter_bound_series(
+def audit_diameter_bound(
     columns: Mapping[str, np.ndarray], cfg: ModelConfig, mutation: str | None = None
 ) -> InequalityAudit:
-    """Series-level core of :func:`audit_diameter_bound`: reads the ``t``
-    and ``diam_S`` columns."""
+    """Check, on the ``t`` and ``diam_S`` columns, that the measured slope of
+    the ensemble diameter D(t) stays below
+    -k xi_min^2 / 2 * D + k xi_min^2 / 4 * D^3 + 2 sqrt(p) * spread.
+
+    mutation="drop_cubic_term" removes the D^3 term (sensitivity check).
+    """
     if mutation not in (None, "drop_cubic_term"):
         raise ValidationError(f"unknown mutation {mutation!r}")
     half = cfg.kappa * cfg.topology.xi_stats().xi_min ** 2 / 2.0
@@ -524,18 +514,6 @@ def audit_diameter_bound_series(
         return part
 
     return _slope_audit("diameter_bound", columns["t"], 1, lambda rows: d[rows], bound)
-
-
-def audit_diameter_bound(
-    traj: Trajectory, cfg: ModelConfig, mutation: str | None = None
-) -> InequalityAudit:
-    """Check that the measured slope of the ensemble diameter D(t) stays
-    below -k xi_min^2 / 2 * D + k xi_min^2 / 4 * D^3 + 2 sqrt(p) * spread.
-
-    mutation="drop_cubic_term" removes the D^3 term (sensitivity check).
-    """
-    columns = {"t": traj.times, "diam_S": traj.diameters}
-    return audit_diameter_bound_series(columns, cfg, mutation)
 
 
 def correlation_contraction_bound(
@@ -562,12 +540,24 @@ def correlation_contraction_bound(
     return -rate_plain * plain - rate_skew * skewed
 
 
-def audit_correlation_contraction_series(
+def audit_correlation_contraction(
     columns: Mapping[str, np.ndarray], cfg: ModelConfig, mutation: str | None = None
 ) -> InequalityAudit:
-    """Series-level core of :func:`audit_correlation_contraction`: reads the
-    ``t``, ``corr_sq``, ``corr_skew_sq``, ``diam_S`` and ``diam_S_tilde``
-    columns, and audits the slope of X + Y."""
+    """Check the contraction inequality for the squared correlation gap
+    between two solutions:
+
+        d/dt (X + Y) <= -4 (k xi_min xi_mean - slack(t)) X
+                        - k (4 xi_min xi_mean - (5/2) xi_max^2) Y
+
+    with X the plain gap (``corr_sq``), Y the skew-part gap
+    (``corr_skew_sq``), and slack(t) evaluated at the two recorded diameters
+    (``diam_S`` and ``diam_S_tilde``), on the grid ``t``. The derivation for
+    the implemented field is in :func:`stiefel_sync.model.contraction_rates`;
+    for p = 1, Y = 0 and only the first term is audited.
+    mutation="overstated_skew_rate" asks the skew sector for
+    k (4 xi_min xi_mean - xi_max^2) instead, a rate that the field does not
+    reach for p >= 2 (sensitivity check).
+    """
     if mutation not in (None, "overstated_skew_rate"):
         raise ValidationError(f"unknown mutation {mutation!r}")
     plain = np.asarray(columns["corr_sq"], dtype=float)
@@ -584,34 +574,21 @@ def audit_correlation_contraction_series(
     )
 
 
-def audit_correlation_contraction(
-    traj1: Trajectory,
-    traj2: Trajectory,
-    cfg: ModelConfig,
-    mutation: str | None = None,
-) -> InequalityAudit:
-    """Check the contraction inequality for the squared correlation gap
-    between two solutions:
-
-        d/dt (X + Y) <= -4 (k xi_min xi_mean - slack(t)) X
-                        - k (4 xi_min xi_mean - (5/2) xi_max^2) Y
-
-    with X the plain gap, Y the skew-part gap, and slack(t) evaluated at the
-    two recorded diameters. The derivation for the implemented field is in
-    :func:`stiefel_sync.model.contraction_rates`; for p = 1, Y = 0 and only
-    the first term is audited. mutation="overstated_skew_rate" asks the skew
-    sector for k (4 xi_min xi_mean - xi_max^2) instead, a rate that the
-    field does not reach for p >= 2 (sensitivity check).
-    """
-    return audit_correlation_contraction_series(pair_columns(traj1, traj2), cfg, mutation)
-
-
-def audit_agent_distance_bound_series(
+def audit_agent_distance_bound(
     columns: Mapping[str, np.ndarray], cfg: ModelConfig, mutation: str | None = None
 ) -> InequalityAudit:
-    """Series-level core of :func:`audit_agent_distance_bound`: reads the
-    ``t`` column, the per-agent distances ``dist_agent_<i>``, and Z as the
-    elementwise maximum of ``diam_S`` and ``diam_S_tilde``."""
+    """Check, for every agent i, that the measured slope of x_i = ||S_i - T_i||
+    (``dist_agent_<i>``) stays below
+
+        (k/N) sum_k a_ik x_k - (k/N) sum_k a_ik x_i
+        + (k Z(t)/N) sum_k a_ik x_i,
+
+    with Z(t) the larger of the two diameters (``diam_S`` and
+    ``diam_S_tilde``), on the grid ``t``. Holds for any symmetric topology.
+    Points with x_i below the distance floor are skipped (the norm is not
+    differentiable at zero and the bound is vacuous there).
+    mutation="drop_state_term" removes the Z(t) term (sensitivity check).
+    """
     if mutation not in (None, "drop_state_term"):
         raise ValidationError(f"unknown mutation {mutation!r}")
     agents = _agent_distances(columns)
@@ -650,43 +627,38 @@ def audit_agent_distance_bound_series(
     )
 
 
-def audit_agent_distance_bound(
-    traj1: Trajectory,
-    traj2: Trajectory,
-    cfg: ModelConfig,
-    mutation: str | None = None,
-) -> InequalityAudit:
-    """Check, for every agent i, that the measured slope of x_i = ||S_i - T_i||
-    stays below
+# perfbench/tracer.py binds these names as well as the audits' own; ROADMAP
+# item 1 drops them when it changes the tracer
+audit_diameter_bound_series = audit_diameter_bound
+audit_correlation_contraction_series = audit_correlation_contraction
+audit_agent_distance_bound_series = audit_agent_distance_bound
 
-        (k/N) sum_k a_ik x_k - (k/N) sum_k a_ik x_i
-        + (k Z(t)/N) sum_k a_ik x_i,
-
-    with Z(t) the larger of the two diameters. Holds for any symmetric
-    topology. Points with x_i below the distance floor are skipped (the norm
-    is not differentiable at zero and the bound is vacuous there).
-    mutation="drop_state_term" removes the Z(t) term (sensitivity check).
-    """
-    return audit_agent_distance_bound_series(pair_columns(traj1, traj2), cfg, mutation)
+# the columns a pair series holds beside the t and diam_S of its main run;
+# the agents' distances are dist_agent_0 ... dist_agent_<N-1>
+_PAIR_COLUMNS = ("corr_sq", "corr_skew_sq", "diam_S_tilde", "dist_agent_0")
 
 
 def audit_series(columns: Mapping[str, np.ndarray], cfg: ModelConfig) -> list[InequalityAudit]:
-    """Every audit that the named series columns support, in the order
-    diameter bound, correlation contraction, per-agent distance bound.
+    """Every audit of the named series columns, in the order diameter bound,
+    correlation contraction, per-agent distance bound.
 
     ``columns`` uses the names of :func:`pair_columns` and of the emitted
-    CSVs (see :func:`stiefel_sync.series_io.emit_series`): ``t`` and
-    ``diam_S`` are required; ``corr_sq``, ``corr_skew_sq`` and
-    ``diam_S_tilde`` add the correlation audit; ``dist_agent_<i>`` with
-    ``diam_S_tilde`` add the per-agent audit.
+    CSVs (see :func:`stiefel_sync.series_io.emit_series`). ``t`` and
+    ``diam_S`` are required, and give the diameter audit alone. A series
+    with any of ``corr_sq``, ``corr_skew_sq``, ``diam_S_tilde`` or a
+    ``dist_agent_<i>`` column is a pair series: it must hold all of them,
+    and gets all three audits. A missing column raises
+    :class:`ValidationError`, which names the first one missing.
     """
-    if "t" not in columns or "diam_S" not in columns:
-        raise ValidationError("series lacks the required t and diam_S columns")
-    audits = [audit_diameter_bound_series(columns, cfg)]
-    if {"corr_sq", "corr_skew_sq", "diam_S_tilde"} <= columns.keys():
-        audits.append(audit_correlation_contraction_series(columns, cfg))
-    if "diam_S_tilde" in columns and any(name.startswith("dist_agent_") for name in columns):
-        audits.append(audit_agent_distance_bound_series(columns, cfg))
+    pair = any(name in _PAIR_COLUMNS or name.startswith("dist_agent_") for name in columns)
+    for name in ("t", "diam_S") + (_PAIR_COLUMNS if pair else ()):
+        if name not in columns:
+            kind = "pair series" if pair else "series"
+            raise ValidationError(f"{kind} lacks the {name!r} column")
+    audits = [audit_diameter_bound(columns, cfg)]
+    if pair:
+        audits.append(audit_correlation_contraction(columns, cfg))
+        audits.append(audit_agent_distance_bound(columns, cfg))
     return audits
 
 

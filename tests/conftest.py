@@ -432,6 +432,12 @@ def worst_relative_bound_excess(cfg, traj1, traj2, floor=1e-20):
     return float(np.max((rate[kept] - bound[kept]) / gap[kept]))
 
 
+def run_columns(traj) -> dict:
+    """The ``t`` and ``diam_S`` columns of one run, all that the diameter
+    audit reads."""
+    return {"t": traj.times, "diam_S": traj.diameters}
+
+
 def audit_verdict(audit) -> tuple[str, str, str]:
     """An audit's name, ``max_violation`` and ``tol``, the floats as hex,
     so that comparing verdicts compares them bit for bit."""

@@ -43,6 +43,7 @@ from stiefel_sync.scenario import Scenario, generate_weights, generate_xi
 from conftest import (
     kuramoto_o2_config,
     make_framework_config,
+    run_columns,
     whole_window_consensus,
     worst_relative_bound_excess,
 )
@@ -107,13 +108,14 @@ def framework_results():
         status = dg.consensus_status(traj.states[-1], cfg)
         window = whole_window_consensus(traj.times, traj.states)
 
+        columns = dg.pair_columns(traj, partner)
         audits = {
-            "diameter_bound": dg.audit_diameter_bound(traj, cfg),
-            "correlation_contraction": dg.audit_correlation_contraction(traj, partner, cfg),
-            "agent_distance_bound": dg.audit_agent_distance_bound(traj, partner, cfg),
+            "diameter_bound": dg.audit_diameter_bound(run_columns(traj), cfg),
+            "correlation_contraction": dg.audit_correlation_contraction(columns, cfg),
+            "agent_distance_bound": dg.audit_agent_distance_bound(columns, cfg),
         }
         mutated_correlation = dg.audit_correlation_contraction(
-            traj, partner, cfg, mutation="overstated_skew_rate"
+            columns, cfg, mutation="overstated_skew_rate"
         )
         cubic = dg.cubic_analysis(cfg)
         results.append(
@@ -359,8 +361,9 @@ def test_criterion_06a_diameter_audit_with_mutation(framework_results):
         p=1,
     )
     traj = integrate(init, cfg, IntegratorConfig(h=1e-3, t_end=1.0, record_stride=1))
-    standard = dg.audit_diameter_bound(traj, cfg)
-    mutated = dg.audit_diameter_bound(traj, cfg, mutation="drop_cubic_term")
+    columns = run_columns(traj)
+    standard = dg.audit_diameter_bound(columns, cfg)
+    mutated = dg.audit_diameter_bound(columns, cfg, mutation="drop_cubic_term")
     mutation_ok = standard.passed and not mutated.passed
 
     ok = audits_ok and mutation_ok
@@ -385,8 +388,9 @@ def test_criterion_06b_agent_audit_with_mutation(framework_results):
     icfg = IntegratorConfig(h=1e-3, t_end=0.5, record_stride=1)
     pair = np.stack([random_ensemble(3, 2, 5, seed=7001), random_ensemble(3, 2, 5, seed=7002)])
     t1, t2 = integrate(pair, cfg, icfg).members()
-    standard = dg.audit_agent_distance_bound(t1, t2, cfg)
-    mutated = dg.audit_agent_distance_bound(t1, t2, cfg, mutation="drop_state_term")
+    columns = dg.pair_columns(t1, t2)
+    standard = dg.audit_agent_distance_bound(columns, cfg)
+    mutated = dg.audit_agent_distance_bound(columns, cfg, mutation="drop_state_term")
     mutation_ok = standard.passed and not mutated.passed
 
     ok = audits_ok and mutation_ok

@@ -1,6 +1,6 @@
 """Diagnostics tests: correlations, the pair columns, consensus detection,
 rate fits, gains, inequality audits (with mutation sensitivity), cubic
-analysis, the weighted power-mean gap, and the derivative estimator."""
+analysis, the weighted power-mean gap, and the slopes' grid rule."""
 
 import math
 import os
@@ -51,6 +51,7 @@ from conftest import (
     make_framework_config,
     phase_peaks,
     pointwise_audit,
+    run_columns,
     run_framework_pair,
     worst_relative_bound_excess,
 )
@@ -225,14 +226,15 @@ class TestPairColumns:
             assert abs(columns["dist_l2"][k] - math.hypot(*norms)) <= 1e-13
         assert np.array_equal(columns["diam_A"], columns["corr_sq"] + columns["corr_skew_sq"])
 
-    def test_trajectory_audits_are_audit_series_of_pair_columns(self, framework_pair_session):
+    def test_audit_series_gives_each_audits_verdict_on_the_columns(self, framework_pair_session):
         cfg, traj, partner = framework_pair_session
-        audits = dg.audit_series(dg.pair_columns(traj, partner), cfg)
+        columns = dg.pair_columns(traj, partner)
+        audits = dg.audit_series(columns, cfg)
         by_name = {audit.name: audit for audit in audits}
         for audit in (
-            dg.audit_diameter_bound(traj, cfg),
-            dg.audit_correlation_contraction(traj, partner, cfg),
-            dg.audit_agent_distance_bound(traj, partner, cfg),
+            dg.audit_diameter_bound(columns, cfg),
+            dg.audit_correlation_contraction(columns, cfg),
+            dg.audit_agent_distance_bound(columns, cfg),
         ):
             assert audit_verdict(audit) == audit_verdict(by_name.pop(audit.name))
         assert not by_name
@@ -697,18 +699,26 @@ class TestStabilityGain:
         assert math.isfinite(gain) and gain >= 1.0
 
 
+def test_series_names_are_the_audits():
+    # the _series names stay for the benchmark's tracer only; as the same
+    # objects, they time the one implementation and cannot grow another
+    for name in ("audit_diameter_bound", "audit_correlation_contraction",
+                 "audit_agent_distance_bound"):
+        assert getattr(dg, f"{name}_series") is getattr(dg, name)
+
+
 class TestDiameterBoundAudit:
     def test_consensus_trajectory_trivially_passes(self):
         s = random_stiefel(4, 2, seed=17)
         cfg = uniform_config(3, 4, 2, kappa=2.0)
         traj = short_run(cfg, np.stack([s] * 3), t_end=2.0)
-        audit = dg.audit_diameter_bound(traj, cfg)
+        audit = dg.audit_diameter_bound(run_columns(traj), cfg)
         assert audit.passed
         assert audit.max_violation == 0.0
 
     def test_framework_run_passes(self, framework_pair_session):
         cfg, traj, _ = framework_pair_session
-        audit = dg.audit_diameter_bound(traj, cfg)
+        audit = dg.audit_diameter_bound(run_columns(traj), cfg)
         assert audit.passed
 
     def test_cubic_mutation_detected_on_wide_pair(self):
@@ -717,8 +727,9 @@ class TestDiameterBoundAudit:
         init = np.stack([circle_point(0.0), circle_point(2.8)])
         cfg = uniform_config(2, 2, 1, kappa=1.0)
         traj = short_run(cfg, init, t_end=1.0, h=1e-3, stride=1)
-        standard = dg.audit_diameter_bound(traj, cfg)
-        mutated = dg.audit_diameter_bound(traj, cfg, mutation="drop_cubic_term")
+        columns = run_columns(traj)
+        standard = dg.audit_diameter_bound(columns, cfg)
+        mutated = dg.audit_diameter_bound(columns, cfg, mutation="drop_cubic_term")
         assert standard.passed
         assert not mutated.passed
         assert mutated.max_violation > 0.5
@@ -726,14 +737,14 @@ class TestDiameterBoundAudit:
     def test_unknown_mutation_rejected(self, framework_pair_session):
         cfg, traj, _ = framework_pair_session
         with pytest.raises(ValidationError):
-            dg.audit_diameter_bound(traj, cfg, mutation="bogus")
+            dg.audit_diameter_bound(run_columns(traj), cfg, mutation="bogus")
 
     @pytest.mark.parametrize(
         "audit",
         [
-            dg.audit_diameter_bound_series,
-            dg.audit_correlation_contraction_series,
-            dg.audit_agent_distance_bound_series,
+            dg.audit_diameter_bound,
+            dg.audit_correlation_contraction,
+            dg.audit_agent_distance_bound,
         ],
     )
     def test_unknown_mutation_rejected_before_the_topology(self, framework_pair_session, audit):
@@ -759,7 +770,7 @@ class TestAgentDistanceAudit:
         t1, t2 = integrate(
             np.stack([init, init.copy()]), cfg, IntegratorConfig(h=2e-3, t_end=1.0)
         ).members()
-        audit = dg.audit_agent_distance_bound(t1, t2, cfg)
+        audit = dg.audit_agent_distance_bound(dg.pair_columns(t1, t2), cfg)
         assert audit.passed
         assert audit.max_violation == 0.0
 
@@ -787,7 +798,7 @@ class TestAgentDistanceAudit:
             "dist_agent_0": np.array([0.0, 0.0, value, 1.0, 0.0]),
             "dist_agent_1": np.ones(5),
         }
-        audit = dg.audit_agent_distance_bound_series(columns, cfg)
+        audit = dg.audit_agent_distance_bound(columns, cfg)
         if audited:
             assert not audit.passed
             assert audit.max_violation > 3.0
@@ -796,7 +807,7 @@ class TestAgentDistanceAudit:
 
     def test_framework_pair_passes(self, framework_pair_session):
         cfg, traj, partner = framework_pair_session
-        audit = dg.audit_agent_distance_bound(traj, partner, cfg)
+        audit = dg.audit_agent_distance_bound(dg.pair_columns(traj, partner), cfg)
         assert audit.passed
 
     def test_general_topology_supported(self):
@@ -809,7 +820,7 @@ class TestAgentDistanceAudit:
         t1, t2 = integrate(
             pair, cfg, IntegratorConfig(h=1e-3, t_end=2.0, record_stride=2)
         ).members()
-        assert dg.audit_agent_distance_bound(t1, t2, cfg).passed
+        assert dg.audit_agent_distance_bound(dg.pair_columns(t1, t2), cfg).passed
 
     def test_heterogeneous_generators_cancel(self):
         # the per-agent bound carries no frequency term; a strongly
@@ -821,7 +832,7 @@ class TestAgentDistanceAudit:
         t1, t2 = integrate(
             pair, cfg, IntegratorConfig(h=1e-3, t_end=2.0, record_stride=2)
         ).members()
-        assert dg.audit_agent_distance_bound(t1, t2, cfg).passed
+        assert dg.audit_agent_distance_bound(dg.pair_columns(t1, t2), cfg).passed
 
     def test_state_term_mutation_detected(self):
         # widely separated random ensembles make the running-diameter term
@@ -832,8 +843,9 @@ class TestAgentDistanceAudit:
         t1, t2 = integrate(
             np.stack([init1, init2]), cfg, IntegratorConfig(h=1e-3, t_end=0.5, record_stride=1)
         ).members()
-        standard = dg.audit_agent_distance_bound(t1, t2, cfg)
-        mutated = dg.audit_agent_distance_bound(t1, t2, cfg, mutation="drop_state_term")
+        columns = dg.pair_columns(t1, t2)
+        standard = dg.audit_agent_distance_bound(columns, cfg)
+        mutated = dg.audit_agent_distance_bound(columns, cfg, mutation="drop_state_term")
         assert standard.passed
         assert not mutated.passed
 
@@ -847,12 +859,12 @@ class TestCorrelationContractionAudit:
             cfg,
             IntegratorConfig(h=2e-3, t_end=1.0, record_stride=1),
         ).members()
-        assert dg.audit_correlation_contraction(t1, t2, cfg).passed
+        assert dg.audit_correlation_contraction(dg.pair_columns(t1, t2), cfg).passed
 
     def test_single_column_pair_passes(self):
         # with one column the skew sector vanishes and the stated bound holds
         cfg, traj, partner = run_framework_pair_p1(seed=606)
-        audit = dg.audit_correlation_contraction(traj, partner, cfg)
+        audit = dg.audit_correlation_contraction(dg.pair_columns(traj, partner), cfg)
         assert audit.passed
 
     def test_two_column_rate_deficit_is_reported(self, framework_pair_session):
@@ -861,20 +873,18 @@ class TestCorrelationContractionAudit:
         # and holds, while the overstated skew rate kappa (4 xi_min xi_mean -
         # xi_max^2) is a real deficit that the audit must surface
         cfg, traj, partner = framework_pair_session
-        audit = dg.audit_correlation_contraction(traj, partner, cfg)
+        columns = dg.pair_columns(traj, partner)
+        audit = dg.audit_correlation_contraction(columns, cfg)
         assert audit.passed
-        mutated = dg.audit_correlation_contraction(
-            traj, partner, cfg, mutation="overstated_skew_rate"
-        )
+        mutated = dg.audit_correlation_contraction(columns, cfg, mutation="overstated_skew_rate")
         assert not mutated.passed
         assert mutated.max_violation > mutated.tol
 
     def test_slack_mutation_increases_violation(self, framework_pair_session):
         cfg, traj, partner = framework_pair_session
-        standard = dg.audit_correlation_contraction(traj, partner, cfg)
-        mutated = dg.audit_correlation_contraction(
-            traj, partner, cfg, mutation="overstated_skew_rate"
-        )
+        columns = dg.pair_columns(traj, partner)
+        standard = dg.audit_correlation_contraction(columns, cfg)
+        mutated = dg.audit_correlation_contraction(columns, cfg, mutation="overstated_skew_rate")
         assert not mutated.passed
         assert mutated.max_violation > standard.max_violation
 
@@ -888,9 +898,9 @@ class TestCorrelationContractionAudit:
             for name in ("t", "corr_sq", "corr_skew_sq", "diam_S", "diam_S_tilde")
         }
         with pytest.raises(ValidationError, match="unknown mutation"):
-            dg.audit_correlation_contraction_series(short, cfg, mutation="bogus")
+            dg.audit_correlation_contraction(short, cfg, mutation="bogus")
         with pytest.raises(InsufficientDataError):
-            dg.audit_correlation_contraction_series(short, cfg)
+            dg.audit_correlation_contraction(short, cfg)
 
     def test_exact_derivative_within_bound(self, framework_pair_session, homogeneous_pairs):
         # dF/dt from the velocity field, no finite differences: the bound
@@ -920,11 +930,11 @@ class TestAuditChunks:
     of it, one of them in the neighbouring chunk, and the verdict must be
     the one the written-out oracle ``pointwise_audit`` gives."""
 
-    # each core with the column whose slope it audits
+    # each audit with the column whose slope it audits
     SPIKED = [
-        (dg.audit_diameter_bound_series, "diam_S"),
-        (dg.audit_correlation_contraction_series, "corr_sq"),
-        (dg.audit_agent_distance_bound_series, "dist_agent_0"),
+        (dg.audit_diameter_bound, "diam_S"),
+        (dg.audit_correlation_contraction, "corr_sq"),
+        (dg.audit_agent_distance_bound, "dist_agent_0"),
     ]
 
     @pytest.fixture(scope="class")
@@ -960,18 +970,18 @@ class TestAuditChunks:
 
 class TestNaNGapRejected:
     """A NaN sample makes NaN gaps, and max(0.0, nan) is 0.0: an audit over
-    it would pass with max_violation 0. Each audit core raises instead."""
+    it would pass with max_violation 0. Each audit raises instead."""
 
-    # each core with a column it reads, and whether it takes that column's
+    # each audit with a column it reads, and whether it takes that column's
     # slopes, which read every row; a column that only enters the bound is
     # read at the interior rows, so its last row is no input here. The
     # diameter audit runs on the t and diam_S columns alone
     CORES = [
-        (dg.audit_diameter_bound_series, "diam_S", True),
-        (dg.audit_correlation_contraction_series, "corr_sq", True),
-        (dg.audit_correlation_contraction_series, "diam_S", False),
-        (dg.audit_agent_distance_bound_series, "dist_agent_0", True),
-        (dg.audit_agent_distance_bound_series, "diam_S_tilde", False),
+        (dg.audit_diameter_bound, "diam_S", True),
+        (dg.audit_correlation_contraction, "corr_sq", True),
+        (dg.audit_correlation_contraction, "diam_S", False),
+        (dg.audit_agent_distance_bound, "dist_agent_0", True),
+        (dg.audit_agent_distance_bound, "diam_S_tilde", False),
     ]
     # the middle of the run, the first and last interior rows of the
     # audit's second chunk, and the run's last row
@@ -986,8 +996,8 @@ class TestNaNGapRejected:
     def test_nan_sample_raises(self, framework_pair_session, audit, column, row):
         cfg, traj, partner = framework_pair_session
         columns = dg.pair_columns(traj, partner)
-        if audit is dg.audit_diameter_bound_series:
-            columns = {"t": columns["t"], "diam_S": columns["diam_S"]}
+        if audit is dg.audit_diameter_bound:
+            columns = run_columns(traj)
         if row in ("chunk_first", "chunk_last"):
             chunk = audit_chunks(audit, columns, cfg)[1]
             # interior row k is grid row k + 1
@@ -1097,45 +1107,18 @@ class TestHolderGap:
             dg.holder_gap(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5)
 
 
-class TestDiniDerivative:
-    def test_constant_series(self):
-        t = np.linspace(0, 1, 11)
-        assert np.all(dg.dini_derivative_series(t, np.ones(11)) == 0.0)
-
-    def test_linear_series_exact(self):
-        t = np.arange(0, 1.0, 0.125)
-        assert np.all(dg.dini_derivative_series(t, t.copy()) == 1.0)
-
-    def test_sine_matches_cosine(self):
-        h = 1e-3
-        t = np.arange(0, 1, h)
-        series = dg.dini_derivative_series(t, np.sin(t))
-        assert series.shape == (t.shape[0] - 2,)
-        for k in (1, 200, 500, 900):
-            assert abs(series[k - 1] - np.cos(t[k])) <= 1e-6
-
-    def test_nonuniform_grid_rejected(self):
-        t = np.array([0.0, 0.1, 0.3])
-        with pytest.raises(ValidationError):
-            dg.dini_derivative_series(t, t)
-
-    def test_series_variant_matches_pointwise(self):
-        t = np.arange(0, 1, 0.01)
-        y = np.exp(-2 * t)
-        series = dg.dini_derivative_series(t, y)
-        h = t[1] - t[0]
-        for k in (1, 50, 98):
-            assert series[k - 1] == (y[k + 1] - y[k - 1]) / (2.0 * h)
-
-    def test_too_short_series(self):
-        with pytest.raises(InsufficientDataError):
-            dg.dini_derivative_series(np.array([0.0, 0.1]), np.array([1.0, 2.0]))
-
-    def test_table_differences_each_column(self):
-        t = np.arange(0, 1, 0.01)
-        d = np.column_stack([np.exp(-k * t) for k in range(1, 5)])  # (K, N)
-        h = t[1] - t[0]
-        assert np.array_equal(dg.dini_derivative_series(t, d), (d[2:] - d[:-2]) / (2 * h))
+class TestSlopeSpacing:
+    @pytest.mark.parametrize(
+        "times, error",
+        [
+            (np.array([0.0, 0.1, 0.3]), ValidationError),
+            (np.array([0.0, 0.1]), InsufficientDataError),
+        ],
+        ids=["non_uniform", "two_samples"],
+    )
+    def test_rejected(self, times, error):
+        with pytest.raises(error):
+            dg.slope_spacing(times)
 
 
 class TestAuditTolerance:

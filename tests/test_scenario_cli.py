@@ -1482,6 +1482,34 @@ class TestCli:
         assert err.getvalue().startswith("error:")
         assert "Traceback" not in err.getvalue()
 
+    @pytest.mark.parametrize(
+        "cut, named",
+        [
+            ("t", "'t'"),
+            ("corr_sq", "'corr_sq'"),
+            ("corr_skew_sq", "'corr_skew_sq'"),
+            ("diam_S_tilde", "'diam_S_tilde'"),
+            ("dist_agent_", "'dist_agent_0'"),
+        ],
+        ids=["t", "corr_sq", "corr_skew_sq", "diam_S_tilde", "every_dist_agent"],
+    )
+    def test_audit_rejects_csv_without_a_column(self, tmp_path, bundled_runs, cut, named):
+        # a file with any pair column is a pair series and must hold them
+        # all, so one without a pair column is named, not audited in part;
+        # the grid is compared before the audits, and a file without t
+        # ends in the same typed error
+        source = bundled_runs["framework_hetero"].csvs["framework_hetero_pair.csv"]
+        columns = read_series(source)
+        kept = {name: values for name, values in columns.items() if not name.startswith(cut)}
+        assert len(kept) < len(columns)
+        pair_csv = tmp_path / "framework_hetero_pair.csv"
+        savetxt_series(kept, pair_csv)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["audit", str(pair_csv), "--config", "framework_hetero"], out=out, err=err)
+        assert code == EXIT_SCENARIO
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and named in err.getvalue()
+
     def test_audit_rejects_truncated_csv(self, tmp_path):
         path, pair_csv = self._pair_run(tmp_path)
         data = pair_csv.read_bytes()
@@ -1517,19 +1545,22 @@ class TestCli:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:") and "truncated" in err.getvalue()
 
-    def test_audit_rejects_csv_cut_at_row_boundary(self, tmp_path):
-        # a cut just after the newline of data row 60 leaves a valid shorter
-        # table; only the scenario's grid shows the cut
+    @pytest.mark.parametrize("rows", [60, 2])
+    def test_audit_rejects_csv_cut_at_row_boundary(self, tmp_path, rows):
+        # a cut just after the newline of a data row leaves a valid shorter
+        # table; only the scenario's grid shows the cut, and the grid is
+        # compared before the audits, so two rows, too few for a slope, are
+        # named as a cut file as well
         path, pair_csv = self._pair_run(tmp_path)
         data = pair_csv.read_bytes()
-        row_end = [k for k, byte in enumerate(data) if byte == ord("\n")][60]
+        row_end = [k for k, byte in enumerate(data) if byte == ord("\n")][rows]
         pair_csv.write_bytes(data[: row_end + 1])
         out, err = io.StringIO(), io.StringIO()
         code = main(["audit", str(pair_csv), "--config", path], out=out, err=err)
         assert code == EXIT_SCENARIO
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:")
-        assert "(60 rows up to t = " in err.getvalue()
+        assert f"({rows} rows up to t = " in err.getvalue()
         assert "(101 snapshots up to its horizon t = 1)" in err.getvalue()
 
     @pytest.mark.parametrize("run_stride, audit_stride", [(4, 1), (1, 4), (4, 2)])
